@@ -40,7 +40,6 @@ from .graphs import (
     from_name,
     is_isomorphic,
     load_graph,
-    load_graph6_file,
     parse_edgelist,
     parse_graph6,
     path_graph,

@@ -20,6 +20,7 @@ from .extremal import (
     load_or_compute_extremal,
     verify_a7_condition,
     verify_bipartite_max,
+    verify_catalog,
     verify_min_theorem,
     verify_properness,
 )
@@ -153,9 +154,9 @@ def cmd_classes(args) -> int:
 def cmd_extremal(args) -> int:
     g = load_graph(args.graph, args.format)
     if args.results_dir:
-        report = load_or_compute_extremal(g, args.k, args.results_dir, workers=args.workers)
+        report = load_or_compute_extremal(g, args.k, args.results_dir)
     else:
-        report = find_extremal(g, args.k, workers=args.workers)
+        report = find_extremal(g, args.k)
     obj = report.to_record()
     lines = [
         f"graph: {report.graph_id} (k={args.k}), {report.class_count} classes",
@@ -177,36 +178,32 @@ def _append_records(results_dir: str, name: str, records: list) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.theorem == "a7":
-        if args.graph:
-            graphs = [load_graph(args.graph, args.format)]
-        else:
-            graphs = connected_catalog(args.n_max)
-        records = [verify_a7_condition(g, args.k, workers=args.workers) for g in graphs]
-        violations = [rec for rec in records if not rec["ok"]]
-        summary = f"a7: {len(records)} graphs checked, {len(violations)} violations"
+    if args.graph:
+        graphs = [load_graph(args.graph, args.format)]
+    elif args.theorem == "bipartite":
+        graphs = connected_bipartite_catalog(args.n_max)
     else:
-        if args.theorem == "bipartite":
-            catalog = connected_bipartite_catalog(args.n_max)
-        else:
-            catalog = connected_catalog(args.n_max)
-        runner = {"min": verify_min_theorem, "proper": verify_properness, "bipartite": verify_bipartite_max}[args.theorem]
-        report = runner(catalog, args.k, workers=args.workers)
-        records = report.records
-        violations = report.violations
-        summary = report.summary()
+        graphs = connected_catalog(args.n_max)
+    # looked up at call time, so a replaced module attribute takes effect
+    runner = {
+        "min": verify_min_theorem,
+        "proper": verify_properness,
+        "bipartite": verify_bipartite_max,
+        "a7": lambda catalog, k: verify_catalog("a7", catalog, k, verify_a7_condition),
+    }[args.theorem]
+    report = runner(graphs, args.k)
     if args.results_dir:
-        _append_records(args.results_dir, f"verify_{args.theorem}_k{args.k}", records)
-    obj = {"theorem": args.theorem, "k": args.k, "records": records, "violations": len(violations)}
-    lines = [summary]
-    for rec in violations:
+        _append_records(args.results_dir, f"verify_{args.theorem}_k{args.k}", report.records)
+    obj = {"theorem": args.theorem, "k": args.k, "records": report.records, "violations": len(report.violations)}
+    lines = [report.summary()]
+    for rec in report.violations:
         lines.append(f"violation: {json.dumps(rec, sort_keys=True)}")
     _emit(args, obj, lines)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
 def cmd_conjecture(args) -> int:
-    rec = check_conjecture(args.n, workers=args.workers)
+    rec = check_conjecture(args.n)
     lines = [
         f"odd cycle n={rec['n']}: {rec['class_count']} classes, winners: {', '.join(rec['winners'])}",
     ]
@@ -229,11 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, graph=True, restraint=False, k=False, x=False):
-        if graph:
-            p.add_argument("--graph", required=True,
-                           help="graph: file path, short name (C7, P4, K5, K2,3, S3), graph6 or edge list")
-            p.add_argument("--format", default="auto", choices=["auto", "edgelist", "graph6"])
+    def add_common(p, restraint=False, k=False, x=False):
+        p.add_argument("--graph", required=True,
+                       help="graph: file path, short name (C7, P4, K5, K2,3, S3), graph6 or edge list")
+        p.add_argument("--format", default="auto", choices=["auto", "edgelist", "graph6"])
         if restraint:
             p.add_argument("--restraint", default=None, help="restraint literal [{1},{2}] or file path")
         if k:
@@ -241,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         if x:
             p.add_argument("--x", type=int, default=None)
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--results-dir", default=None)
 
     p_poly = sub.add_parser("poly", help="restrained chromatic polynomial")
     add_common(p_poly, restraint=True, x=True)
@@ -262,24 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ext = sub.add_parser("extremal", help="extremal restraint classes")
     add_common(p_ext, k=True)
+    p_ext.add_argument("--results-dir", default=None)
     p_ext.set_defaults(func=cmd_extremal)
 
     p_verify = sub.add_parser("verify", help="verify a theorem over a catalog")
     p_verify.add_argument("--theorem", required=True, choices=["min", "proper", "bipartite", "a7"])
     p_verify.add_argument("--n-max", type=int, default=5)
-    p_verify.add_argument("--graph", default=None, help="single graph for --theorem a7")
+    p_verify.add_argument("--graph", default=None, help="check this one graph instead of the --n-max catalog")
     p_verify.add_argument("--format", default="auto", choices=["auto", "edgelist", "graph6"])
     p_verify.add_argument("--k", type=int, default=1)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--results-dir", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_conj = sub.add_parser("conjecture", help="odd-cycle maximizer pattern check")
     p_conj.add_argument("--n", type=int, required=True)
     p_conj.add_argument("--json", action="store_true")
-    p_conj.add_argument("--workers", type=int, default=1)
-    p_conj.add_argument("--results-dir", default=None)
     p_conj.set_defaults(func=cmd_conjecture)
 
     return parser

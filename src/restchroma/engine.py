@@ -24,15 +24,14 @@ from .graphs import CapError, Graph
 from .polynomials import IntPolynomial, elementary_symmetric
 from .restraints import Restraint, empty_restraint, transport
 
-ORACLE_VERTEX_CAP = 8
 ORACLE_WORK_BUDGET = 10_000_000
 
 
 class MemoCache:
     """Memo table for the recursion, keyed on the exact labeled subproblem.
 
-    Behaves as a single logical map with atomic get-or-insert semantics
-    (dict.setdefault), so concurrent per-class computations may share it.
+    Passing one cache to several computations lets them reuse each other's
+    subproblems.  It is not synchronised: use it from one thread at a time.
     """
 
     __slots__ = ("_table", "hits", "misses", "peak_entries")
@@ -52,7 +51,7 @@ class MemoCache:
         return val
 
     def put(self, key, value):
-        self._table.setdefault(key, value)
+        self._table[key] = value
         if len(self._table) > self.peak_entries:
             self.peak_entries = len(self._table)
 
@@ -128,24 +127,19 @@ def chromatic_poly(g: Graph, cache: MemoCache | None | bool = None) -> IntPolyno
     return restrained_poly(g, empty_restraint(g), cache=cache)
 
 
-def count_colourings(
-    g: Graph,
-    r: Restraint,
-    x: int,
-    vertex_cap: int = ORACLE_VERTEX_CAP,
-    work_budget: int = ORACLE_WORK_BUDGET,
-) -> int:
+def count_colourings(g: Graph, r: Restraint, x: int) -> int:
     """Brute-force count of proper colourings with colours 1..x avoiding r.
 
     Exact for every x >= 0, including below the largest forbidden colour
     where the polynomial form is not authoritative.  Backtracks over the
-    vertices in index order; refuses instances beyond the work budget.
+    vertices in index order; refuses any instance with more than
+    ORACLE_WORK_BUDGET leaves (x**n), whatever n is.
     """
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
     if x < 0:
         raise ValueError("colour count x must be nonnegative")
-    if g.n > vertex_cap and x ** g.n > work_budget:
+    if x ** g.n > ORACLE_WORK_BUDGET:
         raise CapError(f"colouring oracle budget exceeded (n={g.n}, x={x})")
     if g.n == 0:
         return 1

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from dataclasses import dataclass
 
 from .engine import MemoCache, common_neighbor_overlap, restrained_poly, shared_pair_overlap
-from .graphs import Graph, all_connected_graphs, cycle_graph, to_graph6
+from .graphs import Graph, connected_catalog, cycle_graph, to_graph6
 from .polynomials import IntPolynomial
 from .restraints import (
     RestraintClass,
@@ -72,7 +72,6 @@ def _descending_key(p: IntPolynomial, n: int) -> tuple[int, ...]:
 def find_extremal(
     g: Graph,
     k: int,
-    workers: int = 1,
     cache: MemoCache | None = None,
     n_cap: int | None = None,
     shuffle_seed: int | None = None,
@@ -81,20 +80,12 @@ def find_extremal(
 
     One polynomial per equivalence class; winners are partitioned by the
     leading coefficient of difference polynomials, so ties mean exactly
-    equal polynomials.  workers > 1 fans the per-class computations over a
-    thread pool sharing one memo cache; the reduction is deterministic.
+    equal polynomials.  All classes share one memo cache, the given one or a
+    fresh one.
     """
     classes = enumerate_k_restraints(g, k, n_cap=n_cap, shuffle_seed=shuffle_seed)
     memo = cache if cache is not None else MemoCache()
-
-    def poly_for(cls: RestraintClass) -> IntPolynomial:
-        return restrained_poly(g, cls.representative, cache=memo)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            polys = list(pool.map(poly_for, classes))
-    else:
-        polys = [poly_for(cls) for cls in classes]
+    polys = [restrained_poly(g, cls.representative, cache=memo) for cls in classes]
 
     keys = [_descending_key(p, g.n) for p in polys]
     best = max(keys)
@@ -150,15 +141,26 @@ def report_from_record(g: Graph, record: dict) -> ExtremalReport:
 
 
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str, **kwargs) -> ExtremalReport:
-    """find_extremal with a results directory keyed by (graph6, k)."""
+    """find_extremal with a results directory keyed by (graph6, k).
+
+    Records are written atomically (temporary file, then os.replace); one
+    that does not parse or holds another (graph6, k) is recomputed.
+    """
     os.makedirs(results_dir, exist_ok=True)
-    path = _store_path(results_dir, to_graph6(g), k)
-    if os.path.exists(path):
+    graph_id = to_graph6(g)
+    path = _store_path(results_dir, graph_id, k)
+    try:
         with open(path, "r", encoding="ascii") as fh:
-            return report_from_record(g, json.load(fh))
+            record = json.load(fh)
+        if record["graph6"] == graph_id and record["k"] == k:
+            return report_from_record(g, record)
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+        pass  # missing, truncated or corrupt: recompute it
     report = find_extremal(g, k, **kwargs)
-    with open(path, "w", encoding="ascii") as fh:
+    fd, tmp = tempfile.mkstemp(dir=results_dir, suffix=".tmp")
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
         json.dump(report.to_record(), fh, sort_keys=True)
+    os.replace(tmp, path)
     return report
 
 
@@ -180,86 +182,51 @@ def _ids(classes) -> list[str]:
     return [c.class_id() for c in classes]
 
 
-def verify_min_theorem(catalog, k: int, workers: int = 1) -> VerifyReport:
-    """Check that the constant restraint is the unique minimizing class.
-
-    Expects connected graphs; each record carries the winner set and, on a
-    violation, the witnessing polynomial coefficient vectors.
-    """
-    records = []
-    violations = []
-    for g in catalog:
-        report = find_extremal(g, k, workers=workers)
-        expected = canonicalize(g, constant_restraint(g, k))
-        ok = {c.canon for c in report.min_classes} == {expected.canon}
-        rec = {
-            "graph6": report.graph_id,
-            "k": k,
-            "ok": ok,
-            "expected": expected.class_id(),
-            "min_classes": _ids(report.min_classes),
-        }
-        if not ok:
-            rec["min_poly"] = [str(c) for c in report.min_poly.coeffs]
-            rec["expected_poly"] = [
-                str(c) for c in restrained_poly(g, expected.representative).coeffs
-            ]
-            violations.append(rec)
-        records.append(rec)
-    return VerifyReport(theorem="min", k=k, records=records, violations=violations)
+def _unique_winner(g: Graph, k: int, side: str, expected_restraint: Restraint) -> dict:
+    """Record whether the class of expected_restraint is the only winner on
+    side ("min" or "max"); a violation also carries both polynomials."""
+    report = find_extremal(g, k)
+    winners = getattr(report, f"{side}_classes")
+    expected = canonicalize(g, expected_restraint)
+    ok = {c.canon for c in winners} == {expected.canon}
+    rec = {
+        "graph6": report.graph_id,
+        "k": k,
+        "ok": ok,
+        "expected": expected.class_id(),
+        f"{side}_classes": _ids(winners),
+    }
+    if not ok:
+        rec[f"{side}_poly"] = [str(c) for c in getattr(report, f"{side}_poly").coeffs]
+        rec["expected_poly"] = [str(c) for c in restrained_poly(g, expected.representative).coeffs]
+    return rec
 
 
-def verify_properness(catalog, k: int, workers: int = 1) -> VerifyReport:
-    """Check that every maximizing class is a proper restraint."""
-    records = []
-    violations = []
-    for g in catalog:
-        report = find_extremal(g, k, workers=workers)
-        improper = [c for c in report.max_classes if not is_proper(g, c.representative)]
-        rec = {
-            "graph6": report.graph_id,
-            "k": k,
-            "ok": not improper,
-            "max_classes": _ids(report.max_classes),
-            "improper_winners": _ids(improper),
-        }
-        if improper:
-            violations.append(rec)
-        records.append(rec)
-    return VerifyReport(theorem="proper", k=k, records=records, violations=violations)
+def _min_record(g: Graph, k: int) -> dict:
+    if not g.is_connected():
+        return {"graph6": to_graph6(g), "k": k, "skipped": "not connected"}
+    return _unique_winner(g, k, "min", constant_restraint(g, k))
 
 
-def verify_bipartite_max(catalog, k: int, workers: int = 1) -> VerifyReport:
-    """Check that the alternating restraint is the unique maximizing class
-    on connected bipartite graphs; non-bipartite inputs are skipped with a
-    notice."""
-    records = []
-    violations = []
-    for g in catalog:
-        if g.bipartition() is None:
-            records.append({"graph6": to_graph6(g), "k": k, "skipped": "not bipartite"})
-            continue
-        report = find_extremal(g, k, workers=workers)
-        expected = canonicalize(g, alternating_restraint(g, k))
-        ok = {c.canon for c in report.max_classes} == {expected.canon}
-        rec = {
-            "graph6": report.graph_id,
-            "k": k,
-            "ok": ok,
-            "expected": expected.class_id(),
-            "max_classes": _ids(report.max_classes),
-        }
-        if not ok:
-            rec["max_poly"] = [str(c) for c in report.max_poly.coeffs]
-            rec["expected_poly"] = [
-                str(c) for c in restrained_poly(g, expected.representative).coeffs
-            ]
-            violations.append(rec)
-        records.append(rec)
-    return VerifyReport(theorem="bipartite", k=k, records=records, violations=violations)
+def _bipartite_record(g: Graph, k: int) -> dict:
+    if g.bipartition() is None:
+        return {"graph6": to_graph6(g), "k": k, "skipped": "not bipartite"}
+    return _unique_winner(g, k, "max", alternating_restraint(g, k))
 
 
-def verify_a7_condition(g: Graph, k: int, workers: int = 1) -> dict:
+def _proper_record(g: Graph, k: int) -> dict:
+    report = find_extremal(g, k)
+    improper = [c for c in report.max_classes if not is_proper(g, c.representative)]
+    return {
+        "graph6": report.graph_id,
+        "k": k,
+        "ok": not improper,
+        "max_classes": _ids(report.max_classes),
+        "improper_winners": _ids(improper),
+    }
+
+
+def verify_a7_condition(g: Graph, k: int) -> dict:
     """Check the two necessary maximality conditions on one graph.
 
     Every maximizing class must be proper and attain the minimum of the
@@ -267,7 +234,7 @@ def verify_a7_condition(g: Graph, k: int, workers: int = 1) -> dict:
     also reports whether that minimum pins down a unique class, and the
     once-per-pair overlap variant for each attaining class.
     """
-    report = find_extremal(g, k, workers=workers)
+    report = find_extremal(g, k)
     classes = enumerate_k_restraints(g, k)
     proper_classes = [c for c in classes if is_proper(g, c.representative)]
     terms = {c.class_id(): common_neighbor_overlap(g, c.representative) for c in proper_classes}
@@ -290,6 +257,39 @@ def verify_a7_condition(g: Graph, k: int, workers: int = 1) -> dict:
         "pair_term_min": min(pair_terms.values()) if pair_terms else 0,
         "max_classes": sorted(max_ids),
     }
+
+
+def verify_catalog(theorem: str, catalog, k: int, check) -> VerifyReport:
+    """Run check(g, k) on every graph of a catalog.
+
+    A record whose "ok" is False is a violation; a graph outside the
+    theorem's hypotheses gets a record with a "skipped" reason and no "ok".
+    """
+    records = [check(g, k) for g in catalog]
+    violations = [rec for rec in records if rec.get("ok") is False]
+    return VerifyReport(theorem=theorem, k=k, records=records, violations=violations)
+
+
+def verify_min_theorem(catalog, k: int) -> VerifyReport:
+    """Check that the constant restraint is the unique minimizing class.
+
+    Disconnected inputs are skipped with a notice; each record carries the
+    winner set and, on a violation, the witnessing polynomial coefficient
+    vectors.
+    """
+    return verify_catalog("min", catalog, k, _min_record)
+
+
+def verify_properness(catalog, k: int) -> VerifyReport:
+    """Check that every maximizing class is a proper restraint."""
+    return verify_catalog("proper", catalog, k, _proper_record)
+
+
+def verify_bipartite_max(catalog, k: int) -> VerifyReport:
+    """Check that the alternating restraint is the unique maximizing class
+    on connected bipartite graphs; non-bipartite inputs are skipped with a
+    notice."""
+    return verify_catalog("bipartite", catalog, k, _bipartite_record)
 
 
 # -- odd-cycle conjecture ------------------------------------------------------------
@@ -329,22 +329,21 @@ def conjectured_odd_cycle_restraint(n: int) -> tuple[Restraint | None, list[int]
     return Restraint([(assignment[i],) for i in range(1, n + 1)]), []
 
 
-def check_conjecture(n: int, k: int = 1, workers: int = 1) -> dict:
+def check_conjecture(n: int) -> dict:
     """Compare the conjectured odd-cycle pattern against exhaustive search.
 
     Reports, never asserts: the record carries the winner classes, the
     built pattern (when its index cases cover every position), and whether
-    they coincide (None when the pattern is ill-defined for this n).
+    they coincide (None when the pattern is ill-defined for this n).  The
+    pattern is stated for k = 1 only, so that is the k searched.
     """
-    if k != 1:
-        raise ValueError("the conjectured pattern is stated for k=1 only")
     star, uncovered = conjectured_odd_cycle_restraint(n)
     g = cycle_graph(n)
-    report = find_extremal(g, k, workers=workers)
+    report = find_extremal(g, 1)
     winners = sorted(_ids(report.max_classes))
     rec = {
         "n": n,
-        "k": k,
+        "k": 1,
         "pattern_total": star is not None,
         "uncovered_indices": uncovered,
         "conjectured": render_restraint(star) if star is not None else None,
@@ -361,9 +360,4 @@ def check_conjecture(n: int, k: int = 1, workers: int = 1) -> dict:
 
 def connected_bipartite_catalog(n_max: int) -> list[Graph]:
     """Connected bipartite graphs with 1..n_max vertices, one per class."""
-    out = []
-    for n in range(1, n_max + 1):
-        for g in all_connected_graphs(n):
-            if g.bipartition() is not None:
-                out.append(g)
-    return out
+    return [g for g in connected_catalog(n_max) if g.bipartition() is not None]

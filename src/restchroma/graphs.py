@@ -1,10 +1,10 @@
 """Labeled simple graphs with the structural operations the recursion needs.
 
 Vertices are 0..n-1; edges are unordered pairs stored as sorted tuples.
-Graph values are immutable after construction and safe to share across
-workers.  Includes generators for the standard small families, edge-list
-and graph6 ingestion, and an exhaustive connected-graph catalog with
-isomorphism rejection (desk scale, n <= 7 or so).
+Graph values are immutable after construction.  Includes generators for
+the standard small families, edge-list and graph6 ingestion, and an
+exhaustive connected-graph catalog with isomorphism rejection (desk
+scale, n <= 7 or so).
 """
 
 from __future__ import annotations
@@ -469,16 +469,6 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def load_graph6_file(path: str) -> list[Graph]:
-    graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(parse_graph6(line))
-    return graphs
-
-
 def load_graph(source: str, fmt: str = "auto") -> Graph:
     """Load a graph from a file path, a short name, or inline text.
 
@@ -542,11 +532,8 @@ def all_connected_graphs(n: int) -> list[Graph]:
     return list(reps)
 
 
-def connected_catalog(n_max: int, graph6_path: str | None = None) -> list[Graph]:
-    """Connected graphs with 1..n_max vertices, generated or read from a file."""
-    if graph6_path is not None:
-        graphs = [g for g in load_graph6_file(graph6_path) if g.n <= n_max and g.is_connected()]
-        return graphs
+def connected_catalog(n_max: int) -> list[Graph]:
+    """Connected graphs with 1..n_max vertices, one per isomorphism class."""
     out: list[Graph] = []
     for n in range(1, n_max + 1):
         out.extend(all_connected_graphs(n))

@@ -249,14 +249,13 @@ def _representative_from_canon(n: int, canon: tuple[int, ...]) -> Restraint:
     return Restraint(sets)
 
 
-def canonicalize(g: Graph, r: Restraint, cap: int | None = None) -> RestraintClass:
+def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     """Canonical class of a restraint under automorphism x colour bijection."""
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
     masks = _incidence_masks(r)
-    autos = g.automorphisms() if cap is None else g.automorphisms(cap)
     best: tuple[int, ...] | None = None
-    for perm in autos:
+    for perm in g.automorphisms():
         cand = tuple(sorted(_apply_perm(m, perm) for m in masks))
         if best is None or cand < best:
             best = cand

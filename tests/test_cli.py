@@ -120,11 +120,15 @@ class TestExtremal:
                             "--results-dir", str(tmp_path), "--json")
         assert out1 == out2
 
-    def test_workers_flag_same_output(self, capsys):
-        _, serial, _ = run(capsys, "extremal", "--graph", "C7", "--k", "1", "--json")
-        _, threaded, _ = run(capsys, "extremal", "--graph", "C7", "--k", "1",
-                             "--workers", "4", "--json")
-        assert serial == threaded
+    def test_results_dir_recovers_truncated_record(self, capsys, tmp_path):
+        args = ("extremal", "--graph", "C4", "--k", "1", "--json")
+        _, fresh, _ = run(capsys, *args)
+        run(capsys, *args, "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        path.write_text(path.read_text()[:40])
+        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert out == fresh
 
 
 class TestVerify:
@@ -138,12 +142,18 @@ class TestVerify:
         assert code == 0
         assert "0 violations" in out
 
+    def test_graph_flag_checks_one_graph(self, capsys):
+        code, out, _ = run(capsys, "verify", "--theorem", "min", "--graph", "C4", "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert [rec["graph6"] for rec in obj["records"]] == ["Cl"]
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         # force the reporting path; real catalogs never violate the theorems
         from restchroma import VerifyReport
         from restchroma import cli as cli_module
 
-        def fake(catalog, k, workers=1):
+        def fake(catalog, k):
             rec = {"graph6": "Cl", "k": k, "ok": False}
             return VerifyReport(theorem="min", k=k, records=[rec], violations=[rec])
 

@@ -109,6 +109,12 @@ class TestCountOracle:
         # small x sneaks under the budget even for n > cap
         assert count_colourings(g, empty_restraint(g), 2) == 2
 
+    def test_budget_at_small_n(self):
+        # 40**8 leaves: refused up front even though n is only 8
+        g = empty_graph(8)
+        with pytest.raises(CapError, match="budget"):
+            count_colourings(g, empty_restraint(g), 40)
+
     def test_negative_x_rejected(self, c3):
         with pytest.raises(ValueError):
             count_colourings(c3, R("[{1},{1},{1}]"), -1)

@@ -23,6 +23,7 @@ from .extremal import (
     verify_catalog,
     verify_min_theorem,
     verify_properness,
+    write_atomic,
 )
 from .graphs import CapError, Graph, ParseError, connected_catalog, load_graph, to_graph6
 from .restraints import (
@@ -169,12 +170,22 @@ def cmd_extremal(args) -> int:
     return EXIT_OK
 
 
-def _append_records(results_dir: str, name: str, records: list) -> None:
-    os.makedirs(results_dir, exist_ok=True)
+def _merge_records(results_dir: str, name: str, records: list) -> None:
+    """Keep one line per graph6 in DIR/name.jsonl: a rerun's record replaces
+    that graph's line in place, and a line that does not parse is dropped."""
     path = os.path.join(results_dir, f"{name}.jsonl")
-    with open(path, "a", encoding="ascii") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    merged: dict[str, dict] = {}
+    if os.path.exists(path):
+        with open(path, "r", encoding="ascii") as fh:
+            for line in fh:
+                try:
+                    rec = json.loads(line)
+                    merged[rec["graph6"]] = rec
+                except (ValueError, KeyError, TypeError):
+                    continue
+    for rec in records:
+        merged[rec["graph6"]] = rec
+    write_atomic(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in merged.values()))
 
 
 def cmd_verify(args) -> int:
@@ -193,7 +204,7 @@ def cmd_verify(args) -> int:
     }[args.theorem]
     report = runner(graphs, args.k)
     if args.results_dir:
-        _append_records(args.results_dir, f"verify_{args.theorem}_k{args.k}", report.records)
+        _merge_records(args.results_dir, f"verify_{args.theorem}_k{args.k}", report.records)
     obj = {"theorem": args.theorem, "k": args.k, "records": report.records, "violations": len(report.violations)}
     lines = [report.summary()]
     for rec in report.violations:

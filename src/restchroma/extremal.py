@@ -74,7 +74,6 @@ def find_extremal(
     k: int,
     cache: MemoCache | None = None,
     n_cap: int | None = None,
-    shuffle_seed: int | None = None,
 ) -> ExtremalReport:
     """Determine the classes permitting the fewest/most colourings eventually.
 
@@ -83,7 +82,7 @@ def find_extremal(
     equal polynomials.  All classes share one memo cache, the given one or a
     fresh one.
     """
-    classes = enumerate_k_restraints(g, k, n_cap=n_cap, shuffle_seed=shuffle_seed)
+    classes = enumerate_k_restraints(g, k, n_cap=n_cap)
     memo = cache if cache is not None else MemoCache()
     polys = [restrained_poly(g, cls.representative, cache=memo) for cls in classes]
 
@@ -119,6 +118,16 @@ def find_extremal(
 # -- resumable store -----------------------------------------------------------
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Replace path with text through a temporary file in the same directory
+    (created if missing), so a reader never sees a torn file."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def _store_path(results_dir: str, graph_id: str, k: int) -> str:
     return os.path.join(results_dir, f"{graph_id.encode('ascii').hex()}_k{k}.json")
 
@@ -146,7 +155,6 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str, **kwargs) -> Ex
     Records are written atomically (temporary file, then os.replace); one
     that does not parse or holds another (graph6, k) is recomputed.
     """
-    os.makedirs(results_dir, exist_ok=True)
     graph_id = to_graph6(g)
     path = _store_path(results_dir, graph_id, k)
     try:
@@ -157,10 +165,7 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str, **kwargs) -> Ex
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
         pass  # missing, truncated or corrupt: recompute it
     report = find_extremal(g, k, **kwargs)
-    fd, tmp = tempfile.mkstemp(dir=results_dir, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="ascii") as fh:
-        json.dump(report.to_record(), fh, sort_keys=True)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(report.to_record(), sort_keys=True))
     return report
 
 
@@ -209,6 +214,8 @@ def _min_record(g: Graph, k: int) -> dict:
 
 
 def _bipartite_record(g: Graph, k: int) -> dict:
+    if not g.is_connected():
+        return {"graph6": to_graph6(g), "k": k, "skipped": "not connected"}
     if g.bipartition() is None:
         return {"graph6": to_graph6(g), "k": k, "skipped": "not bipartite"}
     return _unique_winner(g, k, "max", alternating_restraint(g, k))
@@ -287,8 +294,8 @@ def verify_properness(catalog, k: int) -> VerifyReport:
 
 def verify_bipartite_max(catalog, k: int) -> VerifyReport:
     """Check that the alternating restraint is the unique maximizing class
-    on connected bipartite graphs; non-bipartite inputs are skipped with a
-    notice."""
+    on connected bipartite graphs; disconnected and non-bipartite inputs
+    are skipped with a notice."""
     return verify_catalog("bipartite", catalog, k, _bipartite_record)
 
 

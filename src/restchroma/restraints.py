@@ -4,12 +4,16 @@ Covers the named constructions (constant, alternating), properness,
 the equivalence relation (graph automorphism composed with a bijective
 colour renaming), canonical class representatives, and exhaustive
 enumeration of k-restraints up to equivalence.
+
+Both canonicalisation and enumeration go through _orbit, the sorted
+incidence-mask tuples of a restraint's automorphic images: the canon is
+their minimum, and the enumeration marks a new class's whole orbit as seen,
+so each class is found once.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -223,9 +227,9 @@ class RestraintClass:
         return render_restraint(self.representative)
 
 
-def _incidence_masks(r: Restraint) -> list[int]:
+def _incidence_masks(sets) -> list[int]:
     masks: dict[int, int] = {}
-    for v, s in enumerate(r.sets):
+    for v, s in enumerate(sets):
         for c in s:
             masks[c] = masks.get(c, 0) | 1 << v
     return list(masks.values())
@@ -238,6 +242,13 @@ def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
         mask &= mask - 1
         out |= 1 << perm[v]
     return out
+
+
+def _orbit(masks: list[int], autos: list[tuple[int, ...]]):
+    """Per automorphism, the sorted tuple of the permuted incidence masks
+    (sorting is what renames the colours)."""
+    for perm in autos:
+        yield tuple(sorted(_apply_perm(m, perm) for m in masks))
 
 
 def _representative_from_canon(n: int, canon: tuple[int, ...]) -> Restraint:
@@ -253,13 +264,7 @@ def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     """Canonical class of a restraint under automorphism x colour bijection."""
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
-    masks = _incidence_masks(r)
-    best: tuple[int, ...] | None = None
-    for perm in g.automorphisms():
-        cand = tuple(sorted(_apply_perm(m, perm) for m in masks))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
+    best = min(_orbit(_incidence_masks(r.sets), g.automorphisms()))
     sizes = set(r.sizes())
     k = sizes.pop() if len(sizes) == 1 else None
     return RestraintClass(n=g.n, k=k, canon=best, representative=_representative_from_canon(g.n, best))
@@ -293,35 +298,27 @@ def _normal_form_assignments(n: int, k: int):
     yield from rec(0, 0)
 
 
-def enumerate_k_restraints(
-    g: Graph,
-    k: int,
-    n_cap: int | None = None,
-    shuffle_seed: int | None = None,
-) -> list[RestraintClass]:
+def enumerate_k_restraints(g: Graph, k: int, n_cap: int | None = None) -> list[RestraintClass]:
     """One representative per equivalence class of k-restraints on g.
 
-    Generates candidates in first-use colour normal form, dedupes first by
-    the raw incidence multiset and then by full canonical form, and returns
-    the classes sorted by canon.  shuffle_seed randomizes the generation
-    order only; the result set is order-independent.
+    Sweeps the first-use colour normal forms once.  The first candidate of a
+    class marks the class's whole orbit as seen, so every later candidate of
+    it (whose own mask tuple lies in that orbit) is skipped; the canon is the
+    orbit minimum.  Classes are returned sorted by canon.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     cap = n_cap if n_cap is not None else ENUM_CAPS.get(k, DEFAULT_ENUM_CAP)
     if g.n > cap:
         raise CapError(f"enumeration cap exceeded (n={g.n} > cap={cap} for k={k})")
-    candidates = list(_normal_form_assignments(g.n, k))
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(candidates)
-    seen_raw: set[tuple[int, ...]] = set()
-    classes: dict[tuple[int, ...], RestraintClass] = {}
-    for sets in candidates:
-        r = Restraint(sets)
-        raw = tuple(sorted(_incidence_masks(r)))
-        if raw in seen_raw:
+    autos = g.automorphisms()
+    seen: set[tuple[int, ...]] = set()
+    canons = []
+    for sets in _normal_form_assignments(g.n, k):
+        masks = _incidence_masks(sets)
+        if tuple(sorted(masks)) in seen:
             continue
-        seen_raw.add(raw)
-        cls = canonicalize(g, r)
-        classes.setdefault(cls.canon, cls)
-    return [classes[c] for c in sorted(classes)]
+        orbit = set(_orbit(masks, autos))
+        seen |= orbit
+        canons.append(min(orbit))
+    return [RestraintClass(g.n, k, c, _representative_from_canon(g.n, c)) for c in sorted(canons)]

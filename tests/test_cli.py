@@ -168,8 +168,30 @@ class TestVerify:
         run(capsys, "verify", "--theorem", "min", "--n-max", "3",
             "--results-dir", str(tmp_path))
         path = tmp_path / "verify_min_k1.jsonl"
+        first = path.read_text()
+        lines = [json.loads(line) for line in first.splitlines()]
+        assert len(lines) == 4  # 4 connected graphs with n <= 3, one line each
+        # rerunning one graph of the catalog replaces its line in place
+        run(capsys, "verify", "--theorem", "min", "--graph", "C3",
+            "--results-dir", str(tmp_path))
+        assert path.read_text() == first
+
+    def test_results_dir_drops_torn_line(self, capsys, tmp_path):
+        path = tmp_path / "verify_min_k1.jsonl"
+        path.write_text('{"graph6": "Bw", "k": 1, "ok": tr')
+        code, _, _ = run(capsys, "verify", "--theorem", "min", "--graph", "C3",
+                         "--results-dir", str(tmp_path))
+        assert code == 0
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) == 8  # 4 connected graphs with n <= 3, appended twice
+        assert [rec["graph6"] for rec in lines] == ["Bw"]
+        assert lines[0]["ok"] is True
+
+    def test_bipartite_disconnected_graph_skipped(self, capsys):
+        code, out, _ = run(capsys, "verify", "--theorem", "bipartite", "--graph", "n 3; 0 1", "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["violations"] == 0
+        assert [rec["skipped"] for rec in obj["records"]] == ["not connected"]
 
 
 class TestConjecture:

@@ -9,7 +9,9 @@ from restchroma import (
     Restraint,
     alternating_restraint,
     canonicalize,
+    complete_bipartite_graph,
     complete_graph,
+    connected_catalog,
     constant_restraint,
     cycle_graph,
     disjoint_union,
@@ -208,11 +210,24 @@ class TestEnumeration:
             r = Restraint([rng.sample(range(1, 9), 2) for _ in range(4)])
             assert canonicalize(g, r).canon in canons
 
-    def test_shuffle_does_not_change_result(self, c4):
-        base = [cls.canon for cls in enumerate_k_restraints(c4, 1)]
-        for seed in range(5):
-            shuffled = [cls.canon for cls in enumerate_k_restraints(c4, 1, shuffle_seed=seed)]
-            assert shuffled == base
+    def test_orbit_sweep_matches_per_candidate_canonicalize(self):
+        # the single orbit-marking pass finds exactly the canons that
+        # canonicalising every normal-form candidate separately finds, and a
+        # relabelled graph (a different candidate order relative to its
+        # automorphisms) gives the same class count
+        from restchroma.restraints import _normal_form_assignments
+
+        rng = random.Random(5)
+        cases = [(g, 1) for g in connected_catalog(5)] + [(g, 2) for g in connected_catalog(4)]
+        cases += [(complete_bipartite_graph(2, 5), 1), (complete_graph(5), 2)]
+        for g, k in cases:
+            classes = enumerate_k_restraints(g, k)
+            reference = sorted({canonicalize(g, Restraint(s)).canon for s in _normal_form_assignments(g.n, k)})
+            assert [cls.canon for cls in classes] == reference
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            assert len(enumerate_k_restraints(relabelled, k)) == len(classes)
 
     def test_caps(self):
         with pytest.raises(CapError):

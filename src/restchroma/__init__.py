@@ -61,7 +61,6 @@ from .restraints import (
     parse_restraint,
     render_restraint,
     restraint_to_json,
-    transport,
 )
 
 __version__ = "0.1.0"

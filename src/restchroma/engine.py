@@ -2,11 +2,12 @@
 
 The central recursion follows edge deletion-contraction: deleting an edge
 keeps every forbidden set, while contracting it merges the endpoints and
-forbids the union of their sets at the merged vertex.  The base case on an
-edgeless graph is the product of (x - |forbidden set|) over the vertices.
-The resulting polynomial agrees with the permitted proper-colouring count
-for every x at or above the largest forbidden colour; below that threshold
-the brute-force counter is the ground truth.
+forbids the union of their sets at the merged vertex.  _rec does both
+itself, on the (n, edges, sets) triple that is also its memo key.  The
+base case on an edgeless graph is the product of (x - |forbidden set|)
+over the vertices.  The resulting polynomial agrees with the permitted
+proper-colouring count for every x at or above the largest forbidden
+colour; below that threshold the brute-force counter is the ground truth.
 
 Also includes the closed-form coefficient formulas for the three top
 non-trivial coefficients, with the full additive term breakdown for the
@@ -22,7 +23,7 @@ from math import comb
 
 from .graphs import CapError, Graph
 from .polynomials import IntPolynomial, elementary_symmetric
-from .restraints import Restraint, empty_restraint, transport
+from .restraints import Restraint, empty_restraint
 
 ORACLE_WORK_BUDGET = 10_000_000
 
@@ -62,10 +63,6 @@ class MemoCache:
         return {"hits": self.hits, "misses": self.misses, "peak_entries": self.peak_entries}
 
 
-def _smallest_edge(edges):
-    return min(edges)
-
-
 def restrained_poly(
     g: Graph,
     r: Restraint,
@@ -80,51 +77,61 @@ def restrained_poly(
 
     cache: None for a private memo table, False to disable memoization,
     or a shared MemoCache instance.  pivot: optional callable mapping the
-    sorted edge list of a subproblem to the edge to branch on (defaults to
-    the lexicographically smallest, for cache reproducibility).
+    sorted edge list of a subproblem to the edge to branch on, in either
+    orientation (defaults to the lexicographically smallest, for cache
+    reproducibility); an edge outside the subproblem raises ValueError.
     """
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
-    memo: MemoCache | None
-    if cache is False:
-        memo = None
-    elif cache is None or cache is True:
-        memo = MemoCache()
-    else:
-        memo = cache
-    choose = pivot if pivot is not None else _smallest_edge
-    return _rec(g, r, memo, choose)
+    if cache is None:
+        cache = MemoCache()
+    elif cache is not False and not isinstance(cache, MemoCache):
+        raise TypeError("cache must be None, False or a MemoCache")
+    memo = None if cache is False else cache
+    return _rec(g.n, g.edges, r.sets, memo, pivot if pivot is not None else min)
 
 
-def _rec(g: Graph, r: Restraint, memo: MemoCache | None, choose) -> IntPolynomial:
-    key = (g.n, g.edges, r.sets)
+def _rec(n: int, edges: frozenset, sets: tuple, memo: MemoCache | None, choose) -> IntPolynomial:
+    """P on the labeled subproblem (n, edges, sets), which is also its memo key.
+
+    Contracting the pivot edge (u, v), u < v, merges v into u: u forbids
+    sets[u] | sets[v], and every vertex above v shifts down by one.
+    """
+    key = (n, edges, sets)
     if memo is not None:
         hit = memo.get(key)
         if hit is not None:
             return hit
-    if not g.edges:
-        poly = IntPolynomial.from_roots(len(s) for s in r.sets)
+    if not edges:
+        poly = IntPolynomial.from_roots(len(s) for s in sets)
     else:
-        comps = g.components()
+        comps = Graph(n, edges).components()
         if len(comps) > 1:
             poly = IntPolynomial.one()
             for sub, back in comps:
-                poly = poly * _rec(sub, Restraint(r[v] for v in back), memo, choose)
+                poly = poly * _rec(sub.n, sub.edges, tuple(sets[v] for v in back), memo, choose)
         else:
-            e = choose(sorted(g.edges))
-            u, v = e
-            deleted = g.delete_edge(e)
-            contracted, merged, relabel = g.contract_edge(e)
-            moved = transport(r, relabel, merged, u, v)
-            poly = _rec(deleted, r, memo, choose) - _rec(contracted, moved, memo, choose)
+            u, v = sorted(choose(sorted(edges)))
+            e = (u, v)
+            if e not in edges:
+                raise ValueError(f"edge {e} not in graph")
+            relabel = [u if w == v else w - (w > v) for w in range(n)]
+            contracted = set()
+            for a, b in edges:
+                a, b = relabel[a], relabel[b]
+                if a != b:
+                    contracted.add((a, b) if a < b else (b, a))
+            moved = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
+            poly = _rec(n, edges - {e}, sets, memo, choose) - _rec(
+                n - 1, frozenset(contracted), moved, memo, choose)
     if memo is not None:
         memo.put(key, poly)
     return poly
 
 
-def chromatic_poly(g: Graph, cache: MemoCache | None | bool = None) -> IntPolynomial:
+def chromatic_poly(g: Graph) -> IntPolynomial:
     """Chromatic polynomial: the all-empty restraint special case."""
-    return restrained_poly(g, empty_restraint(g), cache=cache)
+    return restrained_poly(g, empty_restraint(g))
 
 
 def count_colourings(g: Graph, r: Restraint, x: int) -> int:

@@ -1,4 +1,4 @@
-"""Labeled simple graphs with the structural operations the recursion needs.
+"""Labeled simple graphs.
 
 Vertices are 0..n-1; edges are unordered pairs stored as sorted tuples.
 Graph values are immutable after construction.  Includes generators for
@@ -97,42 +97,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {sorted(self.edges)})"
-
-    # -- deletion / contraction --------------------------------------------
-
-    def delete_edge(self, e) -> "Graph":
-        """Remove one edge, keeping the vertex set."""
-        e = _norm_edge(*e)
-        if e not in self.edges:
-            raise ValueError(f"edge {e} not in graph")
-        return Graph(self.n, self.edges - {e})
-
-    def contract_edge(self, e) -> tuple["Graph", int, tuple[int, ...]]:
-        """Identify the endpoints of an edge and simplify.
-
-        The merged vertex takes the smaller endpoint's slot; vertices above
-        the vacated slot shift down by one.  Returns the contracted graph,
-        the merged vertex id, and the old-id -> new-id relabeling so the
-        caller can transport per-vertex data unambiguously.
-        """
-        e = _norm_edge(*e)
-        if e not in self.edges:
-            raise ValueError(f"edge {e} not in graph")
-        u, v = e
-        relabel = []
-        for w in range(self.n):
-            if w == v:
-                relabel.append(u)
-            elif w > v:
-                relabel.append(w - 1)
-            else:
-                relabel.append(w)
-        new_edges = set()
-        for a, b in self.edges:
-            na, nb = relabel[a], relabel[b]
-            if na != nb:
-                new_edges.add(_norm_edge(na, nb))
-        return Graph(self.n - 1, new_edges), u, tuple(relabel)
 
     # -- connectivity ---------------------------------------------------------
 

@@ -122,31 +122,6 @@ def is_proper(g: Graph, r: Restraint) -> bool:
     return all(not (r[u] & r[v]) for u, v in g.edges)
 
 
-def transport(r: Restraint, relabel: tuple[int, ...], merged: int, u: int, v: int) -> Restraint:
-    """Carry a restraint across an edge contraction.
-
-    The merged vertex inherits the union of its parents' sets; every other
-    vertex keeps its set under the relabeling.
-    """
-    n = len(r)
-    if len(relabel) != n:
-        raise ValueError("inconsistent relabeling: wrong length")
-    if relabel[u] != merged or relabel[v] != merged:
-        raise ValueError("inconsistent relabeling: endpoints do not map to the merged vertex")
-    new_sets: list[frozenset[int] | None] = [None] * (n - 1)
-    for w in range(n):
-        if w in (u, v):
-            continue
-        slot = relabel[w]
-        if not (0 <= slot < n - 1) or new_sets[slot] is not None:
-            raise ValueError("inconsistent relabeling: not a bijection off the merged pair")
-        new_sets[slot] = r[w]
-    if new_sets[merged] is not None:
-        raise ValueError("inconsistent relabeling: merged slot collides")
-    new_sets[merged] = r[u] | r[v]
-    return Restraint(new_sets)
-
-
 # -- literal / JSON syntax -----------------------------------------------------
 
 

@@ -30,6 +30,7 @@ from restchroma import (
     shared_pair_overlap,
     star_graph,
 )
+from restchroma.engine import ORACLE_WORK_BUDGET
 from conftest import random_graph, random_restraint
 
 R = parse_restraint
@@ -176,6 +177,31 @@ class TestPolynomialMeaning:
             rng = random.Random(seed)
             pick = lambda edges: edges[rng.randrange(len(edges))]
             assert restrained_poly(c7, r, cache=False, pivot=pick) == base
+        # the pivot may name its edge in either orientation, but not a non-edge
+        assert restrained_poly(c7, r, pivot=lambda edges: edges[0][::-1]) == base
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) not in graph"):
+            restrained_poly(cycle_graph(4), R("[{1},{2},{1},{2}]"), pivot=lambda edges: (0, 2))
+
+    def test_whole_polynomial_matches_oracle(self):
+        # n + 1 consecutive values from m(r) on pin the degree-n polynomial;
+        # disjoint unions reach the component split and overlapping sets on
+        # an edge make the contraction's union matter
+        rng = random.Random(43)
+        disconnected = overlapping = 0
+        for i in range(40):
+            if i % 2:
+                g = disjoint_union(random_graph(rng, max_n=3), random_graph(rng, max_n=3))
+            else:
+                g = random_graph(rng, max_n=6)
+            r = random_restraint(rng, g.n, max_colour=3, max_size=2)
+            m = r.m_value()
+            assert (m + g.n) ** g.n <= ORACLE_WORK_BUDGET
+            p = restrained_poly(g, r)
+            xs = range(m, m + g.n + 1)
+            assert [p.evaluate(x) for x in xs] == [count_colourings(g, r, x) for x in xs]
+            disconnected += not g.is_connected()
+            overlapping += any(r[u] & r[v] for u, v in g.edges)
+        assert disconnected and overlapping
 
     def test_shape(self):
         rng = random.Random(37)
@@ -206,6 +232,10 @@ class TestMemoCache:
     def test_disabled_cache_same_result(self, c4):
         r = R("[{1},{2},{1},{2}]")
         assert restrained_poly(c4, r, cache=False) == restrained_poly(c4, r)
+
+    def test_cache_true_rejected(self, c4):
+        with pytest.raises(TypeError, match="MemoCache"):
+            restrained_poly(c4, R("[{1},{2},{1},{2}]"), cache=True)
 
     def test_stats_dict(self):
         cache = MemoCache()

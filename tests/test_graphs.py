@@ -52,66 +52,6 @@ class TestConstruction:
             from_name("Q5")
 
 
-class TestDeleteEdge:
-    def test_triangle_becomes_path(self):
-        g = complete_graph(3).delete_edge((0, 1))
-        assert g == Graph(3, [(0, 2), (1, 2)])
-
-    def test_single_edge_becomes_empty(self):
-        g = Graph(2, [(0, 1)]).delete_edge((0, 1))
-        assert g == empty_graph(2)
-
-    def test_cycle_becomes_path(self):
-        g = cycle_graph(4).delete_edge((0, 1))
-        assert g.m == 3
-        assert g.is_connected()
-
-    def test_absent_edge_errors(self):
-        with pytest.raises(ValueError, match="not in graph"):
-            path_graph(3).delete_edge((0, 2))
-
-
-class TestContractEdge:
-    def test_triangle_to_edge(self):
-        g, merged, relabel = complete_graph(3).contract_edge((0, 1))
-        assert g == Graph(2, [(0, 1)])
-        assert merged == 0
-
-    def test_four_cycle_to_triangle(self):
-        # merging adjacent cycle vertices leaves a 3-cycle (adjacency by hand:
-        # merged vertex sees old 2 and old 3, and edge 2-3 survives)
-        g, merged, relabel = cycle_graph(4).contract_edge((0, 1))
-        assert g == Graph(3, [(0, 1), (0, 2), (1, 2)])
-        assert merged == 0
-        assert relabel == (0, 0, 1, 2)
-
-    def test_path_to_edge(self):
-        g, merged, relabel = path_graph(3).contract_edge((0, 1))
-        assert g == Graph(2, [(0, 1)])
-        assert relabel == (0, 0, 1)
-
-    def test_merged_takes_smaller_slot_and_shift(self):
-        g, merged, relabel = path_graph(4).contract_edge((1, 2))
-        assert merged == 1
-        assert relabel == (0, 1, 1, 2)
-        assert g == Graph(3, [(0, 1), (1, 2)])
-
-    def test_absent_edge_errors(self):
-        with pytest.raises(ValueError):
-            cycle_graph(4).contract_edge((0, 2))
-
-    def test_contraction_edge_count_identity(self):
-        # m after contracting {u,v} drops by 1 plus the common neighbours
-        rng = random.Random(11)
-        for _ in range(60):
-            g = random_graph(rng, max_n=7)
-            for e in sorted(g.edges):
-                u, v = e
-                common = len(g.neighbors(u) & g.neighbors(v))
-                contracted, _, _ = g.contract_edge(e)
-                assert contracted.m == g.m - 1 - common
-
-
 class TestCensus:
     def test_complete_four(self):
         c = complete_graph(4).census()

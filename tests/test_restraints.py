@@ -23,7 +23,6 @@ from restchroma import (
     path_graph,
     render_restraint,
     restraint_to_json,
-    transport,
 )
 
 R = parse_restraint
@@ -102,31 +101,6 @@ class TestProperness:
 
     def test_no_edges_always_proper(self):
         assert is_proper(empty_graph(3), R("[{1},{1},{1}]"))
-
-
-class TestTransport:
-    def test_path_contraction(self, p3):
-        _, merged, relabel = p3.contract_edge((0, 1))
-        moved = transport(R("[{1},{2},{3}]"), relabel, merged, 0, 1)
-        assert moved == R("[{1,2},{3}]")
-
-    def test_union_idempotent(self):
-        g = Graph(2, [(0, 1)])
-        _, merged, relabel = g.contract_edge((0, 1))
-        moved = transport(R("[{1},{1}]"), relabel, merged, 0, 1)
-        assert moved == R("[{1}]")
-
-    def test_disjoint_sets_double_size(self):
-        g = Graph(2, [(0, 1)])
-        _, merged, relabel = g.contract_edge((0, 1))
-        moved = transport(R("[{1,2},{3,4}]"), relabel, merged, 0, 1)
-        assert moved == R("[{1,2,3,4}]")
-
-    def test_inconsistent_relabeling_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            transport(R("[{1},{2},{3}]"), (0, 0, 0), 0, 0, 1)
-        with pytest.raises(ValueError, match="inconsistent"):
-            transport(R("[{1},{2},{3}]"), (0, 1, 1), 0, 0, 1)
 
 
 class TestEquivalence:

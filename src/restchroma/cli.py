@@ -14,16 +14,12 @@ import sys
 
 from .engine import coeff_n1, coeff_n2, coeff_n3, count_colourings, restrained_poly, shared_pair_overlap
 from .extremal import (
+    THEOREMS,
     check_conjecture,
-    connected_bipartite_catalog,
     find_extremal,
     load_or_compute_extremal,
-    verify_a7_condition,
-    verify_bipartite_max,
+    skip_reason,
     verify_catalog,
-    verify_min_theorem,
-    verify_properness,
-    write_atomic,
 )
 from .graphs import CapError, Graph, ParseError, connected_catalog, load_graph, to_graph6
 from .restraints import (
@@ -170,41 +166,12 @@ def cmd_extremal(args) -> int:
     return EXIT_OK
 
 
-def _merge_records(results_dir: str, name: str, records: list) -> None:
-    """Keep one line per graph6 in DIR/name.jsonl: a rerun's record replaces
-    that graph's line in place, and a line that does not parse is dropped."""
-    path = os.path.join(results_dir, f"{name}.jsonl")
-    merged: dict[str, dict] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                try:
-                    rec = json.loads(line)
-                    merged[rec["graph6"]] = rec
-                except (ValueError, KeyError, TypeError):
-                    continue
-    for rec in records:
-        merged[rec["graph6"]] = rec
-    write_atomic(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in merged.values()))
-
-
 def cmd_verify(args) -> int:
     if args.graph:
         graphs = [load_graph(args.graph, args.format)]
-    elif args.theorem == "bipartite":
-        graphs = connected_bipartite_catalog(args.n_max)
     else:
-        graphs = connected_catalog(args.n_max)
-    # looked up at call time, so a replaced module attribute takes effect
-    runner = {
-        "min": verify_min_theorem,
-        "proper": verify_properness,
-        "bipartite": verify_bipartite_max,
-        "a7": lambda catalog, k: verify_catalog("a7", catalog, k, verify_a7_condition),
-    }[args.theorem]
-    report = runner(graphs, args.k)
-    if args.results_dir:
-        _merge_records(args.results_dir, f"verify_{args.theorem}_k{args.k}", report.records)
+        graphs = [g for g in connected_catalog(args.n_max) if skip_reason(args.theorem, g) is None]
+    report = verify_catalog(args.theorem, graphs, args.k, args.results_dir)
     obj = {"theorem": args.theorem, "k": args.k, "records": report.records, "violations": len(report.violations)}
     lines = [report.summary()]
     for rec in report.violations:
@@ -271,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.set_defaults(func=cmd_extremal)
 
     p_verify = sub.add_parser("verify", help="verify a theorem over a catalog")
-    p_verify.add_argument("--theorem", required=True, choices=["min", "proper", "bipartite", "a7"])
+    p_verify.add_argument("--theorem", required=True, choices=list(THEOREMS))
     p_verify.add_argument("--n-max", type=int, default=5)
     p_verify.add_argument("--graph", default=None, help="check this one graph instead of the --n-max catalog")
     p_verify.add_argument("--format", default="auto", choices=["auto", "edgelist", "graph6"])

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .graphs import CapError, Graph
+from .graphs import CapError, Graph, component_vertices
 from .polynomials import IntPolynomial, elementary_symmetric
 from .restraints import Restraint, empty_restraint
 
@@ -105,11 +105,13 @@ def _rec(n: int, edges: frozenset, sets: tuple, memo: MemoCache | None, choose) 
     if not edges:
         poly = IntPolynomial.from_roots(len(s) for s in sets)
     else:
-        comps = Graph(n, edges).components()
+        comps = component_vertices(n, edges)
         if len(comps) > 1:
             poly = IntPolynomial.one()
-            for sub, back in comps:
-                poly = poly * _rec(sub.n, sub.edges, tuple(sets[v] for v in back), memo, choose)
+            for verts in comps:
+                # verts is increasing, so each projected edge keeps a < b
+                part = frozenset((verts.index(a), verts.index(b)) for a, b in edges if a in verts)
+                poly = poly * _rec(len(verts), part, tuple(sets[v] for v in verts), memo, choose)
         else:
             u, v = sorted(choose(sorted(edges)))
             e = (u, v)

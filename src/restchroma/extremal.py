@@ -2,10 +2,9 @@
 
 For a graph and restraint size k, every equivalence class of k-restraints
 is enumerated, its polynomial computed, and the winners under eventual
-dominance collected (all ties reported).  The verifiers re-derive the
-predicted extremal structure on whole catalogs of small graphs, with the
-exhaustive search as the oracle; violations are report content, never
-exceptions.
+dominance collected (all ties reported).  Each theorem in THEOREMS is a
+predicate over that one search, checked on every graph of a catalog that
+meets its hypotheses; violations are report content, never exceptions.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 from .engine import MemoCache, common_neighbor_overlap, restrained_poly, shared_pair_overlap
 from .graphs import Graph, connected_catalog, cycle_graph, to_graph6
@@ -118,16 +118,6 @@ def find_extremal(
 # -- resumable store -----------------------------------------------------------
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Replace path with text through a temporary file in the same directory
-    (created if missing), so a reader never sees a torn file."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="ascii") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _store_path(results_dir: str, graph_id: str, k: int) -> str:
     return os.path.join(results_dir, f"{graph_id.encode('ascii').hex()}_k{k}.json")
 
@@ -149,23 +139,29 @@ def report_from_record(g: Graph, record: dict) -> ExtremalReport:
     )
 
 
-def load_or_compute_extremal(g: Graph, k: int, results_dir: str, **kwargs) -> ExtremalReport:
+def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
     """find_extremal with a results directory keyed by (graph6, k).
 
     Records are written atomically (temporary file, then os.replace); one
-    that does not parse or holds another (graph6, k) is recomputed.
+    that does not parse, holds another (graph6, k), or whose winners plus
+    witnesses on either side are not class_count classes is recomputed.
     """
     graph_id = to_graph6(g)
     path = _store_path(results_dir, graph_id, k)
     try:
         with open(path, "r", encoding="ascii") as fh:
             record = json.load(fh)
-        if record["graph6"] == graph_id and record["k"] == k:
+        counts = {len(record[f"{side}_classes"]) + len(record[f"{side}_witness"]) for side in ("min", "max")}
+        if (record["graph6"], record["k"]) == (graph_id, k) and counts == {record["class_count"]}:
             return report_from_record(g, record)
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
         pass  # missing, truncated or corrupt: recompute it
-    report = find_extremal(g, k, **kwargs)
-    write_atomic(path, json.dumps(report.to_record(), sort_keys=True))
+    report = find_extremal(g, k)
+    os.makedirs(results_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=results_dir, suffix=".tmp")
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
+        json.dump(report.to_record(), fh, sort_keys=True)
+    os.replace(tmp, path)
     return report
 
 
@@ -187,12 +183,11 @@ def _ids(classes) -> list[str]:
     return [c.class_id() for c in classes]
 
 
-def _unique_winner(g: Graph, k: int, side: str, expected_restraint: Restraint) -> dict:
-    """Record whether the class of expected_restraint is the only winner on
-    side ("min" or "max"); a violation also carries both polynomials."""
-    report = find_extremal(g, k)
+def _unique_winner(side: str, expected_restraint, g: Graph, k: int, report: ExtremalReport) -> dict:
+    """Record whether the class of expected_restraint(g, k) is the only winner
+    on side ("min" or "max"); a violation also carries both polynomials."""
     winners = getattr(report, f"{side}_classes")
-    expected = canonicalize(g, expected_restraint)
+    expected = canonicalize(g, expected_restraint(g, k))
     ok = {c.canon for c in winners} == {expected.canon}
     rec = {
         "graph6": report.graph_id,
@@ -207,22 +202,8 @@ def _unique_winner(g: Graph, k: int, side: str, expected_restraint: Restraint) -
     return rec
 
 
-def _min_record(g: Graph, k: int) -> dict:
-    if not g.is_connected():
-        return {"graph6": to_graph6(g), "k": k, "skipped": "not connected"}
-    return _unique_winner(g, k, "min", constant_restraint(g, k))
-
-
-def _bipartite_record(g: Graph, k: int) -> dict:
-    if not g.is_connected():
-        return {"graph6": to_graph6(g), "k": k, "skipped": "not connected"}
-    if g.bipartition() is None:
-        return {"graph6": to_graph6(g), "k": k, "skipped": "not bipartite"}
-    return _unique_winner(g, k, "max", alternating_restraint(g, k))
-
-
-def _proper_record(g: Graph, k: int) -> dict:
-    report = find_extremal(g, k)
+def _proper_check(g: Graph, k: int, report: ExtremalReport) -> dict:
+    """Every maximizing class is a proper restraint."""
     improper = [c for c in report.max_classes if not is_proper(g, c.representative)]
     return {
         "graph6": report.graph_id,
@@ -233,46 +214,64 @@ def _proper_record(g: Graph, k: int) -> dict:
     }
 
 
-def verify_a7_condition(g: Graph, k: int) -> dict:
-    """Check the two necessary maximality conditions on one graph.
-
-    Every maximizing class must be proper and attain the minimum of the
-    per-common-neighbour overlap term over all proper classes.  The record
-    also reports whether that minimum pins down a unique class, and the
-    once-per-pair overlap variant for each attaining class.
-    """
-    report = find_extremal(g, k)
-    classes = enumerate_k_restraints(g, k)
-    proper_classes = [c for c in classes if is_proper(g, c.representative)]
-    terms = {c.class_id(): common_neighbor_overlap(g, c.representative) for c in proper_classes}
-    pair_terms = {c.class_id(): shared_pair_overlap(g, c.representative) for c in proper_classes}
+def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
+    """Every maximizing class is proper and attains the minimum of the
+    per-common-neighbour overlap term over all proper classes (the max
+    winners plus the max_witness keys).  The record also says whether that
+    minimum pins down a unique class, and gives the once-per-pair overlap
+    variant for each attaining class."""
+    max_ids = _ids(report.max_classes)
+    restraints = {cid: parse_restraint(cid) for cid in max_ids + list(report.max_witness)}
+    proper = {cid: r for cid, r in restraints.items() if is_proper(g, r)}
+    terms = {cid: common_neighbor_overlap(g, r) for cid, r in proper.items()}
+    pair_terms = {cid: shared_pair_overlap(g, r) for cid, r in proper.items()}
     minimum = min(terms.values())
     attaining = sorted(cid for cid, t in terms.items() if t == minimum)
-    max_ids = set(_ids(report.max_classes))
-    ok = max_ids <= set(attaining) and all(
-        is_proper(g, c.representative) for c in report.max_classes
-    )
     return {
         "graph6": report.graph_id,
         "k": k,
-        "ok": ok,
-        "proper_class_count": len(proper_classes),
+        "ok": set(max_ids) <= set(attaining),  # so every maximizer is proper too
+        "proper_class_count": len(proper),
         "min_term": minimum,
         "attaining": attaining,
         "unique": len(attaining) == 1,
         "pair_terms": {cid: pair_terms[cid] for cid in attaining},
-        "pair_term_min": min(pair_terms.values()) if pair_terms else 0,
+        "pair_term_min": min(pair_terms.values()),
         "max_classes": sorted(max_ids),
     }
 
 
-def verify_catalog(theorem: str, catalog, k: int, check) -> VerifyReport:
-    """Run check(g, k) on every graph of a catalog.
+_CONNECTED = ("not connected", Graph.is_connected)
+_BIPARTITE = ("not bipartite", lambda g: g.bipartition() is not None)
 
-    A record whose "ok" is False is a violation; a graph outside the
-    theorem's hypotheses gets a record with a "skipped" reason and no "ok".
-    """
-    records = [check(g, k) for g in catalog]
+# theorem -> (hypotheses as (reason skipped, predicate), check of (g, k, report))
+THEOREMS = {
+    "min": ((_CONNECTED,), partial(_unique_winner, "min", constant_restraint)),
+    "proper": ((), _proper_check),
+    "bipartite": ((_CONNECTED, _BIPARTITE), partial(_unique_winner, "max", alternating_restraint)),
+    "a7": ((), _a7_check),
+}
+
+
+def skip_reason(theorem: str, g: Graph) -> str | None:
+    """The first hypothesis of theorem that g fails, or None."""
+    return next((reason for reason, holds in THEOREMS[theorem][0] if not holds(g)), None)
+
+
+def verify_catalog(theorem: str, catalog, k: int, results_dir: str | None = None) -> VerifyReport:
+    """Check a theorem on every graph of a catalog, one search per graph
+    (read from or added to the store in results_dir, when given).  A graph
+    outside the theorem's hypotheses gets a "skipped" reason and no "ok"; a
+    record whose "ok" is False is a violation."""
+    check = THEOREMS[theorem][1]
+    records = []
+    for g in catalog:
+        reason = skip_reason(theorem, g)
+        if reason is not None:
+            records.append({"graph6": to_graph6(g), "k": k, "skipped": reason})
+            continue
+        report = find_extremal(g, k) if results_dir is None else load_or_compute_extremal(g, k, results_dir)
+        records.append(check(g, k, report))
     violations = [rec for rec in records if rec.get("ok") is False]
     return VerifyReport(theorem=theorem, k=k, records=records, violations=violations)
 
@@ -284,19 +283,24 @@ def verify_min_theorem(catalog, k: int) -> VerifyReport:
     winner set and, on a violation, the witnessing polynomial coefficient
     vectors.
     """
-    return verify_catalog("min", catalog, k, _min_record)
+    return verify_catalog("min", catalog, k)
 
 
 def verify_properness(catalog, k: int) -> VerifyReport:
     """Check that every maximizing class is a proper restraint."""
-    return verify_catalog("proper", catalog, k, _proper_record)
+    return verify_catalog("proper", catalog, k)
 
 
 def verify_bipartite_max(catalog, k: int) -> VerifyReport:
     """Check that the alternating restraint is the unique maximizing class
     on connected bipartite graphs; disconnected and non-bipartite inputs
     are skipped with a notice."""
-    return verify_catalog("bipartite", catalog, k, _bipartite_record)
+    return verify_catalog("bipartite", catalog, k)
+
+
+def verify_a7_condition(g: Graph, k: int) -> dict:
+    """Check the two necessary maximality conditions on one graph."""
+    return _a7_check(g, k, find_extremal(g, k))
 
 
 # -- odd-cycle conjecture ------------------------------------------------------------

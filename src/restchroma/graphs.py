@@ -102,34 +102,14 @@ class Graph:
 
     def components(self) -> list[tuple["Graph", tuple[int, ...]]]:
         """Connected components with back-maps new-id -> original-id."""
-        adj = self.adjacency_masks()
-        seen = 0
         out = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            comp_mask = 0
-            frontier = 1 << start
-            while frontier:
-                comp_mask |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    v = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= adj[v]
-                frontier = nxt & ~comp_mask
-            seen |= comp_mask
-            verts = [i for i in range(self.n) if comp_mask >> i & 1]
-            index = {old: new for new, old in enumerate(verts)}
-            sub_edges = [
-                (index[a], index[b]) for a, b in self.edges if comp_mask >> a & 1 and comp_mask >> b & 1
-            ]
-            out.append((Graph(len(verts), sub_edges), tuple(verts)))
+        for verts in component_vertices(self.n, self.edges):
+            sub_edges = [(verts.index(a), verts.index(b)) for a, b in self.edges if a in verts]
+            out.append((Graph(len(verts), sub_edges), verts))
         return out
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(component_vertices(self.n, self.edges)) <= 1
 
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """BFS 2-colouring of a connected graph.
@@ -166,10 +146,6 @@ class Graph:
     def census(self) -> SubgraphCensus:
         """Exact triangle / induced-C4 / K4 counts by exhaustive enumeration."""
         adj = self.adjacency_masks()
-        tri = 0
-        for a, b, c in combinations(range(self.n), 3):
-            if adj[a] >> b & 1 and adj[a] >> c & 1 and adj[b] >> c & 1:
-                tri += 1
         ind_c4 = 0
         k4 = 0
         for quad in combinations(range(self.n), 4):
@@ -184,7 +160,7 @@ class Graph:
                 k4 += 1
             elif edge_count == 4 and all(d == 2 for d in degs):
                 ind_c4 += 1
-        return SubgraphCensus(m=self.m, triangles=tri, induced_c4=ind_c4, k4=k4)
+        return SubgraphCensus(m=self.m, triangles=_triangles(self), induced_c4=ind_c4, k4=k4)
 
     # -- automorphisms --------------------------------------------------------------
 
@@ -199,6 +175,33 @@ class Graph:
         if self._autos is None:
             self._autos = sorted(_isomorphisms(self, self, find_all=True))
         return list(self._autos)
+
+
+def component_vertices(n: int, edges) -> list[tuple[int, ...]]:
+    """Increasing vertex tuples of the connected components of the graph
+    (n, edges), ordered by their smallest vertex."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    out = []
+    left = (1 << n) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            reach = adj[low.bit_length() - 1] & ~comp
+            comp |= reach
+            frontier = (frontier ^ low) | reach
+        left &= ~comp
+        out.append(tuple(v for v in range(n) if comp >> v & 1))
+    return out
+
+
+def _triangles(g: Graph) -> int:
+    """Triangle count: per edge (a, b), a < b, the common neighbours above b."""
+    adj = g.adjacency_masks()
+    return sum(bin((adj[a] & adj[b]) >> (b + 1)).count("1") for a, b in g.edges)
 
 
 def _wl_colors(g: Graph) -> tuple[int, ...]:
@@ -485,7 +488,7 @@ def all_connected_graphs(n: int) -> list[Graph]:
         if not g.is_connected():
             continue
         colors = _wl_colors(g)
-        key = (g.m, tuple(sorted(colors)), g.census().triangles)
+        key = (g.m, tuple(sorted(colors)), _triangles(g))
         bucket = buckets.setdefault(key, [])
         if any(is_isomorphic(g, rep) for rep in bucket):
             continue

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from restchroma import IntPolynomial
+from restchroma import extremal as extremal_module
 from restchroma.cli import main
 
 
@@ -10,6 +11,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_search(g, k, **kwargs):
+    raise AssertionError(f"searched {g!r} at k={k} instead of reading the store")
 
 
 class TestPoly:
@@ -153,38 +158,36 @@ class TestVerify:
         from restchroma import VerifyReport
         from restchroma import cli as cli_module
 
-        def fake(catalog, k):
+        def fake(theorem, catalog, k, results_dir=None):
             rec = {"graph6": "Cl", "k": k, "ok": False}
-            return VerifyReport(theorem="min", k=k, records=[rec], violations=[rec])
+            return VerifyReport(theorem=theorem, k=k, records=[rec], violations=[rec])
 
-        monkeypatch.setattr(cli_module, "verify_min_theorem", fake)
+        monkeypatch.setattr(cli_module, "verify_catalog", fake)
         code, out, _ = run(capsys, "verify", "--theorem", "min", "--n-max", "3")
         assert code == 4
         assert "violation" in out
 
-    def test_results_dir_appends_records(self, capsys, tmp_path):
-        run(capsys, "verify", "--theorem", "min", "--n-max", "3",
-            "--results-dir", str(tmp_path))
-        run(capsys, "verify", "--theorem", "min", "--n-max", "3",
-            "--results-dir", str(tmp_path))
-        path = tmp_path / "verify_min_k1.jsonl"
-        first = path.read_text()
-        lines = [json.loads(line) for line in first.splitlines()]
-        assert len(lines) == 4  # 4 connected graphs with n <= 3, one line each
-        # rerunning one graph of the catalog replaces its line in place
-        run(capsys, "verify", "--theorem", "min", "--graph", "C3",
-            "--results-dir", str(tmp_path))
-        assert path.read_text() == first
-
-    def test_results_dir_drops_torn_line(self, capsys, tmp_path):
-        path = tmp_path / "verify_min_k1.jsonl"
-        path.write_text('{"graph6": "Bw", "k": 1, "ok": tr')
-        code, _, _ = run(capsys, "verify", "--theorem", "min", "--graph", "C3",
-                         "--results-dir", str(tmp_path))
+    def test_results_dir_reads_the_extremal_store(self, capsys, tmp_path, monkeypatch):
+        verify = ("verify", "--theorem", "min", "--graph", "C4", "--json")
+        _, fresh, _ = run(capsys, *verify)
+        run(capsys, "extremal", "--graph", "C4", "--results-dir", str(tmp_path))
+        monkeypatch.setattr(extremal_module, "find_extremal", _no_search)
+        code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
         assert code == 0
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [rec["graph6"] for rec in lines] == ["Bw"]
-        assert lines[0]["ok"] is True
+        assert out == fresh
+
+    def test_theorems_share_one_search_per_graph(self, capsys, tmp_path, monkeypatch):
+        def verify(theorem, *extra):
+            code, out, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", "4", "--k", "2",
+                               "--json", *extra)
+            assert code == 0
+            return out
+
+        fresh = {theorem: verify(theorem) for theorem in ("min", "proper", "a7", "bipartite")}
+        assert verify("min", "--results-dir", str(tmp_path)) == fresh["min"]
+        monkeypatch.setattr(extremal_module, "find_extremal", _no_search)
+        for theorem in ("proper", "a7", "bipartite"):
+            assert verify(theorem, "--results-dir", str(tmp_path)) == fresh[theorem]
 
     def test_bipartite_disconnected_graph_skipped(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "bipartite", "--graph", "n 3; 0 1", "--json")

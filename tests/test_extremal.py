@@ -15,6 +15,7 @@ from restchroma import (
     complete_graph,
     conjectured_odd_cycle_restraint,
     connected_bipartite_catalog,
+    connected_catalog,
     constant_restraint,
     cycle_graph,
     disjoint_union,
@@ -69,6 +70,17 @@ class TestFindExtremal:
         for degree, coeff in rep.min_witness.values():
             assert coeff > 0
 
+    def test_winners_and_witnesses_cover_every_class(self):
+        # the a7 check and the store's consistency check read the class list
+        # off a report as its winners plus its witness keys
+        cases = [(g, 1) for g in connected_catalog(5)] + [(g, 2) for g in connected_catalog(4)]
+        for g, k in cases:
+            rep = find_extremal(g, k)
+            every = {c.class_id() for c in enumerate_k_restraints(g, k)}
+            assert len(rep.max_classes) + len(rep.max_witness) == rep.class_count == len(every)
+            assert {c.class_id() for c in rep.max_classes} | set(rep.max_witness) == every
+            assert {c.class_id() for c in rep.min_classes} | set(rep.min_witness) == every
+
     def test_tied_winners_share_polynomial(self):
         # disconnected graphs tie: any per-component constant is minimal
         g = disjoint_union(Graph(2, [(0, 1)]), Graph(1))
@@ -88,6 +100,12 @@ class TestFindExtremal:
         before = cache.hits
         find_extremal(c4, 1, cache=cache)
         assert cache.hits > before
+
+
+def _drop_one_max_witness(record: dict) -> str:
+    """A record that parses but no longer lists every class."""
+    record["max_witness"].pop(min(record["max_witness"]))
+    return json.dumps(record, sort_keys=True)
 
 
 class TestResumableStore:
@@ -112,7 +130,8 @@ class TestResumableStore:
         lambda text: "",
         lambda text: "[]",
         lambda text: text.replace('"k": 1', '"k": 2'),
-    ], ids=["truncated", "empty", "not-an-object", "other-k"])
+        lambda text: _drop_one_max_witness(json.loads(text)),
+    ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, damage):
         fresh = find_extremal(c4, 1).to_record()
         load_or_compute_extremal(c4, 1, str(tmp_path))

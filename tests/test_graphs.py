@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from restchroma import (
     all_connected_graphs,
     complete_bipartite_graph,
     complete_graph,
+    connected_catalog,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -254,3 +256,11 @@ class TestCatalog:
         for i, g in enumerate(graphs):
             for h in graphs[i + 1:]:
                 assert not is_isomorphic(g, h)
+
+    def test_representatives_pinned(self):
+        # the store and the verify records key on these graph6 strings, so
+        # the labelled graph standing for each class must not drift
+        graph6 = [to_graph6(g) for g in connected_catalog(6)]
+        assert len(graph6) == 143
+        digest = hashlib.sha256("\n".join(graph6).encode("ascii")).hexdigest()
+        assert digest == "31946c914e7866a56694002cd0c45bddb1a9dc113b02abe450bde5b81513f32a"

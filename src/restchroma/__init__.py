@@ -9,6 +9,7 @@ from .engine import (
     coeff_n3,
     common_neighbor_overlap,
     count_colourings,
+    dominance_key,
     restrained_poly,
     shared_pair_overlap,
 )

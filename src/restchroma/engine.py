@@ -11,11 +11,14 @@ colour; below that threshold the brute-force counter is the ground truth.
 
 Also includes the closed-form coefficient formulas for the three top
 non-trivial coefficients, with the full additive term breakdown for the
-x^(n-3) coefficient.
+x^(n-3) coefficient, and dominance_key, the part of those coefficients that
+varies between k-restraints, which ranks restraint classes without their
+polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -291,6 +294,52 @@ def coeff_n3(g: Graph, r: Restraint) -> CoefficientBreakdown:
         a_n_3=total_n3,
         terms=terms,
     )
+
+
+def dominance_key(g: Graph, k: int):
+    """Key function ranking k-restraints on g by eventual dominance.
+
+    Takes the incidence masks of a k-restraint (one vertex bitmask per
+    colour, as in a class canon) and returns (-I2, -6 * V3).  a_{n-1} is the
+    same for every k-restraint; a_{n-2} varies only through
+    I2 = sum over edges uv of |r(u) & r(v)|, and a_{n-3} only through
+    V3 = -(kn - 2k + m - 1) * I2 + A7' + A7'' + A8.  Each of these terms is a
+    sum over the colours, so each mask's share is computed once and cached.
+    A larger key permits more colourings for all large enough x; two keys
+    differ by (c_{n-2} difference, 6 * c_{n-3} difference) of the
+    polynomials, and equal keys leave the order to the lower coefficients.
+    """
+    adj = g.adjacency_masks()
+    per_edge = [
+        (1 << u | 1 << v, adj[u] & adj[v], (adj[u] | adj[v]) & ~(1 << u | 1 << v))
+        for u, v in g.edges
+    ]
+    i2_weight = 6 * (k * g.n - 2 * k + g.m - 1)
+
+    @functools.cache
+    def share(mask: int) -> tuple[int, int]:
+        """(edges inside mask, 6 * (A7' + A7'' + A8) restricted to its colour)."""
+        inside = six_v3 = 0
+        for ends, both, either in per_edge:
+            if ends & mask == ends:
+                inside += 1
+                # A7' counts common neighbours; 6 * A8 counts 3 per neighbour
+                # of either end and 1 per common neighbour inside the mask
+                six_v3 += 6 * both.bit_count() + 3 * (either & mask).bit_count() + (both & mask).bit_count()
+        for nbrs in adj:
+            d = (nbrs & mask).bit_count()
+            six_v3 -= 3 * d * (d - 1)  # 6 * A7'' = -6 * C(d, 2)
+        return inside, six_v3
+
+    def key(masks) -> tuple[int, int]:
+        i2 = six_v3 = 0
+        for mask in masks:
+            a, b = share(mask)
+            i2 += a
+            six_v3 += b
+        return -i2, i2_weight * i2 - six_v3
+
+    return key
 
 
 def common_neighbor_overlap(g: Graph, r: Restraint) -> int:

@@ -1,8 +1,11 @@
 """Exhaustive extremal-restraint search and theorem verification.
 
 For a graph and restraint size k, every equivalence class of k-restraints
-is enumerated, its polynomial computed, and the winners under eventual
-dominance collected (all ties reported).  Each theorem in THEOREMS is a
+is enumerated and ranked by its closed-form top coefficients
+(engine.dominance_key).  Only the classes that tie the best or the worst
+key get their polynomial computed; the winners under eventual dominance
+are collected among them (all ties reported), and every other class's
+witness is read from its key.  Each theorem in THEOREMS is a
 predicate over that one search, checked on every graph of a catalog that
 meets its hypotheses; violations are report content, never exceptions.
 """
@@ -15,7 +18,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import partial
 
-from .engine import MemoCache, common_neighbor_overlap, restrained_poly, shared_pair_overlap
+from .engine import MemoCache, common_neighbor_overlap, dominance_key, restrained_poly, shared_pair_overlap
 from .graphs import Graph, connected_catalog, cycle_graph, to_graph6
 from .polynomials import IntPolynomial
 from .restraints import (
@@ -65,8 +68,15 @@ class ExtremalReport:
         }
 
 
-def _descending_key(p: IntPolynomial, n: int) -> tuple[int, ...]:
-    return tuple(p.coefficient(i) for i in range(n, -1, -1))
+def _gap(hi_key, lo_key, hi_poly, lo_poly, n: int) -> tuple[int, int]:
+    """Leading term (degree, coefficient) of hi_poly - lo_poly, read off the
+    dominance keys when they differ (the polynomials are then not needed)."""
+    if hi_key[0] != lo_key[0]:
+        return n - 2, hi_key[0] - lo_key[0]
+    if hi_key != lo_key:
+        return n - 3, (hi_key[1] - lo_key[1]) // 6
+    diff = hi_poly - lo_poly
+    return diff.degree, diff.leading
 
 
 def find_extremal(
@@ -77,37 +87,41 @@ def find_extremal(
 ) -> ExtremalReport:
     """Determine the classes permitting the fewest/most colourings eventually.
 
-    One polynomial per equivalence class; winners are partitioned by the
-    leading coefficient of difference polynomials, so ties mean exactly
-    equal polynomials.  All classes share one memo cache, the given one or a
-    fresh one.
+    Every class is ranked by its closed-form top coefficients
+    (engine.dominance_key).  Only the classes whose key ties the best or the
+    worst get a polynomial, all from one memo cache (the given one or a fresh
+    one); the winners are the tied classes with the largest or smallest
+    polynomial, so ties mean exactly equal polynomials.  Every other class's
+    witness is read from the keys.
     """
     classes = enumerate_k_restraints(g, k, n_cap=n_cap)
+    key = dominance_key(g, k)
+    keys = [key(c.canon) for c in classes]
+    best, worst = max(keys), min(keys)
     memo = cache if cache is not None else MemoCache()
-    polys = [restrained_poly(g, cls.representative, cache=memo) for cls in classes]
-
-    keys = [_descending_key(p, g.n) for p in polys]
-    best = max(keys)
-    worst = min(keys)
-    max_classes = tuple(c for c, key in zip(classes, keys) if key == best)
-    min_classes = tuple(c for c, key in zip(classes, keys) if key == worst)
-    max_poly = polys[keys.index(best)]
-    min_poly = polys[keys.index(worst)]
+    polys = {
+        i: restrained_poly(g, cls.representative, cache=memo)
+        for i, (cls, class_key) in enumerate(zip(classes, keys))
+        if class_key in (best, worst)
+    }
+    # every polynomial is monic of degree n, so comparing the coefficient
+    # tuples from the top is eventual dominance
+    max_poly = max((p for i, p in polys.items() if keys[i] == best), key=lambda p: p.coeffs[::-1])
+    min_poly = min((p for i, p in polys.items() if keys[i] == worst), key=lambda p: p.coeffs[::-1])
     max_witness = {}
     min_witness = {}
-    for cls, poly, key in zip(classes, polys, keys):
-        if key != best:
-            diff = max_poly - poly
-            max_witness[cls.class_id()] = (diff.degree, diff.leading)
-        if key != worst:
-            diff = poly - min_poly
-            min_witness[cls.class_id()] = (diff.degree, diff.leading)
+    for i, cls in enumerate(classes):
+        poly, cid = polys.get(i), cls.class_id()
+        if poly != max_poly:
+            max_witness[cid] = _gap(best, keys[i], max_poly, poly, g.n)
+        if poly != min_poly:
+            min_witness[cid] = _gap(keys[i], worst, poly, min_poly, g.n)
     return ExtremalReport(
         graph_id=to_graph6(g),
         k=k,
         class_count=len(classes),
-        min_classes=min_classes,
-        max_classes=max_classes,
+        min_classes=tuple(c for i, c in enumerate(classes) if polys.get(i) == min_poly),
+        max_classes=tuple(c for i, c in enumerate(classes) if polys.get(i) == max_poly),
         min_poly=min_poly,
         max_poly=max_poly,
         max_witness=max_witness,

@@ -44,7 +44,7 @@ class SubgraphCensus:
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_autos")
+    __slots__ = ("n", "edges", "_adj", "_autos", "_wl")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -62,6 +62,7 @@ class Graph:
         self.edges: frozenset[Edge] = frozenset(norm)
         self._adj: tuple[int, ...] | None = None
         self._autos: list[tuple[int, ...]] | None = None
+        self._wl: tuple[int, ...] | None = None
 
     # -- basics -----------------------------------------------------------
 
@@ -205,7 +206,9 @@ def _triangles(g: Graph) -> int:
 
 
 def _wl_colors(g: Graph) -> tuple[int, ...]:
-    """Stable colour refinement classes (degree-based, iterated)."""
+    """Stable colour refinement classes (degree-based, iterated), cached on g."""
+    if g._wl is not None:
+        return g._wl
     adj = g.adjacency_masks()
     colors = [bin(adj[v]).count("1") for v in range(g.n)]
     while True:
@@ -216,7 +219,8 @@ def _wl_colors(g: Graph) -> tuple[int, ...]:
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [palette[s] for s in sigs]
         if new == colors:
-            return tuple(colors)
+            g._wl = tuple(colors)
+            return g._wl
         colors = new
 
 

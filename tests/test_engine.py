@@ -16,10 +16,12 @@ from restchroma import (
     coeff_n2,
     coeff_n3,
     complete_graph,
+    connected_catalog,
     constant_restraint,
     count_colourings,
     cycle_graph,
     disjoint_union,
+    dominance_key,
     empty_graph,
     empty_restraint,
     enumerate_k_restraints,
@@ -327,3 +329,26 @@ class TestCoefficientFormulas:
             assert coeff_n2(g, r) == comb(g.m, 2) - c.triangles
             expected = comb(g.m, 3) - (g.m - 2) * c.triangles - c.induced_c4 + 2 * c.k4
             assert coeff_n3(g, r).a_n_3 == expected
+
+
+class TestDominanceKey:
+    def test_key_tracks_top_coefficients(self):
+        # on each graph, key minus (c_{n-2}, 6 * c_{n-3}) of the full
+        # polynomial is one constant over all classes, so key differences are
+        # exactly the coefficient differences that decide eventual dominance
+        rng = random.Random(53)
+        cases = [(g, 1) for g in connected_catalog(5)] + [(g, 2) for g in connected_catalog(4)]
+        cases += [(path_graph(8), 1), (cycle_graph(8), 1)]
+        for g, k in cases:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            key = dominance_key(g, k)
+            memo = MemoCache()
+            offsets = set()
+            for cls in enumerate_k_restraints(g, k):
+                p = restrained_poly(g, cls.representative, cache=memo)
+                top2, top3 = (p.coefficient(d) if d >= 0 else 0 for d in (g.n - 2, g.n - 3))
+                i2, six_v3 = key(cls.canon)
+                offsets.add((i2 - top2, six_v3 - 6 * top3))
+            assert len(offsets) == 1, (g, k, offsets)

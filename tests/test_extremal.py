@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -21,6 +22,7 @@ from restchroma import (
     disjoint_union,
     enumerate_k_restraints,
     find_extremal,
+    from_name,
     is_proper,
     load_or_compute_extremal,
     parse_restraint,
@@ -92,6 +94,30 @@ class TestFindExtremal:
                 sets = {cls.representative[v] for v in back}
                 assert len(sets) == 1  # constant on each component
         assert canons(rep.min_classes) >= {canonicalize(g, constant_restraint(g, 1)).canon}
+
+    # sha256 of json.dumps(find_extremal(g, k).to_record(), sort_keys=True),
+    # taken when every class still got its full polynomial; K1 and K2 are
+    # the catalog's graphs with n <= 2
+    RECORD_DIGESTS = {
+        ("C7", 1): "9c63230bd8a0ee7301157c25c4591bce0d090dbfb46231a36dc57f6a25f9c671",
+        ("C8", 1): "34aa7874f07c75e5fcbed7aa517dcba305865518023a1432c3a8240caf01ef07",
+        ("P8", 1): "54a4aa2fc12cf28662b9d081918f8c1d7af852addbe7d17d0b4495891e98bcdf",
+        ("K6", 1): "30690ad6e9e607f075382ae70cc71e3e83624af7f75583ef77647fc5e574c497",
+        ("K5", 2): "6550751e729f88601314b539ddd4c9e704ffd39a1330a7e555ef8650b4a0a804",
+        ("K2,3", 2): "616e5d3625215db85765c4df72c50ddbd091efcde98264a21989597b4e798c4a",
+        ("P5", 2): "710ee7aae788f61dd2b923a62e62a477adede9245a639fa48899e0d41cdcde65",
+        ("C5", 2): "17ba41aae3e0ff702ec08fdeb4eac3ba486badd884c42aee2c2b8854396608e5",
+        ("K1", 1): "b641350ac77ca1469ece1412af4e1a40564c3c2cab1636cc3c80c1cd965669dc",
+        ("K2", 1): "df39e2e8f3c4aa56d2490a8a61a16345d74d10840b3c93e9a564ba6ee990b40f",
+        ("K1", 2): "7f2bb0577c5729648dadbd1e57c593b36cc20b7e307a6634150c7024bea811b1",
+        ("K2", 2): "39269ee740fe150837824d510c192959c2d381ff2d9c7fcf33d1ea7142ee5a32",
+    }
+
+    @pytest.mark.parametrize("name, k", sorted(RECORD_DIGESTS))
+    def test_records_pinned(self, name, k):
+        record = find_extremal(from_name(name), k).to_record()
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == self.RECORD_DIGESTS[name, k]
 
     def test_shared_cache(self, c4):
         cache = MemoCache()

@@ -3,7 +3,6 @@
 from .engine import (
     CoefficientBreakdown,
     MemoCache,
-    chromatic_poly,
     coeff_n1,
     coeff_n2,
     coeff_n3,
@@ -36,7 +35,6 @@ from .graphs import (
     complete_graph,
     connected_catalog,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     from_name,
     is_isomorphic,
@@ -47,7 +45,7 @@ from .graphs import (
     star_graph,
     to_graph6,
 )
-from .polynomials import IntPolynomial, compare_eventually, elementary_symmetric
+from .polynomials import IntPolynomial, elementary_symmetric
 from .restraints import (
     Restraint,
     RestraintClass,
@@ -56,12 +54,9 @@ from .restraints import (
     constant_restraint,
     empty_restraint,
     enumerate_k_restraints,
-    equivalent,
     is_proper,
-    m_value,
     parse_restraint,
     render_restraint,
-    restraint_to_json,
 )
 
 __version__ = "0.1.0"

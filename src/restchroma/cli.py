@@ -113,12 +113,11 @@ def cmd_coeffs(args) -> int:
         "graph6": to_graph6(g),
         "restraint": render_restraint(r),
         "a_n_1": coeff_n1(g, r),
-        "a_n_2": coeff_n2(g, r),
     }
-    lines = [
-        f"a[n-1] = {obj['a_n_1']}",
-        f"a[n-2] = {obj['a_n_2']}",
-    ]
+    lines = [f"a[n-1] = {obj['a_n_1']}"]
+    if g.n >= 2:
+        obj["a_n_2"] = coeff_n2(g, r)
+        lines.append(f"a[n-2] = {obj['a_n_2']}")
     if g.n >= 3:
         breakdown = coeff_n3(g, r)
         obj["a_n_3"] = breakdown.a_n_3

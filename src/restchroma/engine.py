@@ -26,7 +26,7 @@ from math import comb
 
 from .graphs import CapError, Graph, component_vertices
 from .polynomials import IntPolynomial, elementary_symmetric
-from .restraints import Restraint, empty_restraint
+from .restraints import Restraint
 
 ORACLE_WORK_BUDGET = 10_000_000
 
@@ -59,9 +59,6 @@ class MemoCache:
         if len(self._table) > self.peak_entries:
             self.peak_entries = len(self._table)
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "peak_entries": self.peak_entries}
 
@@ -69,42 +66,41 @@ class MemoCache:
 def restrained_poly(
     g: Graph,
     r: Restraint,
-    cache: MemoCache | None | bool = None,
+    cache: MemoCache | None = None,
     pivot=None,
 ) -> IntPolynomial:
     """Restrained chromatic polynomial via deletion-contraction.
 
     Monic of degree n; exact integer coefficients; valid as a colouring
     count for every x >= the largest forbidden colour.  The result is
-    independent of the pivot-edge order.
+    independent of the pivot-edge order.  With the empty restraint it is
+    the chromatic polynomial.
 
-    cache: None for a private memo table, False to disable memoization,
-    or a shared MemoCache instance.  pivot: optional callable mapping the
-    sorted edge list of a subproblem to the edge to branch on, in either
-    orientation (defaults to the lexicographically smallest, for cache
-    reproducibility); an edge outside the subproblem raises ValueError.
+    cache: None for a private memo table, or a shared MemoCache instance.
+    pivot: optional callable mapping the sorted edge list of a subproblem
+    to the edge to branch on, in either orientation (defaults to the
+    lexicographically smallest, for cache reproducibility); an edge outside
+    the subproblem raises ValueError.
     """
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
     if cache is None:
         cache = MemoCache()
-    elif cache is not False and not isinstance(cache, MemoCache):
-        raise TypeError("cache must be None, False or a MemoCache")
-    memo = None if cache is False else cache
-    return _rec(g.n, g.edges, r.sets, memo, pivot if pivot is not None else min)
+    elif not isinstance(cache, MemoCache):
+        raise TypeError("cache must be None or a MemoCache")
+    return _rec(g.n, g.edges, r.sets, cache, pivot if pivot is not None else min)
 
 
-def _rec(n: int, edges: frozenset, sets: tuple, memo: MemoCache | None, choose) -> IntPolynomial:
+def _rec(n: int, edges: frozenset, sets: tuple, memo: MemoCache, choose) -> IntPolynomial:
     """P on the labeled subproblem (n, edges, sets), which is also its memo key.
 
     Contracting the pivot edge (u, v), u < v, merges v into u: u forbids
     sets[u] | sets[v], and every vertex above v shifts down by one.
     """
     key = (n, edges, sets)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     if not edges:
         poly = IntPolynomial.from_roots(len(s) for s in sets)
     else:
@@ -129,14 +125,8 @@ def _rec(n: int, edges: frozenset, sets: tuple, memo: MemoCache | None, choose) 
             moved = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
             poly = _rec(n, edges - {e}, sets, memo, choose) - _rec(
                 n - 1, frozenset(contracted), moved, memo, choose)
-    if memo is not None:
-        memo.put(key, poly)
+    memo.put(key, poly)
     return poly
-
-
-def chromatic_poly(g: Graph) -> IntPolynomial:
-    """Chromatic polynomial: the all-empty restraint special case."""
-    return restrained_poly(g, empty_restraint(g))
 
 
 def count_colourings(g: Graph, r: Restraint, x: int) -> int:
@@ -199,7 +189,9 @@ def _edge_intersections(g: Graph, r: Restraint) -> int:
 
 
 def coeff_n2(g: Graph, r: Restraint) -> int:
-    """a_{n-2} from the census and the pairwise set-size sums."""
+    """a_{n-2} from the census and the pairwise set-size sums; requires n >= 2."""
+    if g.n < 2:
+        raise ValueError("coefficient undefined for graphs on fewer than 2 vertices")
     sizes = r.sizes()
     census = g.census()
     return (
@@ -213,8 +205,7 @@ def coeff_n2(g: Graph, r: Restraint) -> int:
 
 @dataclass(frozen=True)
 class CoefficientBreakdown:
-    """The three top non-trivial coefficient values with the additive terms
-    of the x^(n-3) one.
+    """The x^(n-3) coefficient value with its additive terms.
 
     a_n_3 always equals the sum of the terms.  The terms carrying 1/2 and
     1/6 weights are exact rationals: they are individually half-integral
@@ -222,8 +213,6 @@ class CoefficientBreakdown:
     is guaranteed integral (asserted here).
     """
 
-    a_n_1: int
-    a_n_2: int
     a_n_3: int
     terms: dict = field(compare=False)
 
@@ -288,12 +277,7 @@ def coeff_n3(g: Graph, r: Restraint) -> CoefficientBreakdown:
         "A8'": a8p,
         "A8''": a8pp,
     }
-    return CoefficientBreakdown(
-        a_n_1=coeff_n1(g, r),
-        a_n_2=coeff_n2(g, r),
-        a_n_3=total_n3,
-        terms=terms,
-    )
+    return CoefficientBreakdown(a_n_3=total_n3, terms=terms)
 
 
 def dominance_key(g: Graph, k: int):

@@ -80,16 +80,6 @@ class Graph:
             self._adj = tuple(adj)
         return self._adj
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        mask = self.adjacency_masks()[v]
-        return frozenset(i for i in range(self.n) if mask >> i & 1)
-
-    def degree(self, v: int) -> int:
-        return bin(self.adjacency_masks()[v]).count("1")
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
@@ -100,14 +90,6 @@ class Graph:
         return f"Graph({self.n}, {sorted(self.edges)})"
 
     # -- connectivity ---------------------------------------------------------
-
-    def components(self) -> list[tuple["Graph", tuple[int, ...]]]:
-        """Connected components with back-maps new-id -> original-id."""
-        out = []
-        for verts in component_vertices(self.n, self.edges):
-            sub_edges = [(verts.index(a), verts.index(b)) for a, b in self.edges if a in verts]
-            out.append((Graph(len(verts), sub_edges), verts))
-        return out
 
     def is_connected(self) -> bool:
         return len(component_vertices(self.n, self.edges)) <= 1
@@ -305,11 +287,6 @@ def star_graph(leaves: int) -> Graph:
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    shifted = [(u + g.n, v + g.n) for u, v in h.edges]
-    return Graph(g.n + h.n, list(g.edges) + shifted)
 
 
 _NAMED_PREFIXES = "CPKSE"

@@ -1,4 +1,4 @@
-"""Exact dense integer polynomials and the eventual-dominance order.
+"""Exact dense integer polynomials and elementary symmetric functions.
 
 Coefficients are arbitrary-precision Python ints stored ascending by
 degree, with trailing zeros trimmed; the zero polynomial stores an empty
@@ -7,7 +7,6 @@ tuple.  Values are immutable and freely shareable.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 
@@ -25,22 +24,8 @@ class IntPolynomial:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPolynomial":
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
 
     @classmethod
     def from_roots(cls, roots: Iterable[int]) -> "IntPolynomial":
@@ -66,12 +51,6 @@ class IntPolynomial:
             raise ValueError("coefficient index must be nonnegative")
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     # -- ring arithmetic --------------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -89,9 +68,7 @@ class IntPolynomial:
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
+    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -100,28 +77,13 @@ class IntPolynomial:
                 out[i + j] += a * b
         return IntPolynomial(out)
 
-    def __rmul__(self, other: int) -> "IntPolynomial":
-        return self * other
-
-    # -- evaluation and composition ----------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x: int) -> int:
         """Exact evaluation at an integer point (Horner)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    __call__ = evaluate
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """Return q with q(x) = p(x - k), by Horner in the shifted variable."""
-        if k < 0:
-            raise ValueError("shift amount must be nonnegative")
-        step = IntPolynomial((-k, 1))  # x - k
-        acc = IntPolynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * step + IntPolynomial((c,))
         return acc
 
     # -- comparison ---------------------------------------------------------
@@ -162,31 +124,6 @@ class IntPolynomial:
     def vector_str(self) -> str:
         """Coefficient-vector rendering '[c0, c1, ..., cn]' (ascending degree)."""
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
-
-    def to_json(self) -> str:
-        """JSON array of decimal strings, exact round-trip."""
-        return json.dumps([str(c) for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntPolynomial":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("polynomial JSON must be an array of decimal strings")
-        return cls(int(s) for s in data)
-
-
-def compare_eventually(p: IntPolynomial, q: IntPolynomial) -> str:
-    """Order two polynomials by their values at all sufficiently large x.
-
-    Returns 'equal' iff p - q is the zero polynomial; otherwise 'p_wins'
-    when the leading coefficient of p - q is positive (p(x) > q(x) for
-    every large enough x) and 'q_wins' when it is negative.
-    """
-    d = p - q
-    if d.is_zero():
-        return "equal"
-    return "p_wins" if d.leading > 0 else "q_wins"
-
 
 def elementary_symmetric(values: Iterable[int], i: int) -> int:
     """i-th elementary symmetric function of a list (sum of i-subset products).

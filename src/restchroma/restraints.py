@@ -68,21 +68,6 @@ class Restraint:
                 top = max(top, max(s))
         return top
 
-    def colours(self) -> frozenset[int]:
-        out: set[int] = set()
-        for s in self.sets:
-            out |= s
-        return frozenset(out)
-
-    def is_k_restraint(self, k: int) -> bool:
-        """Every set has size k and colours stay within 1..k*n."""
-        n = len(self.sets)
-        return all(len(s) == k for s in self.sets) and all(c <= k * n for s in self.sets for c in s)
-
-
-def m_value(r: Restraint) -> int:
-    return r.m_value()
-
 
 def empty_restraint(g: Graph) -> Restraint:
     return Restraint([()] * g.n)
@@ -175,10 +160,6 @@ def parse_restraint(text: str) -> Restraint:
         raise ParseError(f"bad restraint literal: {exc}") from exc
 
 
-def restraint_to_json(r: Restraint) -> str:
-    return json.dumps([sorted(s) for s in r.sets])
-
-
 # -- equivalence classes ------------------------------------------------------------
 
 
@@ -193,8 +174,6 @@ class RestraintClass:
     and an automorphism permutes the vertex bits.
     """
 
-    n: int
-    k: int | None
     canon: tuple[int, ...]
     representative: Restraint
 
@@ -240,13 +219,7 @@ def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
     best = min(_orbit(_incidence_masks(r.sets), g.automorphisms()))
-    sizes = set(r.sizes())
-    k = sizes.pop() if len(sizes) == 1 else None
-    return RestraintClass(n=g.n, k=k, canon=best, representative=_representative_from_canon(g.n, best))
-
-
-def equivalent(g: Graph, r1: Restraint, r2: Restraint) -> bool:
-    return canonicalize(g, r1).canon == canonicalize(g, r2).canon
+    return RestraintClass(canon=best, representative=_representative_from_canon(g.n, best))
 
 
 def _normal_form_assignments(n: int, k: int):
@@ -296,4 +269,4 @@ def enumerate_k_restraints(g: Graph, k: int, n_cap: int | None = None) -> list[R
         orbit = set(_orbit(masks, autos))
         seen |= orbit
         canons.append(min(orbit))
-    return [RestraintClass(g.n, k, c, _representative_from_canon(g.n, c)) for c in sorted(canons)]
+    return [RestraintClass(c, _representative_from_canon(g.n, c)) for c in sorted(canons)]

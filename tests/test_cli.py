@@ -92,6 +92,13 @@ class TestCoeffs:
         assert "A7''=-4" in out
         assert "pair overlap: -2" in out
 
+    def test_single_vertex_has_only_a_n_1(self, capsys):
+        code, out, _ = run(capsys, "coeffs", "--graph", "K1", "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["a_n_1"] == 0
+        assert "a_n_2" not in obj and "a_n_3" not in obj
+
 
 class TestClasses:
     def test_seven_classes_in_order(self, capsys):

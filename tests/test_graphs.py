@@ -12,7 +12,6 @@ from restchroma import (
     complete_graph,
     connected_catalog,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     from_name,
     is_isomorphic,
@@ -22,6 +21,7 @@ from restchroma import (
     star_graph,
     to_graph6,
 )
+from restchroma.graphs import component_vertices
 from conftest import random_graph
 
 
@@ -82,16 +82,13 @@ class TestCensus:
         template = cycle_graph(4)
         for g in graphs:
             c = g.census()
-            tri2 = sum(len(g.neighbors(u) & g.neighbors(v)) for u, v in g.edges)
+            e = g.edges  # sorted pairs, and combinations yield increasing tuples
+            tri2 = sum(1 for u, v in e for w in range(g.n) if tuple(sorted((u, w))) in e and tuple(sorted((v, w))) in e)
             assert c.triangles * 3 == tri2
             k4 = 0
             for a, b, cc in combinations(range(g.n), 3):
-                if g.has_edge(a, b) and g.has_edge(a, cc) and g.has_edge(b, cc):
-                    k4 += sum(
-                        1
-                        for d in range(cc + 1, g.n)
-                        if g.has_edge(a, d) and g.has_edge(b, d) and g.has_edge(cc, d)
-                    )
+                if (a, b) in e and (a, cc) in e and (b, cc) in e:
+                    k4 += sum(1 for d in range(cc + 1, g.n) if (a, d) in e and (b, d) in e and (cc, d) in e)
             assert c.k4 == k4
             c4 = 0
             for quad in combinations(range(g.n), 4):
@@ -128,7 +125,7 @@ class TestAutomorphisms:
         g = cycle_graph(6)
         for a in g.automorphisms():
             for u, v in g.edges:
-                assert g.has_edge(a[u], a[v])
+                assert tuple(sorted((a[u], a[v]))) in g.edges
 
     def test_cap(self):
         with pytest.raises(CapError):
@@ -138,31 +135,26 @@ class TestAutomorphisms:
 
 class TestComponents:
     def test_disjoint_union(self):
-        g = disjoint_union(complete_graph(3), Graph(2, [(0, 1)]))
-        comps = g.components()
-        assert [c.n for c, _ in comps] == [3, 2]
-        assert comps[0][1] == (0, 1, 2)
-        assert comps[1][1] == (3, 4)
+        triangle_and_edge = [(0, 1), (0, 2), (1, 2), (3, 4)]
+        assert component_vertices(5, triangle_and_edge) == [(0, 1, 2), (3, 4)]
 
     def test_connected_graph_is_single_component(self):
         g = cycle_graph(5)
-        comps = g.components()
-        assert len(comps) == 1
-        assert comps[0][0] == g
+        assert component_vertices(g.n, g.edges) == [(0, 1, 2, 3, 4)]
 
     def test_empty_graph_splits_into_singletons(self):
-        assert len(empty_graph(3).components()) == 3
+        assert component_vertices(3, []) == [(0,), (1,), (2,)]
 
     def test_back_maps_preserve_edges(self):
         rng = random.Random(9)
         for _ in range(30):
             g = random_graph(rng, max_n=7, edge_prob=0.25)
-            rebuilt = set()
-            for sub, back in g.components():
-                for u, v in sub.edges:
-                    a, b = back[u], back[v]
-                    rebuilt.add((min(a, b), max(a, b)))
-            assert rebuilt == set(g.edges)
+            comps = component_vertices(g.n, g.edges)
+            assert sorted(v for verts in comps for v in verts) == list(range(g.n))
+            assert all(list(verts) == sorted(verts) for verts in comps)
+            assert [verts[0] for verts in comps] == sorted(verts[0] for verts in comps)
+            where = {v: i for i, verts in enumerate(comps) for v in verts}
+            assert all(where[u] == where[v] for u, v in g.edges)
 
 
 class TestBipartition:

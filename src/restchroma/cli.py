@@ -59,7 +59,7 @@ def _emit(args, obj: dict, human_lines: list[str]) -> None:
 
 
 def cmd_poly(args) -> int:
-    g = load_graph(args.graph, args.format)
+    g = load_graph(args.graph)
     r = _load_restraint(args.restraint, g)
     p = restrained_poly(g, r)
     m = r.m_value()
@@ -93,7 +93,7 @@ def cmd_poly(args) -> int:
 def cmd_count(args) -> int:
     if args.x is None:
         raise ParseError("count requires --x")
-    g = load_graph(args.graph, args.format)
+    g = load_graph(args.graph)
     r = _load_restraint(args.restraint, g)
     value = count_colourings(g, r, args.x)
     obj = {
@@ -107,14 +107,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    g = load_graph(args.graph, args.format)
+    g = load_graph(args.graph)
     r = _load_restraint(args.restraint, g)
-    obj = {
-        "graph6": to_graph6(g),
-        "restraint": render_restraint(r),
-        "a_n_1": coeff_n1(g, r),
-    }
-    lines = [f"a[n-1] = {obj['a_n_1']}"]
+    obj = {"graph6": to_graph6(g), "restraint": render_restraint(r)}
+    lines = []
+    if g.n >= 1:
+        obj["a_n_1"] = coeff_n1(g, r)
+        lines.append(f"a[n-1] = {obj['a_n_1']}")
     if g.n >= 2:
         obj["a_n_2"] = coeff_n2(g, r)
         lines.append(f"a[n-2] = {obj['a_n_2']}")
@@ -132,7 +131,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    g = load_graph(args.graph, args.format)
+    g = load_graph(args.graph)
     classes = enumerate_k_restraints(g, args.k)
     entries = [
         {"restraint": cls.class_id(), "proper": is_proper(g, cls.representative)}
@@ -148,7 +147,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    g = load_graph(args.graph, args.format)
+    g = load_graph(args.graph)
     if args.results_dir:
         report = load_or_compute_extremal(g, args.k, args.results_dir)
     else:
@@ -167,7 +166,7 @@ def cmd_extremal(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.graph:
-        graphs = [load_graph(args.graph, args.format)]
+        graphs = [load_graph(args.graph)]
     else:
         graphs = [g for g in connected_catalog(args.n_max) if skip_reason(args.theorem, g) is None]
     report = verify_catalog(args.theorem, graphs, args.k, args.results_dir)
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, restraint=False, k=False, x=False):
         p.add_argument("--graph", required=True,
                        help="graph: file path, short name (C7, P4, K5, K2,3, S3), graph6 or edge list")
-        p.add_argument("--format", default="auto", choices=["auto", "edgelist", "graph6"])
         if restraint:
             p.add_argument("--restraint", default=None, help="restraint literal [{1},{2}] or file path")
         if k:
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--theorem", required=True, choices=list(THEOREMS))
     p_verify.add_argument("--n-max", type=int, default=5)
     p_verify.add_argument("--graph", default=None, help="check this one graph instead of the --n-max catalog")
-    p_verify.add_argument("--format", default="auto", choices=["auto", "edgelist", "graph6"])
     p_verify.add_argument("--k", type=int, default=1)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--results-dir", default=None)

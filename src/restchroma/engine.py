@@ -180,7 +180,9 @@ def count_colourings(g: Graph, r: Restraint, x: int) -> int:
 
 
 def coeff_n1(g: Graph, r: Restraint) -> int:
-    """a_{n-1}: edge count plus the total size of the forbidden sets."""
+    """a_{n-1}: edge count plus the total size of the forbidden sets; requires n >= 1."""
+    if g.n < 1:
+        raise ValueError("coefficient undefined for graphs with no vertices")
     return g.m + sum(len(s) for s in r.sets)
 
 

@@ -326,30 +326,24 @@ def conjectured_odd_cycle_restraint(n: int) -> tuple[Restraint | None, list[int]
     Colour 1 on odd positions up to (n-1)/2; colour 2 on even positions up
     to (n-3)/2 and on (n+3)/2, (n+7)/2, ...; colour 3 on (n+1)/2,
     (n+5)/2, ... up to n-1 (positions 1-based).  Returns the restraint and
-    the list of uncovered positions; when any position is uncovered or
-    doubly assigned the restraint is None (pattern ill-defined for that n).
+    the list of uncovered positions; when any position is uncovered the
+    restraint is None (pattern ill-defined for that n).  The four index
+    ranges never overlap: the two below (n+1)/2 have opposite parity, and
+    so do the two from (n+1)/2 up.
     """
     if n < 5 or n % 2 == 0:
         raise ValueError("n must be an odd integer >= 5")
     assignment: dict[int, int] = {}
-    conflict = False
-
-    def assign(i: int, colour: int):
-        nonlocal conflict
-        if assignment.get(i, colour) != colour:
-            conflict = True
-        assignment[i] = colour
-
     for i in range(1, (n - 1) // 2 + 1, 2):
-        assign(i, 1)
+        assignment[i] = 1
     for i in range(2, (n - 3) // 2 + 1, 2):
-        assign(i, 2)
+        assignment[i] = 2
     for i in range((n + 3) // 2, n + 1, 2):
-        assign(i, 2)
+        assignment[i] = 2
     for i in range((n + 1) // 2, n, 2):
-        assign(i, 3)
+        assignment[i] = 3
     uncovered = [i for i in range(1, n + 1) if i not in assignment]
-    if uncovered or conflict:
+    if uncovered:
         return None, uncovered
     return Restraint([(assignment[i],) for i in range(1, n + 1)]), []
 

@@ -417,29 +417,24 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def load_graph(source: str, fmt: str = "auto") -> Graph:
+def load_graph(source: str) -> Graph:
     """Load a graph from a file path, a short name, or inline text.
 
-    fmt 'edgelist' or 'graph6' forces the parser; 'auto' tries file, then
-    named family (C7, P4, K5, K2,3, S3, E4), then graph6, then edge list.
+    Inline text that names a family (C7, P4, K5, K2,3, S3, E4) builds it.
+    Otherwise the text (or the file's contents) is an edge list when it
+    holds whitespace or ';', which a graph6 string never does, else graph6.
     """
     text = source
     if os.path.isfile(source):
         with open(source, "r", encoding="ascii") as fh:
             text = fh.read()
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt != "auto":
-        raise ParseError(f"unknown graph format {fmt!r}")
     stripped = text.strip()
     if stripped[:1] in _NAMED_PREFIXES and not os.path.isfile(source):
         try:
             return from_name(stripped)
         except ParseError:
             pass
-    if stripped.startswith("n ") or "\n" in stripped or ";" in stripped:
+    if ";" in stripped or any(ch.isspace() for ch in stripped):
         return parse_edgelist(text)
     return parse_graph6(stripped)
 

@@ -5,10 +5,12 @@ the equivalence relation (graph automorphism composed with a bijective
 colour renaming), canonical class representatives, and exhaustive
 enumeration of k-restraints up to equivalence.
 
-Both canonicalisation and enumeration go through _orbit, the sorted
-incidence-mask tuples of a restraint's automorphic images: the canon is
-their minimum, and the enumeration marks a new class's whole orbit as seen,
-so each class is found once.
+Classes are colour incidence masks (one vertex bitmask per colour) from
+generation on; a Restraint is built from one only on demand.  Both
+canonicalisation and enumeration go through _orbit, the sorted mask tuples
+of a restraint's automorphic images: the canon is their minimum, and the
+enumeration marks a new class's whole orbit as seen, so each class is found
+once.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ def is_proper(g: Graph, r: Restraint) -> bool:
 # -- literal / JSON syntax -----------------------------------------------------
 
 
-def render_restraint(r: Restraint) -> str:
-    """Literal form '[{1},{2},{1,3}]' with colours ascending."""
-    parts = ["{" + ",".join(str(c) for c in sorted(s)) + "}" for s in r.sets]
+def render_restraint(sets: Iterable[Iterable[int]]) -> str:
+    """Literal form '[{1},{2},{1,3}]' with colours ascending, of a Restraint
+    or any sequence of colour sets."""
+    parts = ["{" + ",".join(str(c) for c in sorted(s)) + "}" for s in sets]
     return "[" + ",".join(parts) + "]"
 
 
@@ -165,28 +168,28 @@ def parse_restraint(text: str) -> Restraint:
 
 @dataclass(frozen=True)
 class RestraintClass:
-    """Canonical representative of a restraint-equivalence class.
+    """Canonical representative of a restraint-equivalence class on n vertices.
 
     canon is the minimum, over the automorphism group, of the sorted tuple
     of colour incidence bitmasks (bit v set when the colour is forbidden at
     vertex v).  Two restraints are equivalent exactly when their canons
     coincide, because a colour bijection preserves the incidence multiset
-    and an automorphism permutes the vertex bits.
+    and an automorphism permutes the vertex bits.  The representative
+    forbids colour j + 1 wherever canon[j] has its bit.
     """
 
     canon: tuple[int, ...]
-    representative: Restraint
+    n: int
+
+    def _colour_lists(self) -> list[list[int]]:
+        return [[j + 1 for j, mask in enumerate(self.canon) if mask >> v & 1] for v in range(self.n)]
+
+    @property
+    def representative(self) -> Restraint:
+        return Restraint(self._colour_lists())
 
     def class_id(self) -> str:
-        return render_restraint(self.representative)
-
-
-def _incidence_masks(sets) -> list[int]:
-    masks: dict[int, int] = {}
-    for v, s in enumerate(sets):
-        for c in s:
-            masks[c] = masks.get(c, 0) | 1 << v
-    return list(masks.values())
+        return render_restraint(self._colour_lists())
 
 
 def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
@@ -198,52 +201,52 @@ def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _orbit(masks: list[int], autos: list[tuple[int, ...]]):
+def _orbit(masks, autos: list[tuple[int, ...]]):
     """Per automorphism, the sorted tuple of the permuted incidence masks
     (sorting is what renames the colours)."""
     for perm in autos:
         yield tuple(sorted(_apply_perm(m, perm) for m in masks))
 
 
-def _representative_from_canon(n: int, canon: tuple[int, ...]) -> Restraint:
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for j, mask in enumerate(canon):
-        for v in range(n):
-            if mask >> v & 1:
-                sets[v].add(j + 1)
-    return Restraint(sets)
-
-
 def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     """Canonical class of a restraint under automorphism x colour bijection."""
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
-    best = min(_orbit(_incidence_masks(r.sets), g.automorphisms()))
-    return RestraintClass(canon=best, representative=_representative_from_canon(g.n, best))
+    masks: dict[int, int] = {}
+    for v, s in enumerate(r.sets):
+        for c in s:
+            masks[c] = masks.get(c, 0) | 1 << v
+    return RestraintClass(min(_orbit(masks.values(), g.automorphisms())), g.n)
 
 
-def _normal_form_assignments(n: int, k: int):
-    """Yield all k-set sequences in first-use colour normal form.
+def _normal_form_masks(n: int, k: int):
+    """Yield the incidence masks of every k-restraint on n vertices in
+    first-use colour normal form, one tuple per restraint.
 
-    Scanning vertices 0..n-1, any colours a vertex introduces are the next
-    consecutive integers; previously used colours may repeat freely.  Every
-    k-restraint is colour-equivalent to at least one generated sequence, and
-    colours never exceed k*n.
+    Scanning vertices 0..n-1, vertex v joins k - t of the colours used so
+    far (ORs bit v into their masks) and introduces t fresh colours (appends
+    t masks 1 << v), for t = 0..k.  Every k-restraint is colour-equivalent
+    to at least one generated tuple, and no tuple is yielded twice.
     """
-    chosen: list[tuple[int, ...]] = []
+    masks: list[int] = []
 
-    def rec(v: int, used: int):
+    def rec(v: int):
         if v == n:
-            yield tuple(chosen)
+            yield tuple(masks)
             return
+        bit = 1 << v
+        used = len(masks)
         for t in range(k + 1):
-            fresh = tuple(range(used + 1, used + t + 1))
-            for old in combinations(range(1, used + 1), k - t):
-                chosen.append(old + fresh)
-                yield from rec(v + 1, used + t)
-                chosen.pop()
+            masks.extend([bit] * t)
+            for old in combinations(range(used), k - t):
+                for j in old:
+                    masks[j] |= bit
+                yield from rec(v + 1)
+                for j in old:
+                    masks[j] ^= bit
+            del masks[used:]
 
-    yield from rec(0, 0)
+    yield from rec(0)
 
 
 def enumerate_k_restraints(g: Graph, k: int, n_cap: int | None = None) -> list[RestraintClass]:
@@ -262,11 +265,10 @@ def enumerate_k_restraints(g: Graph, k: int, n_cap: int | None = None) -> list[R
     autos = g.automorphisms()
     seen: set[tuple[int, ...]] = set()
     canons = []
-    for sets in _normal_form_assignments(g.n, k):
-        masks = _incidence_masks(sets)
+    for masks in _normal_form_masks(g.n, k):
         if tuple(sorted(masks)) in seen:
             continue
         orbit = set(_orbit(masks, autos))
         seen |= orbit
         canons.append(min(orbit))
-    return [RestraintClass(c, _representative_from_canon(g.n, c)) for c in sorted(canons)]
+    return [RestraintClass(c, g.n) for c in sorted(canons)]

@@ -43,3 +43,8 @@ def random_restraint(rng: random.Random, n: int, max_colour: int = 6, max_size: 
         size = rng.randint(0, max_size)
         sets.append(rng.sample(range(1, max_colour + 1), min(size, max_colour)))
     return Restraint(sets)
+
+
+def restraint_of(masks, n: int) -> Restraint:
+    """The restraint forbidding colour j + 1 wherever masks[j] has its bit."""
+    return Restraint([[j + 1 for j, m in enumerate(masks) if m >> v & 1] for v in range(n)])

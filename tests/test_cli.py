@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -53,18 +54,22 @@ class TestPoly:
         assert str(rebuilt) == obj["polynomial"]
 
     def test_graph6_inline(self, capsys):
-        code, out, _ = run(capsys, "poly", "--graph", "Cl", "--format", "graph6",
-                           "--restraint", "[{1},{2},{1},{2}]")
+        code, out, _ = run(capsys, "poly", "--graph", "Cl", "--restraint", "[{1},{2},{1},{2}]")
         assert code == 0
         assert "[31, -47, 28, -8, 1]" in out
 
     def test_edgelist_file(self, capsys, tmp_path):
         path = tmp_path / "square.edges"
         path.write_text("n 4\n0 1\n1 2\n2 3\n3 0\n")
-        code, out, _ = run(capsys, "poly", "--graph", str(path), "--format", "edgelist",
-                           "--restraint", "[{1},{2},{1},{2}]")
+        code, out, _ = run(capsys, "poly", "--graph", str(path), "--restraint", "[{1},{2},{1},{2}]")
         assert code == 0
         assert "[31, -47, 28, -8, 1]" in out
+
+    def test_edgelist_with_tab_header(self, capsys):
+        # any whitespace marks an edge list, not only a space after 'n'
+        code, out, _ = run(capsys, "poly", "--graph", "n\t2", "--json")
+        assert code == 0
+        assert json.loads(out)["polynomial"] == "x^2"
 
     def test_restraint_file(self, capsys, tmp_path):
         path = tmp_path / "restraint.txt"
@@ -99,6 +104,12 @@ class TestCoeffs:
         assert obj["a_n_1"] == 0
         assert "a_n_2" not in obj and "a_n_3" not in obj
 
+    def test_no_vertices_has_no_coefficients(self, capsys):
+        code, out, _ = run(capsys, "coeffs", "--graph", "E0", "--json")
+        assert code == 0
+        obj = json.loads(out)
+        assert not {"a_n_1", "a_n_2", "a_n_3"} & set(obj)
+
 
 class TestClasses:
     def test_seven_classes_in_order(self, capsys):
@@ -109,6 +120,17 @@ class TestClasses:
         obj = json.loads(out)
         assert obj["count"] == 7
         assert sum(1 for e in obj["classes"] if e["proper"]) == 3
+
+    @pytest.mark.parametrize("graph, k, digest", [
+        ("C6", "1", "8ada143e903f11b673bed46254026fbb5bd4f5f6aa9bab6c75332b5977c8a91f"),
+        ("P8", "1", "70ac80c696477ab9b60480e19d025bb1df09b9dcad1d7bb2c3d44d4afb581339"),
+        ("C5", "2", "59dc9ab5f2a26438ee0ea1fbf5f016e3936ad1245b5b1beeaec681e829bf04e8"),
+    ])
+    def test_json_pinned(self, capsys, graph, k, digest):
+        # sha256 of the whole --json output, class ids and properness included
+        code, out, _ = run(capsys, "classes", "--graph", graph, "--k", k, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "classes", "--graph", "P9", "--k", "1")

@@ -255,6 +255,10 @@ class TestCoefficientFormulas:
         assert coeff_n2(empty_graph(2), R("[{1},{1}]")) == 1
         assert coeff_n2(c3, R("[{1},{1},{1}]")) == 11
 
+    def test_first_coefficient_requires_a_vertex(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            coeff_n1(Graph(0), R("[]"))
+
     def test_second_coefficient_requires_two_vertices(self):
         with pytest.raises(ValueError, match="fewer than 2"):
             coeff_n2(Graph(1), R("[{1}]"))

@@ -82,6 +82,22 @@ class TestFindExtremal:
             assert {c.class_id() for c in rep.max_classes} | set(rep.max_witness) == every
             assert {c.class_id() for c in rep.min_classes} | set(rep.min_witness) == every
 
+    def test_restraints_built_only_for_tied_keys(self, monkeypatch):
+        # classes are ranked and named on their masks; only a class whose
+        # key ties the best or the worst becomes a Restraint, for its polynomial
+        from restchroma import restraints
+        from restchroma.engine import dominance_key
+
+        g = path_graph(8)
+        key = dominance_key(g, 1)
+        keys = [key(c.canon) for c in enumerate_k_restraints(g, 1)]
+        tied = sum(k in (max(keys), min(keys)) for k in keys)
+        built = []
+        real = restraints.Restraint
+        monkeypatch.setattr(restraints, "Restraint", lambda sets: built.append(sets) or real(sets))
+        rep = find_extremal(g, 1)
+        assert len(built) == tied < rep.class_count
+
     def test_tied_winners_share_polynomial(self):
         # disconnected graphs tie: any per-component constant is minimal
         g = Graph(3, [(0, 1)])
@@ -237,14 +253,14 @@ class TestProperCoefficientAgreement:
     def test_top_three_match_across_proper_classes(self):
         # proper simple restraints on one graph share the three leading
         # values; raw normal-form candidates suffice (no dedup needed)
-        from restchroma.restraints import _normal_form_assignments
-        from restchroma import Restraint
+        from restchroma.restraints import _normal_form_masks
+        from conftest import restraint_of
 
         for n in range(3, 7):
             for g in all_connected_graphs(n):
                 seen = set()
-                for sets in _normal_form_assignments(g.n, 1):
-                    r = Restraint(sets)
+                for masks in _normal_form_masks(g.n, 1):
+                    r = restraint_of(masks, g.n)
                     if is_proper(g, r):
                         seen.add((coeff_n1(g, r), coeff_n2(g, r)))
                 assert len(seen) == 1

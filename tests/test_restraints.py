@@ -21,6 +21,8 @@ from restchroma import (
     path_graph,
     render_restraint,
 )
+from restchroma.restraints import _normal_form_masks
+from conftest import restraint_of
 
 R = parse_restraint
 
@@ -179,19 +181,37 @@ class TestEnumeration:
         # canonicalising every normal-form candidate separately finds, and a
         # relabelled graph (a different candidate order relative to its
         # automorphisms) gives the same class count
-        from restchroma.restraints import _normal_form_assignments
-
         rng = random.Random(5)
         cases = [(g, 1) for g in connected_catalog(5)] + [(g, 2) for g in connected_catalog(4)]
         cases += [(complete_bipartite_graph(2, 5), 1), (complete_graph(5), 2)]
         for g, k in cases:
             classes = enumerate_k_restraints(g, k)
-            reference = sorted({canonicalize(g, Restraint(s)).canon for s in _normal_form_assignments(g.n, k)})
+            reference = sorted({
+                canonicalize(g, restraint_of(masks, g.n)).canon for masks in _normal_form_masks(g.n, k)
+            })
             assert [cls.canon for cls in classes] == reference
             perm = list(range(g.n))
             rng.shuffle(perm)
             relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             assert len(enumerate_k_restraints(relabelled, k)) == len(classes)
+
+    def test_normal_forms_at_k1_are_set_partitions(self):
+        # first-use normal forms of 1-restraints are the set partitions of
+        # the vertices, so there are Bell(n) of them
+        bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+        for n in range(9):
+            forms = list(_normal_form_masks(n, 1))
+            assert len(forms) == bell[n]
+            assert len(set(forms)) == len(forms)
+            for masks in forms:
+                assert all(sum(m >> v & 1 for m in masks) == 1 for v in range(n))
+
+    def test_normal_forms_at_k2_cover_each_vertex_twice(self):
+        for n in range(5):
+            forms = list(_normal_form_masks(n, 2))
+            assert len(set(forms)) == len(forms)
+            for masks in forms:
+                assert all(sum(m >> v & 1 for m in masks) == 2 for v in range(n))
 
     def test_caps(self):
         with pytest.raises(CapError):

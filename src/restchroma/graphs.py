@@ -3,8 +3,8 @@
 Vertices are 0..n-1; edges are unordered pairs stored as sorted tuples.
 Graph values are immutable after construction.  Includes generators for
 the standard small families, edge-list and graph6 ingestion, and an
-exhaustive connected-graph catalog with isomorphism rejection (desk
-scale, n <= 7 or so).
+exhaustive connected-graph catalog built by vertex extension, each class
+named by its smallest-edge-mask labelling (desk scale, n <= 7).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class SubgraphCensus:
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_autos", "_wl")
+    __slots__ = ("n", "edges", "_adj", "_autos")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -62,7 +62,6 @@ class Graph:
         self.edges: frozenset[Edge] = frozenset(norm)
         self._adj: tuple[int, ...] | None = None
         self._autos: list[tuple[int, ...]] | None = None
-        self._wl: tuple[int, ...] | None = None
 
     # -- basics -----------------------------------------------------------
 
@@ -188,9 +187,7 @@ def _triangles(g: Graph) -> int:
 
 
 def _wl_colors(g: Graph) -> tuple[int, ...]:
-    """Stable colour refinement classes (degree-based, iterated), cached on g."""
-    if g._wl is not None:
-        return g._wl
+    """Stable colour refinement classes (degree-based, iterated)."""
     adj = g.adjacency_masks()
     colors = [bin(adj[v]).count("1") for v in range(g.n)]
     while True:
@@ -201,8 +198,7 @@ def _wl_colors(g: Graph) -> tuple[int, ...]:
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [palette[s] for s in sigs]
         if new == colors:
-            g._wl = tuple(colors)
-            return g._wl
+            return tuple(colors)
         colors = new
 
 
@@ -213,7 +209,8 @@ def _isomorphisms(g: Graph, h: Graph, find_all: bool) -> list[tuple[int, ...]]:
     """
     if g.n != h.n or g.m != h.m:
         return []
-    cg, ch = _wl_colors(g), _wl_colors(h)
+    cg = _wl_colors(g)
+    ch = cg if h is g else _wl_colors(h)
     if sorted(cg) != sorted(ch):
         return []
     adj_g, adj_h = g.adjacency_masks(), h.adjacency_masks()
@@ -442,42 +439,43 @@ def load_graph(source: str) -> Graph:
 # -- exhaustive small-graph catalog ------------------------------------------------
 
 
-_CONNECTED_CACHE: dict[int, list[Graph]] = {}
+_CONNECTED_CACHE: dict[int, list[Graph]] = {1: [Graph(1)]}
+
+
+def _min_mask_form(n: int, adj: list[int]) -> Graph:
+    """The labelling of (n, adj) with the smallest edge mask, bit i standing
+    for the i-th pair of combinations(range(n), 2).  Pairs (i, j) with larger
+    i are the more significant, so labels go out from n-1 downward, and each
+    level keeps the partial labellings whose new row (adjacency to the
+    labelled vertices, highest label first) is smallest."""
+    # (vertices by label up to n-1, the row of each unlabelled vertex)
+    partials = [((v,), {w: adj[w] >> v & 1 for w in range(n) if w != v}) for v in range(n)]
+    for _ in range(n - 1):
+        best = min(min(rows.values()) for _, rows in partials)
+        partials = [((w,) + p, {u: r << 1 | adj[u] >> w & 1 for u, r in rows.items() if u != w})
+                    for p, rows in partials for w, row in rows.items() if row == best]
+    order = partials[0][0]
+    return Graph(n, [(i, j) for j in range(n) for i in range(j) if adj[order[i]] >> order[j] & 1])
 
 
 def all_connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
-    Exhaustive edge-mask sweep with invariant bucketing and backtracking
-    isomorphism rejection; intended for n <= 7.
+    Each is a connected (n-1)-vertex graph plus a non-cut vertex with a
+    nonempty neighbourhood, named by its smallest-edge-mask labelling, so
+    no isomorphism test is made; desk scale up to n = 7.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n in _CONNECTED_CACHE:
-        return list(_CONNECTED_CACHE[n])
-    pairs = list(combinations(range(n), 2))
-    buckets: dict[tuple, list[Graph]] = {}
-    reps: list[Graph] = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = Graph(n, edges)
-        if not g.is_connected():
-            continue
-        colors = _wl_colors(g)
-        key = (g.m, tuple(sorted(colors)), _triangles(g))
-        bucket = buckets.setdefault(key, [])
-        if any(is_isomorphic(g, rep) for rep in bucket):
-            continue
-        bucket.append(g)
-        reps.append(g)
-    reps.sort(key=lambda g: (g.m, to_graph6(g)))
-    _CONNECTED_CACHE[n] = reps
-    return list(reps)
+    if n not in _CONNECTED_CACHE:
+        reps = {_min_mask_form(n, [a | (s >> v & 1) << (n - 1) for v, a in enumerate(g.adjacency_masks())] + [s])
+                for g in all_connected_graphs(n - 1) for s in range(1, 1 << (n - 1))}
+        _CONNECTED_CACHE[n] = sorted(reps, key=lambda g: (g.m, to_graph6(g)))
+    return list(_CONNECTED_CACHE[n])
 
 
 def connected_catalog(n_max: int) -> list[Graph]:
     """Connected graphs with 1..n_max vertices, one per isomorphism class."""
-    out: list[Graph] = []
-    for n in range(1, n_max + 1):
-        out.extend(all_connected_graphs(n))
-    return out
+    if n_max < 1:
+        raise ValueError("catalog needs n_max >= 1")
+    return [g for n in range(1, n_max + 1) for g in all_connected_graphs(n)]

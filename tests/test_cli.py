@@ -225,6 +225,13 @@ class TestVerify:
         assert obj["violations"] == 0
         assert [rec["skipped"] for rec in obj["records"]] == ["not connected"]
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_empty_catalog_rejected(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "--theorem", "min", "--n-max", n_max)
+        assert code == 2
+        assert out == ""
+        assert "n_max" in err
+
 
 class TestConjecture:
     def test_n7(self, capsys):

@@ -1,8 +1,11 @@
 import hashlib
 import random
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
+from restchroma import graphs as graphs_module
 from restchroma import (
     CapError,
     Graph,
@@ -10,6 +13,7 @@ from restchroma import (
     all_connected_graphs,
     complete_bipartite_graph,
     complete_graph,
+    connected_bipartite_catalog,
     connected_catalog,
     cycle_graph,
     empty_graph,
@@ -71,8 +75,6 @@ class TestCensus:
         # triangles double-checked from edge common-neighbour sums, K4s from
         # triangle extensions, induced C4s from explicit isomorphism tests;
         # exhaustive through n=4, sampled at n=5 and 6
-        from itertools import combinations
-
         rng = random.Random(5)
         graphs = [random_graph(rng, max_n=6) for _ in range(40)]
         graphs += all_connected_graphs(5)
@@ -126,6 +128,13 @@ class TestAutomorphisms:
         for a in g.automorphisms():
             for u, v in g.edges:
                 assert tuple(sorted((a[u], a[v]))) in g.edges
+
+    def test_colour_refinement_runs_once(self, monkeypatch):
+        calls = []
+        refine = graphs_module._wl_colors
+        monkeypatch.setattr(graphs_module, "_wl_colors", lambda g: calls.append(g) or refine(g))
+        assert len(cycle_graph(5).automorphisms()) == 10
+        assert len(calls) == 1
 
     def test_cap(self):
         with pytest.raises(CapError):
@@ -235,11 +244,46 @@ class TestEdgeList:
             parse_edgelist("0 1\n1 2\n")
 
 
+def masks_by_relabelling(g):
+    """Edge mask of each labelling of g, g's own first: bit i stands for the
+    i-th pair of combinations(range(g.n), 2)."""
+    bit = {pair: 1 << i for i, pair in enumerate(combinations(range(g.n), 2))}
+    return [sum(bit[tuple(sorted((p[u], p[v])))] for u, v in g.edges) for p in permutations(range(g.n))]
+
+
 class TestCatalog:
     def test_connected_counts(self):
-        expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
-        for n, count in expected.items():
+        # OEIS A001349
+        for n, count in enumerate([1, 1, 2, 6, 21, 112, 853], 1):
             assert len(all_connected_graphs(n)) == count
+
+    def test_bipartite_counts(self):
+        # OEIS A005142
+        sizes = Counter(g.n for g in connected_bipartite_catalog(7))
+        assert [sizes[n] for n in range(1, 8)] == [1, 1, 1, 3, 5, 17, 44]
+
+    def test_empty_catalog_rejected(self):
+        for n_max in (0, -3):
+            with pytest.raises(ValueError):
+                connected_catalog(n_max)
+
+    def test_representatives_have_the_smallest_mask(self):
+        # brute force over all n! labellings: each representative carries its
+        # class's smallest edge mask, and no two representatives share one
+        own = set()
+        for g in connected_catalog(6):
+            masks = masks_by_relabelling(g)
+            assert min(masks) == masks[0]
+            own.add((g.n, masks[0]))
+        assert len(own) == 143
+
+    def test_catalog_makes_no_isomorphism_test(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("isomorphism test on the catalog path")
+
+        monkeypatch.setattr(graphs_module, "_CONNECTED_CACHE", {1: [Graph(1)]})
+        monkeypatch.setattr(graphs_module, "_isomorphisms", refuse)
+        assert len(connected_catalog(6)) == 143
 
     def test_all_connected_and_nonisomorphic(self):
         graphs = all_connected_graphs(5)

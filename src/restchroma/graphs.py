@@ -91,7 +91,7 @@ class Graph:
     # -- connectivity ---------------------------------------------------------
 
     def is_connected(self) -> bool:
-        return len(component_vertices(self.n, self.edges)) <= 1
+        return len(component_vertices(self.adjacency_masks())) <= 1
 
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """BFS 2-colouring of a connected graph.
@@ -159,15 +159,11 @@ class Graph:
         return list(self._autos)
 
 
-def component_vertices(n: int, edges) -> list[tuple[int, ...]]:
+def component_vertices(adj) -> list[tuple[int, ...]]:
     """Increasing vertex tuples of the connected components of the graph
-    (n, edges), ordered by their smallest vertex."""
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    with neighbour bitmasks adj, ordered by their smallest vertex."""
     out = []
-    left = (1 << n) - 1
+    left = (1 << len(adj)) - 1
     while left:
         comp = frontier = left & -left
         while frontier:
@@ -176,7 +172,7 @@ def component_vertices(n: int, edges) -> list[tuple[int, ...]]:
             comp |= reach
             frontier = (frontier ^ low) | reach
         left &= ~comp
-        out.append(tuple(v for v in range(n) if comp >> v & 1))
+        out.append(tuple(v for v in range(len(adj)) if comp >> v & 1))
     return out
 
 

@@ -30,9 +30,17 @@ class IntPolynomial:
     @classmethod
     def from_roots(cls, roots: Iterable[int]) -> "IntPolynomial":
         """Product of (x - a) over the given integers (1 for an empty list)."""
-        p = cls.one()
+        cs = [1]
         for a in roots:
-            p = p * cls((-int(a), 1))
+            a = int(a)
+            cs = [lower - a * c for lower, c in zip([0] + cs, cs + [0])]
+        return cls._trusted(tuple(cs))
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> "IntPolynomial":
+        """Wrap a tuple of ints without a trailing zero, unchecked."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
         return p
 
     # -- basic queries ----------------------------------------------------
@@ -62,20 +70,25 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = [c - d for c, d in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else [-d for d in b[len(a):]]
+        while out and out[-1] == 0:
+            out.pop()
+        return IntPolynomial._trusted(tuple(out))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        a, b = self.coeffs, other.coeffs
+        if not (a and b):
+            return IntPolynomial._trusted(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b, i):
+                    out[j] += c * d
+        # the leading product is nonzero, so nothing needs trimming
+        return IntPolynomial._trusted(tuple(out))
 
     # -- evaluation ---------------------------------------------------------
 

@@ -48,3 +48,12 @@ def random_restraint(rng: random.Random, n: int, max_colour: int = 6, max_size: 
 def restraint_of(masks, n: int) -> Restraint:
     """The restraint forbidding colour j + 1 wherever masks[j] has its bit."""
     return Restraint([[j + 1 for j, m in enumerate(masks) if m >> v & 1] for v in range(n)])
+
+
+def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 0) -> Graph:
+    """A random spanning tree on n vertices plus extra_edges more edges, randomly labelled."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = {tuple(sorted((label[v], label[rng.randrange(v)]))) for v in range(1, n)}
+    edges |= set(rng.sample([e for e in combinations(range(n), 2) if e not in edges], extra_edges))
+    return Graph(n, edges)

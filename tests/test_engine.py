@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -28,9 +30,10 @@ from restchroma import (
     restrained_poly,
     shared_pair_overlap,
     star_graph,
+    to_graph6,
 )
 from restchroma.engine import ORACLE_WORK_BUDGET
-from conftest import random_graph, random_restraint
+from conftest import random_connected_graph, random_graph, random_restraint
 
 R = parse_restraint
 
@@ -220,6 +223,101 @@ class TestPolynomialMeaning:
                 assert c == 0 or (c > 0) == (i % 2 == 0)
             if g.m + sum(r.sizes()) > 0:
                 assert -p.coefficient(g.n - 1) > 0
+
+
+def first_pendant(g: Graph):
+    """(v, u) for the lowest vertex v of degree 1 and its neighbour u, or None."""
+    adj = g.adjacency_masks()
+    return next(((v, a.bit_length() - 1) for v, a in enumerate(adj) if a and not a & a - 1), None)
+
+
+def catalog_coefficient_mismatches(n_max: int) -> list:
+    """(graph6, restraint) pairs on connected_catalog(n_max) whose top three
+    coefficients disagree with coeff_n1, coeff_n2 and coeff_n3.
+
+    Each graph gets one seeded k = 1 and one k = 2 restraint, drawn from
+    colours 1..k + 2 so that neighbouring sets overlap."""
+    rng = random.Random(61)
+    bad = []
+    for g in connected_catalog(n_max):
+        n = g.n
+        for k in (1, 2):
+            r = Restraint(rng.sample(range(1, k + 3), k) for _ in range(n))
+            p = restrained_poly(g, r)
+            formulas = (coeff_n1, coeff_n2, lambda g, r: coeff_n3(g, r).a_n_3)[:n]
+            top = [(-1) ** d * p.coefficient(n - d) for d in range(1, len(formulas) + 1)]
+            if top != [f(g, r) for f in formulas]:
+                bad.append((to_graph6(g), r))
+    return bad
+
+
+class TestPeeling:
+    """Isolated and pendant vertices are peeled before any pivot is consulted."""
+
+    def test_pendant_rule_matches_oracle(self):
+        # trees, forests and unicyclic graphs with pendant paths; the first
+        # pendant v on u is peeled first, with s_v inside s_u or not.  The
+        # counter's leaves grow as (m + n)**n, so n = 7 is rare and m small
+        rng = random.Random(67)
+        inside = outside = 0
+        for i in range(36):
+            n = 7 if i % 12 == 5 else rng.randint(3, 6)
+            g = random_connected_graph(rng, n, extra_edges=1 if i % 3 == 2 else 0)
+            if i % 3 == 1:
+                g = Graph(n, rng.sample(sorted(g.edges), rng.randint(1, n - 2)))
+            r = random_restraint(rng, n, max_colour={7: 1, 6: 2}.get(n, 3), max_size=2)
+            pendant = first_pendant(g)
+            if pendant:
+                v, u = pendant
+                inside += r[v] <= r[u]
+                outside += not r[v] <= r[u]
+            m = r.m_value()
+            p = restrained_poly(g, r)
+            xs = range(m, m + n + 1)
+            assert [p.evaluate(x) for x in xs] == [count_colourings(g, r, x) for x in xs], (g, r)
+        assert inside and outside
+
+    def test_small_cases(self):
+        assert restrained_poly(Graph(0), R("[]")) == IntPolynomial.one()
+        assert restrained_poly(Graph(1), R("[{4,9}]")) == IntPolynomial([-2, 1])
+        assert restrained_poly(empty_graph(3), R("[{},{1,2,3},{2}]")) == IntPolynomial.from_roots([0, 3, 1])
+
+    def test_pivot_never_consulted_on_a_forest(self):
+        def refuse(edges):
+            raise AssertionError(f"pivot consulted on {edges}")
+
+        rng = random.Random(71)
+        for _ in range(20):
+            n = rng.randint(1, 10)
+            g = random_connected_graph(rng, n)
+            g = Graph(n, rng.sample(sorted(g.edges), rng.randint(0, n - 1)))
+            r = random_restraint(rng, n, max_colour=4)
+            assert restrained_poly(g, r, pivot=refuse) == restrained_poly(g, r)
+
+    def test_colours_renamed_to_bits(self, c7):
+        # a colour of 10**9 would be a 10**9-bit mask without the renaming
+        memo = MemoCache()
+        huge = restrained_poly(c7, R("[{1},{2},{1},{2},{1000000000},{1},{1000000000}]"), cache=memo)
+        assert huge == restrained_poly(c7, R("[{1},{2},{1},{2},{3},{1},{3}]"))
+        assert max(s.bit_length() for _, _, sets in memo._table for s in sets) == 3
+
+    def test_sparse_queries_pinned(self):
+        # 40 connected graphs on 9..12 vertices with cyclomatic number 4, as
+        # in the poly-queries benchmark; digest taken from the edge-list
+        # recursion that had no peeling rules
+        rng = random.Random(59)
+        coeffs = []
+        for i in range(40):
+            n, k = 9 + i % 4, 1 + i // 4 % 2
+            g = random_connected_graph(rng, n, extra_edges=4)
+            r = Restraint(rng.sample(range(1, k + 3), k) for _ in range(n))
+            coeffs.append(list(restrained_poly(g, r).coeffs))
+        digest = hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()
+        assert digest == "423ef4304dbca0ec05e22039538e48396f7e58df8cbca40beb0867478861ba1a"
+
+    def test_catalog_top_coefficients(self):
+        # CI runs the same check over connected_catalog(7)
+        assert catalog_coefficient_mismatches(6) == []
 
 
 class TestMemoCache:

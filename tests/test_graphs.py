@@ -144,21 +144,21 @@ class TestAutomorphisms:
 
 class TestComponents:
     def test_disjoint_union(self):
-        triangle_and_edge = [(0, 1), (0, 2), (1, 2), (3, 4)]
-        assert component_vertices(5, triangle_and_edge) == [(0, 1, 2), (3, 4)]
+        triangle_and_edge = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        assert component_vertices(triangle_and_edge.adjacency_masks()) == [(0, 1, 2), (3, 4)]
 
     def test_connected_graph_is_single_component(self):
         g = cycle_graph(5)
-        assert component_vertices(g.n, g.edges) == [(0, 1, 2, 3, 4)]
+        assert component_vertices(g.adjacency_masks()) == [(0, 1, 2, 3, 4)]
 
     def test_empty_graph_splits_into_singletons(self):
-        assert component_vertices(3, []) == [(0,), (1,), (2,)]
+        assert component_vertices((0, 0, 0)) == [(0,), (1,), (2,)]
 
     def test_back_maps_preserve_edges(self):
         rng = random.Random(9)
         for _ in range(30):
             g = random_graph(rng, max_n=7, edge_prob=0.25)
-            comps = component_vertices(g.n, g.edges)
+            comps = component_vertices(g.adjacency_masks())
             assert sorted(v for verts in comps for v in verts) == list(range(g.n))
             assert all(list(verts) == sorted(verts) for verts in comps)
             assert [verts[0] for verts in comps] == sorted(verts[0] for verts in comps)

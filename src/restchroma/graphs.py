@@ -44,7 +44,7 @@ class SubgraphCensus:
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_autos")
+    __slots__ = ("n", "edges", "_adj", "_autos", "_census")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -62,6 +62,7 @@ class Graph:
         self.edges: frozenset[Edge] = frozenset(norm)
         self._adj: tuple[int, ...] | None = None
         self._autos: list[tuple[int, ...]] | None = None
+        self._census: SubgraphCensus | None = None
 
     # -- basics -----------------------------------------------------------
 
@@ -126,23 +127,26 @@ class Graph:
     # -- census -----------------------------------------------------------------
 
     def census(self) -> SubgraphCensus:
-        """Exact triangle / induced-C4 / K4 counts by exhaustive enumeration."""
-        adj = self.adjacency_masks()
-        ind_c4 = 0
-        k4 = 0
-        for quad in combinations(range(self.n), 4):
-            degs = []
-            edge_count = 0
-            for x in quad:
-                d = sum(adj[x] >> y & 1 for y in quad)
-                degs.append(d)
-                edge_count += d
-            edge_count //= 2
-            if edge_count == 6:
-                k4 += 1
-            elif edge_count == 4 and all(d == 2 for d in degs):
-                ind_c4 += 1
-        return SubgraphCensus(m=self.m, triangles=_triangles(self), induced_c4=ind_c4, k4=k4)
+        """Exact triangle / induced-C4 / K4 counts by exhaustive enumeration
+        (cached)."""
+        if self._census is None:
+            adj = self.adjacency_masks()
+            ind_c4 = 0
+            k4 = 0
+            for quad in combinations(range(self.n), 4):
+                degs = []
+                edge_count = 0
+                for x in quad:
+                    d = sum(adj[x] >> y & 1 for y in quad)
+                    degs.append(d)
+                    edge_count += d
+                edge_count //= 2
+                if edge_count == 6:
+                    k4 += 1
+                elif edge_count == 4 and all(d == 2 for d in degs):
+                    ind_c4 += 1
+            self._census = SubgraphCensus(m=self.m, triangles=_triangles(self), induced_c4=ind_c4, k4=k4)
+        return self._census
 
     # -- automorphisms --------------------------------------------------------------
 

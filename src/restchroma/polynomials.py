@@ -59,16 +59,7 @@ class IntPolynomial:
             raise ValueError("coefficient index must be nonnegative")
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
-    # -- ring arithmetic --------------------------------------------------
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
+    # -- arithmetic -------------------------------------------------------
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs

@@ -7,10 +7,14 @@ enumeration of k-restraints up to equivalence.
 
 Classes are colour incidence masks (one vertex bitmask per colour) from
 generation on; a Restraint is built from one only on demand.  Both
-canonicalisation and enumeration go through _orbit, the sorted mask tuples
-of a restraint's automorphic images: the canon is their minimum, and the
-enumeration marks a new class's whole orbit as seen, so each class is found
-once.
+canonicalisation and enumeration go through _orbit_rows, the sorted mask
+tuples of a restraint's automorphic images: the canon is their minimum, and
+the enumeration marks a new class's whole orbit as seen, so each class is
+found once.  Images are computed a whole row of automorphisms at a time:
+each vertex has a column of its image bits, one per automorphism, and a
+mask's row is its lowest bit's column ORed onto the row of the rest.  Rows
+are cached for one enumerate_k_restraints or canonicalize call, so the
+cache holds up to |Aut| ints for each distinct mask it meets.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from operator import or_
 from typing import Iterable
 
 from .graphs import CapError, Graph, ParseError
@@ -192,20 +197,33 @@ class RestraintClass:
         return render_restraint(self._colour_lists())
 
 
-def _apply_perm(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out |= 1 << perm[v]
-    return out
+def _orbit_rows(n: int, autos: list[tuple[int, ...]]):
+    """Return orbit(masks), the sorted mask tuples of a restraint's images,
+    one per automorphism in autos order (sorting is what renames the
+    colours).
 
+    Each mask's row, its image under every automorphism, is its lowest
+    bit's column ORed entrywise onto the row of the remaining bits.  Rows
+    are memoised for the life of the returned function, up to len(autos)
+    ints per distinct mask, so each mask is expanded once.
+    """
+    bits = [1 << v for v in range(n)]
+    # a single-bit mask's row is its vertex's column
+    rows = {bits[v]: [bits[p[v]] for p in autos] for v in range(n)}
 
-def _orbit(masks, autos: list[tuple[int, ...]]):
-    """Per automorphism, the sorted tuple of the permuted incidence masks
-    (sorting is what renames the colours)."""
-    for perm in autos:
-        yield tuple(sorted(_apply_perm(m, perm) for m in masks))
+    def row(mask: int) -> list[int]:
+        r = rows.get(mask)
+        if r is None:
+            low = mask & -mask
+            r = rows[mask] = list(map(or_, row(mask ^ low), rows[low]))
+        return r
+
+    def orbit(masks):
+        if not masks:
+            return [()]
+        return map(tuple, map(sorted, zip(*map(row, masks))))
+
+    return orbit
 
 
 def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
@@ -216,7 +234,8 @@ def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     for v, s in enumerate(r.sets):
         for c in s:
             masks[c] = masks.get(c, 0) | 1 << v
-    return RestraintClass(min(_orbit(masks.values(), g.automorphisms())), g.n)
+    orbit = _orbit_rows(g.n, g.automorphisms())
+    return RestraintClass(min(orbit(masks.values())), g.n)
 
 
 def _normal_form_masks(n: int, k: int):
@@ -262,13 +281,13 @@ def enumerate_k_restraints(g: Graph, k: int, n_cap: int | None = None) -> list[R
     cap = n_cap if n_cap is not None else ENUM_CAPS.get(k, DEFAULT_ENUM_CAP)
     if g.n > cap:
         raise CapError(f"enumeration cap exceeded (n={g.n} > cap={cap} for k={k})")
-    autos = g.automorphisms()
+    orbit = _orbit_rows(g.n, g.automorphisms())
     seen: set[tuple[int, ...]] = set()
     canons = []
     for masks in _normal_form_masks(g.n, k):
         if tuple(sorted(masks)) in seen:
             continue
-        orbit = set(_orbit(masks, autos))
-        seen |= orbit
-        canons.append(min(orbit))
+        images = set(orbit(masks))
+        seen |= images
+        canons.append(min(images))
     return [RestraintClass(c, g.n) for c in sorted(canons)]

@@ -1,9 +1,9 @@
 import random
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import pytest
 
-from restchroma import Graph, Restraint, cycle_graph, path_graph
+from restchroma import Graph, IntPolynomial, Restraint, cycle_graph, path_graph
 
 
 @pytest.fixture
@@ -57,3 +57,9 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 0) -> 
     edges = {tuple(sorted((label[v], label[rng.randrange(v)]))) for v in range(1, n)}
     edges |= set(rng.sample([e for e in combinations(range(n), 2) if e not in edges], extra_edges))
     return Graph(n, edges)
+
+
+def poly_sum(*terms: IntPolynomial) -> IntPolynomial:
+    """Sum of polynomials, added coefficient by coefficient (the package has
+    no + on polynomials)."""
+    return IntPolynomial(map(sum, zip_longest(*(t.coeffs for t in terms), fillvalue=0)))

@@ -71,6 +71,11 @@ class TestCensus:
         c = cycle_graph(7).census()
         assert (c.m, c.triangles, c.induced_c4, c.k4) == (7, 0, 0, 0)
 
+    def test_cached(self):
+        # the coefficient formulas each read the census, so it is computed once
+        for g in (cycle_graph(4), complete_graph(4), cycle_graph(7)):
+            assert g.census() is g.census()
+
     def test_against_independent_counts(self):
         # triangles double-checked from edge common-neighbour sums, K4s from
         # triangle extensions, induced C4s from explicit isomorphism tests;

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restchroma import IntPolynomial, elementary_symmetric
+from conftest import poly_sum
 
 
 def poly(*ascending):
@@ -65,7 +66,7 @@ class TestCompareEventually:
         # the three 3-cycle polynomials, built from their factored forms
         r1 = IntPolynomial.from_roots([1, 2, 3])
         r2 = poly(-2, 1) * poly(5, -4, 1)
-        r3 = poly(2) * poly(-2, 1) * poly(-2, 1) + poly(-2, 1) * poly(-3, 1) + poly(-3, 1) * poly(-3, 1) * poly(-3, 1)
+        r3 = poly_sum(poly(2) * poly(-2, 1) * poly(-2, 1), poly(-2, 1) * poly(-3, 1), poly(-3, 1) * poly(-3, 1) * poly(-3, 1))
         assert (r3 - r1).leading > 0
         assert (r2 - r1).leading > 0
         assert (r3 - r2).leading > 0

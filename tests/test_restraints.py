@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -15,11 +16,13 @@ from restchroma import (
     constant_restraint,
     cycle_graph,
     empty_graph,
+    empty_restraint,
     enumerate_k_restraints,
     is_proper,
     parse_restraint,
     path_graph,
     render_restraint,
+    star_graph,
 )
 from restchroma.restraints import _normal_form_masks
 from conftest import restraint_of
@@ -119,6 +122,11 @@ class TestEquivalence:
         g = empty_graph(2)
         assert canonicalize(g, Restraint([[1, 2], [2]])).canon == canonicalize(g, Restraint([[1, 2], [1]])).canon
 
+    def test_empty_restraint_canon(self, p3):
+        # no colour means no masks, and the orbit of nothing is one empty image
+        for g in (Graph(0), Graph(1), p3, complete_graph(4)):
+            assert canonicalize(g, empty_restraint(g)).canon == ()
+
     def test_automorphism_needed(self, p3):
         assert canonicalize(p3, R("[{1},{2},{2}]")).canon != canonicalize(p3, R("[{1},{2},{1}]")).canon
         # reversal of the path maps end to end
@@ -194,6 +202,30 @@ class TestEnumeration:
             rng.shuffle(perm)
             relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             assert len(enumerate_k_restraints(relabelled, k)) == len(classes)
+
+    def test_canons_match_brute_force_automorphisms(self):
+        # a reference that needs neither Graph.automorphisms nor the row
+        # cache: the automorphisms are the vertex permutations that preserve
+        # the edge set, applied to each mask bit by bit
+        cases = [(g, 1) for g in connected_catalog(5)] + [(g, 2) for g in connected_catalog(4)]
+        cases += [(complete_graph(6), 1), (star_graph(6), 1), (complete_bipartite_graph(2, 5), 1)]
+        for g, k in cases:
+            autos = [
+                p for p in permutations(range(g.n))
+                if {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == g.edges
+            ]
+            seen: set = set()
+            reference = []
+            for masks in _normal_form_masks(g.n, k):
+                if tuple(sorted(masks)) in seen:
+                    continue
+                images = {
+                    tuple(sorted(sum(1 << p[v] for v in range(g.n) if m >> v & 1) for m in masks)) for p in autos
+                }
+                seen |= images
+                reference.append(min(images))
+                assert canonicalize(g, restraint_of(masks, g.n)).canon == min(images)
+            assert [cls.canon for cls in enumerate_k_restraints(g, k)] == sorted(reference)
 
     def test_normal_forms_at_k1_are_set_partitions(self):
         # first-use normal forms of 1-restraints are the set partitions of

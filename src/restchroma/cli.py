@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 parse failure, 3 cap/budget exceeded, 4 theorem
+Exit codes: 0 success, 2 parse failure, 3 work budget exceeded, 4 theorem
 violation found by a verify run.  JSON mode emits a single top-level
 object with sorted keys, so identical invocations are byte-identical.
 """

@@ -79,12 +79,7 @@ def _gap(hi_key, lo_key, hi_poly, lo_poly, n: int) -> tuple[int, int]:
     return diff.degree, diff.leading
 
 
-def find_extremal(
-    g: Graph,
-    k: int,
-    cache: MemoCache | None = None,
-    n_cap: int | None = None,
-) -> ExtremalReport:
+def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalReport:
     """Determine the classes permitting the fewest/most colourings eventually.
 
     Every class is ranked by its closed-form top coefficients
@@ -94,7 +89,7 @@ def find_extremal(
     polynomial, so ties mean exactly equal polynomials.  Every other class's
     witness is read from the keys.
     """
-    classes = enumerate_k_restraints(g, k, n_cap=n_cap)
+    classes = enumerate_k_restraints(g, k)
     key = dominance_key(g, k)
     keys = [key(c.canon) for c in classes]
     best, worst = max(keys), min(keys)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 Edge = tuple[int, int]
 
-AUTOMORPHISM_CAP = 10
+AUTOMORPHISM_BUDGET = 50_000
 
 
 class ParseError(ValueError):
@@ -24,7 +24,7 @@ class ParseError(ValueError):
 
 
 class CapError(RuntimeError):
-    """A configured size cap or work budget was exceeded."""
+    """A work budget (normal forms, automorphisms, oracle leaves) was exceeded."""
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -150,14 +150,12 @@ class Graph:
 
     # -- automorphisms --------------------------------------------------------------
 
-    def automorphisms(self, cap: int = AUTOMORPHISM_CAP) -> list[tuple[int, ...]]:
+    def automorphisms(self) -> list[tuple[int, ...]]:
         """Full automorphism group as explicit vertex permutations.
 
-        Exhaustive backtracking with colour-refinement pruning; capped by
-        default at n = 10 since every search here is desk scale.
+        Exhaustive backtracking with colour-refinement pruning; raises
+        CapError when the group has more than AUTOMORPHISM_BUDGET elements.
         """
-        if self.n > cap:
-            raise CapError(f"graph too large for automorphism enumeration (n={self.n} > cap={cap})")
         if self._autos is None:
             self._autos = sorted(_isomorphisms(self, self, find_all=True))
         return list(self._autos)
@@ -222,6 +220,8 @@ def _isomorphisms(g: Graph, h: Graph, find_all: bool) -> list[tuple[int, ...]]:
     def extend(v: int) -> bool:
         if v == n:
             found.append(tuple(image))
+            if len(found) > AUTOMORPHISM_BUDGET:
+                raise CapError(f"automorphism budget exceeded (over {AUTOMORPHISM_BUDGET} automorphisms, n={g.n})")
             return not find_all
         for w in range(n):
             if used[w] or ch[w] != cg[v]:

@@ -22,14 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from operator import or_
 from typing import Iterable
 
 from .graphs import CapError, Graph, ParseError
 
-# Enumeration is exponential in n; these defaults keep every search desk scale.
-ENUM_CAPS = {1: 8, 2: 5}
-DEFAULT_ENUM_CAP = 4
+FORMS_BUDGET = 3_000_000
 
 
 class Restraint:
@@ -268,19 +267,34 @@ def _normal_form_masks(n: int, k: int):
     yield from rec(0)
 
 
-def enumerate_k_restraints(g: Graph, k: int, n_cap: int | None = None) -> list[RestraintClass]:
+def _normal_form_count(n: int, k: int) -> int:
+    """Number of tuples _normal_form_masks(n, k) yields.  ways[c] counts the
+    vertex prefixes that use c colours; a vertex taking t fresh colours joins
+    k - t of the c used ones."""
+    ways = [1]
+    for _ in range(n):
+        nxt = [0] * (len(ways) + k)
+        for c, w in enumerate(ways):
+            for t in range(k + 1):
+                nxt[c + t] += w * comb(c, k - t)
+        ways = nxt
+    return sum(ways)
+
+
+def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
     """One representative per equivalence class of k-restraints on g.
 
     Sweeps the first-use colour normal forms once.  The first candidate of a
     class marks the class's whole orbit as seen, so every later candidate of
     it (whose own mask tuple lies in that orbit) is skipped; the canon is the
-    orbit minimum.  Classes are returned sorted by canon.
+    orbit minimum.  Classes are returned sorted by canon.  More than
+    FORMS_BUDGET normal forms raise CapError before any automorphism is listed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cap = n_cap if n_cap is not None else ENUM_CAPS.get(k, DEFAULT_ENUM_CAP)
-    if g.n > cap:
-        raise CapError(f"enumeration cap exceeded (n={g.n} > cap={cap} for k={k})")
+    forms = _normal_form_count(g.n, k)
+    if forms > FORMS_BUDGET:
+        raise CapError(f"normal-form budget exceeded ({forms} forms for n={g.n}, k={k} > {FORMS_BUDGET})")
     orbit = _orbit_rows(g.n, g.automorphisms())
     seen: set[tuple[int, ...]] = set()
     canons = []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -133,9 +134,16 @@ class TestClasses:
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_cap_exit_code(self, capsys):
-        code, _, err = run(capsys, "classes", "--graph", "P9", "--k", "1")
-        assert code == 3
-        assert "cap" in err
+        # C4 at k=6 has 92,022,204 normal forms: refused before any sweep
+        start = time.perf_counter()
+        code, _, err = run(capsys, "classes", "--graph", "C4", "--k", "6")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "normal-form budget" in err
+        code, _, err = run(capsys, "classes", "--graph", "C13", "--k", "1")
+        assert code == 3 and "normal-form budget" in err
+        # K11's Bell(11) forms pass, its 39,916,800 automorphisms do not
+        code, _, err = run(capsys, "extremal", "--graph", "K11", "--k", "1")
+        assert code == 3 and "automorphism budget" in err
 
 
 class TestExtremal:

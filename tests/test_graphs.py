@@ -142,9 +142,11 @@ class TestAutomorphisms:
         assert len(calls) == 1
 
     def test_cap(self):
-        with pytest.raises(CapError):
-            path_graph(11).automorphisms()
-        assert len(path_graph(11).automorphisms(cap=11)) == 2
+        # the group-order budget, not n, decides: K9 has 362,880
+        # automorphisms, P11 has 2
+        with pytest.raises(CapError, match="automorphism budget"):
+            complete_graph(9).automorphisms()
+        assert len(path_graph(11).automorphisms()) == 2
 
 
 class TestComponents:

@@ -24,7 +24,7 @@ from restchroma import (
     render_restraint,
     star_graph,
 )
-from restchroma.restraints import _normal_form_masks
+from restchroma.restraints import _normal_form_count, _normal_form_masks
 from conftest import restraint_of
 
 R = parse_restraint
@@ -234,6 +234,7 @@ class TestEnumeration:
         for n in range(9):
             forms = list(_normal_form_masks(n, 1))
             assert len(forms) == bell[n]
+            assert _normal_form_count(n, 1) == len(forms)
             assert len(set(forms)) == len(forms)
             for masks in forms:
                 assert all(sum(m >> v & 1 for m in masks) == 1 for v in range(n))
@@ -241,17 +242,27 @@ class TestEnumeration:
     def test_normal_forms_at_k2_cover_each_vertex_twice(self):
         for n in range(5):
             forms = list(_normal_form_masks(n, 2))
+            assert _normal_form_count(n, 2) == len(forms)
             assert len(set(forms)) == len(forms)
             for masks in forms:
                 assert all(sum(m >> v & 1 for m in masks) == 2 for v in range(n))
 
+    def test_normal_form_counts_past_listing(self):
+        # too many forms to list here; each is within FORMS_BUDGET
+        assert _normal_form_count(11, 1) == 678_570
+        assert _normal_form_count(6, 2) == 97_191
+        assert _normal_form_count(7, 2) == 2_406_417
+        assert _normal_form_count(5, 3) == 507_622
+        assert _normal_form_count(4, 4) == 168_481
+
     def test_caps(self):
-        with pytest.raises(CapError):
-            enumerate_k_restraints(path_graph(9), 1)
-        with pytest.raises(CapError):
-            enumerate_k_restraints(path_graph(6), 2)
-        # explicit override lifts the default
-        assert enumerate_k_restraints(path_graph(6), 2, n_cap=6)
+        # the normal-form budget, not n, decides: C13 at k=1 has 27.6M forms
+        # and C4 at k=6 has 92,022,204
+        with pytest.raises(CapError, match="27644437 forms"):
+            enumerate_k_restraints(cycle_graph(13), 1)
+        with pytest.raises(CapError, match="92022204 forms"):
+            enumerate_k_restraints(cycle_graph(4), 6)
+        assert len(enumerate_k_restraints(path_graph(6), 2)) == 14_990
 
     def test_disconnected_supported(self):
         g = Graph(3, [(0, 1)])  # an edge and an isolated vertex

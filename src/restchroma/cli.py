@@ -256,9 +256,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

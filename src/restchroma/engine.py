@@ -3,16 +3,16 @@
 The central recursion follows edge deletion-contraction: deleting an edge
 keeps every forbidden set, while contracting it merges the endpoints and
 forbids the union of their sets at the merged vertex.  _rec does both
-itself, on the (n, adj, sets) triple of neighbour bitmasks and forbidden
-colour bitmasks that is also its memo key.  Before it branches it settles
-what needs no pivot: an edgeless graph gives the product of
-(x - |forbidden set|) over the vertices, isolated vertices factor out, a
-pendant vertex's edge is deleted and contracted at once (the deletion
-isolates it), and components multiply.  So the pivot edge is chosen only
-in connected subproblems of minimum degree at least 2.  The resulting
-polynomial agrees with the permitted proper-colouring count for every x at
-or above the largest forbidden colour; below that threshold the
-brute-force counter is the ground truth.
+itself, on the (adj, sets) pair of neighbour bitmasks and forbidden colour
+bitmasks that is also its memo key.  Before it branches it settles what
+needs no pivot: an edgeless graph gives the product of
+(x - |forbidden set|) over the vertices, a pendant vertex's edge is deleted
+and contracted at once (the deletion isolates it), and components multiply,
+an isolated vertex beside an edge being a component of its own.  So the
+pivot edge is chosen only in connected subproblems of minimum degree at
+least 2.  The resulting polynomial agrees with the permitted
+proper-colouring count for every x at or above the largest forbidden
+colour; below that threshold the brute-force counter is the ground truth.
 
 Also includes the closed-form coefficient formulas for the three top
 non-trivial coefficients, with the full additive term breakdown for the
@@ -86,8 +86,8 @@ def restrained_poly(
     to the edge to branch on, in either orientation (defaults to the
     lexicographically smallest, for cache reproducibility); an edge outside
     the subproblem raises ValueError.  It is consulted only on connected
-    subproblems whose minimum degree is at least 2: isolated and pendant
-    vertices are peeled first, so a forest never reaches it.
+    subproblems whose minimum degree is at least 2: pendant vertices are
+    peeled and components split first, so a forest never reaches it.
     """
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
@@ -99,7 +99,7 @@ def restrained_poly(
     # 0..C-1 in ascending order whatever their size
     bit = {c: 1 << i for i, c in enumerate(sorted(set().union(*r.sets)))}
     sets = tuple(sum(bit[c] for c in s) for s in r.sets)
-    return _rec(g.n, g.adjacency_masks(), sets, cache, pivot)
+    return _rec(g.adjacency_masks(), sets, cache, pivot)
 
 
 def _drop(adj, v: int) -> tuple:
@@ -115,43 +115,39 @@ def _induced(adj: tuple, sets: tuple, verts) -> tuple[tuple, tuple]:
     return tuple(sum(1 << at[w] for w in verts if adj[a] >> w & 1) for a in verts), tuple(sets[a] for a in verts)
 
 
-def _rec(n: int, adj: tuple, sets: tuple, memo: MemoCache, choose) -> IntPolynomial:
-    """P on the labeled subproblem (n, adj, sets), which is also its memo key.
+def _rec(adj: tuple, sets: tuple, memo: MemoCache, choose) -> IntPolynomial:
+    """P on the labeled subproblem (adj, sets), which is also its memo key.
 
     adj holds each vertex's neighbour bitmask and sets its forbidden colours
     as a bitmask.  At a miss the first rule that applies decides: with no
-    edges P is the product of (x - |s_v|); isolated vertices are factored
-    out; a pendant vertex is peeled (_peel); components multiply; otherwise
-    the pivot edge is deleted and contracted (_branch).
+    edges P is the product of (x - |s_v|); a pendant vertex is peeled
+    (_peel); components multiply, an isolated vertex being a component of
+    its own; otherwise the pivot edge is deleted and contracted (_branch).
     """
-    key = (n, adj, sets)
+    key = (adj, sets)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if not any(adj):
         poly = IntPolynomial.from_roots(s.bit_count() for s in sets)
-    elif 0 in adj:
-        kept = [v for v, a in enumerate(adj) if a]
-        poly = IntPolynomial.from_roots(s.bit_count() for s, a in zip(sets, adj) if not a) * _rec(
-            len(kept), *_induced(adj, sets, kept), memo, choose)
     else:
         for v, a in enumerate(adj):
-            if not a & a - 1:
-                poly = _peel(n, adj, sets, v, memo, choose)
+            if a and not a & a - 1:
+                poly = _peel(adj, sets, v, memo, choose)
                 break
         else:
             comps = component_vertices(adj)
             if len(comps) > 1:
                 poly = IntPolynomial.one()
                 for verts in comps:
-                    poly = poly * _rec(len(verts), *_induced(adj, sets, verts), memo, choose)
+                    poly = poly * _rec(*_induced(adj, sets, verts), memo, choose)
             else:
-                poly = _branch(n, adj, sets, memo, choose)
+                poly = _branch(adj, sets, memo, choose)
     memo.put(key, poly)
     return poly
 
 
-def _peel(n: int, adj: tuple, sets: tuple, v: int, memo: MemoCache, choose) -> IntPolynomial:
+def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache, choose) -> IntPolynomial:
     """Delete and contract the edge of pendant vertex v, whose deletion isolates v.
 
     With u the neighbour of v, P = (x - |s_v|) P(G - v) - P(G - v, s_u | s_v),
@@ -161,18 +157,19 @@ def _peel(n: int, adj: tuple, sets: tuple, v: int, memo: MemoCache, choose) -> I
     sv, su = sets[v], sets[u]
     rest, rest_sets = _drop(adj, v), sets[:v] + sets[v + 1:]
     if sv & su == sv:
-        return IntPolynomial.from_roots((sv.bit_count() + 1,)) * _rec(n - 1, rest, rest_sets, memo, choose)
+        return IntPolynomial.from_roots((sv.bit_count() + 1,)) * _rec(rest, rest_sets, memo, choose)
     w = u - (u > v)
     merged = rest_sets[:w] + (su | sv,) + rest_sets[w + 1:]
-    return IntPolynomial.from_roots((sv.bit_count(),)) * _rec(n - 1, rest, rest_sets, memo, choose) - _rec(
-        n - 1, rest, merged, memo, choose)
+    return IntPolynomial.from_roots((sv.bit_count(),)) * _rec(rest, rest_sets, memo, choose) - _rec(
+        rest, merged, memo, choose)
 
 
-def _branch(n: int, adj: tuple, sets: tuple, memo: MemoCache, choose) -> IntPolynomial:
+def _branch(adj: tuple, sets: tuple, memo: MemoCache, choose) -> IntPolynomial:
     """Delete and contract the pivot edge (u, v), u < v, merging v into u."""
     if choose is None:
         u, v = 0, (adj[0] & -adj[0]).bit_length() - 1
     else:
+        n = len(adj)
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1]
         u, v = sorted(choose(edges))
         if not (0 <= u < n and adj[u] >> v & 1):
@@ -184,7 +181,7 @@ def _branch(n: int, adj: tuple, sets: tuple, memo: MemoCache, choose) -> IntPoly
     merged = [a ^ bv | bu if a & bv else a for a in adj]
     merged[u] = (adj[u] | adj[v]) & ~(bu | bv)
     moved = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
-    return _rec(n, tuple(deleted), sets, memo, choose) - _rec(n - 1, _drop(merged, v), moved, memo, choose)
+    return _rec(tuple(deleted), sets, memo, choose) - _rec(_drop(merged, v), moved, memo, choose)
 
 
 def count_colourings(g: Graph, r: Restraint, x: int) -> int:

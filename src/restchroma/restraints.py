@@ -39,10 +39,10 @@ class Restraint:
     def __init__(self, sets: Iterable[Iterable[int]]):
         norm = []
         for s in sets:
-            fs = frozenset(int(c) for c in s)
-            if any(c < 1 for c in fs):
+            s = tuple(s)
+            if not all(type(c) is int and c > 0 for c in s):
                 raise ValueError("colours must be positive integers")
-            norm.append(fs)
+            norm.append(frozenset(s))
         self.sets: tuple[frozenset[int], ...] = tuple(norm)
 
     def __len__(self) -> int:
@@ -124,47 +124,21 @@ def render_restraint(sets: Iterable[Iterable[int]]) -> str:
 
 
 def parse_restraint(text: str) -> Restraint:
-    """Parse the literal syntax '[{1},{2},{1,3}]' or JSON '[[1],[2],[1,3]]'."""
+    """Parse the literal syntax '[{1},{2},{1,3}]' or JSON '[[1],[2],[1,3]]'.
+
+    The literal is JSON with braces in place of the inner brackets, so
+    both forms go through one json.loads once braces become brackets.
+    """
     s = text.strip()
-    if not s:
-        raise ParseError("empty restraint input")
-    if "{" not in s:
-        # JSON form: array of arrays of integers
-        try:
-            data = json.loads(s)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad restraint input {text!r}") from exc
-        if not isinstance(data, list) or not all(isinstance(item, list) for item in data):
-            raise ParseError("restraint JSON must be an array of arrays of integers")
-        try:
-            return Restraint(data)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad restraint JSON: {exc}") from exc
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ParseError(f"restraint literal must look like [{{1}},{{2}}], got {text!r}")
-    body = s[1:-1].strip()
-    sets: list[list[int]] = []
-    i = 0
-    while i < len(body):
-        if body[i] in ", \t":
-            i += 1
-            continue
-        if body[i] != "{":
-            raise ParseError(f"expected '{{' at position {i} of {text!r}")
-        j = body.find("}", i)
-        if j == -1:
-            raise ParseError(f"unclosed set in {text!r}")
-        inner = body[i + 1:j].strip()
-        try:
-            colours = [int(tok) for tok in inner.split(",") if tok.strip()] if inner else []
-        except ValueError as exc:
-            raise ParseError(f"bad colour in {text!r}: {exc}") from exc
-        sets.append(colours)
-        i = j + 1
+    if not s.startswith("["):
+        raise ParseError(f"restraint must look like [{{1}},{{2}}] or [[1],[2]], got {text!r}")
     try:
-        return Restraint(sets)
-    except ValueError as exc:
-        raise ParseError(f"bad restraint literal: {exc}") from exc
+        data = json.loads(s.replace("{", "[").replace("}", "]"))
+        if not all(isinstance(item, list) for item in data):
+            raise ValueError("expected a list of colour sets")
+        return Restraint(data)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ParseError(f"bad restraint {text!r}: {exc}") from exc
 
 
 # -- equivalence classes ------------------------------------------------------------

@@ -265,8 +265,10 @@ class TestErrorsAndDeterminism:
         assert "error" in err
 
     def test_bad_restraint_exit_code(self, capsys):
-        code, _, _ = run(capsys, "poly", "--graph", "C3", "--restraint", "[{1}]")
-        assert code == 2
+        for bad in ["[{1}]", "[[1.5],[2],[3]]", "[[[1]],[2],[3]]"]:
+            code, _, err = run(capsys, "poly", "--graph", "C3", "--restraint", bad)
+            assert code == 2
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_byte_identical_output(self, capsys):
         args = ("extremal", "--graph", "C4", "--k", "1", "--json")

@@ -252,14 +252,15 @@ def catalog_coefficient_mismatches(n_max: int) -> list:
 
 
 class TestPeeling:
-    """Isolated and pendant vertices are peeled before any pivot is consulted."""
+    """Pendant vertices are peeled and components split before any pivot is consulted."""
 
     def test_pendant_rule_matches_oracle(self):
         # trees, forests and unicyclic graphs with pendant paths; the first
-        # pendant v on u is peeled first, with s_v inside s_u or not.  The
-        # counter's leaves grow as (m + n)**n, so n = 7 is rare and m small
+        # pendant v on u is peeled first, with s_v inside s_u or not, and
+        # some forests keep an isolated vertex beside an edge.  The counter's
+        # leaves grow as (m + n)**n, so n = 7 is rare and m small
         rng = random.Random(67)
-        inside = outside = 0
+        inside = outside = isolated = 0
         for i in range(36):
             n = 7 if i % 12 == 5 else rng.randint(3, 6)
             g = random_connected_graph(rng, n, extra_edges=1 if i % 3 == 2 else 0)
@@ -271,11 +272,12 @@ class TestPeeling:
                 v, u = pendant
                 inside += r[v] <= r[u]
                 outside += not r[v] <= r[u]
+            isolated += g.m > 0 and 0 in g.adjacency_masks()
             m = r.m_value()
             p = restrained_poly(g, r)
             xs = range(m, m + n + 1)
             assert [p.evaluate(x) for x in xs] == [count_colourings(g, r, x) for x in xs], (g, r)
-        assert inside and outside
+        assert inside and outside and isolated
 
     def test_small_cases(self):
         assert restrained_poly(Graph(0), R("[]")) == IntPolynomial.one()
@@ -299,7 +301,7 @@ class TestPeeling:
         memo = MemoCache()
         huge = restrained_poly(c7, R("[{1},{2},{1},{2},{1000000000},{1},{1000000000}]"), cache=memo)
         assert huge == restrained_poly(c7, R("[{1},{2},{1},{2},{3},{1},{3}]"))
-        assert max(s.bit_length() for _, _, sets in memo._table for s in sets) == 3
+        assert max(s.bit_length() for _, sets in memo._table for s in sets) == 3
 
     def test_sparse_queries_pinned(self):
         # 40 connected graphs on 9..12 vertices with cyclomatic number 4, as

@@ -37,8 +37,9 @@ class TestRestraintValue:
         assert R("[{1,7},{2}]").m_value() == 7
 
     def test_rejects_nonpositive_colours(self):
-        with pytest.raises(ValueError):
-            Restraint([[0]])
+        for sets in [[[0]], [[1.5]], [[True]], [["3"]]]:
+            with pytest.raises(ValueError):
+                Restraint(sets)
 
 
 class TestLiteralSyntax:
@@ -49,14 +50,27 @@ class TestLiteralSyntax:
     def test_json_form(self):
         r = R("[[1],[2],[1,3]]")
         assert r == R("[{1},{2},{1,3}]")
+        assert r == R("[[1],\n {2}, {1, 3}]")
 
     def test_empty_sets(self):
         assert R("[{},{}]").sizes() == (0, 0)
 
     def test_rejects_garbage(self):
-        for bad in ["", "nope", "[{1}", "[{a}]", "[1,2]"]:
+        for bad in ["", "nope", "[{1}", "[{a}]", "[1,2]", "[[1.5],[2]]", "[[true],[2]]", '[["3"],[2]]',
+                    "[[null],[2]]", "[[[1]],[2]]", "{{1},{2}}", "[{0}]", "[{1} {2}]", "[{1,},{2}]",
+                    "[{1},,{2}]", '[""]', "[" * 100_000]:
             with pytest.raises(ParseError):
                 R(bad)
+
+    def test_class_ids_round_trip(self):
+        # the store reader and the a7 check parse class ids back
+        for n, k in [(5, 1), (4, 2)]:
+            for g in connected_catalog(n):
+                for cls in enumerate_k_restraints(g, k):
+                    cid = cls.class_id()
+                    r = R(cid)
+                    assert r == cls.representative == R(cid.replace("{", "[").replace("}", "]"))
+                    assert render_restraint(r) == cid
 
 
 class TestConstructions:

@@ -27,6 +27,17 @@ class CapError(RuntimeError):
     """A work budget (normal forms, automorphisms, oracle leaves) was exceeded."""
 
 
+QUOTE_CHARS = 40
+
+
+def quote_input(text: str) -> str:
+    """repr(text) for an error message; text longer than QUOTE_CHARS is cut
+    to that prefix and followed by its length, so the message stays short."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
 def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
@@ -293,7 +304,7 @@ def from_name(name: str) -> Graph:
     """Build a standard graph from a short name: C5, P4, K6, K2,3, S3, E4."""
     name = name.strip()
     if len(name) < 2 or name[0] not in _NAMED_PREFIXES:
-        raise ParseError(f"unknown graph name {name!r}")
+        raise ParseError(f"unknown graph name {quote_input(name)}")
     kind, rest = name[0], name[1:]
     try:
         if kind == "K" and "," in rest:
@@ -311,8 +322,8 @@ def from_name(name: str) -> Graph:
         if kind == "E":
             return empty_graph(size)
     except ValueError as exc:
-        raise ParseError(f"bad graph name {name!r}: {exc}") from exc
-    raise ParseError(f"unknown graph name {name!r}")
+        raise ParseError(f"bad graph name {quote_input(name)}: {exc}") from exc
+    raise ParseError(f"unknown graph name {quote_input(name)}")
 
 
 # -- ingestion ------------------------------------------------------------------
@@ -330,11 +341,11 @@ def parse_edgelist(text: str) -> Graph:
         raise ParseError("empty edge-list input")
     header = lines[0].split()
     if len(header) != 2 or header[0] != "n":
-        raise ParseError(f"edge-list header must be 'n <count>', got {lines[0]!r}")
+        raise ParseError(f"edge-list header must be 'n <count>', got {quote_input(lines[0])}")
     try:
         n = int(header[1])
     except ValueError as exc:
-        raise ParseError(f"bad vertex count {header[1]!r}") from exc
+        raise ParseError(f"bad vertex count {quote_input(header[1])}") from exc
     if n < 0:
         raise ParseError("vertex count must be nonnegative")
     edges: list[Edge] = []
@@ -342,11 +353,11 @@ def parse_edgelist(text: str) -> Graph:
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise ParseError(f"bad edge line {ln!r}")
+            raise ParseError(f"bad edge line {quote_input(ln)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ParseError(f"bad edge line {ln!r}") from exc
+            raise ParseError(f"bad edge line {quote_input(ln)}") from exc
         if u == v:
             raise ParseError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):

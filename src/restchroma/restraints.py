@@ -26,7 +26,7 @@ from math import comb
 from operator import or_
 from typing import Iterable
 
-from .graphs import CapError, Graph, ParseError
+from .graphs import CapError, Graph, ParseError, quote_input
 
 FORMS_BUDGET = 3_000_000
 
@@ -131,14 +131,14 @@ def parse_restraint(text: str) -> Restraint:
     """
     s = text.strip()
     if not s.startswith("["):
-        raise ParseError(f"restraint must look like [{{1}},{{2}}] or [[1],[2]], got {text!r}")
+        raise ParseError(f"restraint must look like [{{1}},{{2}}] or [[1],[2]], got {quote_input(text)}")
     try:
         data = json.loads(s.replace("{", "[").replace("}", "]"))
         if not all(isinstance(item, list) for item in data):
             raise ValueError("expected a list of colour sets")
         return Restraint(data)
     except (TypeError, ValueError, RecursionError) as exc:
-        raise ParseError(f"bad restraint {text!r}: {exc}") from exc
+        raise ParseError(f"bad restraint {quote_input(text)}: {exc}") from exc
 
 
 # -- equivalence classes ------------------------------------------------------------
@@ -159,15 +159,27 @@ class RestraintClass:
     canon: tuple[int, ...]
     n: int
 
-    def _colour_lists(self) -> list[list[int]]:
-        return [[j + 1 for j, mask in enumerate(self.canon) if mask >> v & 1] for v in range(self.n)]
+    def _colour_lists(self, labels: Iterable) -> list[list]:
+        """Per vertex, the labels of its forbidden colours in colour order:
+        labels gives one label per canon mask, and each mask's set bits are
+        walked once, lowest first."""
+        lists: list[list] = [[] for _ in range(self.n)]
+        for label, mask in zip(labels, self.canon):
+            while mask:
+                low = mask & -mask
+                lists[low.bit_length() - 1].append(label)
+                mask ^= low
+        return lists
 
     @property
     def representative(self) -> Restraint:
-        return Restraint(self._colour_lists())
+        return Restraint(self._colour_lists(range(1, len(self.canon) + 1)))
 
     def class_id(self) -> str:
-        return render_restraint(self._colour_lists())
+        """render_restraint(self.representative), joined straight from the
+        colour labels, which the walk leaves ascending at every vertex."""
+        sets = self._colour_lists(map(str, range(1, len(self.canon) + 1)))
+        return "[" + ",".join(["{" + ",".join(s) + "}" for s in sets]) + "]"
 
 
 def _orbit_rows(n: int, autos: list[tuple[int, ...]]):

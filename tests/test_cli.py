@@ -270,6 +270,18 @@ class TestErrorsAndDeterminism:
             assert code == 2
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_long_input_gives_short_error(self, capsys, tmp_path):
+        # each message quotes the start of its 100,000-character input
+        edges = tmp_path / "long.txt"
+        edges.write_text("n 3\n0 1\n" + "12 " * 33_333 + "1\n")
+        for args, start in [
+            (("--graph", "P3", "--restraint", ("[{1}," + "{2}," * 25_000)[:100_000]), "'[{1},{2},"),
+            (("--graph", str(edges)), "'12 12 12 "),
+        ]:
+            code, _, err = run(capsys, "poly", *args)
+            assert code == 2
+            assert err.startswith("error:") and start in err and len(err.encode()) < 300
+
     def test_byte_identical_output(self, capsys):
         args = ("extremal", "--graph", "C4", "--k", "1", "--json")
         _, out1, _ = run(capsys, *args)

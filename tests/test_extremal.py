@@ -126,6 +126,8 @@ class TestFindExtremal:
         ("K2", 1): "df39e2e8f3c4aa56d2490a8a61a16345d74d10840b3c93e9a564ba6ee990b40f",
         ("K1", 2): "7f2bb0577c5729648dadbd1e57c593b36cc20b7e307a6634150c7024bea811b1",
         ("K2", 2): "39269ee740fe150837824d510c192959c2d381ff2d9c7fcf33d1ea7142ee5a32",
+        ("C4", 3): "e6ef52684444e468ef89dfdc5514e6360574ea221748a1c73d6616ab5a0a9dd5",
+        ("P4", 3): "c0a2d47e5060ce5fd89288b9da06222553d333cc0feb1a2153e175e92fae9043",
     }
 
     @pytest.mark.parametrize("name, k", sorted(RECORD_DIGESTS))

@@ -30,6 +30,21 @@ from conftest import restraint_of
 R = parse_restraint
 
 
+def class_id_mismatches(g: Graph, k: int) -> list[tuple[str, str]]:
+    """(class_id, reference) for each class of g at k whose class_id or
+    representative differs from the incidence formula of restraint_of,
+    rendered by render_restraint, or whose id does not parse back to its
+    representative.  The formula shares no code with class_id."""
+    bad = []
+    for cls in enumerate_k_restraints(g, k):
+        reference = restraint_of(cls.canon, g.n)
+        cid = cls.class_id()
+        expected = render_restraint(reference)
+        if not (cid == expected and cls.representative == reference == R(cid)):
+            bad.append((cid, expected))
+    return bad
+
+
 class TestRestraintValue:
     def test_m_value(self):
         assert R("[{1},{2},{3}]").m_value() == 3
@@ -71,6 +86,13 @@ class TestLiteralSyntax:
                     r = R(cid)
                     assert r == cls.representative == R(cid.replace("{", "[").replace("}", "]"))
                     assert render_restraint(r) == cid
+
+    def test_class_ids_match_reference(self):
+        cases = [(g, 1) for g in connected_catalog(6)] + [(g, 2) for g in connected_catalog(4)]
+        cases += [(cycle_graph(4), 3), (path_graph(4), 3), (Graph(0), 1)]
+        for g, k in cases:
+            assert class_id_mismatches(g, k) == []
+        assert [c.class_id() for c in enumerate_k_restraints(Graph(0), 1)] == ["[]"]
 
 
 class TestConstructions:

@@ -151,7 +151,8 @@ def report_from_record(g: Graph, record: dict) -> ExtremalReport:
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
     """find_extremal with a results directory keyed by (graph6, k).
 
-    Records are written atomically (temporary file, then os.replace); one
+    Records are written atomically (temporary file, then os.replace), and a
+    failed write removes its temporary file before the error propagates; one
     that does not parse, holds another (graph6, k), or whose winners plus
     witnesses on either side are not class_count classes is recomputed.
     """
@@ -168,9 +169,13 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
     report = find_extremal(g, k)
     os.makedirs(results_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=results_dir, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="ascii") as fh:
-        json.dump(report.to_record(), fh, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            json.dump(report.to_record(), fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return report
 
 

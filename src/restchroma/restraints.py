@@ -8,13 +8,20 @@ enumeration of k-restraints up to equivalence.
 Classes are colour incidence masks (one vertex bitmask per colour) from
 generation on; a Restraint is built from one only on demand.  Both
 canonicalisation and enumeration go through _orbit_rows, the sorted mask
-tuples of a restraint's automorphic images: the canon is their minimum, and
-the enumeration marks a new class's whole orbit as seen, so each class is
-found once.  Images are computed a whole row of automorphisms at a time:
-each vertex has a column of its image bits, one per automorphism, and a
+tuples of a restraint's distinct automorphic images: the canon is their
+minimum, and the enumeration marks a new class's whole orbit as seen, so each
+class is found once.  Images are computed a whole row of automorphisms at a
+time: each vertex has a column of its image bits, one per automorphism, and a
 mask's row is its lowest bit's column ORed onto the row of the rest.  Rows
 are cached for one enumerate_k_restraints or canonicalize call, so the
 cache holds up to |Aut| ints for each distinct mask it meets.
+
+The enumeration walks one first-use normal form per colour class
+(_normal_form_masks).  Equal masks in a form are always contiguous, since
+they were created at the same vertex and joined alike since, and a vertex
+joins only a prefix of each run of them.  FORMS_BUDGET is checked against
+_normal_form_count, which counts the forms without that rule and so bounds
+the walk from above.
 """
 
 from __future__ import annotations
@@ -183,9 +190,13 @@ class RestraintClass:
 
 
 def _orbit_rows(n: int, autos: list[tuple[int, ...]]):
-    """Return orbit(masks), the sorted mask tuples of a restraint's images,
-    one per automorphism in autos order (sorting is what renames the
-    colours).
+    """Return orbit(masks), the sorted mask tuples of a restraint's images
+    under autos, in no set order (sorting is what renames the colours).
+    Equal unsorted images, which most automorphisms of a large group give,
+    are merged before sorting, so each is sorted once; sorted tuples can
+    still repeat.  The enumeration calls orbit once per class found, on the
+    first form of it that the walk meets: one form per colour class, with
+    equal masks in contiguous runs, and at most _normal_form_count forms.
 
     Each mask's row, its image under every automorphism, is its lowest
     bit's column ORed entrywise onto the row of the remaining bits.  Rows
@@ -206,7 +217,7 @@ def _orbit_rows(n: int, autos: list[tuple[int, ...]]):
     def orbit(masks):
         if not masks:
             return [()]
-        return map(tuple, map(sorted, zip(*map(row, masks))))
+        return map(tuple, map(sorted, set(zip(*map(row, masks)))))
 
     return orbit
 
@@ -223,40 +234,52 @@ def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     return RestraintClass(min(orbit(masks.values())), g.n)
 
 
-def _normal_form_masks(n: int, k: int):
-    """Yield the incidence masks of every k-restraint on n vertices in
-    first-use colour normal form, one tuple per restraint.
+def _normal_form_masks(n: int, k: int, visit) -> None:
+    """Call visit(masks) once for each colour class of k-restraints on n
+    vertices, with masks the class's incidence masks in first-use colour
+    normal form.
 
     Scanning vertices 0..n-1, vertex v joins k - t of the colours used so
     far (ORs bit v into their masks) and introduces t fresh colours (appends
-    t masks 1 << v), for t = 0..k.  Every k-restraint is colour-equivalent
-    to at least one generated tuple, and no tuple is yielded twice.
+    t masks 1 << v), for t = 0..k.  Equal masks are always contiguous: they
+    were created at the same vertex and joined alike since.  They are also
+    interchangeable, so of each run of equal masks vertex v joins only a
+    prefix, and every colour class (multiset of masks) is visited exactly
+    once.  _normal_form_count counts the forms without that rule, so it
+    bounds the visits from above.  masks is the walk's own list: visit must
+    copy what it keeps.
     """
     masks: list[int] = []
 
-    def rec(v: int):
+    def rec(v: int) -> None:
         if v == n:
-            yield tuple(masks)
+            visit(masks)
             return
         bit = 1 << v
         used = len(masks)
+        # mask j may be joined only together with mask j - 1 when they are equal
+        tied = [j for j in range(1, used) if masks[j] == masks[j - 1]]
         for t in range(k + 1):
             masks.extend([bit] * t)
             for old in combinations(range(used), k - t):
+                if tied and any(j in old and j - 1 not in old for j in tied):
+                    continue
                 for j in old:
                     masks[j] |= bit
-                yield from rec(v + 1)
+                rec(v + 1)
                 for j in old:
                     masks[j] ^= bit
             del masks[used:]
 
-    yield from rec(0)
+    rec(0)
 
 
 def _normal_form_count(n: int, k: int) -> int:
-    """Number of tuples _normal_form_masks(n, k) yields.  ways[c] counts the
-    vertex prefixes that use c colours; a vertex taking t fresh colours joins
-    k - t of the c used ones."""
+    """Number of first-use normal forms of k-restraints on n vertices, every
+    choice of joined colours counted, so an upper bound on the colour classes
+    _normal_form_masks(n, k) visits.  ways[c] counts the vertex prefixes that
+    use c colours; a vertex taking t fresh colours joins k - t of the c used
+    ones."""
     ways = [1]
     for _ in range(n):
         nxt = [0] * (len(ways) + k)
@@ -270,11 +293,14 @@ def _normal_form_count(n: int, k: int) -> int:
 def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
     """One representative per equivalence class of k-restraints on g.
 
-    Sweeps the first-use colour normal forms once.  The first candidate of a
-    class marks the class's whole orbit as seen, so every later candidate of
-    it (whose own mask tuple lies in that orbit) is skipped; the canon is the
-    orbit minimum.  Classes are returned sorted by canon.  More than
-    FORMS_BUDGET normal forms raise CapError before any automorphism is listed.
+    Walks one first-use normal form per colour class (_normal_form_masks,
+    whose runs of equal masks stay contiguous and are joined only along a
+    prefix).  The first candidate of a class marks the class's whole orbit as
+    seen, so every later candidate of it (whose own sorted mask tuple lies in
+    that orbit) is skipped; the canon is the orbit minimum.  Classes are
+    returned sorted by canon.  More than FORMS_BUDGET normal forms, counted
+    by _normal_form_count as an upper bound on the walk, raise CapError
+    before any automorphism is listed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -284,10 +310,12 @@ def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
     orbit = _orbit_rows(g.n, g.automorphisms())
     seen: set[tuple[int, ...]] = set()
     canons = []
-    for masks in _normal_form_masks(g.n, k):
-        if tuple(sorted(masks)) in seen:
-            continue
-        images = set(orbit(masks))
-        seen |= images
-        canons.append(min(images))
+
+    def visit(masks: list[int]) -> None:
+        if tuple(sorted(masks)) not in seen:
+            images = set(orbit(masks))
+            seen.update(images)
+            canons.append(min(images))
+
+    _normal_form_masks(g.n, k, visit)
     return [RestraintClass(c, g.n) for c in sorted(canons)]

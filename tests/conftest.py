@@ -50,6 +50,37 @@ def restraint_of(masks, n: int) -> Restraint:
     return Restraint([[j + 1 for j, m in enumerate(masks) if m >> v & 1] for v in range(n)])
 
 
+def first_use_forms(n: int, k: int):
+    """Yield the incidence masks of every k-restraint on n vertices in
+    first-use colour normal form, one tuple per restraint: the unpruned sweep,
+    kept as the reference for the package's one-form-per-class walk.
+
+    Scanning vertices 0..n-1, vertex v joins k - t of the colours used so
+    far (ORs bit v into their masks) and introduces t fresh colours (appends
+    t masks 1 << v), for t = 0..k.  Every k-restraint is colour-equivalent
+    to at least one generated tuple, and no tuple is yielded twice.
+    """
+    masks: list[int] = []
+
+    def rec(v: int):
+        if v == n:
+            yield tuple(masks)
+            return
+        bit = 1 << v
+        used = len(masks)
+        for t in range(k + 1):
+            masks.extend([bit] * t)
+            for old in combinations(range(used), k - t):
+                for j in old:
+                    masks[j] |= bit
+                yield from rec(v + 1)
+                for j in old:
+                    masks[j] ^= bit
+            del masks[used:]
+
+    yield from rec(0)
+
+
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 0) -> Graph:
     """A random spanning tree on n vertices plus extra_edges more edges, randomly labelled."""
     label = list(range(n))

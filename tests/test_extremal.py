@@ -184,6 +184,15 @@ class TestResumableStore:
         assert json.loads(path.read_text()) == fresh
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, c4, monkeypatch):
+        def boom(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", boom)
+        with pytest.raises(OSError, match="disk full"):
+            load_or_compute_extremal(c4, 1, str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMinTheorem:
     def test_small_catalog_no_violations(self):
@@ -255,13 +264,12 @@ class TestProperCoefficientAgreement:
     def test_top_three_match_across_proper_classes(self):
         # proper simple restraints on one graph share the three leading
         # values; raw normal-form candidates suffice (no dedup needed)
-        from restchroma.restraints import _normal_form_masks
-        from conftest import restraint_of
+        from conftest import first_use_forms, restraint_of
 
         for n in range(3, 7):
             for g in all_connected_graphs(n):
                 seen = set()
-                for masks in _normal_form_masks(g.n, 1):
+                for masks in first_use_forms(g.n, 1):
                     r = restraint_of(masks, g.n)
                     if is_proper(g, r):
                         seen.add((coeff_n1(g, r), coeff_n2(g, r)))

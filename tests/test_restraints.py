@@ -25,7 +25,7 @@ from restchroma import (
     star_graph,
 )
 from restchroma.restraints import _normal_form_count, _normal_form_masks
-from conftest import restraint_of
+from conftest import first_use_forms, restraint_of
 
 R = parse_restraint
 
@@ -43,6 +43,23 @@ def class_id_mismatches(g: Graph, k: int) -> list[tuple[str, str]]:
         if not (cid == expected and cls.representative == reference == R(cid)):
             bad.append((cid, expected))
     return bad
+
+
+def walk_faults(n: int, k: int) -> tuple[int, list[str]]:
+    """(visits, faults) of _normal_form_masks(n, k) against the unpruned
+    first_use_forms: faults names each colour class (sorted mask tuple) the
+    walk visits twice, misses or invents, and each visit with a vertex that
+    is not in exactly k masks."""
+    visited: list[tuple[int, ...]] = []
+    _normal_form_masks(n, k, lambda masks: visited.append(tuple(masks)))
+    faults = [f"vertex not in {k} masks: {m}" for m in visited if any(sum(x >> v & 1 for x in m) != k for v in range(n))]
+    classes = [tuple(sorted(m)) for m in visited]
+    reference = {tuple(sorted(m)) for m in first_use_forms(n, k)}
+    if len(set(classes)) != len(classes):
+        faults.append(f"{len(classes) - len(set(classes))} repeated visits")
+    faults += [f"missed {c}" for c in sorted(reference - set(classes))[:5]]
+    faults += [f"not a normal form {c}" for c in sorted(set(classes) - reference)[:5]]
+    return len(visited), faults
 
 
 class TestRestraintValue:
@@ -231,7 +248,7 @@ class TestEnumeration:
         for g, k in cases:
             classes = enumerate_k_restraints(g, k)
             reference = sorted({
-                canonicalize(g, restraint_of(masks, g.n)).canon for masks in _normal_form_masks(g.n, k)
+                canonicalize(g, restraint_of(masks, g.n)).canon for masks in first_use_forms(g.n, k)
             })
             assert [cls.canon for cls in classes] == reference
             perm = list(range(g.n))
@@ -252,7 +269,7 @@ class TestEnumeration:
             ]
             seen: set = set()
             reference = []
-            for masks in _normal_form_masks(g.n, k):
+            for masks in first_use_forms(g.n, k):
                 if tuple(sorted(masks)) in seen:
                     continue
                 images = {
@@ -268,7 +285,7 @@ class TestEnumeration:
         # the vertices, so there are Bell(n) of them
         bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
         for n in range(9):
-            forms = list(_normal_form_masks(n, 1))
+            forms = list(first_use_forms(n, 1))
             assert len(forms) == bell[n]
             assert _normal_form_count(n, 1) == len(forms)
             assert len(set(forms)) == len(forms)
@@ -277,11 +294,24 @@ class TestEnumeration:
 
     def test_normal_forms_at_k2_cover_each_vertex_twice(self):
         for n in range(5):
-            forms = list(_normal_form_masks(n, 2))
+            forms = list(first_use_forms(n, 2))
             assert _normal_form_count(n, 2) == len(forms)
             assert len(set(forms)) == len(forms)
             for masks in forms:
                 assert all(sum(m >> v & 1 for m in masks) == 2 for v in range(n))
+
+    def test_walk_visits_each_colour_class_once(self):
+        # the pruned walk against the unpruned sweep; CI repeats this at
+        # (6, 2), (5, 3) and (4, 4)
+        visits = {}
+        for k, n_max in [(1, 8), (2, 5), (3, 4), (4, 3)]:
+            for n in range(n_max + 1):
+                visits[n, k], faults = walk_faults(n, k)
+                assert faults == [], (n, k)
+                assert visits[n, k] <= _normal_form_count(n, k)
+        # at k = 1 every class is one set partition, so Bell(8) of them
+        assert visits[8, 1] == 4140
+        assert visits[5, 2] == 1750
 
     def test_normal_form_counts_past_listing(self):
         # too many forms to list here; each is within FORMS_BUDGET

@@ -52,7 +52,9 @@ def _load_restraint(source: str | None, g: Graph) -> Restraint:
 
 def _emit(args, obj: dict, human_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(obj, sort_keys=True))
+        # streamed, so a large record is never held as one string
+        json.dump(obj, sys.stdout, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         for line in human_lines:
             print(line)

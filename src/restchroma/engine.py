@@ -4,8 +4,10 @@ The central recursion follows edge deletion-contraction: deleting an edge
 keeps every forbidden set, while contracting it merges the endpoints and
 forbids the union of their sets at the merged vertex.  _rec does both
 itself, on the (adj, sets) pair of neighbour bitmasks and forbidden colour
-bitmasks that is also its memo key.  Before it branches it settles what
-needs no pivot: an edgeless graph gives the product of
+bitmasks that is also its memo key, and works on plain ascending
+coefficient tuples with the kernels of polynomials.py; restrained_poly
+wraps the answer in an IntPolynomial once.  Before it branches it settles
+what needs no pivot: an edgeless graph gives the product of
 (x - |forbidden set|) over the vertices, a pendant vertex's edge is deleted
 and contracted at once (the deletion isolates it), and components multiply,
 an isolated vertex beside an edge being a component of its own.  So the
@@ -29,40 +31,33 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .graphs import CapError, Graph, component_vertices
-from .polynomials import IntPolynomial, elementary_symmetric
+from .graphs import CapError, Graph, component_vertices, reach_mask
+from .polynomials import IntPolynomial, elementary_symmetric, minus, times, times_linear_minus
 from .restraints import Restraint
 
 ORACLE_WORK_BUDGET = 10_000_000
 
 
 class MemoCache:
-    """Memo table for the recursion, keyed on the exact labeled subproblem.
+    """Memo table for the recursion: the coefficient tuple of each exact
+    labeled subproblem, keyed on its (adj, sets) pair.
 
+    _rec reads and writes the table itself and counts hits and misses.
+    Entries are never dropped, so the peak entry count is the table's size.
     Passing one cache to several computations lets them reuse each other's
     subproblems.  It is not synchronised: use it from one thread at a time.
     """
 
-    __slots__ = ("_table", "hits", "misses", "peak_entries")
+    __slots__ = ("_table", "hits", "misses")
 
     def __init__(self):
         self._table: dict = {}
         self.hits = 0
         self.misses = 0
-        self.peak_entries = 0
 
-    def get(self, key):
-        val = self._table.get(key)
-        if val is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return val
-
-    def put(self, key, value):
-        self._table[key] = value
-        if len(self._table) > self.peak_entries:
-            self.peak_entries = len(self._table)
+    @property
+    def peak_entries(self) -> int:
+        return len(self._table)
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "peak_entries": self.peak_entries}
@@ -99,7 +94,7 @@ def restrained_poly(
     # 0..C-1 in ascending order whatever their size
     bit = {c: 1 << i for i, c in enumerate(sorted(set().union(*r.sets)))}
     sets = tuple(sum(bit[c] for c in s) for s in r.sets)
-    return _rec(g.adjacency_masks(), sets, cache, pivot)
+    return IntPolynomial._trusted(_rec(g.adjacency_masks(), sets, cache, pivot))
 
 
 def _drop(adj, v: int) -> tuple:
@@ -115,39 +110,45 @@ def _induced(adj: tuple, sets: tuple, verts) -> tuple[tuple, tuple]:
     return tuple(sum(1 << at[w] for w in verts if adj[a] >> w & 1) for a in verts), tuple(sets[a] for a in verts)
 
 
-def _rec(adj: tuple, sets: tuple, memo: MemoCache, choose) -> IntPolynomial:
-    """P on the labeled subproblem (adj, sets), which is also its memo key.
+def _rec(adj: tuple, sets: tuple, memo: MemoCache, choose) -> tuple[int, ...]:
+    """Ascending coefficients of P on the labeled subproblem (adj, sets),
+    which is also its memo key.
 
     adj holds each vertex's neighbour bitmask and sets its forbidden colours
     as a bitmask.  At a miss the first rule that applies decides: with no
     edges P is the product of (x - |s_v|); a pendant vertex is peeled
     (_peel); components multiply, an isolated vertex being a component of
-    its own; otherwise the pivot edge is deleted and contracted (_branch).
+    its own (they are listed only when one sweep from vertex 0 misses a
+    vertex); otherwise the pivot edge is deleted and contracted (_branch).
     """
     key = (adj, sets)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    table = memo._table
+    poly = table.get(key)
+    if poly is not None:
+        memo.hits += 1
+        return poly
+    memo.misses += 1
     if not any(adj):
-        poly = IntPolynomial.from_roots(s.bit_count() for s in sets)
+        poly = (1,)
+        for s in sets:
+            poly = times_linear_minus(poly, s.bit_count(), ())
     else:
         for v, a in enumerate(adj):
             if a and not a & a - 1:
                 poly = _peel(adj, sets, v, memo, choose)
                 break
         else:
-            comps = component_vertices(adj)
-            if len(comps) > 1:
-                poly = IntPolynomial.one()
-                for verts in comps:
-                    poly = poly * _rec(*_induced(adj, sets, verts), memo, choose)
-            else:
+            if reach_mask(adj, 1) == (1 << len(adj)) - 1:
                 poly = _branch(adj, sets, memo, choose)
-    memo.put(key, poly)
+            else:
+                poly = (1,)
+                for verts in component_vertices(adj):
+                    poly = times(poly, _rec(*_induced(adj, sets, verts), memo, choose))
+    table[key] = poly
     return poly
 
 
-def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache, choose) -> IntPolynomial:
+def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache, choose) -> tuple[int, ...]:
     """Delete and contract the edge of pendant vertex v, whose deletion isolates v.
 
     With u the neighbour of v, P = (x - |s_v|) P(G - v) - P(G - v, s_u | s_v),
@@ -157,14 +158,14 @@ def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache, choose) -> IntPolyno
     sv, su = sets[v], sets[u]
     rest, rest_sets = _drop(adj, v), sets[:v] + sets[v + 1:]
     if sv & su == sv:
-        return IntPolynomial.from_roots((sv.bit_count() + 1,)) * _rec(rest, rest_sets, memo, choose)
+        return times_linear_minus(_rec(rest, rest_sets, memo, choose), sv.bit_count() + 1, ())
     w = u - (u > v)
     merged = rest_sets[:w] + (su | sv,) + rest_sets[w + 1:]
-    return IntPolynomial.from_roots((sv.bit_count(),)) * _rec(rest, rest_sets, memo, choose) - _rec(
-        rest, merged, memo, choose)
+    return times_linear_minus(
+        _rec(rest, rest_sets, memo, choose), sv.bit_count(), _rec(rest, merged, memo, choose))
 
 
-def _branch(adj: tuple, sets: tuple, memo: MemoCache, choose) -> IntPolynomial:
+def _branch(adj: tuple, sets: tuple, memo: MemoCache, choose) -> tuple[int, ...]:
     """Delete and contract the pivot edge (u, v), u < v, merging v into u."""
     if choose is None:
         u, v = 0, (adj[0] & -adj[0]).bit_length() - 1
@@ -181,7 +182,7 @@ def _branch(adj: tuple, sets: tuple, memo: MemoCache, choose) -> IntPolynomial:
     merged = [a ^ bv | bu if a & bv else a for a in adj]
     merged[u] = (adj[u] | adj[v]) & ~(bu | bv)
     moved = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
-    return _rec(tuple(deleted), sets, memo, choose) - _rec(_drop(merged, v), moved, memo, choose)
+    return minus(_rec(tuple(deleted), sets, memo, choose), _rec(_drop(merged, v), moved, memo, choose))
 
 
 def count_colourings(g: Graph, r: Restraint, x: int) -> int:

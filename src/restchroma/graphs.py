@@ -172,18 +172,25 @@ class Graph:
         return list(self._autos)
 
 
+def reach_mask(adj, start: int) -> int:
+    """Bitmask of the vertices reachable from the vertex bitmask start in the
+    graph with neighbour bitmasks adj."""
+    comp = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        reach = adj[low.bit_length() - 1] & ~comp
+        comp |= reach
+        frontier = (frontier ^ low) | reach
+    return comp
+
+
 def component_vertices(adj) -> list[tuple[int, ...]]:
     """Increasing vertex tuples of the connected components of the graph
     with neighbour bitmasks adj, ordered by their smallest vertex."""
     out = []
     left = (1 << len(adj)) - 1
     while left:
-        comp = frontier = left & -left
-        while frontier:
-            low = frontier & -frontier
-            reach = adj[low.bit_length() - 1] & ~comp
-            comp |= reach
-            frontier = (frontier ^ low) | reach
+        comp = reach_mask(adj, left & -left)
         left &= ~comp
         out.append(tuple(v for v in range(len(adj)) if comp >> v & 1))
     return out

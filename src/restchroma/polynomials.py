@@ -3,11 +3,46 @@
 Coefficients are arbitrary-precision Python ints stored ascending by
 degree, with trailing zeros trimmed; the zero polynomial stores an empty
 tuple.  Values are immutable and freely shareable.
+
+Each operation is one kernel on such coefficient tuples: times, minus and
+the fused times_linear_minus, (x - a) p - q.  IntPolynomial's operators
+call them, and the engine's recursion calls them directly on the tuples it
+memoises, wrapping its answer once.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable
+
+
+def _trimmed(out: list[int]) -> tuple[int, ...]:
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def times(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the product p q."""
+    if not (p and q):
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        if c:
+            for j, d in enumerate(q, i):
+                out[j] += c * d
+    # the leading product is nonzero, so nothing needs trimming
+    return tuple(out)
+
+
+def minus(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the difference p - q."""
+    return _trimmed([c - d for c, d in zip_longest(p, q, fillvalue=0)])
+
+
+def times_linear_minus(p: tuple[int, ...], a: int, q: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of (x - a) p - q, in one pass over p and q."""
+    return _trimmed([lo - a * c - d for lo, c, d in zip_longest((0, *p), p, q, fillvalue=0)])
 
 
 class IntPolynomial:
@@ -16,25 +51,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[int]) -> "IntPolynomial":
-        """Product of (x - a) over the given integers (1 for an empty list)."""
-        cs = [1]
-        for a in roots:
-            a = int(a)
-            cs = [lower - a * c for lower, c in zip([0] + cs, cs + [0])]
-        return cls._trusted(tuple(cs))
+        self.coeffs: tuple[int, ...] = _trimmed([int(c) for c in coeffs])
 
     @classmethod
     def _trusted(cls, coeffs: tuple[int, ...]) -> "IntPolynomial":
@@ -62,24 +79,10 @@ class IntPolynomial:
     # -- arithmetic -------------------------------------------------------
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        out = [c - d for c, d in zip(a, b)]
-        out += a[len(b):] if len(a) > len(b) else [-d for d in b[len(a):]]
-        while out and out[-1] == 0:
-            out.pop()
-        return IntPolynomial._trusted(tuple(out))
+        return IntPolynomial._trusted(minus(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not (a and b):
-            return IntPolynomial._trusted(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b, i):
-                    out[j] += c * d
-        # the leading product is nonzero, so nothing needs trimming
-        return IntPolynomial._trusted(tuple(out))
+        return IntPolynomial._trusted(times(self.coeffs, other.coeffs))
 
     # -- evaluation ---------------------------------------------------------
 

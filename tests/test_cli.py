@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import json
+import sys
 import time
+import tracemalloc
 
 import pytest
 
-from restchroma import IntPolynomial
+from restchroma import IntPolynomial, find_extremal, from_name
 from restchroma import extremal as extremal_module
-from restchroma.cli import main
+from restchroma.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -171,6 +174,34 @@ class TestExtremal:
         code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
         assert code == 0
         assert out == fresh
+
+    def test_json_is_streamed(self, monkeypatch):
+        # C10 at k=1 makes a 0.7 MB record; written to an output that keeps
+        # only a running hash, the bytes match the one-string dump (whose
+        # peak is 4.3 MB) while the peak of new allocations stays below two
+        # thirds of the document's length: what remains is the sorted items
+        # of one 6,350-entry witness map, some 0.4 MB
+        obj = find_extremal(from_name("C10"), 1).to_record()
+        document = (json.dumps(obj, sort_keys=True) + "\n").encode("ascii")
+        digest = hashlib.sha256()
+
+        class Discard:
+            written = 0
+
+            def write(self, text):
+                digest.update(text.encode("ascii"))
+                Discard.written += len(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            _emit(argparse.Namespace(json=True), obj, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(document) > 500_000
+        assert Discard.written == len(document) and digest.hexdigest() == hashlib.sha256(document).hexdigest()
+        assert peak < len(document) * 2 // 3, (peak, len(document))
 
 
 class TestVerify:

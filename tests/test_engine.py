@@ -280,9 +280,10 @@ class TestPeeling:
         assert inside and outside and isolated
 
     def test_small_cases(self):
-        assert restrained_poly(Graph(0), R("[]")) == IntPolynomial.one()
+        assert restrained_poly(Graph(0), R("[]")) == IntPolynomial([1])
         assert restrained_poly(Graph(1), R("[{4,9}]")) == IntPolynomial([-2, 1])
-        assert restrained_poly(empty_graph(3), R("[{},{1,2,3},{2}]")) == IntPolynomial.from_roots([0, 3, 1])
+        # x (x - 3) (x - 1)
+        assert restrained_poly(empty_graph(3), R("[{},{1,2,3},{2}]")) == IntPolynomial([0, 3, -4, 1])
 
     def test_pivot_never_consulted_on_a_forest(self):
         def refuse(edges):
@@ -332,6 +333,22 @@ class TestMemoCache:
         before = shared.hits
         restrained_poly(c7, r, cache=shared)
         assert shared.hits > before  # whole problem answered from cache
+
+    def test_shared_across_graphs_and_restraints(self):
+        # one cache across graphs on 0..10 vertices, connected or not, and
+        # two restraints per graph, each asked twice: its tuples are keyed on
+        # the exact subproblem, so no answer leaks between queries
+        rng = random.Random(67)
+        shared = MemoCache()
+        for g in [Graph(0)] + [random_graph(rng, max_n=10, edge_prob=0.4) for _ in range(60)]:
+            n = g.n
+            for r in [random_restraint(rng, n, max_colour=4) for _ in range(2)] * 2:
+                p = restrained_poly(g, r, cache=shared)
+                assert p == restrained_poly(g, r), (g, r)
+                assert p.degree == n and p.leading == 1, (g, r, p)
+                assert IntPolynomial(p.coeffs) == p  # no trailing zero kept
+        assert shared.hits > 0
+        assert shared.peak_entries == shared.misses
 
     def test_cache_true_rejected(self, c4):
         with pytest.raises(TypeError, match="MemoCache"):

@@ -1,10 +1,13 @@
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restchroma import IntPolynomial, elementary_symmetric
+from restchroma.polynomials import minus, times, times_linear_minus
 from conftest import poly_sum
 
 
@@ -21,10 +24,42 @@ class TestConstruction:
         assert poly() == IntPolynomial()
         assert poly().degree == -1
 
-    def test_from_roots(self):
-        # (x-1)(x-2) = x^2 - 3x + 2
-        assert IntPolynomial.from_roots([1, 2]) == poly(2, -3, 1)
-        assert IntPolynomial.from_roots([]) == IntPolynomial.one()
+
+def linear_factors(roots):
+    """Product of (x - a) over roots, built with IntPolynomial's product."""
+    return reduce(mul, (poly(-a, 1) for a in roots), poly(1))
+
+
+class TestKernels:
+    """The coefficient-tuple kernels under the operators and the engine."""
+
+    def test_times_linear_minus(self):
+        # (x-2)(x-1) = x^2 - 3x + 2, less x - 5
+        assert times_linear_minus((-1, 1), 2, ()) == (2, -3, 1)
+        assert times_linear_minus((-1, 1), 2, (-5, 1)) == (7, -4, 1)
+        # x * 1 - x cancels to the zero polynomial; a longer q still subtracts
+        assert times_linear_minus((1,), 0, (0, 1)) == ()
+        assert times_linear_minus((), 4, (3, 0, 2)) == (-3, 0, -2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), max_size=5).map(lambda cs: IntPolynomial(cs).coeffs),
+        st.integers(-5, 5),
+        st.lists(st.integers(-9, 9), max_size=7).map(lambda cs: IntPolynomial(cs).coeffs),
+    )
+    def test_kernels_match_evaluation(self, p, a, q):
+        def value(cs, x):
+            return IntPolynomial(cs).evaluate(x)
+
+        fused, diff, prod = times_linear_minus(p, a, q), minus(p, q), times(p, q)
+        for out in (fused, diff, prod):
+            assert not out or out[-1] != 0
+        # eleven points pin down every degree here, the product's 10 included
+        for x in range(-5, 6):
+            assert value(fused, x) == (x - a) * value(p, x) - value(q, x)
+            assert value(diff, x) == value(p, x) - value(q, x)
+            assert value(prod, x) == value(p, x) * value(q, x)
+
 
 class TestArithmetic:
     def test_product(self):
@@ -36,7 +71,7 @@ class TestArithmetic:
 
     def test_multiplicative_identity(self):
         p = poly(2, -3, 1)
-        assert p * IntPolynomial.one() == p
+        assert p * poly(1) == p
 
     def test_int_scaling(self):
         assert poly(3) * poly(1, 1) == poly(3, 3)
@@ -64,7 +99,7 @@ class TestCompareEventually:
 
     def test_cycle_fixture_ordering(self):
         # the three 3-cycle polynomials, built from their factored forms
-        r1 = IntPolynomial.from_roots([1, 2, 3])
+        r1 = linear_factors([1, 2, 3])
         r2 = poly(-2, 1) * poly(5, -4, 1)
         r3 = poly_sum(poly(2) * poly(-2, 1) * poly(-2, 1), poly(-2, 1) * poly(-3, 1), poly(-3, 1) * poly(-3, 1) * poly(-3, 1))
         assert (r3 - r1).leading > 0
@@ -126,7 +161,7 @@ class TestElementarySymmetric:
     def test_root_product_expansion(self, sizes):
         # prod (x - a) expands with alternating symmetric-function coefficients
         n = len(sizes)
-        p = IntPolynomial.from_roots(sizes)
+        p = linear_factors(sizes)
         for i in range(n + 1):
             expected = (-1) ** (n - i) * elementary_symmetric(sizes, n - i)
             assert p.coefficient(i) == expected

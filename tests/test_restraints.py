@@ -322,13 +322,24 @@ class TestEnumeration:
         assert _normal_form_count(4, 4) == 168_481
 
     def test_caps(self):
-        # the normal-form budget, not n, decides: C13 at k=1 has 27.6M forms
-        # and C4 at k=6 has 92,022,204
-        with pytest.raises(CapError, match="27644437 forms"):
+        # the normal-form budget, not n, decides: C13 at k=1 has 27.6M forms,
+        # and the count stops at Bell(12) prefixes; C4 at k=6 passes the
+        # budget only at its last vertex, so its whole count is given
+        with pytest.raises(CapError) as over:
             enumerate_k_restraints(cycle_graph(13), 1)
-        with pytest.raises(CapError, match="92022204 forms"):
+        assert str(over.value) == (
+            "normal-form budget exceeded (more than 4213597 forms for n=13, k=1 > 3000000;"
+            " stopped counting after 12 of 13 vertices)")
+        with pytest.raises(CapError) as over:
             enumerate_k_restraints(cycle_graph(4), 6)
+        assert str(over.value) == "normal-form budget exceeded (92022204 forms for n=4, k=6 > 3000000)"
         assert len(enumerate_k_restraints(path_graph(6), 2)) == 14_990
+
+    def test_budget_stops_counting_early(self):
+        # C4 at k=300 has 2^300 two-vertex prefixes; counting the whole DP
+        # took seconds, stopping at the vertex that passes the budget does not
+        with pytest.raises(CapError, match=r"stopped counting after 2 of 4 vertices\)$"):
+            enumerate_k_restraints(cycle_graph(4), 300)
 
     def test_disconnected_supported(self):
         g = Graph(3, [(0, 1)])  # an edge and an isolated vertex

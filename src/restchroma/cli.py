@@ -50,11 +50,35 @@ def _load_restraint(source: str | None, g: Graph) -> Restraint:
     return r
 
 
+JSON_CHUNK = 256
+
+
+def _write_json(obj: dict, out) -> None:
+    """Write json.dumps(obj, sort_keys=True) and a newline in pieces, so a
+    large record is never held as one string.  Each top-level dict or list
+    is encoded JSON_CHUNK items at a time by the C encoder; json.dump would
+    stream the same bytes through the pure-Python one, about 3x slower."""
+    out.write("{")
+    for i, key in enumerate(sorted(obj)):
+        value = obj[key]
+        out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if isinstance(value, (dict, list)):
+            is_map = isinstance(value, dict)
+            seq = sorted(value) if is_map else value
+            out.write("{" if is_map else "[")
+            for j in range(0, len(seq), JSON_CHUNK):
+                chunk = seq[j:j + JSON_CHUNK]
+                piece = json.dumps({k: value[k] for k in chunk} if is_map else chunk, sort_keys=True)[1:-1]
+                out.write(f", {piece}" if j else piece)
+            out.write("}" if is_map else "]")
+        else:
+            out.write(json.dumps(value, sort_keys=True))
+    out.write("}\n")
+
+
 def _emit(args, obj: dict, human_lines: list[str]) -> None:
     if args.json:
-        # streamed, so a large record is never held as one string
-        json.dump(obj, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        _write_json(obj, sys.stdout)
     else:
         for line in human_lines:
             print(line)

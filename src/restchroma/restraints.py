@@ -274,17 +274,17 @@ def _normal_form_masks(n: int, k: int, visit) -> None:
     rec(0)
 
 
-def _normal_form_count(n: int, k: int, budget: int | None = None) -> int:
+def _normal_form_count(n: int, k: int) -> int:
     """Number of first-use normal forms of k-restraints on n vertices, every
     choice of joined colours counted, so an upper bound on the colour classes
     _normal_form_masks(n, k) visits.  ways[c] counts the vertex prefixes that
     use c colours; a vertex taking t fresh colours joins k - t of the c used
     ones.
 
-    With a budget, raises CapError as soon as the prefixes counted so far
-    pass it.  Every prefix completes to at least one form (each later vertex
-    can take k fresh colours), so that count only grows, and the message
-    says after how many vertices it stopped."""
+    Raises CapError as soon as the prefixes counted so far pass
+    FORMS_BUDGET.  Every prefix completes to at least one form (each later
+    vertex can take k fresh colours), so that count only grows, and the
+    message says after how many vertices it stopped."""
     ways = [1]
     for done in range(1, n + 1):
         nxt = [0] * (len(ways) + k)
@@ -293,11 +293,11 @@ def _normal_form_count(n: int, k: int, budget: int | None = None) -> int:
                 for t in range(k + 1):
                     nxt[c + t] += w * comb(c, k - t)
         ways = nxt
-        if budget is not None and (forms := sum(ways)) > budget:
+        if (forms := sum(ways)) > FORMS_BUDGET:
             if done == n:
-                raise CapError(f"normal-form budget exceeded ({forms} forms for n={n}, k={k} > {budget})")
+                raise CapError(f"normal-form budget exceeded ({forms} forms for n={n}, k={k} > {FORMS_BUDGET})")
             raise CapError(
-                f"normal-form budget exceeded (more than {forms} forms for n={n}, k={k} > {budget};"
+                f"normal-form budget exceeded (more than {forms} forms for n={n}, k={k} > {FORMS_BUDGET};"
                 f" stopped counting after {done} of {n} vertices)")
     return sum(ways)
 
@@ -317,7 +317,7 @@ def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    _normal_form_count(g.n, k, FORMS_BUDGET)
+    _normal_form_count(g.n, k)
     orbit = _orbit_rows(g.n, g.automorphisms())
     seen: set[tuple[int, ...]] = set()
     canons = []

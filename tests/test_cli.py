@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from restchroma import IntPolynomial, find_extremal, from_name
 from restchroma import extremal as extremal_module
-from restchroma.cli import _emit, main
+from restchroma.cli import JSON_CHUNK, _emit, _write_json, main
 
 
 def run(capsys, *argv):
@@ -179,8 +180,9 @@ class TestExtremal:
         # C10 at k=1 makes a 0.7 MB record; written to an output that keeps
         # only a running hash, the bytes match the one-string dump (whose
         # peak is 4.3 MB) while the peak of new allocations stays below two
-        # thirds of the document's length: what remains is the sorted items
-        # of one 6,350-entry witness map, some 0.4 MB
+        # thirds of the document's length: what remains is the sorted keys
+        # of one 6,350-entry witness map and one piece of JSON_CHUNK
+        # entries, some 0.16 MB
         obj = find_extremal(from_name("C10"), 1).to_record()
         document = (json.dumps(obj, sort_keys=True) + "\n").encode("ascii")
         digest = hashlib.sha256()
@@ -202,6 +204,23 @@ class TestExtremal:
         assert len(document) > 500_000
         assert Discard.written == len(document) and digest.hexdigest() == hashlib.sha256(document).hexdigest()
         assert peak < len(document) * 2 // 3, (peak, len(document))
+
+    def test_json_pieces_match_one_dump(self):
+        # the chunked writer against one json.dumps: empty and scalar
+        # values, unsorted nested keys, and containers a few items past a
+        # multiple of JSON_CHUNK
+        many = JSON_CHUNK * 2 + 3
+        objects = [
+            {},
+            {"b": [], "a": {}, "c": None, "d": "x\u00e9\"", "e": 1.5},
+            {"z": [{"y": 1, "x": [2, {"w": 3, "v": 4}]}], "y": {"b": {"d": 1, "c": 2}, "a": [True]}},
+            {"map": {f"k{i:05d}": [i, str(-i)] for i in reversed(range(many))}, "list": list(range(many))},
+            {"map": {f"k{i}": i for i in range(JSON_CHUNK)}, "list": list(range(JSON_CHUNK))},
+        ]
+        for obj in objects:
+            out = io.StringIO()
+            _write_json(obj, out)
+            assert out.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
 
 
 class TestVerify:

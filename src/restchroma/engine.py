@@ -10,11 +10,14 @@ wraps the answer in an IntPolynomial once.  Before it branches it settles
 what needs no pivot: an edgeless graph gives the product of
 (x - |forbidden set|) over the vertices, a pendant vertex's edge is deleted
 and contracted at once (the deletion isolates it), and components multiply,
-an isolated vertex beside an edge being a component of its own.  So the
+an isolated vertex beside an edge being a component of its own.  So a
 pivot edge is chosen only in connected subproblems of minimum degree at
-least 2.  The resulting polynomial agrees with the permitted
-proper-colouring count for every x at or above the largest forbidden
-colour; below that threshold the brute-force counter is the ground truth.
+least 2, and always by one rule, _pivot: vertex 0 and its lowest
+neighbour.  The identity holds for any edge, so the rule decides only
+which subproblems the memo table sees.  The resulting polynomial agrees
+with the permitted proper-colouring count for every x at or above the
+largest forbidden colour; below that threshold the brute-force counter
+is the ground truth.
 
 Also includes the closed-form coefficient formulas for the three top
 non-trivial coefficients, with the full additive term breakdown for the
@@ -63,26 +66,15 @@ class MemoCache:
         return {"hits": self.hits, "misses": self.misses, "peak_entries": self.peak_entries}
 
 
-def restrained_poly(
-    g: Graph,
-    r: Restraint,
-    cache: MemoCache | None = None,
-    pivot=None,
-) -> IntPolynomial:
+def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> IntPolynomial:
     """Restrained chromatic polynomial via deletion-contraction.
 
     Monic of degree n; exact integer coefficients; valid as a colouring
-    count for every x >= the largest forbidden colour.  The result is
-    independent of the pivot-edge order.  With the empty restraint it is
-    the chromatic polynomial.
+    count for every x >= the largest forbidden colour.  The result does not
+    depend on the edges _pivot picks to branch on.  With the empty
+    restraint it is the chromatic polynomial.
 
     cache: None for a private memo table, or a shared MemoCache instance.
-    pivot: optional callable mapping the sorted edge list of a subproblem
-    to the edge to branch on, in either orientation (defaults to the
-    lexicographically smallest, for cache reproducibility); an edge outside
-    the subproblem raises ValueError.  It is consulted only on connected
-    subproblems whose minimum degree is at least 2: pendant vertices are
-    peeled and components split first, so a forest never reaches it.
     """
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
@@ -94,7 +86,7 @@ def restrained_poly(
     # 0..C-1 in ascending order whatever their size
     bit = {c: 1 << i for i, c in enumerate(sorted(set().union(*r.sets)))}
     sets = tuple(sum(bit[c] for c in s) for s in r.sets)
-    return IntPolynomial._trusted(_rec(g.adjacency_masks(), sets, cache, pivot))
+    return IntPolynomial._trusted(_rec(g.adjacency_masks(), sets, cache))
 
 
 def _drop(adj, v: int) -> tuple:
@@ -110,7 +102,7 @@ def _induced(adj: tuple, sets: tuple, verts) -> tuple[tuple, tuple]:
     return tuple(sum(1 << at[w] for w in verts if adj[a] >> w & 1) for a in verts), tuple(sets[a] for a in verts)
 
 
-def _rec(adj: tuple, sets: tuple, memo: MemoCache, choose) -> tuple[int, ...]:
+def _rec(adj: tuple, sets: tuple, memo: MemoCache) -> tuple[int, ...]:
     """Ascending coefficients of P on the labeled subproblem (adj, sets),
     which is also its memo key.
 
@@ -135,20 +127,20 @@ def _rec(adj: tuple, sets: tuple, memo: MemoCache, choose) -> tuple[int, ...]:
     else:
         for v, a in enumerate(adj):
             if a and not a & a - 1:
-                poly = _peel(adj, sets, v, memo, choose)
+                poly = _peel(adj, sets, v, memo)
                 break
         else:
             if reach_mask(adj, 1) == (1 << len(adj)) - 1:
-                poly = _branch(adj, sets, memo, choose)
+                poly = _branch(adj, sets, memo)
             else:
                 poly = (1,)
                 for verts in component_vertices(adj):
-                    poly = times(poly, _rec(*_induced(adj, sets, verts), memo, choose))
+                    poly = times(poly, _rec(*_induced(adj, sets, verts), memo))
     table[key] = poly
     return poly
 
 
-def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache, choose) -> tuple[int, ...]:
+def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache) -> tuple[int, ...]:
     """Delete and contract the edge of pendant vertex v, whose deletion isolates v.
 
     With u the neighbour of v, P = (x - |s_v|) P(G - v) - P(G - v, s_u | s_v),
@@ -158,23 +150,21 @@ def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache, choose) -> tuple[int
     sv, su = sets[v], sets[u]
     rest, rest_sets = _drop(adj, v), sets[:v] + sets[v + 1:]
     if sv & su == sv:
-        return times_linear_minus(_rec(rest, rest_sets, memo, choose), sv.bit_count() + 1, ())
+        return times_linear_minus(_rec(rest, rest_sets, memo), sv.bit_count() + 1, ())
     w = u - (u > v)
     merged = rest_sets[:w] + (su | sv,) + rest_sets[w + 1:]
-    return times_linear_minus(
-        _rec(rest, rest_sets, memo, choose), sv.bit_count(), _rec(rest, merged, memo, choose))
+    return times_linear_minus(_rec(rest, rest_sets, memo), sv.bit_count(), _rec(rest, merged, memo))
 
 
-def _branch(adj: tuple, sets: tuple, memo: MemoCache, choose) -> tuple[int, ...]:
-    """Delete and contract the pivot edge (u, v), u < v, merging v into u."""
-    if choose is None:
-        u, v = 0, (adj[0] & -adj[0]).bit_length() - 1
-    else:
-        n = len(adj)
-        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1]
-        u, v = sorted(choose(edges))
-        if not (0 <= u < n and adj[u] >> v & 1):
-            raise ValueError(f"edge {(u, v)} not in graph")
+def _pivot(adj: tuple) -> tuple[int, int]:
+    """The edge (u, v), u < v, that _branch deletes and contracts: vertex 0
+    and its lowest neighbour, so equal subproblems branch alike."""
+    return 0, (adj[0] & -adj[0]).bit_length() - 1
+
+
+def _branch(adj: tuple, sets: tuple, memo: MemoCache) -> tuple[int, ...]:
+    """Delete and contract the edge _pivot(adj), merging its higher end into its lower."""
+    u, v = _pivot(adj)
     bu, bv = 1 << u, 1 << v
     deleted = list(adj)
     deleted[u] ^= bv
@@ -182,7 +172,7 @@ def _branch(adj: tuple, sets: tuple, memo: MemoCache, choose) -> tuple[int, ...]
     merged = [a ^ bv | bu if a & bv else a for a in adj]
     merged[u] = (adj[u] | adj[v]) & ~(bu | bv)
     moved = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
-    return minus(_rec(tuple(deleted), sets, memo, choose), _rec(_drop(merged, v), moved, memo, choose))
+    return minus(_rec(tuple(deleted), sets, memo), _rec(_drop(merged, v), moved, memo))
 
 
 def count_colourings(g: Graph, r: Restraint, x: int) -> int:

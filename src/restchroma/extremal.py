@@ -63,8 +63,8 @@ class ExtremalReport:
             "max_classes": [c.class_id() for c in self.max_classes],
             "min_poly": [str(c) for c in self.min_poly.coeffs],
             "max_poly": [str(c) for c in self.max_poly.coeffs],
-            "max_witness": {cid: [d, str(c)] for cid, (d, c) in sorted(self.max_witness.items())},
-            "min_witness": {cid: [d, str(c)] for cid, (d, c) in sorted(self.min_witness.items())},
+            "max_witness": {cid: [d, str(c)] for cid, (d, c) in self.max_witness.items()},
+            "min_witness": {cid: [d, str(c)] for cid, (d, c) in self.min_witness.items()},
         }
 
 
@@ -148,6 +148,34 @@ def report_from_record(g: Graph, record: dict) -> ExtremalReport:
     )
 
 
+JSON_CHUNK = 256
+
+
+def write_json(obj: dict, out) -> None:
+    """Write json.dumps(obj, sort_keys=True) and a newline in pieces, so a
+    large record is never held as one string: each top-level dict or list
+    goes JSON_CHUNK items at a time through the C encoder (json.dump would
+    use the pure-Python one, about 3x slower).  cli._emit and the store of
+    load_or_compute_extremal both call it, so a stored record holds the
+    bytes that extremal --json prints."""
+    out.write("{")
+    for i, key in enumerate(sorted(obj)):
+        value = obj[key]
+        out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if isinstance(value, (dict, list)):
+            is_map = isinstance(value, dict)
+            seq = sorted(value) if is_map else value
+            out.write("{" if is_map else "[")
+            for j in range(0, len(seq), JSON_CHUNK):
+                chunk = seq[j:j + JSON_CHUNK]
+                piece = json.dumps({k: value[k] for k in chunk} if is_map else chunk, sort_keys=True)[1:-1]
+                out.write(f", {piece}" if j else piece)
+            out.write("}" if is_map else "]")
+        else:
+            out.write(json.dumps(value, sort_keys=True))
+    out.write("}\n")
+
+
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
     """find_extremal with a results directory keyed by (graph6, k).
 
@@ -171,7 +199,7 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
     fd, tmp = tempfile.mkstemp(dir=results_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            json.dump(report.to_record(), fh, sort_keys=True)
+            write_json(report.to_record(), fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -276,7 +304,10 @@ def verify_catalog(theorem: str, catalog, k: int, results_dir: str | None = None
     """Check a theorem on every graph of a catalog, one search per graph
     (read from or added to the store in results_dir, when given).  A graph
     outside the theorem's hypotheses gets a "skipped" reason and no "ok"; a
-    record whose "ok" is False is a violation."""
+    record whose "ok" is False is a violation.  k < 1 raises ValueError
+    before any graph is looked at."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     check = THEOREMS[theorem][1]
     records = []
     for g in catalog:

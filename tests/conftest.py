@@ -90,6 +90,25 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 0) -> 
     return Graph(n, edges)
 
 
+def random_pivot(rng: random.Random):
+    """A stand-in for engine._pivot that branches on an edge (u, v), u < v,
+    of each subproblem drawn at random from rng; its calls attribute counts
+    how often it was consulted."""
+    def pick(adj):
+        pick.calls += 1
+        n = len(adj)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1]
+        return edges[rng.randrange(len(edges))]
+
+    pick.calls = 0
+    return pick
+
+
+def no_search(g, k, **kwargs):
+    """A stand-in for extremal.find_extremal in tests that must read the store."""
+    raise AssertionError(f"searched {g!r} at k={k} instead of reading the store")
+
+
 def poly_sum(*terms: IntPolynomial) -> IntPolynomial:
     """Sum of polynomials, added coefficient by coefficient (the package has
     no + on polynomials)."""

@@ -32,6 +32,8 @@ from restchroma import (
     verify_min_theorem,
     verify_properness,
 )
+from restchroma import engine
+from conftest import random_pivot
 
 R = parse_restraint
 
@@ -199,7 +201,7 @@ def test_criterion_7_theorem_verification():
     _check(7, f"min/proper/bipartite verified on {checked} graph runs", total_violations == 0)
 
 
-def test_criterion_8_shape_and_pivot_invariance():
+def test_criterion_8_shape_and_pivot_invariance(monkeypatch):
     bad_shape = 0
     for g, r, p in _RECORDED:
         if p.degree != g.n or p.leading != 1:
@@ -217,19 +219,20 @@ def test_criterion_8_shape_and_pivot_invariance():
     sample = list(_RECORDED[:14])  # all named fixtures from criteria 1-4
     rest = _RECORDED[14:]
     sample += [rest[rng.randrange(len(rest))] for _ in range(30)] if rest else []
-    pivot_changes = 0
+    pivot_changes = pivot_calls = 0
     for g, r, p in sample:
         for _ in range(10):
             seed = rng.randrange(1 << 30)
-            local = random.Random(seed)
-            pick = lambda edges: edges[local.randrange(len(edges))]
-            if restrained_poly(g, r, pivot=pick) != p:
+            pick = random_pivot(random.Random(seed))
+            monkeypatch.setattr(engine, "_pivot", pick)
+            if restrained_poly(g, r) != p:
                 pivot_changes += 1
+            pivot_calls += pick.calls
     _check(
         8,
         f"shape invariants on {len(_RECORDED)} polynomials, "
-        f"pivot reshuffles on {len(sample)} samples",
-        bad_shape == 0 and pivot_changes == 0 and len(_RECORDED) > 500,
+        f"{pivot_calls} random pivots over {len(sample)} samples x 10 reshuffles",
+        bad_shape == 0 and pivot_changes == 0 and pivot_calls > 0 and len(_RECORDED) > 500,
     )
 
 

@@ -10,17 +10,15 @@ import pytest
 
 from restchroma import IntPolynomial, find_extremal, from_name
 from restchroma import extremal as extremal_module
-from restchroma.cli import JSON_CHUNK, _emit, _write_json, main
+from restchroma.cli import _emit, main
+from restchroma.extremal import JSON_CHUNK, write_json
+from conftest import no_search
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _no_search(g, k, **kwargs):
-    raise AssertionError(f"searched {g!r} at k={k} instead of reading the store")
 
 
 class TestPoly:
@@ -176,6 +174,16 @@ class TestExtremal:
         assert code == 0
         assert out == fresh
 
+    def test_stored_record_is_the_json_output(self, capsys, tmp_path):
+        # C8's witness maps are longer than JSON_CHUNK, so the record is
+        # written in several pieces
+        args = ("extremal", "--graph", "C8", "--k", "1", "--json")
+        _, fresh, _ = run(capsys, *args)
+        _, computed, _ = run(capsys, *args, "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        assert len(json.loads(fresh)["max_witness"]) > JSON_CHUNK
+        assert computed == fresh and path.read_bytes() == fresh.encode("ascii")
+
     def test_json_is_streamed(self, monkeypatch):
         # C10 at k=1 makes a 0.7 MB record; written to an output that keeps
         # only a running hash, the bytes match the one-string dump (whose
@@ -219,7 +227,7 @@ class TestExtremal:
         ]
         for obj in objects:
             out = io.StringIO()
-            _write_json(obj, out)
+            write_json(obj, out)
             assert out.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
 
 
@@ -258,7 +266,7 @@ class TestVerify:
         verify = ("verify", "--theorem", "min", "--graph", "C4", "--json")
         _, fresh, _ = run(capsys, *verify)
         run(capsys, "extremal", "--graph", "C4", "--results-dir", str(tmp_path))
-        monkeypatch.setattr(extremal_module, "find_extremal", _no_search)
+        monkeypatch.setattr(extremal_module, "find_extremal", no_search)
         code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
         assert code == 0
         assert out == fresh
@@ -272,7 +280,7 @@ class TestVerify:
 
         fresh = {theorem: verify(theorem) for theorem in ("min", "proper", "a7", "bipartite")}
         assert verify("min", "--results-dir", str(tmp_path)) == fresh["min"]
-        monkeypatch.setattr(extremal_module, "find_extremal", _no_search)
+        monkeypatch.setattr(extremal_module, "find_extremal", no_search)
         for theorem in ("proper", "a7", "bipartite"):
             assert verify(theorem, "--results-dir", str(tmp_path)) == fresh[theorem]
 
@@ -282,6 +290,13 @@ class TestVerify:
         obj = json.loads(out)
         assert obj["violations"] == 0
         assert [rec["skipped"] for rec in obj["records"]] == ["not connected"]
+
+    def test_k_below_one_rejected(self, capsys):
+        # refused before the graph is found outside the theorem's hypotheses
+        code, out, err = run(capsys, "verify", "--theorem", "bipartite", "--graph", "C3", "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert "k must be at least 1" in err
 
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_empty_catalog_rejected(self, capsys, n_max):

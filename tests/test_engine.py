@@ -32,8 +32,9 @@ from restchroma import (
     star_graph,
     to_graph6,
 )
+from restchroma import engine
 from restchroma.engine import ORACLE_WORK_BUDGET
-from conftest import poly_sum, random_connected_graph, random_graph, random_restraint
+from conftest import poly_sum, random_connected_graph, random_graph, random_pivot, random_restraint
 
 R = parse_restraint
 
@@ -176,17 +177,14 @@ class TestPolynomialMeaning:
                 lhs, base = restrained_poly(g, constant_restraint(g, k)), restrained_poly(g, empty_restraint(g))
                 assert all(lhs.evaluate(x + k) == base.evaluate(x) for x in range(g.n + 1))
 
-    def test_pivot_independence(self, c7):
+    def test_pivot_independence(self, c7, monkeypatch):
         r = R("[{1},{2},{1},{2},{1},{2},{3}]")
         base = restrained_poly(c7, r)
         for seed in range(6):
-            rng = random.Random(seed)
-            pick = lambda edges: edges[rng.randrange(len(edges))]
-            assert restrained_poly(c7, r, pivot=pick) == base
-        # the pivot may name its edge in either orientation, but not a non-edge
-        assert restrained_poly(c7, r, pivot=lambda edges: edges[0][::-1]) == base
-        with pytest.raises(ValueError, match=r"edge \(0, 2\) not in graph"):
-            restrained_poly(cycle_graph(4), R("[{1},{2},{1},{2}]"), pivot=lambda edges: (0, 2))
+            pick = random_pivot(random.Random(seed))
+            monkeypatch.setattr(engine, "_pivot", pick)
+            assert restrained_poly(c7, r) == base
+            assert pick.calls > 0
 
     def test_whole_polynomial_matches_oracle(self):
         # n + 1 consecutive values from m(r) on pin the degree-n polynomial;
@@ -285,17 +283,20 @@ class TestPeeling:
         # x (x - 3) (x - 1)
         assert restrained_poly(empty_graph(3), R("[{},{1,2,3},{2}]")) == IntPolynomial([0, 3, -4, 1])
 
-    def test_pivot_never_consulted_on_a_forest(self):
-        def refuse(edges):
-            raise AssertionError(f"pivot consulted on {edges}")
+    def test_pivot_never_consulted_on_a_forest(self, monkeypatch):
+        def refuse(adj):
+            raise AssertionError(f"pivot consulted on {adj}")
 
         rng = random.Random(71)
+        forests = []
         for _ in range(20):
             n = rng.randint(1, 10)
             g = random_connected_graph(rng, n)
             g = Graph(n, rng.sample(sorted(g.edges), rng.randint(0, n - 1)))
-            r = random_restraint(rng, n, max_colour=4)
-            assert restrained_poly(g, r, pivot=refuse) == restrained_poly(g, r)
+            forests.append((g, random_restraint(rng, n, max_colour=4)))
+        expected = [restrained_poly(g, r) for g, r in forests]
+        monkeypatch.setattr(engine, "_pivot", refuse)
+        assert [restrained_poly(g, r) for g, r in forests] == expected
 
     def test_colours_renamed_to_bits(self, c7):
         # a colour of 10**9 would be a 10**9-bit mask without the renaming

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from restchroma import extremal
 from restchroma import (
     Graph,
     MemoCache,
@@ -33,6 +34,7 @@ from restchroma import (
     verify_min_theorem,
     verify_properness,
 )
+from conftest import no_search
 
 R = parse_restraint
 
@@ -184,14 +186,44 @@ class TestResumableStore:
         assert json.loads(path.read_text()) == fresh
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_failed_write_leaves_no_temporary_file(self, tmp_path, c4, monkeypatch):
-        def boom(*args, **kwargs):
-            raise OSError("disk full")
+    def test_record_without_trailing_newline_is_read(self, tmp_path, c4, monkeypatch):
+        # records written before the store shared the --json writer are one
+        # json.dumps string with no newline; they still load without a search
+        fresh = find_extremal(c4, 1).to_record()
+        load_or_compute_extremal(c4, 1, str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        old = json.dumps(fresh, sort_keys=True)
+        path.write_text(old)
+        monkeypatch.setattr(extremal, "find_extremal", no_search)
+        assert load_or_compute_extremal(c4, 1, str(tmp_path)).to_record() == fresh
+        assert path.read_text() == old
 
-        monkeypatch.setattr(json, "dump", boom)
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, c4, monkeypatch):
+        # the writer fails after its first piece while replacing a damaged
+        # record: the temporary file goes and the damaged one stays as it was
+        load_or_compute_extremal(c4, 1, str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        damaged = path.read_bytes()[:40]
+        path.write_bytes(damaged)
+        write_json = extremal.write_json
+
+        def first_piece_then_fail(obj, out):
+            class Failing:
+                pieces = 0
+
+                def write(self, text):
+                    if Failing.pieces:
+                        raise OSError("disk full")
+                    Failing.pieces += 1
+                    out.write(text)
+
+            write_json(obj, Failing())
+
+        monkeypatch.setattr(extremal, "write_json", first_piece_then_fail)
         with pytest.raises(OSError, match="disk full"):
             load_or_compute_extremal(c4, 1, str(tmp_path))
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == damaged
 
 
 class TestMinTheorem:
@@ -249,6 +281,10 @@ class TestBipartiteTheorem:
     def test_catalog_no_violations(self):
         report = verify_bipartite_max(connected_bipartite_catalog(5), 1)
         assert report.violations == []
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            verify_bipartite_max([cycle_graph(3)], 0)
 
     def test_non_bipartite_skipped(self, c3):
         report = verify_bipartite_max([c3], 1)

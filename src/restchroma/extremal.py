@@ -70,7 +70,8 @@ class ExtremalReport:
 
 def _gap(hi_key, lo_key, hi_poly, lo_poly, n: int) -> tuple[int, int]:
     """Leading term (degree, coefficient) of hi_poly - lo_poly, read off the
-    dominance keys when they differ (the polynomials are then not needed)."""
+    dominance keys when they differ (the polynomials are then not needed,
+    and may be None)."""
     if hi_key[0] != lo_key[0]:
         return n - 2, hi_key[0] - lo_key[0]
     if hi_key != lo_key:
@@ -86,8 +87,9 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     (engine.dominance_key).  Only the classes whose key ties the best or the
     worst get a polynomial, all from one memo cache (the given one or a fresh
     one); the winners are the tied classes with the largest or smallest
-    polynomial, so ties mean exactly equal polynomials.  Every other class's
-    witness is read from the keys.
+    polynomial, so ties mean exactly equal polynomials.  Only those classes
+    compare polynomials: every other class's key differs from both the best
+    and the worst, so both its witnesses are read from the keys.
     """
     classes = enumerate_k_restraints(g, k)
     key = dominance_key(g, k)
@@ -105,18 +107,23 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     min_poly = min((p for i, p in polys.items() if keys[i] == worst), key=lambda p: p.coeffs[::-1])
     max_witness = {}
     min_witness = {}
-    for i, cls in enumerate(classes):
-        poly, cid = polys.get(i), cls.class_id()
+    for i, (cls, class_key) in enumerate(zip(classes, keys)):
+        cid = cls.class_id()
+        poly = polys.get(i)
+        if poly is None:
+            max_witness[cid] = _gap(best, class_key, None, None, g.n)
+            min_witness[cid] = _gap(class_key, worst, None, None, g.n)
+            continue
         if poly != max_poly:
-            max_witness[cid] = _gap(best, keys[i], max_poly, poly, g.n)
+            max_witness[cid] = _gap(best, class_key, max_poly, poly, g.n)
         if poly != min_poly:
-            min_witness[cid] = _gap(keys[i], worst, poly, min_poly, g.n)
+            min_witness[cid] = _gap(class_key, worst, poly, min_poly, g.n)
     return ExtremalReport(
         graph_id=to_graph6(g),
         k=k,
         class_count=len(classes),
-        min_classes=tuple(c for i, c in enumerate(classes) if polys.get(i) == min_poly),
-        max_classes=tuple(c for i, c in enumerate(classes) if polys.get(i) == max_poly),
+        min_classes=tuple(classes[i] for i, p in polys.items() if p == min_poly),
+        max_classes=tuple(classes[i] for i, p in polys.items() if p == max_poly),
         min_poly=min_poly,
         max_poly=max_poly,
         max_witness=max_witness,
@@ -176,10 +183,20 @@ def write_json(obj: dict, out) -> None:
     out.write("}\n")
 
 
+def _umask() -> int:
+    """The process umask.  Python reads it only by setting it, so it is set
+    back at once; a file that another thread creates in between is masked
+    by 0o022."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
     """find_extremal with a results directory keyed by (graph6, k).
 
-    Records are written atomically (temporary file, then os.replace), and a
+    Records are written atomically (temporary file, then os.replace) with
+    the mode a plain open() would give them, 0o666 less the umask, and a
     failed write removes its temporary file before the error propagates; one
     that does not parse, holds another (graph6, k), or whose winners plus
     witnesses on either side are not class_count classes is recomputed.
@@ -199,6 +216,7 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
     fd, tmp = tempfile.mkstemp(dir=results_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
+            os.chmod(tmp, 0o666 & ~_umask())
             write_json(report.to_record(), fh)
         os.replace(tmp, path)
     except BaseException:

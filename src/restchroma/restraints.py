@@ -10,11 +10,13 @@ generation on; a Restraint is built from one only on demand.  Both
 canonicalisation and enumeration go through _orbit_rows, the sorted mask
 tuples of a restraint's distinct automorphic images: the canon is their
 minimum, and the enumeration marks a new class's whole orbit as seen, so each
-class is found once.  Images are computed a whole row of automorphisms at a
-time: each vertex has a column of its image bits, one per automorphism, and a
-mask's row is its lowest bit's column ORed onto the row of the rest.  Rows
-are cached for one enumerate_k_restraints or canonicalize call, so the
-cache holds up to |Aut| ints for each distinct mask it meets.
+class is found once.  On a graph with a trivial group the enumeration skips
+them: each colour class is then one class, and its sorted masks its canon.
+Images are computed a whole row of automorphisms at a time: each vertex has
+a column of its image bits, one per automorphism, and a mask's row is its
+lowest bit's column ORed onto the row of the rest.  Rows are cached for one
+enumerate_k_restraints or canonicalize call, so the cache holds up to |Aut|
+ints for each distinct mask it meets.
 
 The enumeration walks one first-use normal form per colour class
 (_normal_form_masks).  Equal masks in a form are always contiguous, since
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import or_
@@ -168,14 +171,12 @@ class RestraintClass:
 
     def _colour_lists(self, labels: Iterable) -> list[list]:
         """Per vertex, the labels of its forbidden colours in colour order:
-        labels gives one label per canon mask, and each mask's set bits are
-        walked once, lowest first."""
+        labels gives one label per canon mask, placed at each vertex of the
+        mask (_mask_vertices)."""
         lists: list[list] = [[] for _ in range(self.n)]
         for label, mask in zip(labels, self.canon):
-            while mask:
-                low = mask & -mask
-                lists[low.bit_length() - 1].append(label)
-                mask ^= low
+            for v in _mask_vertices(mask):
+                lists[v].append(label)
         return lists
 
     @property
@@ -184,9 +185,32 @@ class RestraintClass:
 
     def class_id(self) -> str:
         """render_restraint(self.representative), joined straight from the
-        colour labels, which the walk leaves ascending at every vertex."""
-        sets = self._colour_lists(map(str, range(1, len(self.canon) + 1)))
-        return "[" + ",".join(["{" + ",".join(s) + "}" for s in sets]) + "]"
+        cached colour labels (_labels), which the walk leaves ascending at
+        every vertex; a class on 0 vertices reads "[]"."""
+        if not self.n:
+            return "[]"
+        sets = self._colour_lists(_labels(len(self.canon)))
+        return "[{" + "},{".join([",".join(s) for s in sets]) + "}]"
+
+
+@lru_cache(maxsize=1 << 16)
+def _mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices whose bits mask has, lowest first.  Every class of a
+    graph draws its masks from the same few, so each is expanded once; the
+    bound keeps a long process on many large graphs from growing it without
+    limit."""
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(vertices)
+
+
+@lru_cache(maxsize=None)
+def _labels(count: int) -> tuple[str, ...]:
+    """The colour labels "1".."count" of class ids, one entry per count."""
+    return tuple(map(str, range(1, count + 1)))
 
 
 def _orbit_rows(n: int, autos: list[tuple[int, ...]]):
@@ -307,26 +331,33 @@ def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
 
     Walks one first-use normal form per colour class (_normal_form_masks,
     whose runs of equal masks stay contiguous and are joined only along a
-    prefix).  The first candidate of a class marks the class's whole orbit as
-    seen, so every later candidate of it (whose own sorted mask tuple lies in
-    that orbit) is skipped; the canon is the orbit minimum.  Classes are
-    returned sorted by canon.  More than FORMS_BUDGET normal forms, counted
-    by _normal_form_count as an upper bound on the walk, raise CapError
-    before any automorphism is listed; the count stops at the first vertex
-    whose prefixes pass the budget.
+    prefix).  When g's automorphism group is trivial, each colour class is
+    one restraint class and its sorted mask tuple is its canon, so no orbit
+    is computed.  Otherwise the first candidate of a class marks the class's
+    whole orbit as seen, so every later candidate of it (whose own sorted
+    mask tuple lies in that orbit) is skipped; the canon is the orbit
+    minimum.  Classes are returned sorted by canon.  More than FORMS_BUDGET
+    normal forms, counted by _normal_form_count as an upper bound on the
+    walk, raise CapError before any automorphism is listed; the count stops
+    at the first vertex whose prefixes pass the budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     _normal_form_count(g.n, k)
-    orbit = _orbit_rows(g.n, g.automorphisms())
-    seen: set[tuple[int, ...]] = set()
-    canons = []
+    autos = g.automorphisms()
+    canons: list[tuple[int, ...]] = []
+    if len(autos) == 1:
+        def visit(masks: list[int]) -> None:
+            canons.append(tuple(sorted(masks)))
+    else:
+        orbit = _orbit_rows(g.n, autos)
+        seen: set[tuple[int, ...]] = set()
 
-    def visit(masks: list[int]) -> None:
-        if tuple(sorted(masks)) not in seen:
-            images = set(orbit(masks))
-            seen.update(images)
-            canons.append(min(images))
+        def visit(masks: list[int]) -> None:
+            if tuple(sorted(masks)) not in seen:
+                images = set(orbit(masks))
+                seen.update(images)
+                canons.append(min(images))
 
     _normal_form_masks(g.n, k, visit)
     return [RestraintClass(c, g.n) for c in sorted(canons)]

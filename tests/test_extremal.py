@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -72,6 +74,22 @@ class TestFindExtremal:
             assert 0 <= degree < c4.n  # top coefficients agree for k-restraints
         for degree, coeff in rep.min_witness.values():
             assert coeff > 0
+
+    def test_witnesses_are_leading_terms_of_differences(self):
+        # every class against its own polynomial: a class that is not a
+        # winner has, as its witness, the leading (degree, coefficient) of
+        # max_poly - p, or of p - min_poly on the min side
+        cases = [(g, k) for k in (1, 2) for g in connected_catalog(4)] + [(cycle_graph(6), 1)]
+        for g, k in cases:
+            rep = find_extremal(g, k)
+            for cls in enumerate_k_restraints(g, k):
+                p = restrained_poly(g, cls.representative)
+                cid = cls.class_id()
+                for witness, diff in ((rep.max_witness, rep.max_poly - p), (rep.min_witness, p - rep.min_poly)):
+                    if diff.degree < 0:
+                        assert cid not in witness
+                    else:
+                        assert witness[cid] == (diff.degree, diff.leading), (g, k, cid)
 
     def test_winners_and_witnesses_cover_every_class(self):
         # the a7 check and the store's consistency check read the class list
@@ -224,6 +242,22 @@ class TestResumableStore:
             load_or_compute_extremal(c4, 1, str(tmp_path))
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == damaged
+
+    def test_record_mode_follows_umask(self, tmp_path, c4):
+        # a record gets the mode a plain open() would give it (mkstemp's
+        # own is 0o600), and reading the umask leaves it as it was
+        old = os.umask(0o022)
+        try:
+            load_or_compute_extremal(c4, 1, str(tmp_path / "a"))
+            os.umask(0o027)
+            load_or_compute_extremal(c4, 1, str(tmp_path / "b"))
+            assert os.umask(0o027) == 0o027
+        finally:
+            os.umask(old)
+        (a,) = (tmp_path / "a").iterdir()
+        (b,) = (tmp_path / "b").iterdir()
+        assert stat.S_IMODE(a.stat().st_mode) == 0o644
+        assert stat.S_IMODE(b.stat().st_mode) == 0o640
 
 
 class TestMinTheorem:

@@ -262,6 +262,9 @@ class TestEnumeration:
         # the edge set, applied to each mask bit by bit
         cases = [(g, 1) for g in connected_catalog(5)] + [(g, 2) for g in connected_catalog(4)]
         cases += [(complete_graph(6), 1), (star_graph(6), 1), (complete_bipartite_graph(2, 5), 1)]
+        # the enumeration skips orbits on a trivial group; below n = 6 only
+        # K1, already a case, has one
+        cases += [(g, 1) for g in connected_catalog(6) if g.n == 6 and len(g.automorphisms()) == 1]
         for g, k in cases:
             autos = [
                 p for p in permutations(range(g.n))
@@ -279,6 +282,21 @@ class TestEnumeration:
                 reference.append(min(images))
                 assert canonicalize(g, restraint_of(masks, g.n)).canon == min(images)
             assert [cls.canon for cls in enumerate_k_restraints(g, k)] == sorted(reference)
+
+    def test_trivial_group_computes_no_orbit(self, monkeypatch):
+        # with |Aut| = 1 each colour class is one restraint class: the walk's
+        # Bell(6) set partitions at k = 1 and 29,388 colour classes at k = 2
+        from restchroma import restraints
+
+        def no_orbit(*args):
+            raise AssertionError("orbit rows built for a trivial group")
+
+        g = next(g for g in connected_catalog(6) if g.n == 6 and len(g.automorphisms()) == 1)
+        monkeypatch.setattr(restraints, "_orbit_rows", no_orbit)
+        for k, count in [(1, 203), (2, 29_388)]:
+            canons = [cls.canon for cls in enumerate_k_restraints(g, k)]
+            assert len(canons) == len(set(canons)) == count
+            assert canons == sorted(canons)
 
     def test_normal_forms_at_k1_are_set_partitions(self):
         # first-use normal forms of 1-restraints are the set partitions of

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from functools import partial
 
@@ -183,22 +182,13 @@ def write_json(obj: dict, out) -> None:
     out.write("}\n")
 
 
-def _umask() -> int:
-    """The process umask.  Python reads it only by setting it, so it is set
-    back at once; a file that another thread creates in between is masked
-    by 0o022."""
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
     """find_extremal with a results directory keyed by (graph6, k).
 
-    Records are written atomically (temporary file, then os.replace) with
-    the mode a plain open() would give them, 0o666 less the umask, and a
-    failed write removes its temporary file before the error propagates; one
-    that does not parse, holds another (graph6, k), or whose winners plus
+    Records are written atomically (temporary file, then os.replace); the
+    temporary file is created with mode 0o666, so the kernel applies the
+    umask as for a plain open(), and a failed write removes it before the
+    error propagates.  A record that does not parse, holds another (graph6, k), or whose winners plus
     witnesses on either side are not class_count classes is recomputed.
     """
     graph_id = to_graph6(g)
@@ -213,10 +203,10 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
         pass  # missing, truncated or corrupt: recompute it
     report = find_extremal(g, k)
     os.makedirs(results_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=results_dir, suffix=".tmp")
+    tmp = os.path.join(results_dir, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            os.chmod(tmp, 0o666 & ~_umask())
             write_json(report.to_record(), fh)
         os.replace(tmp, path)
     except BaseException:

@@ -1,14 +1,17 @@
 """Labeled simple graphs.
 
 Vertices are 0..n-1; edges are unordered pairs stored as sorted tuples.
-Graph values are immutable after construction.  Includes generators for
-the standard small families, edge-list and graph6 ingestion, and an
-exhaustive connected-graph catalog built by vertex extension, each class
-named by its smallest-edge-mask labelling (desk scale, n <= 7).
+Graph values are immutable after construction.  One degree-pruned search
+finds isomorphisms, and the automorphism group is built from a stabilizer
+chain of its results.  Includes generators for the standard small
+families, edge-list and graph6 ingestion, and an exhaustive
+connected-graph catalog built by vertex extension, each class named by
+its smallest-edge-mask labelling (desk scale, n <= 7).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from itertools import combinations
@@ -162,13 +165,35 @@ class Graph:
     # -- automorphisms --------------------------------------------------------------
 
     def automorphisms(self) -> list[tuple[int, ...]]:
-        """Full automorphism group as explicit vertex permutations.
+        """Full automorphism group as explicit vertex permutations, sorted
+        (cached).
 
-        Exhaustive backtracking with colour-refinement pruning; raises
-        CapError when the group has more than AUTOMORPHISM_BUDGET elements.
+        Built from a stabilizer chain (Sims 1970).  Level i holds the
+        identity and, for each w > i of i's degree and adjacency to
+        0..i-1, the first automorphism that fixes 0..i-1 and maps i to w,
+        if one exists.  |Aut| is the product of the level sizes, so a group
+        over AUTOMORPHISM_BUDGET raises CapError, with its exact order,
+        before any element is formed; the elements are the products of one
+        element per level.
         """
-        if self._autos is None:
-            self._autos = sorted(_isomorphisms(self, self, find_all=True))
+        if self._autos is not None:
+            return list(self._autos)
+        n, adj = self.n, self.adjacency_masks()
+        identity = tuple(range(n))
+        levels = []
+        for i in range(n):
+            low = (1 << i) - 1
+            same = [w for w in range(i + 1, n)
+                    if adj[w].bit_count() == adj[i].bit_count() and adj[w] & low == adj[i] & low]
+            found = (_first_isomorphism(self, self, identity[:i] + (w,)) for w in same)
+            levels.append([identity] + [t for t in found if t])
+        order = math.prod(map(len, levels))
+        if order > AUTOMORPHISM_BUDGET:
+            raise CapError(f"automorphism budget exceeded ({order} automorphisms > {AUTOMORPHISM_BUDGET}, n={n})")
+        group = [identity]
+        for level in reversed(levels):  # level i composed with the stabilizer of 0..i
+            group = [tuple(map(t.__getitem__, h)) for t in level for h in group]
+        self._autos = sorted(group)
         return list(self._autos)
 
 
@@ -202,68 +227,36 @@ def _triangles(g: Graph) -> int:
     return sum(bin((adj[a] & adj[b]) >> (b + 1)).count("1") for a, b in g.edges)
 
 
-def _wl_colors(g: Graph) -> tuple[int, ...]:
-    """Stable colour refinement classes (degree-based, iterated)."""
-    adj = g.adjacency_masks()
-    colors = [bin(adj[v]).count("1") for v in range(g.n)]
-    while True:
-        sigs = []
-        for v in range(g.n):
-            neigh = sorted(colors[w] for w in range(g.n) if adj[v] >> w & 1)
-            sigs.append((colors[v], tuple(neigh)))
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            return tuple(colors)
-        colors = new
+def _first_isomorphism(g: Graph, h: Graph, prefix: tuple[int, ...] = ()) -> tuple[int, ...] | None:
+    """The lexicographically first isomorphism g -> h (both on n vertices),
+    as the images of 0..n-1, that extends the partial isomorphism prefix;
+    None if there is none.  Each vertex in turn goes to the smallest unused
+    vertex of its degree whose adjacency to the vertices mapped so far
+    matches."""
+    n, adj_g, adj_h = g.n, g.adjacency_masks(), h.adjacency_masks()
+    image = list(prefix)
 
-
-def _isomorphisms(g: Graph, h: Graph, find_all: bool) -> list[tuple[int, ...]]:
-    """Backtracking vertex-bijection search preserving adjacency.
-
-    Returns all isomorphisms g -> h when find_all, else at most one.
-    """
-    if g.n != h.n or g.m != h.m:
-        return []
-    cg = _wl_colors(g)
-    ch = cg if h is g else _wl_colors(h)
-    if sorted(cg) != sorted(ch):
-        return []
-    adj_g, adj_h = g.adjacency_masks(), h.adjacency_masks()
-    n = g.n
-    found: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
+    def extend(v: int, used: int) -> bool:
         if v == n:
-            found.append(tuple(image))
-            if len(found) > AUTOMORPHISM_BUDGET:
-                raise CapError(f"automorphism budget exceeded (over {AUTOMORPHISM_BUDGET} automorphisms, n={g.n})")
-            return not find_all
+            return True
+        want = sum(1 << image[u] for u in range(v) if adj_g[v] >> u & 1)
         for w in range(n):
-            if used[w] or ch[w] != cg[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if (adj_g[v] >> u & 1) != (adj_h[image[u]] >> w & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if extend(v + 1):
+            if not used >> w & 1 and adj_h[w] & used == want and adj_h[w].bit_count() == adj_g[v].bit_count():
+                image.append(w)
+                if extend(v + 1, used | 1 << w):
                     return True
-                used[w] = False
-        image[v] = -1
+                image.pop()
         return False
 
-    extend(0)
-    return found
+    return tuple(image) if extend(len(prefix), sum(1 << w for w in prefix)) else None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and bool(_isomorphisms(g, h, find_all=False))
+    """n, m and sorted degrees, then one isomorphism search.  No package
+    code calls it; it stays because bench/tracing.py rebinds it, and the
+    tests use it as the catalog's independent pairwise check."""
+    degrees = [sorted(map(int.bit_count, x.adjacency_masks())) for x in (g, h)]
+    return (g.n, g.m) == (h.n, h.m) and degrees[0] == degrees[1] and _first_isomorphism(g, h) is not None
 
 
 # -- generators ---------------------------------------------------------------

@@ -244,8 +244,8 @@ class TestResumableStore:
         assert path.read_bytes() == damaged
 
     def test_record_mode_follows_umask(self, tmp_path, c4):
-        # a record gets the mode a plain open() would give it (mkstemp's
-        # own is 0o600), and reading the umask leaves it as it was
+        # a record gets the mode a plain open() would give it, and the
+        # write leaves the umask as it was
         old = os.umask(0o022)
         try:
             load_or_compute_extremal(c4, 1, str(tmp_path / "a"))
@@ -258,6 +258,18 @@ class TestResumableStore:
         (b,) = (tmp_path / "b").iterdir()
         assert stat.S_IMODE(a.stat().st_mode) == 0o644
         assert stat.S_IMODE(b.stat().st_mode) == 0o640
+
+    def test_store_write_leaves_the_umask_alone(self, tmp_path, c4, monkeypatch):
+        # setting the umask to read it would race with files that other
+        # threads create meanwhile, so a store write must not call it
+        def refuse(mask):
+            raise AssertionError("os.umask called during a store write")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        report = load_or_compute_extremal(c4, 1, str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        assert path.name.endswith("_k1.json")
+        assert load_or_compute_extremal(c4, 1, str(tmp_path)).class_count == report.class_count
 
 
 class TestMinTheorem:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -134,19 +135,63 @@ class TestAutomorphisms:
             for u, v in g.edges:
                 assert tuple(sorted((a[u], a[v]))) in g.edges
 
-    def test_colour_refinement_runs_once(self, monkeypatch):
-        calls = []
-        refine = graphs_module._wl_colors
-        monkeypatch.setattr(graphs_module, "_wl_colors", lambda g: calls.append(g) or refine(g))
-        assert len(cycle_graph(5).automorphisms()) == 10
-        assert len(calls) == 1
+    def test_second_call_runs_no_search(self, monkeypatch):
+        g = cycle_graph(5)
+        autos = g.automorphisms()
+        assert len(autos) == 10
+
+        def refuse(*args):
+            raise AssertionError("isomorphism search for a cached group")
+
+        monkeypatch.setattr(graphs_module, "_first_isomorphism", refuse)
+        assert g.automorphisms() == autos
 
     def test_cap(self):
-        # the group-order budget, not n, decides: K9 has 362,880
-        # automorphisms, P11 has 2
-        with pytest.raises(CapError, match="automorphism budget"):
-            complete_graph(9).automorphisms()
+        # the group-order budget, not n, decides: P11 has 2 automorphisms;
+        # a group over it is refused from the chain's level sizes, before
+        # any element is listed, with its exact order
+        refused = {"K9": 362_880, "K11": 39_916_800, "E11": 39_916_800, "K5,6": 86_400, "S9": 362_880}
+        for name, order in refused.items():
+            g = from_name(name)
+            start = time.perf_counter()
+            with pytest.raises(CapError) as err:
+                g.automorphisms()
+            assert time.perf_counter() - start < 0.1, name
+            assert str(err.value) == f"automorphism budget exceeded ({order} automorphisms > 50000, n={g.n})"
         assert len(path_graph(11).automorphisms()) == 2
+
+    def test_equal_brute_force(self):
+        graphs = connected_catalog(6) + [parse_graph6("FPpC?")]
+        assert automorphism_mismatches(graphs) == []
+
+    def test_orders_beyond_brute_force(self):
+        petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+        frucht = Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + d) % 12) for i, d in enumerate(lcf)])
+        cube = Graph(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3)])
+        assert frucht.m == 18 and petersen.m == 15 and cube.m == 12
+        cases = [(petersen, 120), (frucht, 1), (cube, 48), (complete_bipartite_graph(4, 4), 1152),
+                 (cycle_graph(12), 24), (complete_graph(8), 40_320)]
+        for g, order in cases:
+            autos = g.automorphisms()
+            assert len(autos) == order
+            assert autos == sorted(set(autos))
+            assert all({tuple(sorted((a[u], a[v]))) for u, v in g.edges} == g.edges for a in autos)
+
+
+def automorphism_mismatches(graphs) -> list[str]:
+    """graph6 of each graph whose automorphisms() differs from the vertex
+    permutations that preserve its edge set, listed in sorted order."""
+    bad = []
+    for g in graphs:
+        brute = [
+            p for p in permutations(range(g.n))
+            if all(tuple(sorted((p[u], p[v]))) in g.edges for u, v in g.edges)
+        ]
+        if g.automorphisms() != brute:
+            bad.append(to_graph6(g))
+    return bad
 
 
 class TestComponents:
@@ -289,7 +334,7 @@ class TestCatalog:
             raise AssertionError("isomorphism test on the catalog path")
 
         monkeypatch.setattr(graphs_module, "_CONNECTED_CACHE", {1: [Graph(1)]})
-        monkeypatch.setattr(graphs_module, "_isomorphisms", refuse)
+        monkeypatch.setattr(graphs_module, "_first_isomorphism", refuse)
         assert len(connected_catalog(6)) == 143
 
     def test_all_connected_and_nonisomorphic(self):
@@ -299,6 +344,13 @@ class TestCatalog:
         for i, g in enumerate(graphs):
             for h in graphs[i + 1:]:
                 assert not is_isomorphic(g, h)
+
+    def test_isomorphic_to_a_relabelling(self):
+        rng = random.Random(19)
+        for g in connected_catalog(6):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert is_isomorphic(g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
 
     def test_representatives_pinned(self):
         # the store and the verify records key on these graph6 strings, so

@@ -17,7 +17,6 @@ from .extremal import (
     VerifyReport,
     check_conjecture,
     conjectured_odd_cycle_restraint,
-    connected_bipartite_catalog,
     find_extremal,
     load_or_compute_extremal,
     verify_a7_condition,
@@ -33,6 +32,7 @@ from .graphs import (
     all_connected_graphs,
     complete_bipartite_graph,
     complete_graph,
+    connected_bipartite_catalog,
     connected_catalog,
     cycle_graph,
     empty_graph,

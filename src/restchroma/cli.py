@@ -18,11 +18,18 @@ from .extremal import (
     check_conjecture,
     find_extremal,
     load_or_compute_extremal,
-    skip_reason,
     verify_catalog,
     write_json,
 )
-from .graphs import CapError, Graph, ParseError, connected_catalog, load_graph, to_graph6
+from .graphs import (
+    CapError,
+    Graph,
+    ParseError,
+    connected_bipartite_catalog,
+    connected_catalog,
+    load_graph,
+    to_graph6,
+)
 from .restraints import (
     Restraint,
     empty_restraint,
@@ -169,7 +176,8 @@ def cmd_verify(args) -> int:
     if args.graph:
         graphs = [load_graph(args.graph)]
     else:
-        graphs = [g for g in connected_catalog(args.n_max) if skip_reason(args.theorem, g) is None]
+        catalog = connected_bipartite_catalog if args.theorem == "bipartite" else connected_catalog
+        graphs = catalog(args.n_max)
     report = verify_catalog(args.theorem, graphs, args.k, args.results_dir)
     obj = {"theorem": args.theorem, "k": args.k, "records": report.records, "violations": len(report.violations)}
     lines = [report.summary()]

@@ -4,9 +4,12 @@ Vertices are 0..n-1; edges are unordered pairs stored as sorted tuples.
 Graph values are immutable after construction.  One degree-pruned search
 finds isomorphisms, and the automorphism group is built from a stabilizer
 chain of its results.  Includes generators for the standard small
-families, edge-list and graph6 ingestion, and an exhaustive
-connected-graph catalog built by vertex extension, each class named by
-its smallest-edge-mask labelling (desk scale, n <= 7).
+families, edge-list and graph6 ingestion, and exhaustive catalogs of
+connected and of connected bipartite graphs.  Both are built by one
+vertex-extension step that tries one neighbourhood per orbit of the
+parent's automorphism group and names a child only when its new vertex
+leads its non-cut vertices by a degree rank, each class named by its
+smallest-edge-mask labelling (desk scale up to n = 8).
 """
 
 from __future__ import annotations
@@ -447,10 +450,11 @@ def load_graph(source: str) -> Graph:
     return parse_graph6(stripped)
 
 
-# -- exhaustive small-graph catalog ------------------------------------------------
+# -- exhaustive small-graph catalogs -----------------------------------------------
 
 
 _CONNECTED_CACHE: dict[int, list[Graph]] = {1: [Graph(1)]}
+_BIPARTITE_CACHE: dict[int, list[Graph]] = {1: [Graph(1)]}
 
 
 def _min_mask_form(n: int, adj: list[int]) -> Graph:
@@ -469,20 +473,76 @@ def _min_mask_form(n: int, adj: list[int]) -> Graph:
     return Graph(n, [(i, j) for j in range(n) for i in range(j) if adj[order[i]] >> order[j] & 1])
 
 
+def _subset_masks(vertices) -> list[int]:
+    """Entry s is the bitmask of {vertices[i] : bit i of s is set}."""
+    masks = [0]
+    for w in vertices:
+        masks += [x | 1 << w for x in masks]
+    return masks
+
+
+def _extended(cache: dict[int, list[Graph]], n: int, offers) -> list[Graph]:
+    """cache[n], built first if missing: one graph per isomorphism class of
+    the children of cache[n - 1] (built the same way), a child being a
+    parent plus a vertex n-1 adjacent to a mask in offers(parent).  Each is
+    named by its smallest-edge-mask labelling; the list is sorted by
+    (m, graph6).
+
+    For each graph G of the family and each non-cut vertex v, G - v must
+    lie in cache[n - 1] up to isomorphism and offer v's neighbourhood, and
+    offers(parent) must be closed under the parent's automorphisms.  Then
+    two cuts from McKay 1998, "Isomorph-free exhaustive generation", lose
+    no class: only the smallest mask of each orbit of the parent's group
+    is tried, since one orbit gives isomorphic children, and a child is
+    named only when _new_vertex_leads.  Children of different parents can
+    still coincide; equal names merge them, with no isomorphism test.
+    """
+    if n not in cache:
+        reps = set()
+        for g in _extended(cache, n - 1, offers):
+            least = list(range(1 << g.n))  # the smallest image of each mask
+            for perm in g.automorphisms()[1:]:  # the identity sorts first
+                least = list(map(min, least, _subset_masks(perm)))
+            adj = g.adjacency_masks()
+            children = ([a | (s >> v & 1) << (n - 1) for v, a in enumerate(adj)] + [s]
+                        for s in offers(g) if least[s] == s)
+            reps.update(_min_mask_form(n, child) for child in children if _new_vertex_leads(child))
+        cache[n] = sorted(reps, key=lambda g: (g.m, to_graph6(g)))
+    return cache[n]
+
+
+def _new_vertex_leads(adj: list[int]) -> bool:
+    """Whether no non-cut vertex of the connected graph with neighbour masks
+    adj ranks above its last vertex by (degree, sum of its neighbours'
+    degrees).  The rank is kept by isomorphisms, so each class has a child
+    that passes: a graph of the class minus a non-cut vertex of the top
+    rank, extended back."""
+    n = len(adj)
+    degree = [a.bit_count() for a in adj]
+    rank = [(degree[v], sum(degree[w] for w in range(n) if a >> w & 1)) for v, a in enumerate(adj)]
+
+    def non_cut(v: int) -> bool:
+        return reach_mask([a & ~(1 << v) for a in adj], 1 << (n - 1)) == (1 << n) - 1 ^ 1 << v
+
+    return not any(rank[v] > rank[-1] and non_cut(v) for v in range(n - 1))
+
+
+def _one_side_masks(g: Graph) -> list[int]:
+    """The nonempty vertex masks inside one side of g's bipartition."""
+    return [s for side in g.bipartition() for s in _subset_masks(side)[1:]]
+
+
 def all_connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
     Each is a connected (n-1)-vertex graph plus a non-cut vertex with a
-    nonempty neighbourhood, named by its smallest-edge-mask labelling, so
-    no isomorphism test is made; desk scale up to n = 7.
+    nonempty neighbourhood, one neighbourhood per orbit of the parent's
+    automorphism group, named by its smallest-edge-mask labelling
+    (_extended); n = 8, 11,117 graphs, takes a few seconds.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n not in _CONNECTED_CACHE:
-        reps = {_min_mask_form(n, [a | (s >> v & 1) << (n - 1) for v, a in enumerate(g.adjacency_masks())] + [s])
-                for g in all_connected_graphs(n - 1) for s in range(1, 1 << (n - 1))}
-        _CONNECTED_CACHE[n] = sorted(reps, key=lambda g: (g.m, to_graph6(g)))
-    return list(_CONNECTED_CACHE[n])
+    return list(_extended(_CONNECTED_CACHE, n, lambda g: range(1, 1 << g.n)))
 
 
 def connected_catalog(n_max: int) -> list[Graph]:
@@ -490,3 +550,18 @@ def connected_catalog(n_max: int) -> list[Graph]:
     if n_max < 1:
         raise ValueError("catalog needs n_max >= 1")
     return [g for n in range(1, n_max + 1) for g in all_connected_graphs(n)]
+
+
+def connected_bipartite_catalog(n_max: int) -> list[Graph]:
+    """Connected bipartite graphs with 1..n_max vertices, one per
+    isomorphism class: the bipartite graphs of connected_catalog(n_max),
+    in the same order and with the same labellings.
+
+    No other graph is built.  A connected bipartite graph minus a non-cut
+    vertex is still connected and bipartite, and the removed vertex's
+    neighbours lie on one side, so each size extends the one below by
+    one-side neighbourhoods only.
+    """
+    if n_max < 1:
+        raise ValueError("catalog needs n_max >= 1")
+    return [g for n in range(1, n_max + 1) for g in _extended(_BIPARTITE_CACHE, n, _one_side_masks)]

@@ -3,7 +3,8 @@ from itertools import combinations, zip_longest
 
 import pytest
 
-from restchroma import Graph, IntPolynomial, Restraint, cycle_graph, path_graph
+from restchroma import Graph, IntPolynomial, Restraint, cycle_graph, path_graph, to_graph6
+from restchroma.graphs import _min_mask_form
 
 
 @pytest.fixture
@@ -79,6 +80,20 @@ def first_use_forms(n: int, k: int):
             del masks[used:]
 
     yield from rec(0)
+
+
+def unpruned_connected_catalog(n_max: int) -> list[Graph]:
+    """Connected graphs with 1..n_max vertices by the unpruned vertex
+    extension, kept as the reference for the catalog's orbit pruning: each
+    graph on n - 1 vertices gets a new vertex n-1 adjacent to every nonempty
+    subset of its vertices in turn, each child is named by _min_mask_form,
+    and each size is sorted by (m, graph6)."""
+    levels = [[Graph(1)]]
+    for n in range(2, n_max + 1):
+        reps = {_min_mask_form(n, [a | (s >> v & 1) << (n - 1) for v, a in enumerate(g.adjacency_masks())] + [s])
+                for g in levels[-1] for s in range(1, 1 << (n - 1))}
+        levels.append(sorted(reps, key=lambda g: (g.m, to_graph6(g))))
+    return [g for level in levels for g in level]
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 0) -> Graph:

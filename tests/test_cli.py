@@ -300,10 +300,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_empty_catalog_rejected(self, capsys, n_max):
-        code, out, err = run(capsys, "verify", "--theorem", "min", "--n-max", n_max)
-        assert code == 2
-        assert out == ""
-        assert "n_max" in err
+        for theorem in ("min", "bipartite"):
+            code, out, err = run(capsys, "verify", "--theorem", theorem, "--n-max", n_max)
+            assert code == 2
+            assert out == ""
+            assert "n_max" in err
 
 
 class TestConjecture:

@@ -27,7 +27,7 @@ from restchroma import (
     to_graph6,
 )
 from restchroma.graphs import component_vertices
-from conftest import random_graph
+from conftest import random_graph, unpruned_connected_catalog
 
 
 class TestConstruction:
@@ -315,9 +315,10 @@ class TestCatalog:
         assert [sizes[n] for n in range(1, 8)] == [1, 1, 1, 3, 5, 17, 44]
 
     def test_empty_catalog_rejected(self):
-        for n_max in (0, -3):
-            with pytest.raises(ValueError):
-                connected_catalog(n_max)
+        for catalog in (connected_catalog, connected_bipartite_catalog):
+            for n_max in (0, -3):
+                with pytest.raises(ValueError):
+                    catalog(n_max)
 
     def test_representatives_have_the_smallest_mask(self):
         # brute force over all n! labellings: each representative carries its
@@ -330,12 +331,36 @@ class TestCatalog:
         assert len(own) == 143
 
     def test_catalog_makes_no_isomorphism_test(self, monkeypatch):
+        # the parents' automorphism groups search for isomorphisms by design;
+        # what the catalog must not do is test two graphs against each other
         def refuse(*args, **kwargs):
-            raise AssertionError("isomorphism test on the catalog path")
+            raise AssertionError("pairwise isomorphism test on the catalog path")
 
         monkeypatch.setattr(graphs_module, "_CONNECTED_CACHE", {1: [Graph(1)]})
-        monkeypatch.setattr(graphs_module, "_first_isomorphism", refuse)
+        monkeypatch.setattr(graphs_module, "_BIPARTITE_CACHE", {1: [Graph(1)]})
+        monkeypatch.setattr(graphs_module, "is_isomorphic", refuse)
         assert len(connected_catalog(6)) == 143
+        assert len(connected_bipartite_catalog(6)) == 28
+
+    def test_pruned_equals_unpruned(self):
+        assert connected_catalog(6) == unpruned_connected_catalog(6)
+
+    def test_bipartite_catalog_is_the_bipartite_part(self):
+        assert connected_bipartite_catalog(7) == [g for g in connected_catalog(7) if g.bipartition() is not None]
+
+    def test_pruning_names_fewer_children(self, monkeypatch):
+        # unpruned, n <= 6 names 651 + 90 + 14 + 3 + 1 = 759 children
+        named = Counter()
+
+        def counted(n, adj):
+            named[n] += 1
+            return min_mask_form(n, adj)
+
+        min_mask_form = graphs_module._min_mask_form
+        monkeypatch.setattr(graphs_module, "_CONNECTED_CACHE", {1: [Graph(1)]})
+        monkeypatch.setattr(graphs_module, "_min_mask_form", counted)
+        assert len(connected_catalog(6)) == 143
+        assert sum(named.values()) < 759, named
 
     def test_all_connected_and_nonisomorphic(self):
         graphs = all_connected_graphs(5)

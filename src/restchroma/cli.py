@@ -19,6 +19,7 @@ from .extremal import (
     find_extremal,
     load_or_compute_extremal,
     verify_catalog,
+    verify_theorems,
     write_json,
 )
 from .graphs import (
@@ -173,18 +174,28 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """One theorem, or with --theorem all every theorem in THEOREMS, checked
+    graph by graph so that each graph is searched once."""
     if args.graph:
         graphs = [load_graph(args.graph)]
     else:
         catalog = connected_bipartite_catalog if args.theorem == "bipartite" else connected_catalog
         graphs = catalog(args.n_max)
-    report = verify_catalog(args.theorem, graphs, args.k, args.results_dir)
-    obj = {"theorem": args.theorem, "k": args.k, "records": report.records, "violations": len(report.violations)}
-    lines = [report.summary()]
-    for rec in report.violations:
-        lines.append(f"violation: {json.dumps(rec, sort_keys=True)}")
+    if args.theorem == "all":
+        reports = verify_theorems(list(THEOREMS), graphs, args.k, args.results_dir)
+        results = {name: {"records": r.records, "violations": len(r.violations)} for name, r in reports.items()}
+        obj = {"theorem": "all", "k": args.k, "theorems": results}
+    else:
+        report = verify_catalog(args.theorem, graphs, args.k, args.results_dir)
+        reports = {args.theorem: report}
+        obj = {"theorem": args.theorem, "k": args.k, "records": report.records}
+    violations = obj["violations"] = sum(len(r.violations) for r in reports.values())
+    lines = []
+    for report in reports.values():
+        lines.append(report.summary())
+        lines.extend(f"violation: {json.dumps(rec, sort_keys=True)}" for rec in report.violations)
     _emit(args, obj, lines)
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def cmd_conjecture(args) -> int:
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.set_defaults(func=cmd_extremal)
 
     p_verify = sub.add_parser("verify", help="verify a theorem over a catalog")
-    p_verify.add_argument("--theorem", required=True, choices=list(THEOREMS))
+    p_verify.add_argument("--theorem", required=True, choices=[*THEOREMS, "all"])
     p_verify.add_argument("--n-max", type=int, default=5)
     p_verify.add_argument("--graph", default=None, help="check this one graph instead of the --n-max catalog")
     p_verify.add_argument("--k", type=int, default=1)

@@ -8,16 +8,19 @@ are collected among them (all ties reported), and every other class's
 witness is read from its key.  Each theorem in THEOREMS is a
 predicate over that one search, checked on every graph of a catalog that
 meets its hypotheses; violations are report content, never exceptions.
+Without a results store, theorem checks in one process share one search per
+(graph, k) through a bounded memo (SEARCH_MEMO_CLASSES).
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
-from .engine import MemoCache, common_neighbor_overlap, dominance_key, restrained_poly, shared_pair_overlap
+from .engine import MemoCache, dominance_key, restrained_poly
 from .graphs import Graph, cycle_graph, to_graph6
 from .graphs import connected_bipartite_catalog  # noqa: F401  (bench/ looks it up here)
 from .polynomials import IntPolynomial
@@ -28,10 +31,17 @@ from .restraints import (
     canonicalize,
     constant_restraint,
     enumerate_k_restraints,
+    incidence_masks,
     is_proper,
     parse_restraint,
     render_restraint,
 )
+
+# Total class_count of the reports that the theorem checks' memo holds.  A
+# report is a few hundred bytes per class, so this keeps the memo to a few MB
+# while it still holds every search of a catalog graph up to n = 7 at k = 1
+# (Bell(7) = 877 classes) long enough for all theorems to read it.
+SEARCH_MEMO_CLASSES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -234,11 +244,21 @@ def _ids(classes) -> list[str]:
     return [c.class_id() for c in classes]
 
 
+def _expected_class(expected_restraint, g: Graph, k: int) -> RestraintClass:
+    """The class of expected_restraint(g, k), the constant or the alternating
+    restraint on a connected graph, with its sorted masks as its canon and no
+    orbit computed.  That is the canon: every automorphism fixes the constant
+    restraint's masks, and on a connected bipartite graph it fixes or swaps
+    the two sides, so it maps the alternating restraint's masks onto
+    themselves."""
+    return RestraintClass(tuple(sorted(incidence_masks(expected_restraint(g, k)))), g.n)
+
+
 def _unique_winner(side: str, expected_restraint, g: Graph, k: int, report: ExtremalReport) -> dict:
     """Record whether the class of expected_restraint(g, k) is the only winner
     on side ("min" or "max"); a violation also carries both polynomials."""
     winners = getattr(report, f"{side}_classes")
-    expected = canonicalize(g, expected_restraint(g, k))
+    expected = _expected_class(expected_restraint, g, k)
     ok = {c.canon for c in winners} == {expected.canon}
     rec = {
         "graph6": report.graph_id,
@@ -265,17 +285,59 @@ def _proper_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     }
 
 
+def _id_masks(cid: str):
+    """The colour masks of a class id: the id renders its canon, colour j + 1
+    forbidden wherever canon[j] has its bit."""
+    masks: dict[str, int] = {}
+    for v, colours in enumerate(cid[2:-2].split("},{")):
+        for c in colours.split(","):
+            masks[c] = masks.get(c, 0) | 1 << v
+    return masks.values()
+
+
 def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     """Every maximizing class is proper and attains the minimum of the
-    per-common-neighbour overlap term over all proper classes (the max
-    winners plus the max_witness keys).  The record also says whether that
-    minimum pins down a unique class, and gives the once-per-pair overlap
-    variant for each attaining class."""
+    per-common-neighbour overlap term (A7'', engine.common_neighbor_overlap)
+    over all proper classes.  The record also says whether that minimum pins
+    down a unique class, and gives the once-per-pair overlap variant
+    (engine.shared_pair_overlap) for each attaining class.
+
+    Properness is read from the search.  Giving every vertex k fresh colours
+    is proper, so the best key has I2 = 0 (engine.dominance_key), and a
+    class is improper exactly when its I2 differs from the best's, that is
+    when its max witness has degree n - 2.  So the proper classes are the
+    max winners and the max_witness ids of lower degree.  Each id parses
+    straight to its colour masks (_id_masks), and both terms are sums over
+    the colours: A7'' charges a mask -C(|N(v) & mask|, 2) at each vertex v,
+    and the pair term -1 for each pair of its vertices with a common
+    neighbour.  Each mask's share of both is computed once per call."""
+    adj = g.adjacency_masks()
+    # partners[i]: the vertices j != i with a neighbour in common with i
+    partners = [
+        sum(1 << j for j in range(g.n) if j != i and adj[i] & adj[j]) for i in range(g.n)
+    ]
+
+    @cache
+    def share(mask: int) -> tuple[int, int]:
+        a7 = 0
+        for nbrs in adj:
+            d = (nbrs & mask).bit_count()
+            a7 -= d * (d - 1) // 2
+        pairs = sum((partners[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1) // 2
+        return a7, -pairs
+
     max_ids = _ids(report.max_classes)
-    restraints = {cid: parse_restraint(cid) for cid in max_ids + list(report.max_witness)}
-    proper = {cid: r for cid, r in restraints.items() if is_proper(g, r)}
-    terms = {cid: common_neighbor_overlap(g, r) for cid, r in proper.items()}
-    pair_terms = {cid: shared_pair_overlap(g, r) for cid, r in proper.items()}
+    proper = max_ids + [cid for cid, (degree, _) in report.max_witness.items() if degree < g.n - 2]
+    terms = {}
+    pair_terms = {}
+    for cid in proper:
+        term = pair_term = 0
+        for mask in _id_masks(cid):
+            a7, pairs = share(mask)
+            term += a7
+            pair_term += pairs
+        terms[cid] = term
+        pair_terms[cid] = pair_term
     minimum = min(terms.values())
     attaining = sorted(cid for cid, t in terms.items() if t == minimum)
     return {
@@ -309,25 +371,74 @@ def skip_reason(theorem: str, g: Graph) -> str | None:
     return next((reason for reason, holds in THEOREMS[theorem][0] if not holds(g)), None)
 
 
-def verify_catalog(theorem: str, catalog, k: int, results_dir: str | None = None) -> VerifyReport:
-    """Check a theorem on every graph of a catalog, one search per graph
-    (read from or added to the store in results_dir, when given).  A graph
-    outside the theorem's hypotheses gets a "skipped" reason and no "ok"; a
-    record whose "ok" is False is a violation.  k < 1 raises ValueError
-    before any graph is looked at."""
+class _SearchMemo:
+    """find_extremal reports of the theorem checks, keyed by (graph6, k) and
+    shared by every check in the process.  The key is exact: the search is a
+    pure function of the labelled graph and k.  Least recently used reports
+    are dropped while the held reports total more than SEARCH_MEMO_CLASSES
+    classes, and a larger report is never kept.  A refused search raises
+    CapError and leaves nothing behind.  Every check is handed the same
+    report object, so a check must not mutate it."""
+
+    def __init__(self):
+        self.reports: OrderedDict[tuple[str, int], ExtremalReport] = OrderedDict()
+        self.classes = 0
+
+    def search(self, g: Graph, k: int) -> ExtremalReport:
+        key = (to_graph6(g), k)
+        report = self.reports.get(key)
+        if report is not None:
+            self.reports.move_to_end(key)
+            return report
+        report = find_extremal(g, k)
+        if report.class_count <= SEARCH_MEMO_CLASSES:
+            self.reports[key] = report
+            self.classes += report.class_count
+            while self.classes > SEARCH_MEMO_CLASSES:
+                self.classes -= self.reports.popitem(last=False)[1].class_count
+        return report
+
+
+_SEARCHES = _SearchMemo()
+
+
+def _theorem_search(g: Graph, k: int, results_dir: str | None) -> ExtremalReport:
+    """The search a theorem check reads: from the store in results_dir when
+    given (the memo is then neither read nor written), else from the memo."""
+    if results_dir is not None:
+        return load_or_compute_extremal(g, k, results_dir)
+    return _SEARCHES.search(g, k)
+
+
+def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -> dict[str, VerifyReport]:
+    """Check each of theorems on every graph of a catalog, graph by graph, so
+    all of a graph's checks read its one search (_theorem_search).  Returns
+    a VerifyReport per theorem, in the order given.  A graph outside a
+    theorem's hypotheses gets a "skipped" reason and no "ok"; a record whose
+    "ok" is False is a violation.  k < 1 raises ValueError before any graph
+    is looked at."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    check = THEOREMS[theorem][1]
-    records = []
+    records: dict[str, list] = {theorem: [] for theorem in theorems}
     for g in catalog:
-        reason = skip_reason(theorem, g)
-        if reason is not None:
-            records.append({"graph6": to_graph6(g), "k": k, "skipped": reason})
-            continue
-        report = find_extremal(g, k) if results_dir is None else load_or_compute_extremal(g, k, results_dir)
-        records.append(check(g, k, report))
-    violations = [rec for rec in records if rec.get("ok") is False]
-    return VerifyReport(theorem=theorem, k=k, records=records, violations=violations)
+        report = None
+        for theorem, recs in records.items():
+            reason = skip_reason(theorem, g)
+            if reason is not None:
+                recs.append({"graph6": to_graph6(g), "k": k, "skipped": reason})
+                continue
+            if report is None:
+                report = _theorem_search(g, k, results_dir)
+            recs.append(THEOREMS[theorem][1](g, k, report))
+    return {
+        theorem: VerifyReport(theorem, k, recs, [rec for rec in recs if rec.get("ok") is False])
+        for theorem, recs in records.items()
+    }
+
+
+def verify_catalog(theorem: str, catalog, k: int, results_dir: str | None = None) -> VerifyReport:
+    """Check one theorem on every graph of a catalog (verify_theorems)."""
+    return verify_theorems((theorem,), catalog, k, results_dir)[theorem]
 
 
 def verify_min_theorem(catalog, k: int) -> VerifyReport:
@@ -354,7 +465,7 @@ def verify_bipartite_max(catalog, k: int) -> VerifyReport:
 
 def verify_a7_condition(g: Graph, k: int) -> dict:
     """Check the two necessary maximality conditions on one graph."""
-    return _a7_check(g, k, find_extremal(g, k))
+    return _a7_check(g, k, _theorem_search(g, k, None))
 
 
 # -- odd-cycle conjecture ------------------------------------------------------------

@@ -250,12 +250,18 @@ def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     """Canonical class of a restraint under automorphism x colour bijection."""
     if len(r) != g.n:
         raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
+    orbit = _orbit_rows(g.n, g.automorphisms())
+    return RestraintClass(min(orbit(incidence_masks(r))), g.n)
+
+
+def incidence_masks(r: Restraint) -> list[int]:
+    """One vertex bitmask per colour of r (bit v set when the colour is
+    forbidden at vertex v), in no set order."""
     masks: dict[int, int] = {}
     for v, s in enumerate(r.sets):
         for c in s:
             masks[c] = masks.get(c, 0) | 1 << v
-    orbit = _orbit_rows(g.n, g.automorphisms())
-    return RestraintClass(min(orbit(masks.values())), g.n)
+    return list(masks.values())
 
 
 def _normal_form_masks(n: int, k: int, visit) -> None:

@@ -3,8 +3,16 @@ from itertools import combinations, zip_longest
 
 import pytest
 
-from restchroma import Graph, IntPolynomial, Restraint, cycle_graph, path_graph, to_graph6
+from restchroma import Graph, IntPolynomial, Restraint, cycle_graph, extremal, path_graph, to_graph6
 from restchroma.graphs import _min_mask_form
+
+
+@pytest.fixture(autouse=True)
+def fresh_search_memo(monkeypatch):
+    """Each test starts with an empty theorem-search memo, as a new process
+    does, so a search counted or patched in one test is never served from
+    another's."""
+    monkeypatch.setattr(extremal, "_SEARCHES", extremal._SearchMemo())
 
 
 @pytest.fixture

@@ -8,10 +8,10 @@ import tracemalloc
 
 import pytest
 
-from restchroma import IntPolynomial, find_extremal, from_name
+from restchroma import IntPolynomial, connected_catalog, find_extremal, from_name, to_graph6
 from restchroma import extremal as extremal_module
 from restchroma.cli import _emit, main
-from restchroma.extremal import JSON_CHUNK, write_json
+from restchroma.extremal import JSON_CHUNK, THEOREMS, verify_catalog, write_json
 from conftest import no_search
 
 
@@ -283,6 +283,34 @@ class TestVerify:
         monkeypatch.setattr(extremal_module, "find_extremal", no_search)
         for theorem in ("proper", "a7", "bipartite"):
             assert verify(theorem, "--results-dir", str(tmp_path)) == fresh[theorem]
+
+    def test_all_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
+        searched = []
+        real = extremal_module.find_extremal
+        monkeypatch.setattr(extremal_module, "find_extremal", lambda g, k: searched.append(to_graph6(g)) or real(g, k))
+        code, out, _ = run(capsys, "verify", "--theorem", "all", "--n-max", "5", "--k", "1", "--json")
+        assert code == 0
+        catalog = connected_catalog(5)
+        assert sorted(searched) == sorted(to_graph6(g) for g in catalog)
+        obj = json.loads(out)
+        assert (obj["theorem"], obj["k"], obj["violations"]) == ("all", 1, 0)
+        assert list(obj["theorems"]) == sorted(THEOREMS)
+        for theorem in THEOREMS:
+            report = verify_catalog(theorem, catalog, 1)
+            assert obj["theorems"][theorem] == {"records": report.records, "violations": len(report.violations)}
+
+    def test_all_prints_a_summary_per_theorem(self, capsys, monkeypatch):
+        def failing(g, k, report):
+            return {"graph6": report.graph_id, "k": k, "ok": False}
+
+        code, out, _ = run(capsys, "verify", "--theorem", "all", "--graph", "C4")
+        assert code == 0
+        assert out.splitlines() == [f"{name}: 1 graphs checked, 0 violations" for name in THEOREMS]
+        monkeypatch.setitem(THEOREMS, "proper", ((), failing))
+        code, out, _ = run(capsys, "verify", "--theorem", "all", "--graph", "C4")
+        assert code == 4
+        assert "proper: 1 graphs checked, 1 violations" in out.splitlines()
+        assert 'violation: {"graph6": "Cl", "k": 1, "ok": false}' in out.splitlines()
 
     def test_bipartite_disconnected_graph_skipped(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "bipartite", "--graph", "n 3; 0 1", "--json")

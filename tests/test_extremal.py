@@ -6,8 +6,9 @@ import stat
 
 import pytest
 
-from restchroma import extremal
+from restchroma import extremal, restraints
 from restchroma import (
+    CapError,
     Graph,
     MemoCache,
     all_connected_graphs,
@@ -16,6 +17,7 @@ from restchroma import (
     check_conjecture,
     coeff_n1,
     coeff_n2,
+    common_neighbor_overlap,
     complete_graph,
     conjectured_odd_cycle_restraint,
     connected_bipartite_catalog,
@@ -30,6 +32,7 @@ from restchroma import (
     parse_restraint,
     path_graph,
     restrained_poly,
+    shared_pair_overlap,
     to_graph6,
     verify_a7_condition,
     verify_bipartite_max,
@@ -39,6 +42,55 @@ from restchroma import (
 from conftest import no_search
 
 R = parse_restraint
+
+
+def a7_oracle_record(g, k, report):
+    """The a7 record built the direct way: every class id of the report parsed
+    back to a Restraint, properness tested edge by edge, and both overlap
+    terms summed per restraint."""
+    max_ids = [c.class_id() for c in report.max_classes]
+    parsed = {cid: parse_restraint(cid) for cid in max_ids + list(report.max_witness)}
+    proper = {cid: r for cid, r in parsed.items() if is_proper(g, r)}
+    terms = {cid: common_neighbor_overlap(g, r) for cid, r in proper.items()}
+    pair_terms = {cid: shared_pair_overlap(g, r) for cid, r in proper.items()}
+    minimum = min(terms.values())
+    attaining = sorted(cid for cid, t in terms.items() if t == minimum)
+    return {
+        "graph6": report.graph_id,
+        "k": k,
+        "ok": set(max_ids) <= set(attaining),
+        "proper_class_count": len(proper),
+        "min_term": minimum,
+        "attaining": attaining,
+        "unique": len(attaining) == 1,
+        "pair_terms": {cid: pair_terms[cid] for cid in attaining},
+        "pair_term_min": min(pair_terms.values()),
+        "max_classes": sorted(max_ids),
+    }
+
+
+def a7_mismatches(catalog, k, results_dir=None):
+    """(graph6, what) for each graph of catalog whose a7 record differs from
+    a7_oracle_record, or on which some class's properness (is_proper on its
+    parsed id) disagrees with "max winner, or max witness of degree below
+    n - 2".  With results_dir, each search is also written to that store and
+    read back, and the report read is checked the same way."""
+    bad = []
+    for g in catalog:
+        if results_dir is None:
+            reports = [("fresh", find_extremal(g, k))]
+        else:
+            reports = [("fresh", load_or_compute_extremal(g, k, results_dir)),
+                       ("stored", load_or_compute_extremal(g, k, results_dir))]
+        for source, report in reports:
+            if extremal._a7_check(g, k, report) != a7_oracle_record(g, k, report):
+                bad.append((report.graph_id, f"{source} a7 record"))
+            if not all(is_proper(g, c.representative) for c in report.max_classes):
+                bad.append((report.graph_id, f"{source} improper winner"))
+            for cid, (degree, _) in report.max_witness.items():
+                if is_proper(g, parse_restraint(cid)) != (degree < g.n - 2):
+                    bad.append((report.graph_id, f"{source} properness of {cid}"))
+    return bad
 
 
 def canons(classes):
@@ -392,6 +444,96 @@ class TestA7Condition:
         assert rec["min_term"] == 0
         rec3 = verify_a7_condition(path_graph(3), 1)
         assert rec3["ok"]
+
+
+class TestA7Oracle:
+    @pytest.mark.parametrize("n_max, k", [(6, 1), (5, 2)])
+    def test_matches_parsed_restraints(self, n_max, k, tmp_path):
+        catalog = connected_catalog(n_max)
+        assert a7_mismatches(catalog, k) == []
+        assert a7_mismatches(catalog, k, str(tmp_path)) == []
+
+
+class TestExpectedClass:
+    @staticmethod
+    def rotated_labels(g):
+        return Graph(g.n, [((u + 1) % g.n, (v + 1) % g.n) for u, v in g.edges])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sorted_masks_are_the_canon(self, k):
+        for g in connected_catalog(6):
+            assert extremal._expected_class(constant_restraint, g, k) == canonicalize(g, constant_restraint(g, k))
+        # the catalog labellings and their rotations, so that the side of
+        # vertex 0 has the larger mask on some graphs
+        for g in connected_bipartite_catalog(7):
+            for h in (g, self.rotated_labels(g)):
+                want = canonicalize(h, alternating_restraint(h, k))
+                assert extremal._expected_class(alternating_restraint, h, k) == want
+
+
+class TestSearchMemo:
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """Record (graph6, k) of every search the theorem checks make."""
+        calls = []
+        real = extremal.find_extremal
+
+        def counting(g, k):
+            calls.append((to_graph6(g), k))
+            return real(g, k)
+
+        monkeypatch.setattr(extremal, "find_extremal", counting)
+        return calls
+
+    def test_theorems_share_one_search_per_graph(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        catalog = connected_catalog(5)
+        for verify in (verify_min_theorem, verify_properness, verify_bipartite_max):
+            assert verify(catalog, 1).violations == []
+        assert all(verify_a7_condition(g, 1)["ok"] for g in catalog)
+        assert sorted(calls) == sorted((to_graph6(g), 1) for g in catalog)
+
+    def test_report_above_the_bound_is_not_kept(self, monkeypatch, c4, c7):
+        bound = find_extremal(c4, 1).class_count
+        monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", bound)
+        calls = self.counted(monkeypatch)
+        verify_a7_condition(c4, 1)
+        first = verify_a7_condition(c7, 1)
+        assert verify_a7_condition(c7, 1) == first
+        assert len(calls) == 3
+        # nor does it push out the reports that fit
+        assert list(extremal._SEARCHES.reports) == [(to_graph6(c4), 1)]
+        assert extremal._SEARCHES.classes == bound
+
+    def test_eviction_keeps_the_held_classes_within_the_bound(self, monkeypatch):
+        c4, c5, c6 = (cycle_graph(n) for n in (4, 5, 6))
+        size = {g: find_extremal(g, 1).class_count for g in (c4, c5, c6)}
+        bound = size[c5] + size[c6]
+        monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", bound)
+        calls = self.counted(monkeypatch)
+        memo = extremal._SEARCHES
+
+        def held():
+            assert memo.classes == sum(report.class_count for report in memo.reports.values()) <= bound
+            return [graph6 for graph6, _ in memo.reports]
+
+        for g in (c4, c5, c6):
+            verify_properness([g], 1)
+        assert held() == [to_graph6(c5), to_graph6(c6)]  # c4 was the least recently used
+        verify_properness([c5], 1)  # a hit, which makes c6 the least recently used
+        assert len(calls) == 3
+        verify_properness([c4], 1)
+        assert len(calls) == 4
+        assert held() == [to_graph6(c5), to_graph6(c4)]
+
+    def test_store_runs_and_refused_searches_leave_it_empty(self, monkeypatch, tmp_path, c4):
+        extremal.verify_catalog("a7", [c4], 1, str(tmp_path))
+        assert not extremal._SEARCHES.reports
+        monkeypatch.setattr(restraints, "FORMS_BUDGET", 1)
+        with pytest.raises(CapError):
+            verify_a7_condition(c4, 1)
+        assert not extremal._SEARCHES.reports
+        assert extremal._SEARCHES.classes == 0
 
 
 class TestConjecture:

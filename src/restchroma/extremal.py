@@ -31,9 +31,9 @@ from .restraints import (
     canonicalize,
     constant_restraint,
     enumerate_k_restraints,
+    id_masks,
     incidence_masks,
     is_proper,
-    parse_restraint,
     render_restraint,
 )
 
@@ -149,8 +149,13 @@ def _store_path(results_dir: str, graph_id: str, k: int) -> str:
 
 
 def report_from_record(g: Graph, record: dict) -> ExtremalReport:
+    """The report a stored record holds, each winner its id's sorted masks
+    (id_masks); an id that does not re-encode raises ValueError or IndexError."""
     def classes_of(ids):
-        return tuple(canonicalize(g, parse_restraint(cid)) for cid in ids)
+        classes = tuple(RestraintClass(tuple(sorted(id_masks(cid))), g.n) for cid in ids)
+        if [c.class_id() for c in classes] != ids:
+            raise ValueError("a winner id is not the class id of its masks")
+        return classes
 
     return ExtremalReport(
         graph_id=record["graph6"],
@@ -199,7 +204,8 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
     Records are written atomically (temporary file, then os.replace); the
     temporary file is created with mode 0o666, so the kernel applies the
     umask as for a plain open(), and a failed write removes it before the
-    error propagates.  A record that does not parse, holds another (graph6, k), or whose winners plus
+    error propagates.  A record that does not parse, holds another (graph6, k)
+    or a winner id that report_from_record refuses, or whose winners plus
     witnesses on either side are not class_count classes is recomputed.
     """
     graph_id = to_graph6(g)
@@ -210,7 +216,7 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
         counts = {len(record[f"{side}_classes"]) + len(record[f"{side}_witness"]) for side in ("min", "max")}
         if (record["graph6"], record["k"]) == (graph_id, k) and counts == {record["class_count"]}:
             return report_from_record(g, record)
-    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError, IndexError):
         pass  # missing, truncated or corrupt: recompute it
     report = find_extremal(g, k)
     os.makedirs(results_dir, exist_ok=True)
@@ -237,7 +243,8 @@ class VerifyReport:
     violations: list
 
     def summary(self) -> str:
-        return f"{self.theorem}: {len(self.records)} graphs checked, {len(self.violations)} violations"
+        checked = sum("skipped" not in rec for rec in self.records)
+        return f"{self.theorem}: {checked} graphs checked, {len(self.violations)} violations"
 
 
 def _ids(classes) -> list[str]:
@@ -285,16 +292,6 @@ def _proper_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     }
 
 
-def _id_masks(cid: str):
-    """The colour masks of a class id: the id renders its canon, colour j + 1
-    forbidden wherever canon[j] has its bit."""
-    masks: dict[str, int] = {}
-    for v, colours in enumerate(cid[2:-2].split("},{")):
-        for c in colours.split(","):
-            masks[c] = masks.get(c, 0) | 1 << v
-    return masks.values()
-
-
 def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     """Every maximizing class is proper and attains the minimum of the
     per-common-neighbour overlap term (A7'', engine.common_neighbor_overlap)
@@ -306,8 +303,8 @@ def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     is proper, so the best key has I2 = 0 (engine.dominance_key), and a
     class is improper exactly when its I2 differs from the best's, that is
     when its max witness has degree n - 2.  So the proper classes are the
-    max winners and the max_witness ids of lower degree.  Each id parses
-    straight to its colour masks (_id_masks), and both terms are sums over
+    max winners and the max_witness ids of lower degree.  Each id decodes
+    straight to its colour masks (id_masks), and both terms are sums over
     the colours: A7'' charges a mask -C(|N(v) & mask|, 2) at each vertex v,
     and the pair term -1 for each pair of its vertices with a common
     neighbour.  Each mask's share of both is computed once per call."""
@@ -332,7 +329,7 @@ def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     pair_terms = {}
     for cid in proper:
         term = pair_term = 0
-        for mask in _id_masks(cid):
+        for mask in id_masks(cid):
             a7, pairs = share(mask)
             term += a7
             pair_term += pairs
@@ -364,11 +361,6 @@ THEOREMS = {
     "bipartite": ((_CONNECTED, _BIPARTITE), partial(_unique_winner, "max", alternating_restraint)),
     "a7": ((), _a7_check),
 }
-
-
-def skip_reason(theorem: str, g: Graph) -> str | None:
-    """The first hypothesis of theorem that g fails, or None."""
-    return next((reason for reason, holds in THEOREMS[theorem][0] if not holds(g)), None)
 
 
 class _SearchMemo:
@@ -423,13 +415,14 @@ def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -
     for g in catalog:
         report = None
         for theorem, recs in records.items():
-            reason = skip_reason(theorem, g)
+            hypotheses, check = THEOREMS[theorem]
+            reason = next((reason for reason, holds in hypotheses if not holds(g)), None)
             if reason is not None:
                 recs.append({"graph6": to_graph6(g), "k": k, "skipped": reason})
                 continue
             if report is None:
                 report = _theorem_search(g, k, results_dir)
-            recs.append(THEOREMS[theorem][1](g, k, report))
+            recs.append(check(g, k, report))
     return {
         theorem: VerifyReport(theorem, k, recs, [rec for rec in recs if rec.get("ok") is False])
         for theorem, recs in records.items()

@@ -6,7 +6,8 @@ colour renaming), canonical class representatives, and exhaustive
 enumeration of k-restraints up to equivalence.
 
 Classes are colour incidence masks (one vertex bitmask per colour) from
-generation on; a Restraint is built from one only on demand.  Both
+generation on; a Restraint is built from one only on demand, and a class id
+is rendered (RestraintClass.class_id) and decoded (id_masks) only here.  Both
 canonicalisation and enumeration go through _orbit_rows, the sorted mask
 tuples of a restraint's distinct automorphic images: the canon is their
 minimum, and the enumeration marks a new class's whole orbit as seen, so each
@@ -193,6 +194,12 @@ class RestraintClass:
         return "[{" + "},{".join([",".join(s) for s in sets]) + "}]"
 
 
+def id_masks(cid: str) -> list[int]:
+    """The colour masks of a class id (the inverse of RestraintClass.class_id;
+    "[]" has none), in no set order.  The id is not checked."""
+    return incidence_masks(s.split(",") if s else () for s in cid[2:-2].split("},{"))
+
+
 @lru_cache(maxsize=1 << 16)
 def _mask_vertices(mask: int) -> tuple[int, ...]:
     """The vertices whose bits mask has, lowest first.  Every class of a
@@ -254,11 +261,11 @@ def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     return RestraintClass(min(orbit(incidence_masks(r))), g.n)
 
 
-def incidence_masks(r: Restraint) -> list[int]:
-    """One vertex bitmask per colour of r (bit v set when the colour is
-    forbidden at vertex v), in no set order."""
-    masks: dict[int, int] = {}
-    for v, s in enumerate(r.sets):
+def incidence_masks(sets: Iterable[Iterable]) -> list[int]:
+    """One vertex bitmask per colour of a Restraint or any sequence of colour
+    sets (bit v set when the colour is in set v), in no set order."""
+    masks: dict = {}
+    for v, s in enumerate(sets):
         for c in s:
             masks[c] = masks.get(c, 0) | 1 << v
     return list(masks.values())

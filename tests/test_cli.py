@@ -312,6 +312,18 @@ class TestVerify:
         assert "proper: 1 graphs checked, 1 violations" in out.splitlines()
         assert 'violation: {"graph6": "Cl", "k": 1, "ok": false}' in out.splitlines()
 
+    def test_summary_counts_no_skipped_graph(self, capsys):
+        # 4 of the 10 connected graphs on at most 4 vertices are not bipartite
+        code, out, _ = run(capsys, "verify", "--theorem", "all", "--n-max", "4")
+        assert code == 0
+        counts = {"min": 10, "proper": 10, "bipartite": 6, "a7": 10}
+        assert out.splitlines() == [f"{name}: {counts[name]} graphs checked, 0 violations" for name in THEOREMS]
+
+    def test_summary_of_a_skipped_graph(self, capsys):
+        code, out, _ = run(capsys, "verify", "--theorem", "min", "--graph", "n 3; 0 1")
+        assert code == 0
+        assert out.splitlines() == ["min: 0 graphs checked, 0 violations"]
+
     def test_bipartite_disconnected_graph_skipped(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "bipartite", "--graph", "n 3; 0 1", "--json")
         assert code == 0

@@ -223,6 +223,17 @@ def _drop_one_max_witness(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _with_max_winner(text: str, cid: str) -> str:
+    """The record text with its one max winner id replaced by cid."""
+    record = json.loads(text)
+    record["max_classes"] = [cid]
+    return json.dumps(record, sort_keys=True)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a store read listed automorphisms, canonicalized or parsed a restraint")
+
+
 class TestResumableStore:
     def test_round_trip(self, tmp_path, c4):
         first = load_or_compute_extremal(c4, 1, str(tmp_path))
@@ -246,7 +257,13 @@ class TestResumableStore:
         lambda text: "[]",
         lambda text: text.replace('"k": 1', '"k": 2'),
         lambda text: _drop_one_max_witness(json.loads(text)),
-    ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class"])
+        # C4's max winner is [{1},{2},{1},{2}]; each of these ids fails to
+        # re-encode to itself on C4's 4 vertices
+        lambda text: _with_max_winner(text, "[{2},{1},{2},{1}]"),
+        lambda text: _with_max_winner(text, "[{1},{2},{1},{2},{1}]"),
+        lambda text: _with_max_winner(text, "alternating"),
+    ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
+            "swapped-labels", "extra-vertex-set", "not-an-id"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, damage):
         fresh = find_extremal(c4, 1).to_record()
         load_or_compute_extremal(c4, 1, str(tmp_path))
@@ -255,6 +272,23 @@ class TestResumableStore:
         assert load_or_compute_extremal(c4, 1, str(tmp_path)).to_record() == fresh
         assert json.loads(path.read_text()) == fresh
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("name, k", [("K6", 1), ("C4", 2)])
+    def test_read_decodes_winner_ids(self, tmp_path, monkeypatch, name, k):
+        # a store read builds each winner from its id's masks: it lists no
+        # automorphisms, canonicalizes nothing, parses no restraint and
+        # searches nothing
+        fresh = find_extremal(from_name(name), k)
+        load_or_compute_extremal(from_name(name), k, str(tmp_path))
+        monkeypatch.setattr(Graph, "automorphisms", _refuse)
+        for module in (restraints, extremal):
+            for fn in ("canonicalize", "parse_restraint"):
+                monkeypatch.setattr(module, fn, _refuse, raising=False)
+        monkeypatch.setattr(extremal, "find_extremal", no_search)
+        read = load_or_compute_extremal(from_name(name), k, str(tmp_path))
+        assert read.to_record() == fresh.to_record()
+        for side in ("min_classes", "max_classes"):
+            assert [c.canon for c in getattr(read, side)] == [c.canon for c in getattr(fresh, side)]
 
     def test_record_without_trailing_newline_is_read(self, tmp_path, c4, monkeypatch):
         # records written before the store shared the --json writer are one

@@ -24,7 +24,7 @@ from restchroma import (
     render_restraint,
     star_graph,
 )
-from restchroma.restraints import _normal_form_count, _normal_form_masks
+from restchroma.restraints import _normal_form_count, _normal_form_masks, id_masks
 from conftest import first_use_forms, restraint_of
 
 R = parse_restraint
@@ -33,14 +33,16 @@ R = parse_restraint
 def class_id_mismatches(g: Graph, k: int) -> list[tuple[str, str]]:
     """(class_id, reference) for each class of g at k whose class_id or
     representative differs from the incidence formula of restraint_of,
-    rendered by render_restraint, or whose id does not parse back to its
-    representative.  The formula shares no code with class_id."""
+    rendered by render_restraint, whose id does not parse back to its
+    representative, or whose id does not decode (id_masks) to its canon.
+    The formula shares no code with class_id."""
     bad = []
     for cls in enumerate_k_restraints(g, k):
         reference = restraint_of(cls.canon, g.n)
         cid = cls.class_id()
         expected = render_restraint(reference)
-        if not (cid == expected and cls.representative == reference == R(cid)):
+        decoded = tuple(sorted(id_masks(cid)))
+        if not (cid == expected and cls.representative == reference == R(cid) and decoded == cls.canon):
             bad.append((cid, expected))
     return bad
 
@@ -95,7 +97,7 @@ class TestLiteralSyntax:
                 R(bad)
 
     def test_class_ids_round_trip(self):
-        # the store reader and the a7 check parse class ids back
+        # a class id is also a restraint literal of the class's representative
         for n, k in [(5, 1), (4, 2)]:
             for g in connected_catalog(n):
                 for cls in enumerate_k_restraints(g, k):
@@ -110,6 +112,13 @@ class TestLiteralSyntax:
         for g, k in cases:
             assert class_id_mismatches(g, k) == []
         assert [c.class_id() for c in enumerate_k_restraints(Graph(0), 1)] == ["[]"]
+
+    def test_id_masks_decode_class_ids(self):
+        assert id_masks("[]") == []
+        assert sorted(id_masks("[{1},{2},{1},{2}]")) == [0b0101, 0b1010]
+        assert sorted(id_masks("[{1,2},{3},{1,3}]")) == [0b001, 0b101, 0b110]
+        # the decoder does not check: swapped labels decode to the same masks
+        assert sorted(id_masks("[{2},{1},{2},{1}]")) == [0b0101, 0b1010]
 
 
 class TestConstructions:

@@ -4,9 +4,9 @@ The central recursion follows edge deletion-contraction: deleting an edge
 keeps every forbidden set, while contracting it merges the endpoints and
 forbids the union of their sets at the merged vertex.  _rec does both
 itself, on the (adj, sets) pair of neighbour bitmasks and forbidden colour
-bitmasks that is also its memo key, and works on plain ascending
-coefficient tuples with the kernels of polynomials.py; restrained_poly
-wraps the answer in an IntPolynomial once.  Before it branches it settles
+bitmasks, and computes P at one point X = 2^s as a plain int (Kronecker
+substitution); restrained_poly reads the coefficients once, as the
+balanced base-2^s digits of that value.  Before it branches it settles
 what needs no pivot: an edgeless graph gives the product of
 (x - |forbidden set|) over the vertices, a pendant vertex's edge is deleted
 and contracted at once (the deletion isolates it), and components multiply,
@@ -35,15 +35,15 @@ from itertools import combinations
 from math import comb
 
 from .graphs import CapError, Graph, component_vertices, reach_mask
-from .polynomials import IntPolynomial, elementary_symmetric, minus, times, times_linear_minus
+from .polynomials import IntPolynomial, elementary_symmetric
 from .restraints import Restraint
 
 ORACLE_WORK_BUDGET = 10_000_000
 
 
 class MemoCache:
-    """Memo table for the recursion: the coefficient tuple of each exact
-    labeled subproblem, keyed on its (adj, sets) pair.
+    """Memo table for the recursion: the value at X of each exact labeled
+    subproblem, keyed on (adj, sets, X), so queries at two points never mix.
 
     _rec reads and writes the table itself and counts hits and misses.
     Entries are never dropped, so the peak entry count is the table's size.
@@ -74,6 +74,15 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
     depend on the edges _pivot picks to branch on.  With the empty
     restraint it is the chromatic polynomial.
 
+    The recursion computes P(X) at X = 2^s, s = m + sum_v bit_length(|r(v)|)
+    + 2, and the coefficients are its balanced base-2^s digits, unique while
+    every |c_i| < 2^(s-1).  By the subgraph expansion P = sum over A in E of
+    (-1)^|A| prod over the components K of (V, A) of (x - |union of r(v),
+    v in K|), and as prod (x - a_K) has absolute coefficients summing to
+    prod (1 + a_K) <= prod_v (1 + |r(v)|) <= 2^(sum_v bit_length(|r(v)|)),
+    every |c_i| <= 2^(s-2).  The cache keys each value on X as well as its
+    subproblem; X is the same for every k-restraint on g.
+
     cache: None for a private memo table, or a shared MemoCache instance.
     """
     if len(r) != g.n:
@@ -86,7 +95,18 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
     # 0..C-1 in ascending order whatever their size
     bit = {c: 1 << i for i, c in enumerate(sorted(set().union(*r.sets)))}
     sets = tuple(sum(bit[c] for c in s) for s in r.sets)
-    return IntPolynomial._trusted(_rec(g.adjacency_masks(), sets, cache))
+    s = g.m + sum(len(c).bit_length() for c in r.sets) + 2
+    return IntPolynomial._trusted(_digits(_rec(g.adjacency_masks(), sets, 1 << s, cache), s))
+
+
+def _digits(value: int, s: int) -> tuple[int, ...]:
+    """Ascending balanced base-2^s digits of value, each in [-2^(s-1), 2^(s-1)); () for 0."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    out = []
+    while value:
+        out.append(((value + half) & mask) - half)
+        value = (value - out[-1]) >> s
+    return tuple(out)
 
 
 def _drop(adj, v: int) -> tuple:
@@ -102,9 +122,8 @@ def _induced(adj: tuple, sets: tuple, verts) -> tuple[tuple, tuple]:
     return tuple(sum(1 << at[w] for w in verts if adj[a] >> w & 1) for a in verts), tuple(sets[a] for a in verts)
 
 
-def _rec(adj: tuple, sets: tuple, memo: MemoCache) -> tuple[int, ...]:
-    """Ascending coefficients of P on the labeled subproblem (adj, sets),
-    which is also its memo key.
+def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
+    """P(x) on the labeled subproblem (adj, sets), memoised on (adj, sets, x).
 
     adj holds each vertex's neighbour bitmask and sets its forbidden colours
     as a bitmask.  At a miss the first rule that applies decides: with no
@@ -113,34 +132,34 @@ def _rec(adj: tuple, sets: tuple, memo: MemoCache) -> tuple[int, ...]:
     its own (they are listed only when one sweep from vertex 0 misses a
     vertex); otherwise the pivot edge is deleted and contracted (_branch).
     """
-    key = (adj, sets)
+    key = (adj, sets, x)
     table = memo._table
-    poly = table.get(key)
-    if poly is not None:
+    value = table.get(key)
+    if value is not None:
         memo.hits += 1
-        return poly
+        return value
     memo.misses += 1
     if not any(adj):
-        poly = (1,)
+        value = 1
         for s in sets:
-            poly = times_linear_minus(poly, s.bit_count(), ())
+            value *= x - s.bit_count()
     else:
         for v, a in enumerate(adj):
             if a and not a & a - 1:
-                poly = _peel(adj, sets, v, memo)
+                value = _peel(adj, sets, v, x, memo)
                 break
         else:
             if reach_mask(adj, 1) == (1 << len(adj)) - 1:
-                poly = _branch(adj, sets, memo)
+                value = _branch(adj, sets, x, memo)
             else:
-                poly = (1,)
+                value = 1
                 for verts in component_vertices(adj):
-                    poly = times(poly, _rec(*_induced(adj, sets, verts), memo))
-    table[key] = poly
-    return poly
+                    value *= _rec(*_induced(adj, sets, verts), x, memo)
+    table[key] = value
+    return value
 
 
-def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache) -> tuple[int, ...]:
+def _peel(adj: tuple, sets: tuple, v: int, x: int, memo: MemoCache) -> int:
     """Delete and contract the edge of pendant vertex v, whose deletion isolates v.
 
     With u the neighbour of v, P = (x - |s_v|) P(G - v) - P(G - v, s_u | s_v),
@@ -150,10 +169,10 @@ def _peel(adj: tuple, sets: tuple, v: int, memo: MemoCache) -> tuple[int, ...]:
     sv, su = sets[v], sets[u]
     rest, rest_sets = _drop(adj, v), sets[:v] + sets[v + 1:]
     if sv & su == sv:
-        return times_linear_minus(_rec(rest, rest_sets, memo), sv.bit_count() + 1, ())
+        return (x - sv.bit_count() - 1) * _rec(rest, rest_sets, x, memo)
     w = u - (u > v)
     merged = rest_sets[:w] + (su | sv,) + rest_sets[w + 1:]
-    return times_linear_minus(_rec(rest, rest_sets, memo), sv.bit_count(), _rec(rest, merged, memo))
+    return (x - sv.bit_count()) * _rec(rest, rest_sets, x, memo) - _rec(rest, merged, x, memo)
 
 
 def _pivot(adj: tuple) -> tuple[int, int]:
@@ -162,7 +181,7 @@ def _pivot(adj: tuple) -> tuple[int, int]:
     return 0, (adj[0] & -adj[0]).bit_length() - 1
 
 
-def _branch(adj: tuple, sets: tuple, memo: MemoCache) -> tuple[int, ...]:
+def _branch(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
     """Delete and contract the edge _pivot(adj), merging its higher end into its lower."""
     u, v = _pivot(adj)
     bu, bv = 1 << u, 1 << v
@@ -172,7 +191,7 @@ def _branch(adj: tuple, sets: tuple, memo: MemoCache) -> tuple[int, ...]:
     merged = [a ^ bv | bu if a & bv else a for a in adj]
     merged[u] = (adj[u] | adj[v]) & ~(bu | bv)
     moved = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
-    return minus(_rec(tuple(deleted), sets, memo), _rec(_drop(merged, v), moved, memo))
+    return _rec(tuple(deleted), sets, x, memo) - _rec(_drop(merged, v), moved, x, memo)
 
 
 def count_colourings(g: Graph, r: Restraint, x: int) -> int:

@@ -150,19 +150,20 @@ def _store_path(results_dir: str, graph_id: str, k: int) -> str:
 
 def report_from_record(g: Graph, record: dict) -> ExtremalReport:
     """The report a stored record holds, each winner its id's sorted masks
-    (id_masks); an id that does not re-encode raises ValueError or IndexError."""
-    def classes_of(ids):
+    (id_masks); an id that does not re-encode raises ValueError or IndexError,
+    as does a winner id that is repeated or is a key of its side's witness map."""
+    def classes_of(ids, witness):
         classes = tuple(RestraintClass(tuple(sorted(id_masks(cid))), g.n) for cid in ids)
-        if [c.class_id() for c in classes] != ids:
-            raise ValueError("a winner id is not the class id of its masks")
+        if [c.class_id() for c in classes] != ids or len(set(ids).difference(witness)) < len(ids):
+            raise ValueError("a winner id is not the class id of its masks, is repeated or is a witness")
         return classes
 
     return ExtremalReport(
         graph_id=record["graph6"],
         k=record["k"],
         class_count=record["class_count"],
-        min_classes=classes_of(record["min_classes"]),
-        max_classes=classes_of(record["max_classes"]),
+        min_classes=classes_of(record["min_classes"], record["min_witness"]),
+        max_classes=classes_of(record["max_classes"], record["max_witness"]),
         min_poly=IntPolynomial(int(c) for c in record["min_poly"]),
         max_poly=IntPolynomial(int(c) for c in record["max_poly"]),
         max_witness={cid: (d, int(c)) for cid, (d, c) in record["max_witness"].items()},

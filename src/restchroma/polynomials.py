@@ -4,10 +4,9 @@ Coefficients are arbitrary-precision Python ints stored ascending by
 degree, with trailing zeros trimmed; the zero polynomial stores an empty
 tuple.  Values are immutable and freely shareable.
 
-Each operation is one kernel on such coefficient tuples: times, minus and
-the fused times_linear_minus, (x - a) p - q.  IntPolynomial's operators
-call them, and the engine's recursion calls them directly on the tuples it
-memoises, wrapping its answer once.
+Each operation is one kernel on such coefficient tuples, times or minus,
+and the kernels serve only IntPolynomial's operators: the engine's
+recursion works on big integers and wraps its answer once.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ def times(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 def minus(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of the difference p - q."""
     return _trimmed([c - d for c, d in zip_longest(p, q, fillvalue=0)])
-
-
-def times_linear_minus(p: tuple[int, ...], a: int, q: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of (x - a) p - q, in one pass over p and q."""
-    return _trimmed([lo - a * c - d for lo, c, d in zip_longest((0, *p), p, q, fillvalue=0)])
 
 
 class IntPolynomial:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, zip_longest
 
 import pytest
@@ -136,3 +137,39 @@ def poly_sum(*terms: IntPolynomial) -> IntPolynomial:
     """Sum of polynomials, added coefficient by coefficient (the package has
     no + on polynomials)."""
     return IntPolynomial(map(sum, zip_longest(*(t.coeffs for t in terms), fillvalue=0)))
+
+
+def _root(parent: list, v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def subgraph_expansion(g: Graph, r: Restraint) -> tuple[int, ...]:
+    """Ascending coefficients of the restrained chromatic polynomial by the
+    subgraph expansion, the reference for the engine's whole polynomials:
+    P = sum over edge sets A of (-1)^|A| prod over the components K of
+    (V, A) of (x - |union of r(v), v in K|), the components found by
+    union-find for each of the 2^m edge sets.  Edge sets with the same
+    multiset of union sizes are tallied first, so each product is expanded
+    once."""
+    edges = sorted(g.edges)
+    tally = Counter()
+    for chosen in range(1 << len(edges)):
+        parent = list(range(g.n))
+        for i, (u, v) in enumerate(edges):
+            if chosen >> i & 1:
+                parent[_root(parent, u)] = _root(parent, v)
+        unions = {}
+        for v in range(g.n):
+            unions.setdefault(_root(parent, v), set()).update(r[v])
+        tally[tuple(sorted(map(len, unions.values())))] += (-1) ** chosen.bit_count()
+    coeffs = [0] * (g.n + 1)
+    for sizes, sign in tally.items():
+        product = [1]
+        for a in sizes:  # times (x - a)
+            product = [lo - a * c for lo, c in zip([0] + product, product + [0])]
+        for i, c in enumerate(product):
+            coeffs[i] += sign * c
+    return tuple(coeffs)

@@ -271,6 +271,21 @@ class TestVerify:
         assert code == 0
         assert out == fresh
 
+    def test_winner_replaced_by_a_witness_is_recomputed(self, capsys, tmp_path):
+        # C4's max winner replaced by the valid id of a max witness: the
+        # record is recomputed, so the bipartite check finds no violation
+        verify = ("verify", "--theorem", "bipartite", "--graph", "C4", "--k", "1", "--json")
+        _, fresh, _ = run(capsys, *verify)
+        run(capsys, "extremal", "--graph", "C4", "--k", "1", "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        record = json.loads(path.read_text())
+        record["max_classes"] = ["[{1},{1},{2},{2}]"]
+        path.write_text(json.dumps(record, sort_keys=True))
+        code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert out == fresh
+        assert json.loads(path.read_text())["max_classes"] == ["[{1},{2},{1},{2}]"]
+
     def test_theorems_share_one_search_per_graph(self, capsys, tmp_path, monkeypatch):
         def verify(theorem, *extra):
             code, out, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", "4", "--k", "2",

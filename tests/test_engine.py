@@ -2,8 +2,11 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restchroma import (
     CapError,
@@ -16,6 +19,7 @@ from restchroma import (
     coeff_n1,
     coeff_n2,
     coeff_n3,
+    complete_bipartite_graph,
     complete_graph,
     connected_catalog,
     constant_restraint,
@@ -24,6 +28,7 @@ from restchroma import (
     dominance_key,
     empty_graph,
     empty_restraint,
+    from_name,
     enumerate_k_restraints,
     parse_restraint,
     path_graph,
@@ -33,10 +38,23 @@ from restchroma import (
     to_graph6,
 )
 from restchroma import engine
-from restchroma.engine import ORACLE_WORK_BUDGET
-from conftest import poly_sum, random_connected_graph, random_graph, random_pivot, random_restraint
+from restchroma.engine import ORACLE_WORK_BUDGET, _digits
+from restchroma.extremal import find_extremal
+from conftest import (
+    poly_sum,
+    random_connected_graph,
+    random_graph,
+    random_pivot,
+    random_restraint,
+    subgraph_expansion,
+)
 
 R = parse_restraint
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """g1 beside g2, whose vertices follow g1's."""
+    return Graph(g1.n + g2.n, list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges])
 
 
 class TestFixedPolynomials:
@@ -162,7 +180,7 @@ class TestPolynomialMeaning:
         for _ in range(20):
             g1 = random_graph(rng, max_n=3)
             g2 = random_graph(rng, max_n=3)
-            g = Graph(g1.n + g2.n, list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges])
+            g = disjoint_union(g1, g2)
             r1 = random_restraint(rng, g1.n, max_colour=4)
             r2 = random_restraint(rng, g2.n, max_colour=4)
             joint = Restraint(list(r1.sets) + list(r2.sets))
@@ -195,7 +213,7 @@ class TestPolynomialMeaning:
         for i in range(40):
             if i % 2:
                 g1, g2 = random_graph(rng, max_n=3), random_graph(rng, max_n=3)
-                g = Graph(g1.n + g2.n, list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges])
+                g = disjoint_union(g1, g2)
             else:
                 g = random_graph(rng, max_n=6)
             r = random_restraint(rng, g.n, max_colour=3, max_size=2)
@@ -207,6 +225,35 @@ class TestPolynomialMeaning:
             disconnected += not g.is_connected()
             overlapping += any(r[u] & r[v] for u, v in g.edges)
         assert disconnected and overlapping
+
+    def test_whole_polynomial_matches_subgraph_expansion(self):
+        # K6 with 3-sets, K3,4 at k = 2 and disjoint unions with large sets
+        # bring the coefficients nearest the bound that sets the evaluation
+        # point; the seeded graphs have at most 15 edges
+        rng = random.Random(47)
+        cases = [
+            (complete_graph(6), R("[{1,2,3},{2,3,4},{3,4,5},{1,4,5},{1,2,5},{2,3,5}]")),
+            (complete_graph(6), R("[{1,2,3},{1,2,3},{1,2,3},{1,2,3},{1,2,3},{1,2,3}]")),
+            (complete_bipartite_graph(3, 4), R("[{1,2},{1,2},{1,2},{3,4},{3,4},{3,4},{3,4}]")),
+            (complete_bipartite_graph(3, 4), R("[{1,2},{2,3},{3,4},{1,3},{2,4},{1,4},{1,2}]")),
+            (disjoint_union(complete_graph(4), cycle_graph(5)), Restraint([[1, 2, 3]] * 9)),
+        ]
+        for _ in range(12):
+            g = disjoint_union(random_graph(rng, max_n=4), random_graph(rng, max_n=5, edge_prob=0.6))
+            cases.append((g, random_restraint(rng, g.n, max_colour=5, max_size=4)))
+        for _ in range(12):
+            g = random_connected_graph(rng, 8, extra_edges=rng.randint(0, 8))
+            cases.append((g, random_restraint(rng, g.n, max_colour=4)))
+        for g, r in cases:
+            assert g.m <= 15
+            want = subgraph_expansion(g, r)
+            assert restrained_poly(g, r).coeffs == want, (g, r)
+            # the bound the evaluation point is chosen from
+            assert max(map(abs, want)) <= 2 ** g.m * prod(1 + len(s) for s in r.sets)
+
+    def test_catalog_matches_subgraph_expansion(self):
+        # CI runs the same check over connected_catalog(6)
+        assert catalog_expansion_mismatches(5) == []
 
     def test_shape(self):
         rng = random.Random(37)
@@ -247,6 +294,34 @@ def catalog_coefficient_mismatches(n_max: int) -> list:
             if top != [f(g, r) for f in formulas]:
                 bad.append((to_graph6(g), r))
     return bad
+
+
+def catalog_expansion_mismatches(n_max: int) -> list:
+    """(graph6, restraint) pairs on connected_catalog(n_max) whose polynomial
+    differs from subgraph_expansion's.
+
+    Each graph gets one seeded k-restraint for each of k = 1, 2 and 3, drawn
+    from colours 1..k + 2 so that neighbouring sets overlap."""
+    rng = random.Random(73)
+    bad = []
+    for g in connected_catalog(n_max):
+        for k in (1, 2, 3):
+            r = Restraint(rng.sample(range(1, k + 3), k) for _ in range(g.n))
+            if restrained_poly(g, r).coeffs != subgraph_expansion(g, r):
+                bad.append((to_graph6(g), r))
+    return bad
+
+
+def sparse_queries() -> list:
+    """40 (graph, restraint) queries: connected graphs on 9..12 vertices with
+    cyclomatic number 4, as in the poly-queries benchmark."""
+    rng = random.Random(59)
+    queries = []
+    for i in range(40):
+        n, k = 9 + i % 4, 1 + i // 4 % 2
+        g = random_connected_graph(rng, n, extra_edges=4)
+        queries.append((g, Restraint(rng.sample(range(1, k + 3), k) for _ in range(n))))
+    return queries
 
 
 class TestPeeling:
@@ -303,19 +378,11 @@ class TestPeeling:
         memo = MemoCache()
         huge = restrained_poly(c7, R("[{1},{2},{1},{2},{1000000000},{1},{1000000000}]"), cache=memo)
         assert huge == restrained_poly(c7, R("[{1},{2},{1},{2},{3},{1},{3}]"))
-        assert max(s.bit_length() for _, sets in memo._table for s in sets) == 3
+        assert max(s.bit_length() for _, sets, _ in memo._table for s in sets) == 3
 
     def test_sparse_queries_pinned(self):
-        # 40 connected graphs on 9..12 vertices with cyclomatic number 4, as
-        # in the poly-queries benchmark; digest taken from the edge-list
-        # recursion that had no peeling rules
-        rng = random.Random(59)
-        coeffs = []
-        for i in range(40):
-            n, k = 9 + i % 4, 1 + i // 4 % 2
-            g = random_connected_graph(rng, n, extra_edges=4)
-            r = Restraint(rng.sample(range(1, k + 3), k) for _ in range(n))
-            coeffs.append(list(restrained_poly(g, r).coeffs))
+        # digest taken from the edge-list recursion that had no peeling rules
+        coeffs = [list(restrained_poly(g, r).coeffs) for g, r in sparse_queries()]
         digest = hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()
         assert digest == "423ef4304dbca0ec05e22039538e48396f7e58df8cbca40beb0867478861ba1a"
 
@@ -337,8 +404,9 @@ class TestMemoCache:
 
     def test_shared_across_graphs_and_restraints(self):
         # one cache across graphs on 0..10 vertices, connected or not, and
-        # two restraints per graph, each asked twice: its tuples are keyed on
-        # the exact subproblem, so no answer leaks between queries
+        # two restraints per graph, each asked twice: its values are keyed on
+        # the exact subproblem and the evaluation point, so no answer leaks
+        # between queries
         rng = random.Random(67)
         shared = MemoCache()
         for g in [Graph(0)] + [random_graph(rng, max_n=10, edge_prob=0.4) for _ in range(60)]:
@@ -360,6 +428,52 @@ class TestMemoCache:
         restrained_poly(path_graph(3), R("[{1},{2},{3}]"), cache=cache)
         stats = cache.stats()
         assert set(stats) == {"hits", "misses", "peak_entries"}
+
+    # the memo sees the subproblems it saw when the recursion returned
+    # coefficient tuples: stats taken from that recursion
+    @pytest.mark.parametrize("name, k, stats", [
+        ("C8", 1, {"hits": 37, "misses": 55, "peak_entries": 55}),
+        ("P5", 2, {"hits": 6, "misses": 14, "peak_entries": 14}),
+        ("K2,3", 2, {"hits": 20, "misses": 33, "peak_entries": 33}),
+    ])
+    def test_search_stats_pinned(self, name, k, stats):
+        cache = MemoCache()
+        find_extremal(from_name(name), k, cache=cache)
+        assert cache.stats() == stats
+
+    def test_sparse_query_stats_pinned(self):
+        total = {"hits": 0, "misses": 0, "peak_entries": 0}
+        for g, r in sparse_queries():
+            cache = MemoCache()
+            restrained_poly(g, r, cache=cache)
+            for key, value in cache.stats().items():
+                total[key] += value
+        assert total == {"hits": 7034, "misses": 9149, "peak_entries": 9149}
+
+
+class TestDigits:
+    """_digits reads a polynomial back from its value at 2^s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 80).flatmap(lambda s: st.tuples(
+        st.just(s),
+        st.lists(st.integers(1 - 2 ** (s - 1), 2 ** (s - 1) - 1), max_size=14))))
+    def test_round_trip(self, case):
+        s, coeffs = case
+        p = IntPolynomial(coeffs)
+        assert _digits(p.evaluate(1 << s), s) == p.coeffs
+
+    @pytest.mark.parametrize("s", [2, 3, 8, 31, 64, 65])
+    def test_extreme_digits(self, s):
+        top = 2 ** (s - 1) - 1
+        for coeffs in [(top,), (-top,), (top, -top, top), (-top, top, -top), (0, 0, -top), (top, 0, 1)]:
+            assert _digits(IntPolynomial(coeffs).evaluate(1 << s), s) == coeffs
+
+    def test_zero_and_one(self):
+        assert _digits(0, 2) == ()
+        assert _digits(1, 2) == (1,)
+        # the 0-vertex graph has no edges and no sets, so s = 2 and P = 1
+        assert restrained_poly(Graph(0), R("[]")).coeffs == (1,)
 
 
 class TestCoefficientFormulas:

@@ -262,8 +262,10 @@ class TestResumableStore:
         lambda text: _with_max_winner(text, "[{2},{1},{2},{1}]"),
         lambda text: _with_max_winner(text, "[{1},{2},{1},{2},{1}]"),
         lambda text: _with_max_winner(text, "alternating"),
+        # a valid id of another class, which is still a max witness key
+        lambda text: _with_max_winner(text, "[{1},{1},{2},{2}]"),
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
-            "swapped-labels", "extra-vertex-set", "not-an-id"])
+            "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, damage):
         fresh = find_extremal(c4, 1).to_record()
         load_or_compute_extremal(c4, 1, str(tmp_path))

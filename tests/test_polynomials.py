@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restchroma import IntPolynomial, elementary_symmetric
-from restchroma.polynomials import minus, times, times_linear_minus
+from restchroma.polynomials import minus, times
 from conftest import poly_sum
 
 
@@ -31,32 +31,22 @@ def linear_factors(roots):
 
 
 class TestKernels:
-    """The coefficient-tuple kernels under the operators and the engine."""
-
-    def test_times_linear_minus(self):
-        # (x-2)(x-1) = x^2 - 3x + 2, less x - 5
-        assert times_linear_minus((-1, 1), 2, ()) == (2, -3, 1)
-        assert times_linear_minus((-1, 1), 2, (-5, 1)) == (7, -4, 1)
-        # x * 1 - x cancels to the zero polynomial; a longer q still subtracts
-        assert times_linear_minus((1,), 0, (0, 1)) == ()
-        assert times_linear_minus((), 4, (3, 0, 2)) == (-3, 0, -2)
+    """The coefficient-tuple kernels under the operators."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.integers(-9, 9), max_size=5).map(lambda cs: IntPolynomial(cs).coeffs),
-        st.integers(-5, 5),
         st.lists(st.integers(-9, 9), max_size=7).map(lambda cs: IntPolynomial(cs).coeffs),
     )
-    def test_kernels_match_evaluation(self, p, a, q):
+    def test_kernels_match_evaluation(self, p, q):
         def value(cs, x):
             return IntPolynomial(cs).evaluate(x)
 
-        fused, diff, prod = times_linear_minus(p, a, q), minus(p, q), times(p, q)
-        for out in (fused, diff, prod):
+        diff, prod = minus(p, q), times(p, q)
+        for out in (diff, prod):
             assert not out or out[-1] != 0
         # eleven points pin down every degree here, the product's 10 included
         for x in range(-5, 6):
-            assert value(fused, x) == (x - a) * value(p, x) - value(q, x)
             assert value(diff, x) == value(p, x) - value(q, x)
             assert value(prod, x) == value(p, x) * value(q, x)
 

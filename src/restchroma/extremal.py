@@ -73,9 +73,23 @@ class ExtremalReport:
             "max_classes": [c.class_id() for c in self.max_classes],
             "min_poly": [str(c) for c in self.min_poly.coeffs],
             "max_poly": [str(c) for c in self.max_poly.coeffs],
-            "max_witness": {cid: [d, str(c)] for cid, (d, c) in self.max_witness.items()},
-            "min_witness": {cid: [d, str(c)] for cid, (d, c) in self.min_witness.items()},
+            "max_witness": _encoded_witnesses(self.max_witness),
+            "min_witness": _encoded_witnesses(self.min_witness),
         }
+
+
+def _encoded_witnesses(witness: dict) -> dict:
+    """witness with each (degree, coefficient) as [degree, str(coefficient)],
+    encoded once per distinct value: every class with that value shares the
+    one list."""
+    lists: dict = {}
+    encoded = {}
+    for cid, value in witness.items():
+        pair = lists.get(value)
+        if pair is None:
+            pair = lists[value] = [value[0], str(value[1])]
+        encoded[cid] = pair
+    return encoded
 
 
 def _gap(hi_key, lo_key, hi_poly, lo_poly, n: int) -> tuple[int, int]:
@@ -99,7 +113,8 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     one); the winners are the tied classes with the largest or smallest
     polynomial, so ties mean exactly equal polynomials.  Only those classes
     compare polynomials: every other class's key differs from both the best
-    and the worst, so both its witnesses are read from the keys.
+    and the worst, so both its witnesses are read from the keys, once per
+    distinct key, and every class with that key shares the pair.
     """
     classes = enumerate_k_restraints(g, k)
     key = dominance_key(g, k)
@@ -117,12 +132,16 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     min_poly = min((p for i, p in polys.items() if keys[i] == worst), key=lambda p: p.coeffs[::-1])
     max_witness = {}
     min_witness = {}
+    gaps = {}  # key -> (max witness, min witness) of a class that ties neither
     for i, (cls, class_key) in enumerate(zip(classes, keys)):
         cid = cls.class_id()
         poly = polys.get(i)
         if poly is None:
-            max_witness[cid] = _gap(best, class_key, None, None, g.n)
-            min_witness[cid] = _gap(class_key, worst, None, None, g.n)
+            pair = gaps.get(class_key)
+            if pair is None:
+                pair = gaps[class_key] = (
+                    _gap(best, class_key, None, None, g.n), _gap(class_key, worst, None, None, g.n))
+            max_witness[cid], min_witness[cid] = pair
             continue
         if poly != max_poly:
             max_witness[cid] = _gap(best, class_key, max_poly, poly, g.n)
@@ -151,13 +170,18 @@ def _store_path(results_dir: str, graph_id: str, k: int) -> str:
 def report_from_record(g: Graph, record: dict) -> ExtremalReport:
     """The report a stored record holds, each winner its id's sorted masks
     (id_masks); an id that does not re-encode raises ValueError or IndexError,
-    as does a winner id that is repeated or is a key of its side's witness map."""
+    as does a winner id that is repeated or is a key of its side's witness
+    map, and a record whose two sides (winner ids plus witness keys) name
+    different classes."""
     def classes_of(ids, witness):
         classes = tuple(RestraintClass(tuple(sorted(id_masks(cid))), g.n) for cid in ids)
         if [c.class_id() for c in classes] != ids or len(set(ids).difference(witness)) < len(ids):
             raise ValueError("a winner id is not the class id of its masks, is repeated or is a witness")
         return classes
 
+    min_ids, max_ids = ({*record[f"{side}_classes"], *record[f"{side}_witness"]} for side in ("min", "max"))
+    if min_ids != max_ids:
+        raise ValueError("the min and max sides name different classes")
     return ExtremalReport(
         graph_id=record["graph6"],
         k=record["k"],

@@ -174,6 +174,24 @@ class TestExtremal:
         assert code == 0
         assert out == fresh
 
+    def test_renamed_witness_is_recomputed(self, capsys, tmp_path):
+        # a max witness key of C4's stored record renamed to "not a class":
+        # the two sides no longer name the same classes, so the record is
+        # recomputed and --json prints the true key
+        extremal = ("extremal", "--graph", "C4", "--k", "1", "--json")
+        _, fresh, _ = run(capsys, *extremal)
+        run(capsys, *extremal, "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        record = json.loads(path.read_text())
+        key = min(record["max_witness"])
+        record["max_witness"]["not a class"] = record["max_witness"].pop(key)
+        path.write_text(json.dumps(record, sort_keys=True))
+        code, out, _ = run(capsys, *extremal, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert out == fresh
+        assert key in json.loads(out)["max_witness"]
+        assert path.read_text() == fresh
+
     def test_stored_record_is_the_json_output(self, capsys, tmp_path):
         # C8's witness maps are longer than JSON_CHUNK, so the record is
         # written in several pieces

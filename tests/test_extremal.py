@@ -223,6 +223,15 @@ def _drop_one_max_witness(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _rename_one_max_witness(text: str) -> str:
+    """The record text with one max_witness key renamed to "not a class":
+    every count still holds, but the max side no longer names the min side's
+    classes."""
+    record = json.loads(text)
+    record["max_witness"]["not a class"] = record["max_witness"].pop(min(record["max_witness"]))
+    return json.dumps(record, sort_keys=True)
+
+
 def _with_max_winner(text: str, cid: str) -> str:
     """The record text with its one max winner id replaced by cid."""
     record = json.loads(text)
@@ -264,8 +273,9 @@ class TestResumableStore:
         lambda text: _with_max_winner(text, "alternating"),
         # a valid id of another class, which is still a max witness key
         lambda text: _with_max_winner(text, "[{1},{1},{2},{2}]"),
+        _rename_one_max_witness,
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
-            "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner"])
+            "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, damage):
         fresh = find_extremal(c4, 1).to_record()
         load_or_compute_extremal(c4, 1, str(tmp_path))

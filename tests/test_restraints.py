@@ -64,6 +64,23 @@ def walk_faults(n: int, k: int) -> tuple[int, list[str]]:
     return len(visited), faults
 
 
+def walk_repeats(n: int, k: int, classes: bool = True) -> tuple[int, int | None]:
+    """(visits, repeats) of _normal_form_masks(n, k), where repeats counts the
+    visits to a colour class (sorted mask tuple) visited before; None when
+    classes is False, which keeps no class and so no memory per visit."""
+    visits = 0
+    seen: set[tuple[int, ...]] = set()
+
+    def visit(masks):
+        nonlocal visits
+        visits += 1
+        if classes:
+            seen.add(tuple(sorted(masks)))
+
+    _normal_form_masks(n, k, visit)
+    return visits, visits - len(seen) if classes else None
+
+
 class TestRestraintValue:
     def test_m_value(self):
         assert R("[{1},{2},{3}]").m_value() == 3
@@ -329,7 +346,8 @@ class TestEnumeration:
 
     def test_walk_visits_each_colour_class_once(self):
         # the pruned walk against the unpruned sweep; CI repeats this at
-        # (6, 2), (5, 3) and (4, 4)
+        # (6, 2), (5, 3) and (4, 4), and counts the visits at four larger
+        # (n, k) (walk_repeats)
         visits = {}
         for k, n_max in [(1, 8), (2, 5), (3, 4), (4, 3)]:
             for n in range(n_max + 1):
@@ -339,6 +357,13 @@ class TestEnumeration:
         # at k = 1 every class is one set partition, so Bell(8) of them
         assert visits[8, 1] == 4140
         assert visits[5, 2] == 1750
+        # two vertices with k colours each share j of them, for j = 0..k, so
+        # there are k + 1 colour classes: small n admits large k
+        for k in range(1, 51):
+            visited = []
+            _normal_form_masks(2, k, lambda masks: visited.append(tuple(sorted(masks))))
+            assert sorted(visited) == sorted(
+                tuple(sorted((0b11,) * j + (0b01, 0b10) * (k - j))) for j in range(k + 1)), k
 
     def test_normal_form_counts_past_listing(self):
         # too many forms to list here; each is within FORMS_BUDGET

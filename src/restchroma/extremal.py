@@ -49,9 +49,11 @@ class ExtremalReport:
     """Winners of the eventual-dominance search over one (graph, k) pair.
 
     min_classes and max_classes hold every tied winner; witnesses record,
-    for each losing class, the leading term (degree, coefficient) of the
-    winner-minus-loser difference polynomial, which certifies the strict
-    gap for all large enough x.
+    for each losing class, the leading term of the winner-minus-loser
+    difference polynomial, which certifies the strict gap for all large
+    enough x.  A witness value is already the record's form, the list
+    [degree, str(coefficient)]: classes share these lists, and to_record()
+    hands the two maps out as they are, so callers must not mutate them.
     """
 
     graph_id: str
@@ -73,35 +75,23 @@ class ExtremalReport:
             "max_classes": [c.class_id() for c in self.max_classes],
             "min_poly": [str(c) for c in self.min_poly.coeffs],
             "max_poly": [str(c) for c in self.max_poly.coeffs],
-            "max_witness": _encoded_witnesses(self.max_witness),
-            "min_witness": _encoded_witnesses(self.min_witness),
+            "max_witness": self.max_witness,
+            "min_witness": self.min_witness,
         }
 
 
-def _encoded_witnesses(witness: dict) -> dict:
-    """witness with each (degree, coefficient) as [degree, str(coefficient)],
-    encoded once per distinct value: every class with that value shares the
-    one list."""
-    lists: dict = {}
-    encoded = {}
-    for cid, value in witness.items():
-        pair = lists.get(value)
-        if pair is None:
-            pair = lists[value] = [value[0], str(value[1])]
-        encoded[cid] = pair
-    return encoded
-
-
-def _gap(hi_key, lo_key, hi_poly, lo_poly, n: int) -> tuple[int, int]:
-    """Leading term (degree, coefficient) of hi_poly - lo_poly, read off the
-    dominance keys when they differ (the polynomials are then not needed,
-    and may be None)."""
+def _gap(hi_key, lo_key, hi_poly, lo_poly, n: int) -> list:
+    """Leading term of hi_poly - lo_poly as a witness value, the list
+    [degree, str(coefficient)], read off the dominance keys when they differ
+    (the polynomials are then not needed, and may be None)."""
     if hi_key[0] != lo_key[0]:
-        return n - 2, hi_key[0] - lo_key[0]
-    if hi_key != lo_key:
-        return n - 3, (hi_key[1] - lo_key[1]) // 6
-    diff = hi_poly - lo_poly
-    return diff.degree, diff.leading
+        degree, coefficient = n - 2, hi_key[0] - lo_key[0]
+    elif hi_key != lo_key:
+        degree, coefficient = n - 3, (hi_key[1] - lo_key[1]) // 6
+    else:
+        diff = hi_poly - lo_poly
+        degree, coefficient = diff.degree, diff.leading
+    return [degree, str(coefficient)]
 
 
 def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalReport:
@@ -167,31 +157,48 @@ def _store_path(results_dir: str, graph_id: str, k: int) -> str:
     return os.path.join(results_dir, f"{graph_id.encode('ascii').hex()}_k{k}.json")
 
 
-def report_from_record(g: Graph, record: dict) -> ExtremalReport:
-    """The report a stored record holds, each winner its id's sorted masks
-    (id_masks); an id that does not re-encode raises ValueError or IndexError,
-    as does a winner id that is repeated or is a key of its side's witness
-    map, and a record whose two sides (winner ids plus witness keys) name
-    different classes."""
+def report_from_record(g: Graph, k: int, record: dict) -> ExtremalReport:
+    """The report that a stored record of (g, k) holds.  The record must:
+    - hold g's graph6 and k, and on each side as many winners plus
+      witnesses as class_count;
+    - give each winner an id that re-encodes from its own sorted masks
+      (id_masks), is not repeated and is not a key of its side's witness
+      map;
+    - name the same classes on both sides (winner ids plus witness keys);
+    - hold only witness values [degree, s] with an int degree and s the
+      decimal string of an int, as str() writes it.
+    Else it raises ValueError, or KeyError, TypeError, AttributeError or
+    IndexError for a record of another shape.  Each winner is built from
+    its id's masks, and the report keeps the record's witness maps.  Its
+    graph6, k and class_count are the values checked against, so a record's
+    true for 1 or 7.0 for 7 is not echoed."""
     def classes_of(ids, witness):
         classes = tuple(RestraintClass(tuple(sorted(id_masks(cid))), g.n) for cid in ids)
         if [c.class_id() for c in classes] != ids or len(set(ids).difference(witness)) < len(ids):
             raise ValueError("a winner id is not the class id of its masks, is repeated or is a witness")
         return classes
 
+    graph_id = to_graph6(g)
+    counts = {len(record[f"{side}_classes"]) + len(record[f"{side}_witness"]) for side in ("min", "max")}
+    if (record["graph6"], record["k"]) != (graph_id, k) or counts != {record["class_count"]}:
+        raise ValueError("the record holds another (graph6, k) or miscounts its classes")
     min_ids, max_ids = ({*record[f"{side}_classes"], *record[f"{side}_witness"]} for side in ("min", "max"))
     if min_ids != max_ids:
         raise ValueError("the min and max sides name different classes")
+    for side in ("min", "max"):
+        for degree, coefficient in record[f"{side}_witness"].values():
+            if type(degree) is not int or coefficient != str(int(coefficient)):
+                raise ValueError("a witness value is not [degree, str(coefficient)]")
     return ExtremalReport(
-        graph_id=record["graph6"],
-        k=record["k"],
-        class_count=record["class_count"],
+        graph_id=graph_id,
+        k=k,
+        class_count=counts.pop(),
         min_classes=classes_of(record["min_classes"], record["min_witness"]),
         max_classes=classes_of(record["max_classes"], record["max_witness"]),
         min_poly=IntPolynomial(int(c) for c in record["min_poly"]),
         max_poly=IntPolynomial(int(c) for c in record["max_poly"]),
-        max_witness={cid: (d, int(c)) for cid, (d, c) in record["max_witness"].items()},
-        min_witness={cid: (d, int(c)) for cid, (d, c) in record["min_witness"].items()},
+        max_witness=record["max_witness"],
+        min_witness=record["min_witness"],
     )
 
 
@@ -229,18 +236,13 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
     Records are written atomically (temporary file, then os.replace); the
     temporary file is created with mode 0o666, so the kernel applies the
     umask as for a plain open(), and a failed write removes it before the
-    error propagates.  A record that does not parse, holds another (graph6, k)
-    or a winner id that report_from_record refuses, or whose winners plus
-    witnesses on either side are not class_count classes is recomputed.
+    error propagates.  A record that is missing, does not parse or that
+    report_from_record refuses is recomputed and rewritten.
     """
-    graph_id = to_graph6(g)
-    path = _store_path(results_dir, graph_id, k)
+    path = _store_path(results_dir, to_graph6(g), k)
     try:
         with open(path, "r", encoding="ascii") as fh:
-            record = json.load(fh)
-        counts = {len(record[f"{side}_classes"]) + len(record[f"{side}_witness"]) for side in ("min", "max")}
-        if (record["graph6"], record["k"]) == (graph_id, k) and counts == {record["class_count"]}:
-            return report_from_record(g, record)
+            return report_from_record(g, k, json.load(fh))
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError, IndexError):
         pass  # missing, truncated or corrupt: recompute it
     report = find_extremal(g, k)

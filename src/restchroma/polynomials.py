@@ -4,9 +4,9 @@ Coefficients are arbitrary-precision Python ints stored ascending by
 degree, with trailing zeros trimmed; the zero polynomial stores an empty
 tuple.  Values are immutable and freely shareable.
 
-Each operation is one kernel on such coefficient tuples, times or minus,
-and the kernels serve only IntPolynomial's operators: the engine's
-recursion works on big integers and wraps its answer once.
+The only arithmetic is IntPolynomial's - and *, each working on the
+coefficient tuples directly: the engine's recursion works on big integers
+and wraps its answer once.
 """
 
 from __future__ import annotations
@@ -19,24 +19,6 @@ def _trimmed(out: list[int]) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def times(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of the product p q."""
-    if not (p and q):
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, c in enumerate(p):
-        if c:
-            for j, d in enumerate(q, i):
-                out[j] += c * d
-    # the leading product is nonzero, so nothing needs trimming
-    return tuple(out)
-
-
-def minus(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of the difference p - q."""
-    return _trimmed([c - d for c, d in zip_longest(p, q, fillvalue=0)])
 
 
 class IntPolynomial:
@@ -73,10 +55,20 @@ class IntPolynomial:
     # -- arithmetic -------------------------------------------------------
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial._trusted(minus(self.coeffs, other.coeffs))
+        diff = [c - d for c, d in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        return IntPolynomial._trusted(_trimmed(diff))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial._trusted(times(self.coeffs, other.coeffs))
+        p, q = self.coeffs, other.coeffs
+        if not (p and q):
+            return IntPolynomial._trusted(())
+        out = [0] * (len(p) + len(q) - 1)
+        for i, c in enumerate(p):
+            if c:
+                for j, d in enumerate(q, i):
+                    out[j] += c * d
+        # the leading product is nonzero, so nothing needs trimming
+        return IntPolynomial._trusted(tuple(out))
 
     # -- evaluation ---------------------------------------------------------
 

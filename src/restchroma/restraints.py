@@ -172,19 +172,13 @@ class RestraintClass:
     canon: tuple[int, ...]
     n: int
 
-    def _colour_lists(self, labels: Iterable) -> list[list]:
-        """Per vertex, the labels of its forbidden colours in colour order:
-        labels gives one label per canon mask, placed at each vertex of the
-        mask (_mask_vertices)."""
-        lists: list[list] = [[] for _ in range(self.n)]
-        for label, mask in zip(labels, self.canon):
-            for v in _mask_vertices(mask):
-                lists[v].append(label)
-        return lists
-
     @property
     def representative(self) -> Restraint:
-        return Restraint(self._colour_lists(range(1, len(self.canon) + 1)))
+        sets: list[list[int]] = [[] for _ in range(self.n)]
+        for colour, mask in enumerate(self.canon, 1):
+            for v in _mask_vertices(mask):
+                sets[v].append(colour)
+        return Restraint(sets)
 
     def class_id(self) -> str:
         """render_restraint(self.representative), built as the masks are
@@ -368,10 +362,11 @@ def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
     canon, so no orbit is computed.  Otherwise the first candidate of a
     class marks the class's whole orbit as seen, so every later candidate
     of it (whose own sorted mask tuple lies in that orbit) is skipped; the
-    canon is the orbit minimum.  Classes are returned sorted by canon.  More than FORMS_BUDGET
-    normal forms, counted by _normal_form_count as an upper bound on the
-    walk, raise CapError before any automorphism is listed; the count stops
-    at the first vertex whose prefixes pass the budget.
+    canon is the orbit minimum.  Classes are returned sorted by canon.
+    More than FORMS_BUDGET normal forms, counted by _normal_form_count as an
+    upper bound on the walk, raise CapError before any automorphism is
+    listed; the count stops at the first vertex whose prefixes pass the
+    budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -304,6 +304,23 @@ class TestVerify:
         assert out == fresh
         assert json.loads(path.read_text())["max_classes"] == ["[{1},{2},{1},{2}]"]
 
+    def test_a7_recomputes_a_witness_degree_that_is_not_an_int(self, capsys, tmp_path):
+        # a7 is the theorem that reads witness degrees: a stored max witness
+        # of C5 with degree "x" is refused on read, so the check prints what
+        # it prints without a store, and the record is rewritten
+        verify = ("verify", "--theorem", "a7", "--graph", "C5", "--k", "1")
+        _, fresh, _ = run(capsys, *verify)
+        _, record_text, _ = run(capsys, "extremal", "--graph", "C5", "--k", "1", "--json",
+                                "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        record = json.loads(record_text)
+        record["max_witness"][min(record["max_witness"])][0] = "x"
+        path.write_text(json.dumps(record, sort_keys=True))
+        code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert out == fresh
+        assert path.read_text() == record_text
+
     def test_theorems_share_one_search_per_graph(self, capsys, tmp_path, monkeypatch):
         def verify(theorem, *extra):
             code, out, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", "4", "--k", "2",

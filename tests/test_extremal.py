@@ -122,15 +122,15 @@ class TestFindExtremal:
             c.class_id() for c in enumerate_k_restraints(c4, 1)
         } - winners
         for degree, coeff in rep.max_witness.values():
-            assert coeff > 0
+            assert int(coeff) > 0
             assert 0 <= degree < c4.n  # top coefficients agree for k-restraints
         for degree, coeff in rep.min_witness.values():
-            assert coeff > 0
+            assert int(coeff) > 0
 
     def test_witnesses_are_leading_terms_of_differences(self):
         # every class against its own polynomial: a class that is not a
-        # winner has, as its witness, the leading (degree, coefficient) of
-        # max_poly - p, or of p - min_poly on the min side
+        # winner has, as its witness, the leading [degree, str(coefficient)]
+        # of max_poly - p, or of p - min_poly on the min side
         cases = [(g, k) for k in (1, 2) for g in connected_catalog(4)] + [(cycle_graph(6), 1)]
         for g, k in cases:
             rep = find_extremal(g, k)
@@ -141,7 +141,7 @@ class TestFindExtremal:
                     if diff.degree < 0:
                         assert cid not in witness
                     else:
-                        assert witness[cid] == (diff.degree, diff.leading), (g, k, cid)
+                        assert witness[cid] == [diff.degree, str(diff.leading)], (g, k, cid)
 
     def test_winners_and_witnesses_cover_every_class(self):
         # the a7 check and the store's consistency check read the class list
@@ -232,6 +232,13 @@ def _rename_one_max_witness(text: str) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _with_max_witness_value(text: str, value) -> str:
+    """The record text with one max_witness value replaced by value."""
+    record = json.loads(text)
+    record["max_witness"][min(record["max_witness"])] = value
+    return json.dumps(record, sort_keys=True)
+
+
 def _with_max_winner(text: str, cid: str) -> str:
     """The record text with its one max winner id replaced by cid."""
     record = json.loads(text)
@@ -274,15 +281,26 @@ class TestResumableStore:
         # a valid id of another class, which is still a max witness key
         lambda text: _with_max_winner(text, "[{1},{1},{2},{2}]"),
         _rename_one_max_witness,
+        # witness values that are not [degree, str(coefficient)]: C4's
+        # min(max_witness) is [2, "4"]
+        lambda text: _with_max_witness_value(text, ["x", "4"]),
+        lambda text: _with_max_witness_value(text, [True, "4"]),
+        lambda text: _with_max_witness_value(text, [2.0, "4"]),
+        lambda text: _with_max_witness_value(text, [2, "04"]),
+        lambda text: _with_max_witness_value(text, [2, 4]),
+        lambda text: _with_max_witness_value(text, [2, "4", 0]),
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
-            "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness"])
+            "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness",
+            "degree-not-an-int", "degree-a-bool", "degree-a-float", "coefficient-not-canonical",
+            "coefficient-a-number", "witness-too-long"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, damage):
-        fresh = find_extremal(c4, 1).to_record()
+        # compared as text, since 2.0 == 2 and True == 1 in Python
+        fresh = json.dumps(find_extremal(c4, 1).to_record(), sort_keys=True)
         load_or_compute_extremal(c4, 1, str(tmp_path))
         (path,) = tmp_path.iterdir()
         path.write_text(damage(path.read_text()))
-        assert load_or_compute_extremal(c4, 1, str(tmp_path)).to_record() == fresh
-        assert json.loads(path.read_text()) == fresh
+        assert json.dumps(load_or_compute_extremal(c4, 1, str(tmp_path)).to_record(), sort_keys=True) == fresh
+        assert path.read_text() == fresh + "\n"
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("name, k", [("K6", 1), ("C4", 2)])
@@ -301,6 +319,19 @@ class TestResumableStore:
         assert read.to_record() == fresh.to_record()
         for side in ("min_classes", "max_classes"):
             assert [c.canon for c in getattr(read, side)] == [c.canon for c in getattr(fresh, side)]
+
+    def test_read_report_holds_the_checked_scalars(self, tmp_path, c4, monkeypatch):
+        # true == 1 and 7.0 == 7 pass the (graph6, k) and count checks, but
+        # the report holds the ints it was checked against, not the record's
+        fresh = json.dumps(find_extremal(c4, 1).to_record(), sort_keys=True)
+        load_or_compute_extremal(c4, 1, str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        record = json.loads(path.read_text())
+        record["k"], record["class_count"] = True, 7.0
+        path.write_text(json.dumps(record, sort_keys=True))
+        monkeypatch.setattr(extremal, "find_extremal", no_search)
+        read = load_or_compute_extremal(c4, 1, str(tmp_path))
+        assert json.dumps(read.to_record(), sort_keys=True) == fresh
 
     def test_record_without_trailing_newline_is_read(self, tmp_path, c4, monkeypatch):
         # records written before the store shared the --json writer are one

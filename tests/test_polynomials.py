@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restchroma import IntPolynomial, elementary_symmetric
-from restchroma.polynomials import minus, times
 from conftest import poly_sum
 
 
@@ -31,24 +30,21 @@ def linear_factors(roots):
 
 
 class TestKernels:
-    """The coefficient-tuple kernels under the operators."""
+    """The operators on coefficient tuples, against evaluation."""
 
     @settings(max_examples=80, deadline=None)
     @given(
-        st.lists(st.integers(-9, 9), max_size=5).map(lambda cs: IntPolynomial(cs).coeffs),
-        st.lists(st.integers(-9, 9), max_size=7).map(lambda cs: IntPolynomial(cs).coeffs),
+        st.lists(st.integers(-9, 9), max_size=5).map(IntPolynomial),
+        st.lists(st.integers(-9, 9), max_size=7).map(IntPolynomial),
     )
     def test_kernels_match_evaluation(self, p, q):
-        def value(cs, x):
-            return IntPolynomial(cs).evaluate(x)
-
-        diff, prod = minus(p, q), times(p, q)
+        diff, prod = p - q, p * q
         for out in (diff, prod):
-            assert not out or out[-1] != 0
+            assert not out.coeffs or out.coeffs[-1] != 0
         # eleven points pin down every degree here, the product's 10 included
         for x in range(-5, 6):
-            assert value(diff, x) == value(p, x) - value(q, x)
-            assert value(prod, x) == value(p, x) * value(q, x)
+            assert diff.evaluate(x) == p.evaluate(x) - q.evaluate(x)
+            assert prod.evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
 
 class TestArithmetic:

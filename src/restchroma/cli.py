@@ -18,7 +18,6 @@ from .extremal import (
     check_conjecture,
     find_extremal,
     load_or_compute_extremal,
-    verify_catalog,
     verify_theorems,
     write_json,
 )
@@ -181,14 +180,13 @@ def cmd_verify(args) -> int:
     else:
         catalog = connected_bipartite_catalog if args.theorem == "bipartite" else connected_catalog
         graphs = catalog(args.n_max)
+    names = list(THEOREMS) if args.theorem == "all" else [args.theorem]
+    reports = verify_theorems(names, graphs, args.k, args.results_dir)
     if args.theorem == "all":
-        reports = verify_theorems(list(THEOREMS), graphs, args.k, args.results_dir)
         results = {name: {"records": r.records, "violations": len(r.violations)} for name, r in reports.items()}
         obj = {"theorem": "all", "k": args.k, "theorems": results}
     else:
-        report = verify_catalog(args.theorem, graphs, args.k, args.results_dir)
-        reports = {args.theorem: report}
-        obj = {"theorem": args.theorem, "k": args.k, "records": report.records}
+        obj = {"theorem": args.theorem, "k": args.k, "records": reports[args.theorem].records}
     violations = obj["violations"] = sum(len(r.violations) for r in reports.values())
     lines = []
     for report in reports.values():

@@ -9,14 +9,14 @@ witness is read from its key.  Each theorem in THEOREMS is a
 predicate over that one search, checked on every graph of a catalog that
 meets its hypotheses; violations are report content, never exceptions.
 Without a results store, theorem checks in one process share one search per
-(graph, k) through a bounded memo (SEARCH_MEMO_CLASSES).
+(graph, k) through one dict, _SEARCHES, emptied when a report would take it
+past SEARCH_MEMO_CLASSES classes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -37,9 +37,9 @@ from .restraints import (
     render_restraint,
 )
 
-# Total class_count of the reports that the theorem checks' memo holds.  A
-# report is a few hundred bytes per class, so this keeps the memo to a few MB
-# while it still holds every search of a catalog graph up to n = 7 at k = 1
+# Most classes, in total, of the reports that _SEARCHES holds.  A report is
+# a few hundred bytes per class, so this keeps the memo to a few MB while it
+# still holds every search of a catalog graph up to n = 7 at k = 1
 # (Bell(7) = 877 classes) long enough for all theorems to read it.
 SEARCH_MEMO_CLASSES = 1 << 13
 
@@ -161,22 +161,25 @@ def report_from_record(g: Graph, k: int, record: dict) -> ExtremalReport:
     """The report that a stored record of (g, k) holds.  The record must:
     - hold g's graph6 and k, and on each side as many winners plus
       witnesses as class_count;
-    - give each winner an id that re-encodes from its own sorted masks
-      (id_masks), is not repeated and is not a key of its side's witness
-      map;
     - name the same classes on both sides (winner ids plus witness keys);
     - hold only witness values [degree, s] with an int degree and s the
-      decimal string of an int, as str() writes it.
+      decimal string of an int, as str() writes it;
+    - not repeat a winner id, nor list it among its side's witness keys;
+    - give every id that a reader decodes an id that re-encodes from its
+      own sorted masks (id_masks): the winners, and the max witness keys of
+      degree below n - 2, which are the proper classes that the a7 check
+      decodes (re-encoding every key would cost more than reading the
+      record).
     Else it raises ValueError, or KeyError, TypeError, AttributeError or
     IndexError for a record of another shape.  Each winner is built from
     its id's masks, and the report keeps the record's witness maps.  Its
     graph6, k and class_count are the values checked against, so a record's
     true for 1 or 7.0 for 7 is not echoed."""
-    def classes_of(ids, witness):
-        classes = tuple(RestraintClass(tuple(sorted(id_masks(cid))), g.n) for cid in ids)
-        if [c.class_id() for c in classes] != ids or len(set(ids).difference(witness)) < len(ids):
-            raise ValueError("a winner id is not the class id of its masks, is repeated or is a witness")
-        return classes
+    def decoded(cid):
+        cls = RestraintClass(tuple(sorted(id_masks(cid))), g.n)
+        if cls.class_id() != cid:
+            raise ValueError("a decoded id is not the class id of its masks")
+        return cls
 
     graph_id = to_graph6(g)
     counts = {len(record[f"{side}_classes"]) + len(record[f"{side}_witness"]) for side in ("min", "max")}
@@ -185,16 +188,24 @@ def report_from_record(g: Graph, k: int, record: dict) -> ExtremalReport:
     min_ids, max_ids = ({*record[f"{side}_classes"], *record[f"{side}_witness"]} for side in ("min", "max"))
     if min_ids != max_ids:
         raise ValueError("the min and max sides name different classes")
+    canonical = set()  # coefficients checked so far: a record holds few distinct ones
     for side in ("min", "max"):
+        ids = record[f"{side}_classes"]
+        if len(set(ids).difference(record[f"{side}_witness"])) < len(ids):
+            raise ValueError("a winner id is repeated or is a witness")
         for degree, coefficient in record[f"{side}_witness"].values():
-            if type(degree) is not int or coefficient != str(int(coefficient)):
+            if type(degree) is not int or coefficient not in canonical and coefficient != str(int(coefficient)):
                 raise ValueError("a witness value is not [degree, str(coefficient)]")
+            canonical.add(coefficient)
+    for cid, (degree, _) in record["max_witness"].items():
+        if degree < g.n - 2:
+            decoded(cid)
     return ExtremalReport(
         graph_id=graph_id,
         k=k,
         class_count=counts.pop(),
-        min_classes=classes_of(record["min_classes"], record["min_witness"]),
-        max_classes=classes_of(record["max_classes"], record["max_witness"]),
+        min_classes=tuple(map(decoded, record["min_classes"])),
+        max_classes=tuple(map(decoded, record["max_classes"])),
         min_poly=IntPolynomial(int(c) for c in record["min_poly"]),
         max_poly=IntPolynomial(int(c) for c in record["max_poly"]),
         max_witness=record["max_witness"],
@@ -390,43 +401,29 @@ THEOREMS = {
 }
 
 
-class _SearchMemo:
-    """find_extremal reports of the theorem checks, keyed by (graph6, k) and
-    shared by every check in the process.  The key is exact: the search is a
-    pure function of the labelled graph and k.  Least recently used reports
-    are dropped while the held reports total more than SEARCH_MEMO_CLASSES
-    classes, and a larger report is never kept.  A refused search raises
-    CapError and leaves nothing behind.  Every check is handed the same
-    report object, so a check must not mutate it."""
-
-    def __init__(self):
-        self.reports: OrderedDict[tuple[str, int], ExtremalReport] = OrderedDict()
-        self.classes = 0
-
-    def search(self, g: Graph, k: int) -> ExtremalReport:
-        key = (to_graph6(g), k)
-        report = self.reports.get(key)
-        if report is not None:
-            self.reports.move_to_end(key)
-            return report
-        report = find_extremal(g, k)
-        if report.class_count <= SEARCH_MEMO_CLASSES:
-            self.reports[key] = report
-            self.classes += report.class_count
-            while self.classes > SEARCH_MEMO_CLASSES:
-                self.classes -= self.reports.popitem(last=False)[1].class_count
-        return report
-
-
-_SEARCHES = _SearchMemo()
+# (graph6, k) -> the find_extremal report that the theorem checks share
+_SEARCHES: dict[tuple[str, int], ExtremalReport] = {}
 
 
 def _theorem_search(g: Graph, k: int, results_dir: str | None) -> ExtremalReport:
     """The search a theorem check reads: from the store in results_dir when
-    given (the memo is then neither read nor written), else from the memo."""
+    given (_SEARCHES is then neither read nor written), else from _SEARCHES.
+    The key is exact: the search is a pure function of the labelled graph
+    and k.  A report of more than SEARCH_MEMO_CLASSES classes is not kept,
+    and one that would take the held reports past that total empties
+    _SEARCHES first.  A refused search raises CapError and keeps nothing.
+    Every check is handed the same report object, so none may mutate it."""
     if results_dir is not None:
         return load_or_compute_extremal(g, k, results_dir)
-    return _SEARCHES.search(g, k)
+    key = (to_graph6(g), k)
+    report = _SEARCHES.get(key)
+    if report is None:
+        report = find_extremal(g, k)
+        if report.class_count <= SEARCH_MEMO_CLASSES:
+            if sum(r.class_count for r in _SEARCHES.values()) + report.class_count > SEARCH_MEMO_CLASSES:
+                _SEARCHES.clear()
+            _SEARCHES[key] = report
+    return report
 
 
 def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -> dict[str, VerifyReport]:
@@ -456,11 +453,6 @@ def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -
     }
 
 
-def verify_catalog(theorem: str, catalog, k: int, results_dir: str | None = None) -> VerifyReport:
-    """Check one theorem on every graph of a catalog (verify_theorems)."""
-    return verify_theorems((theorem,), catalog, k, results_dir)[theorem]
-
-
 def verify_min_theorem(catalog, k: int) -> VerifyReport:
     """Check that the constant restraint is the unique minimizing class.
 
@@ -468,19 +460,19 @@ def verify_min_theorem(catalog, k: int) -> VerifyReport:
     winner set and, on a violation, the witnessing polynomial coefficient
     vectors.
     """
-    return verify_catalog("min", catalog, k)
+    return verify_theorems(("min",), catalog, k)["min"]
 
 
 def verify_properness(catalog, k: int) -> VerifyReport:
     """Check that every maximizing class is a proper restraint."""
-    return verify_catalog("proper", catalog, k)
+    return verify_theorems(("proper",), catalog, k)["proper"]
 
 
 def verify_bipartite_max(catalog, k: int) -> VerifyReport:
     """Check that the alternating restraint is the unique maximizing class
     on connected bipartite graphs; disconnected and non-bipartite inputs
     are skipped with a notice."""
-    return verify_catalog("bipartite", catalog, k)
+    return verify_theorems(("bipartite",), catalog, k)["bipartite"]
 
 
 def verify_a7_condition(g: Graph, k: int) -> dict:

@@ -13,7 +13,7 @@ def fresh_search_memo(monkeypatch):
     """Each test starts with an empty theorem-search memo, as a new process
     does, so a search counted or patched in one test is never served from
     another's."""
-    monkeypatch.setattr(extremal, "_SEARCHES", extremal._SearchMemo())
+    monkeypatch.setattr(extremal, "_SEARCHES", {})
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import pytest
 from restchroma import IntPolynomial, connected_catalog, find_extremal, from_name, to_graph6
 from restchroma import extremal as extremal_module
 from restchroma.cli import _emit, main
-from restchroma.extremal import JSON_CHUNK, THEOREMS, verify_catalog, write_json
+from restchroma.extremal import JSON_CHUNK, THEOREMS, verify_theorems, write_json
 from conftest import no_search
 
 
@@ -271,11 +271,12 @@ class TestVerify:
         from restchroma import VerifyReport
         from restchroma import cli as cli_module
 
-        def fake(theorem, catalog, k, results_dir=None):
+        def fake(theorems, catalog, k, results_dir=None):
             rec = {"graph6": "Cl", "k": k, "ok": False}
-            return VerifyReport(theorem=theorem, k=k, records=[rec], violations=[rec])
+            return {theorem: VerifyReport(theorem=theorem, k=k, records=[rec], violations=[rec])
+                    for theorem in theorems}
 
-        monkeypatch.setattr(cli_module, "verify_catalog", fake)
+        monkeypatch.setattr(cli_module, "verify_theorems", fake)
         code, out, _ = run(capsys, "verify", "--theorem", "min", "--n-max", "3")
         assert code == 4
         assert "violation" in out
@@ -321,6 +322,23 @@ class TestVerify:
         assert out == fresh
         assert path.read_text() == record_text
 
+    def test_a7_recomputes_a_proper_key_that_is_not_a_class_id(self, capsys, tmp_path):
+        # C5's rainbow class renamed on both sides to an id of the class of
+        # [{1},{2},{1},{2},{3}] in other colour labels: read as it stands, a7
+        # would count that class twice and find two attaining classes
+        verify = ("verify", "--theorem", "a7", "--graph", "C5", "--json")
+        _, fresh, _ = run(capsys, *verify)
+        _, record_text, _ = run(capsys, "extremal", "--graph", "C5", "--json", "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        record = json.loads(record_text)
+        for side in ("min_witness", "max_witness"):
+            record[side]["[{1},{3},{1},{3},{2}]"] = record[side].pop("[{1},{2},{3},{4},{5}]")
+        path.write_text(json.dumps(record, sort_keys=True))
+        code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert out == fresh
+        assert path.read_text() == record_text
+
     def test_theorems_share_one_search_per_graph(self, capsys, tmp_path, monkeypatch):
         def verify(theorem, *extra):
             code, out, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", "4", "--k", "2",
@@ -346,7 +364,7 @@ class TestVerify:
         assert (obj["theorem"], obj["k"], obj["violations"]) == ("all", 1, 0)
         assert list(obj["theorems"]) == sorted(THEOREMS)
         for theorem in THEOREMS:
-            report = verify_catalog(theorem, catalog, 1)
+            report = verify_theorems((theorem,), catalog, 1)[theorem]
             assert obj["theorems"][theorem] == {"records": report.records, "violations": len(report.violations)}
 
     def test_all_prints_a_summary_per_theorem(self, capsys, monkeypatch):

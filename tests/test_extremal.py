@@ -239,6 +239,15 @@ def _with_max_witness_value(text: str, value) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _rename_class(text: str, cid: str, new: str) -> str:
+    """The record text with witness key cid renamed to new on both sides:
+    every count holds, and both sides still name the same classes."""
+    record = json.loads(text)
+    for side in ("min_witness", "max_witness"):
+        record[side][new] = record[side].pop(cid)
+    return json.dumps(record, sort_keys=True)
+
+
 def _with_max_winner(text: str, cid: str) -> str:
     """The record text with its one max winner id replaced by cid."""
     record = json.loads(text)
@@ -281,6 +290,9 @@ class TestResumableStore:
         # a valid id of another class, which is still a max witness key
         lambda text: _with_max_winner(text, "[{1},{1},{2},{2}]"),
         _rename_one_max_witness,
+        # C4's rainbow class, proper and so decoded by the a7 check, renamed
+        # on both sides to an id whose masks re-encode to [{1},{2},{1},{2}]
+        lambda text: _rename_class(text, "[{1},{2},{3},{4}]", "[{1},{3},{1},{3}]"),
         # witness values that are not [degree, str(coefficient)]: C4's
         # min(max_witness) is [2, "4"]
         lambda text: _with_max_witness_value(text, ["x", "4"]),
@@ -291,6 +303,7 @@ class TestResumableStore:
         lambda text: _with_max_witness_value(text, [2, "4", 0]),
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
             "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness",
+            "non-canonical-proper-key",
             "degree-not-an-int", "degree-a-bool", "degree-a-float", "coefficient-not-canonical",
             "coefficient-a-number", "witness-too-long"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, damage):
@@ -578,39 +591,35 @@ class TestSearchMemo:
         first = verify_a7_condition(c7, 1)
         assert verify_a7_condition(c7, 1) == first
         assert len(calls) == 3
-        # nor does it push out the reports that fit
-        assert list(extremal._SEARCHES.reports) == [(to_graph6(c4), 1)]
-        assert extremal._SEARCHES.classes == bound
+        # nor does it empty the memo of the reports that fit
+        assert list(extremal._SEARCHES) == [(to_graph6(c4), 1)]
+        verify_a7_condition(c4, 1)
+        assert len(calls) == 3
 
     def test_eviction_keeps_the_held_classes_within_the_bound(self, monkeypatch):
         c4, c5, c6 = (cycle_graph(n) for n in (4, 5, 6))
         size = {g: find_extremal(g, 1).class_count for g in (c4, c5, c6)}
         bound = size[c5] + size[c6]
+        assert size[c4] + size[c5] <= bound < sum(size.values())
         monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", bound)
         calls = self.counted(monkeypatch)
-        memo = extremal._SEARCHES
-
-        def held():
-            assert memo.classes == sum(report.class_count for report in memo.reports.values()) <= bound
-            return [graph6 for graph6, _ in memo.reports]
-
-        for g in (c4, c5, c6):
+        # each call, then the graphs held after it and the searches made so
+        # far: a miss that would pass the bound empties the memo first
+        steps = [(c5, [c5], 1), (c6, [c5, c6], 2), (c5, [c5, c6], 2), (c4, [c4], 3),
+                 (c5, [c4, c5], 4), (c4, [c4, c5], 4), (c6, [c6], 5)]
+        for g, held, searched in steps:
             verify_properness([g], 1)
-        assert held() == [to_graph6(c5), to_graph6(c6)]  # c4 was the least recently used
-        verify_properness([c5], 1)  # a hit, which makes c6 the least recently used
-        assert len(calls) == 3
-        verify_properness([c4], 1)
-        assert len(calls) == 4
-        assert held() == [to_graph6(c5), to_graph6(c4)]
+            assert sum(report.class_count for report in extremal._SEARCHES.values()) <= bound
+            assert list(extremal._SEARCHES) == [(to_graph6(h), 1) for h in held]
+            assert len(calls) == searched
 
     def test_store_runs_and_refused_searches_leave_it_empty(self, monkeypatch, tmp_path, c4):
-        extremal.verify_catalog("a7", [c4], 1, str(tmp_path))
-        assert not extremal._SEARCHES.reports
+        extremal.verify_theorems(("a7",), [c4], 1, str(tmp_path))
+        assert extremal._SEARCHES == {}
         monkeypatch.setattr(restraints, "FORMS_BUDGET", 1)
         with pytest.raises(CapError):
             verify_a7_condition(c4, 1)
-        assert not extremal._SEARCHES.reports
-        assert extremal._SEARCHES.classes == 0
+        assert extremal._SEARCHES == {}
 
 
 class TestConjecture:

@@ -16,8 +16,7 @@ from .engine import coeff_n1, coeff_n2, coeff_n3, count_colourings, restrained_p
 from .extremal import (
     THEOREMS,
     check_conjecture,
-    find_extremal,
-    load_or_compute_extremal,
+    search,
     verify_theorems,
     write_json,
 )
@@ -156,10 +155,7 @@ def cmd_classes(args) -> int:
 
 def cmd_extremal(args) -> int:
     g = load_graph(args.graph)
-    if args.results_dir:
-        report = load_or_compute_extremal(g, args.k, args.results_dir)
-    else:
-        report = find_extremal(g, args.k)
+    report = search(g, args.k, args.results_dir)
     obj = report.to_record()
     lines = [
         f"graph: {report.graph_id} (k={args.k}), {report.class_count} classes",

@@ -8,9 +8,12 @@ are collected among them (all ties reported), and every other class's
 witness is read from its key.  Each theorem in THEOREMS is a
 predicate over that one search, checked on every graph of a catalog that
 meets its hypotheses; violations are report content, never exceptions.
-Without a results store, theorem checks in one process share one search per
-(graph, k) through one dict, _SEARCHES, emptied when a report would take it
-past SEARCH_MEMO_CLASSES classes.
+Every search the package makes comes from search(): from a results store
+(load_or_compute_extremal) when one is given, else through one dict,
+_SEARCHES, emptied when a report would take it past SEARCH_MEMO_CLASSES
+classes, so the checks in one process share one search per (graph, k).
+The theorem checks return only their verdicts; verify_theorems frames each
+record with the graph's graph6 and k.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .restraints import (
     Restraint,
     alternating_restraint,
     canonicalize,
+    check_id_shapes,
     constant_restraint,
     enumerate_k_restraints,
     id_masks,
@@ -157,55 +161,59 @@ def _store_path(results_dir: str, graph_id: str, k: int) -> str:
     return os.path.join(results_dir, f"{graph_id.encode('ascii').hex()}_k{k}.json")
 
 
+def _proper_witness_ids(max_witness: dict, n: int) -> list[str]:
+    """The max witness keys of the proper classes that do not win: those of
+    degree below n - 2.
+
+    Giving every vertex k fresh colours is proper, so the best key has I2 = 0
+    (engine.dominance_key), and a class is improper exactly when its I2
+    differs from the best's, that is when its max witness has degree n - 2
+    (_gap).  So the proper classes are the max winners and these keys."""
+    return [cid for cid, (degree, _) in max_witness.items() if degree < n - 2]
+
+
 def report_from_record(g: Graph, k: int, record: dict) -> ExtremalReport:
     """The report that a stored record of (g, k) holds.  The record must:
-    - hold g's graph6 and k, and on each side as many winners plus
-      witnesses as class_count;
-    - name the same classes on both sides (winner ids plus witness keys);
+    - hold g's graph6 and k;
+    - name the same class_count classes on each side, none twice: winner
+      ids plus witness keys, no winner repeated or among its witness keys;
     - hold only witness values [degree, s] with an int degree and s the
       decimal string of an int, as str() writes it;
-    - not repeat a winner id, nor list it among its side's witness keys;
-    - give every id that a reader decodes an id that re-encodes from its
-      own sorted masks (id_masks): the winners, and the max witness keys of
-      degree below n - 2, which are the proper classes that the a7 check
-      decodes (re-encoding every key would cost more than reading the
-      record).
+    - hold witness keys that together have the shape of k-restraint ids on
+      n vertices (check_id_shapes: re-encoding every key would cost more
+      than reading the record);
+    - give every id that a reader decodes an id that RestraintClass.from_id
+      accepts: the winners, and the proper classes' witness keys
+      (_proper_witness_ids), which the a7 check decodes.
     Else it raises ValueError, or KeyError, TypeError, AttributeError or
     IndexError for a record of another shape.  Each winner is built from
-    its id's masks, and the report keeps the record's witness maps.  Its
-    graph6, k and class_count are the values checked against, so a record's
-    true for 1 or 7.0 for 7 is not echoed."""
-    def decoded(cid):
-        cls = RestraintClass(tuple(sorted(id_masks(cid))), g.n)
-        if cls.class_id() != cid:
-            raise ValueError("a decoded id is not the class id of its masks")
-        return cls
-
+    its id (from_id), and the report keeps the record's witness maps.  Its
+    graph6 and k are the values checked against and its class_count the
+    classes counted, so a record's true for 1 or 7.0 for 7 is not echoed."""
     graph_id = to_graph6(g)
-    counts = {len(record[f"{side}_classes"]) + len(record[f"{side}_witness"]) for side in ("min", "max")}
-    if (record["graph6"], record["k"]) != (graph_id, k) or counts != {record["class_count"]}:
-        raise ValueError("the record holds another (graph6, k) or miscounts its classes")
-    min_ids, max_ids = ({*record[f"{side}_classes"], *record[f"{side}_witness"]} for side in ("min", "max"))
-    if min_ids != max_ids:
-        raise ValueError("the min and max sides name different classes")
+    if (record["graph6"], record["k"]) != (graph_id, k):
+        raise ValueError("the record holds another (graph6, k)")
+    named = [{*record[f"{side}_classes"], *record[f"{side}_witness"]} for side in ("min", "max")]
+    counts = [len(record[f"{side}_classes"]) + len(record[f"{side}_witness"]) for side in ("min", "max")]
+    # as both sides name one set, this is len({*winners, *witness}) ==
+    # len(winners) + len(witness) == class_count on each side
+    if named[0] != named[1] or not len(named[0]) == counts[0] == counts[1] == record["class_count"]:
+        raise ValueError("the sides name different classes, or repeat or miscount them")
     canonical = set()  # coefficients checked so far: a record holds few distinct ones
-    for side in ("min", "max"):
-        ids = record[f"{side}_classes"]
-        if len(set(ids).difference(record[f"{side}_witness"])) < len(ids):
-            raise ValueError("a winner id is repeated or is a witness")
-        for degree, coefficient in record[f"{side}_witness"].values():
+    for side in ("min_witness", "max_witness"):
+        for degree, coefficient in record[side].values():
             if type(degree) is not int or coefficient not in canonical and coefficient != str(int(coefficient)):
                 raise ValueError("a witness value is not [degree, str(coefficient)]")
             canonical.add(coefficient)
-    for cid, (degree, _) in record["max_witness"].items():
-        if degree < g.n - 2:
-            decoded(cid)
+    check_id_shapes(record["max_witness"], g.n, k)
+    for cid in _proper_witness_ids(record["max_witness"], g.n):
+        RestraintClass.from_id(cid, g.n)
     return ExtremalReport(
         graph_id=graph_id,
         k=k,
-        class_count=counts.pop(),
-        min_classes=tuple(map(decoded, record["min_classes"])),
-        max_classes=tuple(map(decoded, record["max_classes"])),
+        class_count=len(named[0]),
+        min_classes=tuple(RestraintClass.from_id(cid, g.n) for cid in record["min_classes"]),
+        max_classes=tuple(RestraintClass.from_id(cid, g.n) for cid in record["max_classes"]),
         min_poly=IntPolynomial(int(c) for c in record["min_poly"]),
         max_poly=IntPolynomial(int(c) for c in record["max_poly"]),
         max_witness=record["max_witness"],
@@ -242,7 +250,8 @@ def write_json(obj: dict, out) -> None:
 
 
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
-    """find_extremal with a results directory keyed by (graph6, k).
+    """find_extremal with a results directory keyed by (graph6, k); search
+    is its one caller in the package.
 
     Records are written atomically (temporary file, then os.replace); the
     temporary file is created with mode 0o666, so the kernel applies the
@@ -278,7 +287,11 @@ class VerifyReport:
     theorem: str
     k: int
     records: list
-    violations: list
+
+    @property
+    def violations(self) -> list:
+        """The records whose "ok" is False."""
+        return [rec for rec in self.records if rec.get("ok") is False]
 
     def summary(self) -> str:
         checked = sum("skipped" not in rec for rec in self.records)
@@ -300,14 +313,12 @@ def _expected_class(expected_restraint, g: Graph, k: int) -> RestraintClass:
 
 
 def _unique_winner(side: str, expected_restraint, g: Graph, k: int, report: ExtremalReport) -> dict:
-    """Record whether the class of expected_restraint(g, k) is the only winner
-    on side ("min" or "max"); a violation also carries both polynomials."""
+    """Whether the class of expected_restraint(g, k) is the only winner on
+    side ("min" or "max"); a violation also carries both polynomials."""
     winners = getattr(report, f"{side}_classes")
     expected = _expected_class(expected_restraint, g, k)
     ok = {c.canon for c in winners} == {expected.canon}
     rec = {
-        "graph6": report.graph_id,
-        "k": k,
         "ok": ok,
         "expected": expected.class_id(),
         f"{side}_classes": _ids(winners),
@@ -322,8 +333,6 @@ def _proper_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     """Every maximizing class is a proper restraint."""
     improper = [c for c in report.max_classes if not is_proper(g, c.representative)]
     return {
-        "graph6": report.graph_id,
-        "k": k,
         "ok": not improper,
         "max_classes": _ids(report.max_classes),
         "improper_winners": _ids(improper),
@@ -333,19 +342,16 @@ def _proper_check(g: Graph, k: int, report: ExtremalReport) -> dict:
 def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     """Every maximizing class is proper and attains the minimum of the
     per-common-neighbour overlap term (A7'', engine.common_neighbor_overlap)
-    over all proper classes.  The record also says whether that minimum pins
+    over all proper classes, read from the search: the max winners and
+    _proper_witness_ids.  The verdict also says whether that minimum pins
     down a unique class, and gives the once-per-pair overlap variant
     (engine.shared_pair_overlap) for each attaining class.
 
-    Properness is read from the search.  Giving every vertex k fresh colours
-    is proper, so the best key has I2 = 0 (engine.dominance_key), and a
-    class is improper exactly when its I2 differs from the best's, that is
-    when its max witness has degree n - 2.  So the proper classes are the
-    max winners and the max_witness ids of lower degree.  Each id decodes
-    straight to its colour masks (id_masks), and both terms are sums over
-    the colours: A7'' charges a mask -C(|N(v) & mask|, 2) at each vertex v,
-    and the pair term -1 for each pair of its vertices with a common
-    neighbour.  Each mask's share of both is computed once per call."""
+    Each proper class's id decodes straight to its colour masks (id_masks),
+    and both terms are sums over the colours: A7'' charges a mask
+    -C(|N(v) & mask|, 2) at each vertex v, and the pair term -1 for each pair
+    of its vertices with a common neighbour.  Each mask's share of both is
+    computed once per call."""
     adj = g.adjacency_masks()
     # partners[i]: the vertices j != i with a neighbour in common with i
     partners = [
@@ -362,7 +368,7 @@ def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
         return a7, -pairs
 
     max_ids = _ids(report.max_classes)
-    proper = max_ids + [cid for cid, (degree, _) in report.max_witness.items() if degree < g.n - 2]
+    proper = max_ids + _proper_witness_ids(report.max_witness, g.n)
     terms = {}
     pair_terms = {}
     for cid in proper:
@@ -376,8 +382,6 @@ def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
     minimum = min(terms.values())
     attaining = sorted(cid for cid, t in terms.items() if t == minimum)
     return {
-        "graph6": report.graph_id,
-        "k": k,
         "ok": set(max_ids) <= set(attaining),  # so every maximizer is proper too
         "proper_class_count": len(proper),
         "min_term": minimum,
@@ -392,7 +396,8 @@ def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
 _CONNECTED = ("not connected", Graph.is_connected)
 _BIPARTITE = ("not bipartite", lambda g: g.bipartition() is not None)
 
-# theorem -> (hypotheses as (reason skipped, predicate), check of (g, k, report))
+# theorem -> (hypotheses as (reason skipped, predicate), check of (g, k, report)
+# returning the verdict fields of the graph's record)
 THEOREMS = {
     "min": ((_CONNECTED,), partial(_unique_winner, "min", constant_restraint)),
     "proper": ((), _proper_check),
@@ -401,19 +406,21 @@ THEOREMS = {
 }
 
 
-# (graph6, k) -> the find_extremal report that the theorem checks share
+# (graph6, k) -> the find_extremal report that search hands out again
 _SEARCHES: dict[tuple[str, int], ExtremalReport] = {}
 
 
-def _theorem_search(g: Graph, k: int, results_dir: str | None) -> ExtremalReport:
-    """The search a theorem check reads: from the store in results_dir when
-    given (_SEARCHES is then neither read nor written), else from _SEARCHES.
-    The key is exact: the search is a pure function of the labelled graph
-    and k.  A report of more than SEARCH_MEMO_CLASSES classes is not kept,
-    and one that would take the held reports past that total empties
-    _SEARCHES first.  A refused search raises CapError and keeps nothing.
-    Every check is handed the same report object, so none may mutate it."""
-    if results_dir is not None:
+def search(g: Graph, k: int, results_dir: str | None = None) -> ExtremalReport:
+    """The one source of searches in the package, for the theorem checks and
+    the extremal and conjecture commands: from the store in results_dir when
+    that is a non-empty path (_SEARCHES is then neither read nor written),
+    else from _SEARCHES.  The key is exact: the search is a pure function of
+    the labelled graph and k.  A report of more than SEARCH_MEMO_CLASSES
+    classes is not kept, and one that would take the held reports past that
+    total empties _SEARCHES first.  A refused search raises CapError and
+    keeps nothing.  Every caller is handed the same report object, so none
+    may mutate it."""
+    if results_dir:
         return load_or_compute_extremal(g, k, results_dir)
     key = (to_graph6(g), k)
     report = _SEARCHES.get(key)
@@ -428,11 +435,11 @@ def _theorem_search(g: Graph, k: int, results_dir: str | None) -> ExtremalReport
 
 def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -> dict[str, VerifyReport]:
     """Check each of theorems on every graph of a catalog, graph by graph, so
-    all of a graph's checks read its one search (_theorem_search).  Returns
-    a VerifyReport per theorem, in the order given.  A graph outside a
-    theorem's hypotheses gets a "skipped" reason and no "ok"; a record whose
-    "ok" is False is a violation.  k < 1 raises ValueError before any graph
-    is looked at."""
+    all of a graph's checks read its one search.  Returns a VerifyReport per
+    theorem, in the order given.  Every record is framed here with the
+    graph's graph6 and k: a checked graph gets its check's verdict fields,
+    and a graph outside a theorem's hypotheses a "skipped" reason and no
+    "ok".  k < 1 raises ValueError before any graph is looked at."""
     if k < 1:
         raise ValueError("k must be at least 1")
     records: dict[str, list] = {theorem: [] for theorem in theorems}
@@ -445,12 +452,9 @@ def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -
                 recs.append({"graph6": to_graph6(g), "k": k, "skipped": reason})
                 continue
             if report is None:
-                report = _theorem_search(g, k, results_dir)
-            recs.append(check(g, k, report))
-    return {
-        theorem: VerifyReport(theorem, k, recs, [rec for rec in recs if rec.get("ok") is False])
-        for theorem, recs in records.items()
-    }
+                report = search(g, k, results_dir)
+            recs.append({"graph6": report.graph_id, "k": k, **check(g, k, report)})
+    return {theorem: VerifyReport(theorem, k, recs) for theorem, recs in records.items()}
 
 
 def verify_min_theorem(catalog, k: int) -> VerifyReport:
@@ -477,7 +481,7 @@ def verify_bipartite_max(catalog, k: int) -> VerifyReport:
 
 def verify_a7_condition(g: Graph, k: int) -> dict:
     """Check the two necessary maximality conditions on one graph."""
-    return _a7_check(g, k, _theorem_search(g, k, None))
+    return verify_theorems(("a7",), [g], k)["a7"].records[0]
 
 
 # -- odd-cycle conjecture ------------------------------------------------------------
@@ -521,7 +525,7 @@ def check_conjecture(n: int) -> dict:
     """
     star, uncovered = conjectured_odd_cycle_restraint(n)
     g = cycle_graph(n)
-    report = find_extremal(g, 1)
+    report = search(g, 1)
     winners = sorted(_ids(report.max_classes))
     rec = {
         "n": n,

@@ -273,8 +273,7 @@ class TestVerify:
 
         def fake(theorems, catalog, k, results_dir=None):
             rec = {"graph6": "Cl", "k": k, "ok": False}
-            return {theorem: VerifyReport(theorem=theorem, k=k, records=[rec], violations=[rec])
-                    for theorem in theorems}
+            return {theorem: VerifyReport(theorem=theorem, k=k, records=[rec]) for theorem in theorems}
 
         monkeypatch.setattr(cli_module, "verify_theorems", fake)
         code, out, _ = run(capsys, "verify", "--theorem", "min", "--n-max", "3")
@@ -289,6 +288,17 @@ class TestVerify:
         code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
         assert code == 0
         assert out == fresh
+
+    def test_empty_results_dir_is_no_store(self, capsys, tmp_path, monkeypatch):
+        # both commands read an empty --results-dir as none, as extremal
+        # always did: nothing is written, and the output is the storeless one
+        monkeypatch.chdir(tmp_path)
+        for args in (("verify", "--theorem", "min", "--graph", "C4", "--json"),
+                     ("extremal", "--graph", "C4", "--json")):
+            _, fresh, _ = run(capsys, *args)
+            code, out, _ = run(capsys, *args, "--results-dir", "")
+            assert (code, out) == (0, fresh)
+        assert list(tmp_path.iterdir()) == []
 
     def test_winner_replaced_by_a_witness_is_recomputed(self, capsys, tmp_path):
         # C4's max winner replaced by the valid id of a max witness: the
@@ -338,6 +348,24 @@ class TestVerify:
         assert code == 0
         assert out == fresh
         assert path.read_text() == record_text
+
+    def test_extremal_recomputes_an_improper_key_that_is_not_a_class_id(self, capsys, tmp_path):
+        # C5's improper class [{1},{1},{2},{2},{2}] (max witness degree
+        # n - 2), which no reader decodes, renamed on both sides: the store
+        # run prints the bytes of a run without a store, and the file holds
+        # them again
+        args = ("extremal", "--graph", "C5", "--k", "1", "--json")
+        _, fresh, _ = run(capsys, *args)
+        run(capsys, *args, "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        record = json.loads(path.read_text())
+        for side in ("min_witness", "max_witness"):
+            record[side]["not a class"] = record[side].pop("[{1},{1},{2},{2},{2}]")
+        path.write_text(json.dumps(record, sort_keys=True))
+        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert out == fresh
+        assert path.read_text() == fresh
 
     def test_theorems_share_one_search_per_graph(self, capsys, tmp_path, monkeypatch):
         def verify(theorem, *extra):

@@ -144,6 +144,15 @@ class TestCountOracle:
         with pytest.raises(ValueError):
             count_colourings(c3, R("[{1},{1},{1}]"), -1)
 
+    def test_wrong_length_restraint_rejected(self, c3):
+        with pytest.raises(ValueError, match="2 sets for a graph on 3 vertices"):
+            count_colourings(c3, R("[{1},{2}]"), 3)
+
+    def test_empty_graph_has_one_colouring(self):
+        # E0 has exactly one colouring, the empty one, at every x
+        g = Graph(0)
+        assert [count_colourings(g, empty_restraint(g), x) for x in (0, 1, 5)] == [1, 1, 1]
+
 
 class TestPolynomialMeaning:
     def test_oracle_agreement_small(self):

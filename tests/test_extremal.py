@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -44,10 +45,10 @@ from conftest import no_search
 R = parse_restraint
 
 
-def a7_oracle_record(g, k, report):
-    """The a7 record built the direct way: every class id of the report parsed
-    back to a Restraint, properness tested edge by edge, and both overlap
-    terms summed per restraint."""
+def a7_oracle_record(g, report):
+    """The a7 verdict built the direct way: every class id of the report
+    parsed back to a Restraint, properness tested edge by edge, and both
+    overlap terms summed per restraint."""
     max_ids = [c.class_id() for c in report.max_classes]
     parsed = {cid: parse_restraint(cid) for cid in max_ids + list(report.max_witness)}
     proper = {cid: r for cid, r in parsed.items() if is_proper(g, r)}
@@ -56,8 +57,6 @@ def a7_oracle_record(g, k, report):
     minimum = min(terms.values())
     attaining = sorted(cid for cid, t in terms.items() if t == minimum)
     return {
-        "graph6": report.graph_id,
-        "k": k,
         "ok": set(max_ids) <= set(attaining),
         "proper_class_count": len(proper),
         "min_term": minimum,
@@ -70,7 +69,7 @@ def a7_oracle_record(g, k, report):
 
 
 def a7_mismatches(catalog, k, results_dir=None):
-    """(graph6, what) for each graph of catalog whose a7 record differs from
+    """(graph6, what) for each graph of catalog whose a7 verdict differs from
     a7_oracle_record, or on which some class's properness (is_proper on its
     parsed id) disagrees with "max winner, or max witness of degree below
     n - 2".  With results_dir, each search is also written to that store and
@@ -83,8 +82,8 @@ def a7_mismatches(catalog, k, results_dir=None):
             reports = [("fresh", load_or_compute_extremal(g, k, results_dir)),
                        ("stored", load_or_compute_extremal(g, k, results_dir))]
         for source, report in reports:
-            if extremal._a7_check(g, k, report) != a7_oracle_record(g, k, report):
-                bad.append((report.graph_id, f"{source} a7 record"))
+            if extremal._a7_check(g, k, report) != a7_oracle_record(g, report):
+                bad.append((report.graph_id, f"{source} a7 verdict"))
             if not all(is_proper(g, c.representative) for c in report.max_classes):
                 bad.append((report.graph_id, f"{source} improper winner"))
             for cid, (degree, _) in report.max_witness.items():
@@ -248,6 +247,19 @@ def _rename_class(text: str, cid: str, new: str) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _winners_twice_one_witness_dropped(text: str) -> str:
+    """The record text with each side's winners listed twice and one class
+    that wins on neither side dropped from both witness maps: the counts
+    hold, and both sides name the same classes."""
+    record = json.loads(text)
+    for side in ("min", "max"):
+        record[f"{side}_classes"] *= 2
+    dropped = min(set(record["max_witness"]).difference(record["min_classes"]))
+    for side in ("min_witness", "max_witness"):
+        del record[side][dropped]
+    return json.dumps(record, sort_keys=True)
+
+
 def _with_max_winner(text: str, cid: str) -> str:
     """The record text with its one max winner id replaced by cid."""
     record = json.loads(text)
@@ -293,6 +305,10 @@ class TestResumableStore:
         # C4's rainbow class, proper and so decoded by the a7 check, renamed
         # on both sides to an id whose masks re-encode to [{1},{2},{1},{2}]
         lambda text: _rename_class(text, "[{1},{2},{3},{4}]", "[{1},{3},{1},{3}]"),
+        # an improper class (max witness degree n - 2), which no reader
+        # decodes, renamed on both sides to a key of no id's shape
+        lambda text: _rename_class(text, "[{1},{1},{2},{2}]", "not a class"),
+        _winners_twice_one_witness_dropped,
         # witness values that are not [degree, str(coefficient)]: C4's
         # min(max_witness) is [2, "4"]
         lambda text: _with_max_witness_value(text, ["x", "4"]),
@@ -303,7 +319,7 @@ class TestResumableStore:
         lambda text: _with_max_witness_value(text, [2, "4", 0]),
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
             "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness",
-            "non-canonical-proper-key",
+            "non-canonical-proper-key", "renamed-improper-key", "winners-twice-one-witness-dropped",
             "degree-not-an-int", "degree-a-bool", "degree-a-float", "coefficient-not-canonical",
             "coefficient-a-number", "witness-too-long"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, damage):
@@ -438,6 +454,18 @@ class TestMinTheorem:
                 rep = find_extremal(g, 1)
                 constant = canonicalize(g, constant_restraint(g, 1)).canon
                 assert constant not in canons(rep.max_classes)
+
+    def test_violation_carries_both_polynomials(self, c4):
+        # a report whose min winner is not the constant class: the verdict
+        # holds the report's min polynomial and the constant restraint's
+        report = find_extremal(c4, 1)
+        wrong = dataclasses.replace(report, min_classes=report.max_classes, min_poly=report.max_poly)
+        _, check = extremal.THEOREMS["min"]
+        rec = check(c4, 1, wrong)
+        assert rec["ok"] is False
+        assert rec["min_classes"] == ["[{1},{2},{1},{2}]"]
+        assert rec["min_poly"] == [str(c) for c in report.max_poly.coeffs]
+        assert rec["expected_poly"] == [str(c) for c in restrained_poly(c4, constant_restraint(c4, 1)).coeffs]
 
 
 class TestPropernessTheorem:

@@ -8,6 +8,7 @@ from restchroma import (
     Graph,
     ParseError,
     Restraint,
+    RestraintClass,
     alternating_restraint,
     canonicalize,
     complete_bipartite_graph,
@@ -24,7 +25,7 @@ from restchroma import (
     render_restraint,
     star_graph,
 )
-from restchroma.restraints import _normal_form_count, _normal_form_masks, id_masks
+from restchroma.restraints import _normal_form_count, _normal_form_masks, check_id_shapes, id_masks
 from conftest import first_use_forms, restraint_of
 
 R = parse_restraint
@@ -137,6 +138,31 @@ class TestLiteralSyntax:
         # the decoder does not check: swapped labels decode to the same masks
         assert sorted(id_masks("[{2},{1},{2},{1}]")) == [0b0101, 0b1010]
 
+    def test_from_id_accepts_exactly_class_ids(self):
+        for g, k in [(g, 1) for g in connected_catalog(5)] + [(cycle_graph(4), 2), (Graph(0), 1)]:
+            for cls in enumerate_k_restraints(g, k):
+                assert RestraintClass.from_id(cls.class_id(), g.n).class_id() == cls.class_id()
+        # swapped labels, a fifth vertex set, not an id, an id whose masks
+        # re-encode to [{1},{2},{1},{2}], and a non-empty id on no vertices
+        for cid, n in [("[{2},{1},{2},{1}]", 4), ("[{1},{2},{1},{2},{1}]", 4), ("alternating", 4),
+                       ("[{1},{3},{1},{3}]", 4), ("[{1}]", 0)]:
+            with pytest.raises(ValueError, match="not the class id"):
+                RestraintClass.from_id(cid, n)
+
+    def test_id_shapes(self):
+        for g, k in [(cycle_graph(5), 1), (path_graph(4), 2), (Graph(1), 3)]:
+            check_id_shapes([cls.class_id() for cls in enumerate_k_restraints(g, k)], g.n, k)
+        check_id_shapes([], 3, 1)
+        ids = ["[{1},{2},{1},{2}]", "[{1},{1},{2},{2}]"]
+        for bad, n, k in [(ids + ["not a class"], 4, 1), (ids, 5, 1), (ids, 4, 2),
+                          (["[{1},{2},{1}]"], 4, 1), (["[{1,2},{1},{2},{2}]"], 4, 1)]:
+            with pytest.raises(ValueError, match="brace sets"):
+                check_id_shapes(bad, n, k)
+        # what one count over the joined ids cannot refuse: a well-formed id
+        # of another class, or two malformed ids whose counts balance
+        check_id_shapes(["[{1},{3},{1},{3}]"], 4, 1)
+        check_id_shapes(["[{1},{2},{1}]", "[{1},{2},{1},{2},{1}]"], 4, 1)
+
 
 class TestConstructions:
     def test_constant(self, c3):
@@ -146,6 +172,10 @@ class TestConstructions:
     def test_constant_requires_positive_k(self, c3):
         with pytest.raises(ValueError):
             constant_restraint(c3, 0)
+
+    def test_alternating_requires_positive_k(self, c4):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            alternating_restraint(c4, 0)
 
     def test_alternating_four_cycle(self, c4):
         assert alternating_restraint(c4, 1) == R("[{1},{2},{1},{2}]")
@@ -206,6 +236,10 @@ class TestEquivalence:
         for g in (Graph(0), Graph(1), p3, complete_graph(4)):
             assert canonicalize(g, empty_restraint(g)).canon == ()
 
+    def test_canonicalize_rejects_wrong_length(self, c3):
+        with pytest.raises(ValueError, match="2 sets for a graph on 3 vertices"):
+            canonicalize(c3, R("[{1},{2}]"))
+
     def test_automorphism_needed(self, p3):
         assert canonicalize(p3, R("[{1},{2},{2}]")).canon != canonicalize(p3, R("[{1},{2},{1}]")).canon
         # reversal of the path maps end to end
@@ -232,6 +266,10 @@ class TestEnumeration:
         canons = {canonicalize(c4, R(lit)).canon for lit in reference}
         assert len(canons) == 7
         assert canons == {cls.canon for cls in classes}
+
+    def test_k_below_one_rejected(self, c3):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            enumerate_k_restraints(c3, 0)
 
     def test_single_vertex(self):
         assert len(enumerate_k_restraints(Graph(1), 1)) == 1

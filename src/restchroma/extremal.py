@@ -1,19 +1,24 @@
 """Exhaustive extremal-restraint search and theorem verification.
 
-For a graph and restraint size k, every equivalence class of k-restraints
-is enumerated and ranked by its closed-form top coefficients
-(engine.dominance_key).  Only the classes that tie the best or the worst
-key get their polynomial computed; the winners under eventual dominance
-are collected among them (all ties reported), and every other class's
-witness is read from its key.  Each theorem in THEOREMS is a
-predicate over that one search, checked on every graph of a catalog that
-meets its hypotheses; violations are report content, never exceptions.
-Every search the package makes comes from search(): from a results store
-(load_or_compute_extremal) when one is given, else through one dict,
-_SEARCHES, emptied when a report would take it past SEARCH_MEMO_CLASSES
-classes, so the checks in one process share one search per (graph, k).
-The theorem checks return only their verdicts; verify_theorems frames each
-record with the graph's graph6 and k.
+For a graph and restraint size k, find_extremal enumerates every
+equivalence class of k-restraints and ranks it by its closed-form top
+coefficients (engine.dominance_key).  Only the classes that tie the best or
+the worst key get their polynomial computed; the winners under eventual
+dominance are collected among them (all ties reported), and every other
+class's witness is read from its key.  The extremal and conjecture commands
+read that full search through search(): from a results store
+(load_or_compute_extremal) when one is given, else find_extremal.
+
+Each theorem in THEOREMS is a predicate over one search per (graph, k),
+checked on every graph of a catalog that meets its hypotheses; violations
+are report content, never exceptions.  Without a store that search is
+theorem_search, which walks only the classes that can win: the proper ones
+for the max side and those with equal sets on every edge for the min side.
+It is held in one dict, _SEARCHES, emptied when a search would take it past
+SEARCH_MEMO_CLASSES proper classes, so the checks in one process share it.
+With a store, the checks read the full record through the same view
+(TheoremSearch.from_report).  The theorem checks return only their
+verdicts; verify_theorems frames each record with the graph's graph6 and k.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .restraints import (
     alternating_restraint,
     canonicalize,
     check_id_shapes,
+    class_canons,
     constant_restraint,
     enumerate_k_restraints,
     id_masks,
@@ -41,10 +47,11 @@ from .restraints import (
     render_restraint,
 )
 
-# Most classes, in total, of the reports that _SEARCHES holds.  A report is
-# a few hundred bytes per class, so this keeps the memo to a few MB while it
-# still holds every search of a catalog graph up to n = 7 at k = 1
-# (Bell(7) = 877 classes) long enough for all theorems to read it.
+# Most proper classes, in total, of the theorem searches that _SEARCHES
+# holds.  A search holds one canon per proper class, about a hundred bytes,
+# so this keeps the memo to about a MB while it still holds every search of
+# a catalog graph up to n = 7 at k = 1 (at most Bell(7) = 877 classes) long
+# enough for all theorems to read it.
 SEARCH_MEMO_CLASSES = 1 << 13
 
 
@@ -154,6 +161,65 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     )
 
 
+@dataclass(frozen=True)
+class TheoremSearch:
+    """What the theorem checks read of one (graph, k): each side's winners
+    and their polynomial, as an ExtremalReport holds them, and proper, the
+    canons of every proper class, the max winners included."""
+
+    graph_id: str
+    k: int
+    min_classes: tuple[RestraintClass, ...]
+    max_classes: tuple[RestraintClass, ...]
+    min_poly: IntPolynomial
+    max_poly: IntPolynomial
+    proper: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_report(cls, report: ExtremalReport, n: int) -> TheoremSearch:
+        """The same view of a full search on n vertices: its proper classes
+        are the max winners and the decoded _proper_witness_ids."""
+        proper = [c.canon for c in report.max_classes]
+        proper += [tuple(sorted(id_masks(cid))) for cid in _proper_witness_ids(report.max_witness, n)]
+        return cls(report.graph_id, report.k, report.min_classes, report.max_classes,
+                   report.min_poly, report.max_poly, tuple(proper))
+
+
+def theorem_search(g: Graph, k: int) -> TheoremSearch:
+    """find_extremal's winners and polynomials of (g, k), from two filtered
+    walks (class_canons) that list and key only the classes that can win.
+
+    engine.dominance_key ranks classes by I2 = sum over edges uv of
+    |r(u) & r(v)| before anything else, the fewer the better.  Giving every
+    vertex k fresh colours is proper, so I2 = 0, and the constant restraint
+    has I2 = k * m, which a class reaches exactly when its sets are equal on
+    every edge.  So every class that ties the best key is proper, and every
+    class that ties the worst has equal sets on every edge: the max side
+    keys only the proper classes, and the min side only the equal ones.  As
+    in find_extremal, only the classes that tie their side's extreme key get
+    a polynomial, all through one MemoCache, and the winners are those with
+    the largest or the smallest, in canon order.
+    """
+    adj = g.adjacency_masks()
+    below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
+    proper = class_canons(g, k, adj, [0] * g.n)
+    equal = class_canons(g, k, below, below)
+    key = dominance_key(g, k)
+    memo = MemoCache()
+    sides = []
+    for canons, extreme in ((proper, max), (equal, min)):
+        keys = list(map(key, canons))
+        target = extreme(keys)
+        tied = [RestraintClass(c, g.n) for c, c_key in zip(canons, keys) if c_key == target]
+        polys = [restrained_poly(g, c.representative, cache=memo) for c in tied]
+        # every polynomial is monic of degree n, so comparing the coefficient
+        # tuples from the top is eventual dominance
+        winner = extreme(polys, key=lambda p: p.coeffs[::-1])
+        sides.append((tuple(c for c, p in zip(tied, polys) if p == winner), winner))
+    (max_classes, max_poly), (min_classes, min_poly) = sides
+    return TheoremSearch(to_graph6(g), k, min_classes, max_classes, min_poly, max_poly, tuple(proper))
+
+
 # -- resumable store -----------------------------------------------------------
 
 
@@ -251,7 +317,7 @@ def write_json(obj: dict, out) -> None:
 
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
     """find_extremal with a results directory keyed by (graph6, k); search
-    is its one caller in the package.
+    and _theorem_input are its callers in the package.
 
     Records are written atomically (temporary file, then os.replace); the
     temporary file is created with mode 0o666, so the kernel applies the
@@ -312,10 +378,10 @@ def _expected_class(expected_restraint, g: Graph, k: int) -> RestraintClass:
     return RestraintClass(tuple(sorted(incidence_masks(expected_restraint(g, k)))), g.n)
 
 
-def _unique_winner(side: str, expected_restraint, g: Graph, k: int, report: ExtremalReport) -> dict:
+def _unique_winner(side: str, expected_restraint, g: Graph, k: int, found: TheoremSearch) -> dict:
     """Whether the class of expected_restraint(g, k) is the only winner on
     side ("min" or "max"); a violation also carries both polynomials."""
-    winners = getattr(report, f"{side}_classes")
+    winners = getattr(found, f"{side}_classes")
     expected = _expected_class(expected_restraint, g, k)
     ok = {c.canon for c in winners} == {expected.canon}
     rec = {
@@ -324,34 +390,33 @@ def _unique_winner(side: str, expected_restraint, g: Graph, k: int, report: Extr
         f"{side}_classes": _ids(winners),
     }
     if not ok:
-        rec[f"{side}_poly"] = [str(c) for c in getattr(report, f"{side}_poly").coeffs]
+        rec[f"{side}_poly"] = [str(c) for c in getattr(found, f"{side}_poly").coeffs]
         rec["expected_poly"] = [str(c) for c in restrained_poly(g, expected.representative).coeffs]
     return rec
 
 
-def _proper_check(g: Graph, k: int, report: ExtremalReport) -> dict:
+def _proper_check(g: Graph, k: int, found: TheoremSearch) -> dict:
     """Every maximizing class is a proper restraint."""
-    improper = [c for c in report.max_classes if not is_proper(g, c.representative)]
+    improper = [c for c in found.max_classes if not is_proper(g, c.representative)]
     return {
         "ok": not improper,
-        "max_classes": _ids(report.max_classes),
+        "max_classes": _ids(found.max_classes),
         "improper_winners": _ids(improper),
     }
 
 
-def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
+def _a7_check(g: Graph, k: int, found: TheoremSearch) -> dict:
     """Every maximizing class is proper and attains the minimum of the
     per-common-neighbour overlap term (A7'', engine.common_neighbor_overlap)
-    over all proper classes, read from the search: the max winners and
-    _proper_witness_ids.  The verdict also says whether that minimum pins
-    down a unique class, and gives the once-per-pair overlap variant
-    (engine.shared_pair_overlap) for each attaining class.
+    over all proper classes (found.proper).  The verdict also says whether
+    that minimum pins down a unique class, and gives the once-per-pair
+    overlap variant (engine.shared_pair_overlap) for each attaining class.
 
-    Each proper class's id decodes straight to its colour masks (id_masks),
-    and both terms are sums over the colours: A7'' charges a mask
-    -C(|N(v) & mask|, 2) at each vertex v, and the pair term -1 for each pair
-    of its vertices with a common neighbour.  Each mask's share of both is
-    computed once per call."""
+    Both terms are sums over the colour masks of a class's canon: A7''
+    charges a mask -C(|N(v) & mask|, 2) at each vertex v, and the pair term
+    -1 for each pair of its vertices with a common neighbour.  Each mask's
+    share of both is computed once per call, and only the attaining classes
+    and the max winners are rendered as ids."""
     adj = g.adjacency_masks()
     # partners[i]: the vertices j != i with a neighbour in common with i
     partners = [
@@ -367,37 +432,36 @@ def _a7_check(g: Graph, k: int, report: ExtremalReport) -> dict:
         pairs = sum((partners[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1) // 2
         return a7, -pairs
 
-    max_ids = _ids(report.max_classes)
-    proper = max_ids + _proper_witness_ids(report.max_witness, g.n)
-    terms = {}
-    pair_terms = {}
-    for cid in proper:
+    terms = []  # (A7'' term, pair term, canon) of each proper class
+    for canon in found.proper:
         term = pair_term = 0
-        for mask in id_masks(cid):
+        for mask in canon:
             a7, pairs = share(mask)
             term += a7
             pair_term += pairs
-        terms[cid] = term
-        pair_terms[cid] = pair_term
-    minimum = min(terms.values())
-    attaining = sorted(cid for cid, t in terms.items() if t == minimum)
+        terms.append((term, pair_term, canon))
+    minimum = min(term for term, _, _ in terms)
+    pair_terms = {RestraintClass(canon, g.n).class_id(): pair_term
+                  for term, pair_term, canon in terms if term == minimum}
+    attaining = sorted(pair_terms)
+    max_ids = sorted(_ids(found.max_classes))
     return {
-        "ok": set(max_ids) <= set(attaining),  # so every maximizer is proper too
-        "proper_class_count": len(proper),
+        "ok": set(max_ids) <= pair_terms.keys(),  # so every maximizer is proper too
+        "proper_class_count": len(terms),
         "min_term": minimum,
         "attaining": attaining,
         "unique": len(attaining) == 1,
         "pair_terms": {cid: pair_terms[cid] for cid in attaining},
-        "pair_term_min": min(pair_terms.values()),
-        "max_classes": sorted(max_ids),
+        "pair_term_min": min(pair_term for _, pair_term, _ in terms),
+        "max_classes": max_ids,
     }
 
 
 _CONNECTED = ("not connected", Graph.is_connected)
 _BIPARTITE = ("not bipartite", lambda g: g.bipartition() is not None)
 
-# theorem -> (hypotheses as (reason skipped, predicate), check of (g, k, report)
-# returning the verdict fields of the graph's record)
+# theorem -> (hypotheses as (reason skipped, predicate), check of (g, k,
+# TheoremSearch) returning the verdict fields of the graph's record)
 THEOREMS = {
     "min": ((_CONNECTED,), partial(_unique_winner, "min", constant_restraint)),
     "proper": ((), _proper_check),
@@ -406,31 +470,41 @@ THEOREMS = {
 }
 
 
-# (graph6, k) -> the find_extremal report that search hands out again
-_SEARCHES: dict[tuple[str, int], ExtremalReport] = {}
-
-
 def search(g: Graph, k: int, results_dir: str | None = None) -> ExtremalReport:
-    """The one source of searches in the package, for the theorem checks and
-    the extremal and conjecture commands: from the store in results_dir when
-    that is a non-empty path (_SEARCHES is then neither read nor written),
-    else from _SEARCHES.  The key is exact: the search is a pure function of
-    the labelled graph and k.  A report of more than SEARCH_MEMO_CLASSES
-    classes is not kept, and one that would take the held reports past that
-    total empties _SEARCHES first.  A refused search raises CapError and
-    keeps nothing.  Every caller is handed the same report object, so none
-    may mutate it."""
+    """The full search of (g, k) for the extremal and conjecture commands:
+    from the store in results_dir when that is a non-empty path
+    (load_or_compute_extremal), else find_extremal."""
     if results_dir:
         return load_or_compute_extremal(g, k, results_dir)
+    return find_extremal(g, k)
+
+
+# (graph6, k) -> the theorem search that the checks read again
+_SEARCHES: dict[tuple[str, int], TheoremSearch] = {}
+
+
+def _theorem_input(g: Graph, k: int, results_dir: str | None = None) -> TheoremSearch:
+    """What the theorem checks read of (g, k).  With a store (results_dir a
+    non-empty path), the full record read or computed and written as
+    extremal does, seen through TheoremSearch.from_report, and _SEARCHES is
+    neither read nor written.  Else theorem_search, through _SEARCHES: the
+    key is exact, as the search is a pure function of the labelled graph and
+    k.  A search of more than SEARCH_MEMO_CLASSES proper classes is not
+    kept, and one that would take the held searches past that total empties
+    _SEARCHES first.  A refused search raises CapError and keeps nothing.
+    Every caller is handed the same object, so none may mutate it."""
+    if results_dir:
+        return TheoremSearch.from_report(load_or_compute_extremal(g, k, results_dir), g.n)
     key = (to_graph6(g), k)
-    report = _SEARCHES.get(key)
-    if report is None:
-        report = find_extremal(g, k)
-        if report.class_count <= SEARCH_MEMO_CLASSES:
-            if sum(r.class_count for r in _SEARCHES.values()) + report.class_count > SEARCH_MEMO_CLASSES:
+    found = _SEARCHES.get(key)
+    if found is None:
+        found = theorem_search(g, k)
+        size = len(found.proper)
+        if size <= SEARCH_MEMO_CLASSES:
+            if sum(len(held.proper) for held in _SEARCHES.values()) + size > SEARCH_MEMO_CLASSES:
                 _SEARCHES.clear()
-            _SEARCHES[key] = report
-    return report
+            _SEARCHES[key] = found
+    return found
 
 
 def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -> dict[str, VerifyReport]:
@@ -444,16 +518,16 @@ def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -
         raise ValueError("k must be at least 1")
     records: dict[str, list] = {theorem: [] for theorem in theorems}
     for g in catalog:
-        report = None
+        found = None
         for theorem, recs in records.items():
             hypotheses, check = THEOREMS[theorem]
             reason = next((reason for reason, holds in hypotheses if not holds(g)), None)
             if reason is not None:
                 recs.append({"graph6": to_graph6(g), "k": k, "skipped": reason})
                 continue
-            if report is None:
-                report = search(g, k, results_dir)
-            recs.append({"graph6": report.graph_id, "k": k, **check(g, k, report)})
+            if found is None:
+                found = _theorem_input(g, k, results_dir)
+            recs.append({"graph6": found.graph_id, "k": k, **check(g, k, found)})
     return {theorem: VerifyReport(theorem, k, recs) for theorem, recs in records.items()}
 
 

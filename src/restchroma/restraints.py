@@ -17,8 +17,8 @@ enumeration skips them: each colour class is then one class, and its sorted
 masks its canon.  Images are computed a whole row of automorphisms at a
 time: each vertex has a column of its image bits, one per automorphism, and
 a mask's row is its lowest bit's column ORed onto the row of the rest.  Rows
-are cached for one enumerate_k_restraints or canonicalize call, so the cache
-holds up to |Aut| ints for each distinct mask it meets.
+are cached for one class_canons or canonicalize call, so the cache holds up
+to |Aut| ints for each distinct mask it meets.
 
 The enumeration walks one first-use normal form per colour class
 (_normal_form_masks), one colour slot of a vertex at a time over immutable
@@ -28,7 +28,11 @@ they were created at the same vertex and joined alike since, and a vertex
 joins only a prefix of each run of them, so each colour class is visited
 once and the walk's work is proportional to its visits.  FORMS_BUDGET is
 checked against _normal_form_count, which counts the forms without that
-rule and so bounds the walk from above.
+rule and so bounds the walk from above.  The walk takes an optional
+per-vertex filter on what a slot may join, and class_canons runs the
+enumeration's orbit deduplication over a filtered walk: the theorem search
+lists only the proper classes, or only those with equal sets on every
+edge, that way.
 """
 
 from __future__ import annotations
@@ -304,10 +308,11 @@ def incidence_masks(sets: Iterable[Iterable]) -> list[int]:
     return list(masks.values())
 
 
-def _normal_form_masks(n: int, k: int, visit) -> None:
+def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
     """Call visit(masks) once for each colour class of k-restraints on n
     vertices, with masks the class's incidence masks in first-use colour
-    normal form, as a tuple.
+    normal form, as a tuple; with per-vertex masks avoid and need, only for
+    the colour classes that pass their filter.
 
     Scanning vertices 0..n-1, vertex v fills its k colour slots one at a
     time: a slot either joins one colour used before v (ORs bit v into its
@@ -323,6 +328,24 @@ def _normal_form_masks(n: int, k: int, visit) -> None:
     then thrown away: the walk's work is proportional to its visits, up to
     the n * k slots and the length of a form.  _normal_form_count counts the
     forms without the prefix rule, so it bounds the visits from above.
+
+    The filter: a slot of v may join a mask only when mask & avoid[v] ==
+    need[v], and v may take fresh colours only when need[v] == 0.  A mask
+    that v may join holds only vertices before v, all placed, so the test
+    reads the finished class's colour on the edges from v back.  Avoiding
+    v's neighbours visits the proper classes; needing v's earlier
+    neighbours (avoid = need) visits the classes with equal sets on every
+    edge.  Both properties are prefix-closed: a class has one exactly when
+    each of its restrictions to vertices 0..v has it, which is what the
+    test at v adds.  So a choice the filter refuses leads only to classes
+    without the property, every class with it passes each test on its way
+    and is still visited once, and the walk visits nothing else.  The filter
+    selects a slot's joinable masks once, before its loop, and a run of
+    equal masks passes or fails whole, so the prefix rule is unchanged.
+    When need[v] != 0, v can be left no way to fill its slots (two earlier
+    neighbours whose sets differ), so that walk can reach dead ends: the
+    work is proportional to the visits only for the full walk and for
+    filters with need 0 everywhere, such as the proper walk.
     """
     if not n:
         visit(())
@@ -336,7 +359,11 @@ def _normal_form_masks(n: int, k: int, visit) -> None:
         # quarter of the walk's time at (11, 1).
         bit = 1 << v
         prev = 0  # no mask is 0, so the first mask the slot may join passes
-        for j in range(start, len(masks)):
+        if avoid is None:
+            joins = range(start, len(masks))
+        else:
+            joins = _joinable(masks, start, avoid[v], need[v])
+        for j in joins:
             mask = masks[j]
             if mask != prev:
                 prev = mask
@@ -347,13 +374,22 @@ def _normal_form_masks(n: int, k: int, visit) -> None:
                     visit(child)
                 else:
                     rec(v + 1, child, 0, k)
-        child = masks + (bit,) * free
-        if v == last:
-            visit(child)
-        else:
-            rec(v + 1, child, 0, k)
+        if avoid is None or not need[v]:
+            child = masks + (bit,) * free
+            if v == last:
+                visit(child)
+            else:
+                rec(v + 1, child, 0, k)
 
     rec(0, (), 0, k)
+
+
+def _joinable(masks: tuple[int, ...], start: int, avoid: int, need: int) -> list[int]:
+    """The indices from start of the masks that pass the walk's filter,
+    mask & avoid == need.  A function of its own: the same comprehension in
+    _normal_form_masks's rec would make masks a closure cell of every rec
+    call, which slowed the unfiltered walk by 7-10%."""
+    return [j for j in range(start, len(masks)) if masks[j] & avoid == need]
 
 
 def _normal_form_count(n: int, k: int) -> int:
@@ -384,8 +420,11 @@ def _normal_form_count(n: int, k: int) -> int:
     return sum(ways)
 
 
-def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
-    """One representative per equivalence class of k-restraints on g.
+def class_canons(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...]]:
+    """The sorted canons of the classes of k-restraints on g, or with
+    per-vertex masks avoid and need only of those that pass the walk's
+    filter (_normal_form_masks); the property filtered for must be kept by
+    every automorphism of g, as properness and equal sets on every edge are.
 
     Walks one first-use normal form per colour class (_normal_form_masks,
     slot by slot, whose runs of equal masks stay contiguous and are joined
@@ -394,11 +433,10 @@ def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
     canon, so no orbit is computed.  Otherwise the first candidate of a
     class marks the class's whole orbit as seen, so every later candidate
     of it (whose own sorted mask tuple lies in that orbit) is skipped; the
-    canon is the orbit minimum.  Classes are returned sorted by canon.
-    More than FORMS_BUDGET normal forms, counted by _normal_form_count as an
-    upper bound on the walk, raise CapError before any automorphism is
-    listed; the count stops at the first vertex whose prefixes pass the
-    budget.
+    canon is the orbit minimum.  More than FORMS_BUDGET normal forms,
+    counted by _normal_form_count as an upper bound on the unfiltered walk,
+    raise CapError before any automorphism is listed; the count stops at
+    the first vertex whose prefixes pass the budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -418,5 +456,12 @@ def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
                 seen.update(images)
                 canons.append(min(images))
 
-    _normal_form_masks(g.n, k, visit)
-    return [RestraintClass(c, g.n) for c in sorted(canons)]
+    _normal_form_masks(g.n, k, visit, avoid, need)
+    canons.sort()
+    return canons
+
+
+def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
+    """One representative per equivalence class of k-restraints on g, sorted
+    by canon (class_canons, unfiltered)."""
+    return [RestraintClass(c, g.n) for c in class_canons(g, k)]

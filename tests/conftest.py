@@ -105,6 +105,15 @@ def unpruned_connected_catalog(n_max: int) -> list[Graph]:
     return [g for level in levels for g in level]
 
 
+def labelled_graphs(n_max: int):
+    """Yield every labelled graph on 0..n_max vertices, one per edge set,
+    edgeless and disconnected ones included."""
+    for n in range(n_max + 1):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+
+
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int = 0) -> Graph:
     """A random spanning tree on n vertices plus extra_edges more edges, randomly labelled."""
     label = list(range(n))
@@ -129,7 +138,8 @@ def random_pivot(rng: random.Random):
 
 
 def no_search(g, k, **kwargs):
-    """A stand-in for extremal.find_extremal in tests that must read the store."""
+    """A stand-in for extremal.find_extremal or extremal.theorem_search in
+    tests that must read the store."""
     raise AssertionError(f"searched {g!r} at k={k} instead of reading the store")
 
 

@@ -374,7 +374,13 @@ class TestVerify:
             assert code == 0
             return out
 
+        searched = []
+        real = extremal_module.theorem_search
+        monkeypatch.setattr(extremal_module, "theorem_search", lambda g, k: searched.append(to_graph6(g)) or real(g, k))
         fresh = {theorem: verify(theorem) for theorem in ("min", "proper", "a7", "bipartite")}
+        assert sorted(searched) == sorted(to_graph6(g) for g in connected_catalog(4))
+        # a store run reads or writes full records, and no theorem search
+        monkeypatch.setattr(extremal_module, "theorem_search", no_search)
         assert verify("min", "--results-dir", str(tmp_path)) == fresh["min"]
         monkeypatch.setattr(extremal_module, "find_extremal", no_search)
         for theorem in ("proper", "a7", "bipartite"):
@@ -382,8 +388,8 @@ class TestVerify:
 
     def test_all_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
         searched = []
-        real = extremal_module.find_extremal
-        monkeypatch.setattr(extremal_module, "find_extremal", lambda g, k: searched.append(to_graph6(g)) or real(g, k))
+        real = extremal_module.theorem_search
+        monkeypatch.setattr(extremal_module, "theorem_search", lambda g, k: searched.append(to_graph6(g)) or real(g, k))
         code, out, _ = run(capsys, "verify", "--theorem", "all", "--n-max", "5", "--k", "1", "--json")
         assert code == 0
         catalog = connected_catalog(5)

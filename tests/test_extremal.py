@@ -40,7 +40,7 @@ from restchroma import (
     verify_min_theorem,
     verify_properness,
 )
-from conftest import no_search
+from conftest import labelled_graphs, no_search
 
 R = parse_restraint
 
@@ -69,11 +69,13 @@ def a7_oracle_record(g, report):
 
 
 def a7_mismatches(catalog, k, results_dir=None):
-    """(graph6, what) for each graph of catalog whose a7 verdict differs from
-    a7_oracle_record, or on which some class's properness (is_proper on its
-    parsed id) disagrees with "max winner, or max witness of degree below
-    n - 2".  With results_dir, each search is also written to that store and
-    read back, and the report read is checked the same way."""
+    """(graph6, what) for each graph of catalog whose a7 verdict, read from
+    the theorem search or from a full report (TheoremSearch.from_report),
+    differs from a7_oracle_record of the full report, or on which some
+    class's properness (is_proper on its parsed id) disagrees with "max
+    winner, or max witness of degree below n - 2".  With results_dir, each
+    full search is also written to that store and read back, and the report
+    read is checked the same way."""
     bad = []
     for g in catalog:
         if results_dir is None:
@@ -81,14 +83,34 @@ def a7_mismatches(catalog, k, results_dir=None):
         else:
             reports = [("fresh", load_or_compute_extremal(g, k, results_dir)),
                        ("stored", load_or_compute_extremal(g, k, results_dir))]
+        if extremal._a7_check(g, k, extremal.theorem_search(g, k)) != a7_oracle_record(g, reports[0][1]):
+            bad.append((reports[0][1].graph_id, "theorem search a7 verdict"))
         for source, report in reports:
-            if extremal._a7_check(g, k, report) != a7_oracle_record(g, report):
+            view = extremal.TheoremSearch.from_report(report, g.n)
+            if extremal._a7_check(g, k, view) != a7_oracle_record(g, report):
                 bad.append((report.graph_id, f"{source} a7 verdict"))
             if not all(is_proper(g, c.representative) for c in report.max_classes):
                 bad.append((report.graph_id, f"{source} improper winner"))
             for cid, (degree, _) in report.max_witness.items():
                 if is_proper(g, parse_restraint(cid)) != (degree < g.n - 2):
                     bad.append((report.graph_id, f"{source} properness of {cid}"))
+    return bad
+
+
+def theorem_search_mismatches(graphs, k):
+    """(graph6, what) for each graph whose theorem search differs from
+    find_extremal's full search: the winners of each side, in order, their
+    polynomials, and the proper classes, which the full search names as its
+    max winners and its max witness keys of degree below n - 2."""
+    bad = []
+    for g in graphs:
+        found = extremal.theorem_search(g, k)
+        full = extremal.TheoremSearch.from_report(find_extremal(g, k), g.n)
+        for field in ("graph_id", "k", "min_classes", "max_classes", "min_poly", "max_poly"):
+            if getattr(found, field) != getattr(full, field):
+                bad.append((full.graph_id, field))
+        if sorted(found.proper) != sorted(full.proper):
+            bad.append((full.graph_id, "proper classes"))
     return bad
 
 
@@ -458,7 +480,7 @@ class TestMinTheorem:
     def test_violation_carries_both_polynomials(self, c4):
         # a report whose min winner is not the constant class: the verdict
         # holds the report's min polynomial and the constant restraint's
-        report = find_extremal(c4, 1)
+        report = extremal.theorem_search(c4, 1)
         wrong = dataclasses.replace(report, min_classes=report.max_classes, min_poly=report.max_poly)
         _, check = extremal.THEOREMS["min"]
         rec = check(c4, 1, wrong)
@@ -589,18 +611,40 @@ class TestExpectedClass:
                 assert extremal._expected_class(alternating_restraint, h, k) == want
 
 
+class TestTheoremSearch:
+    # find_extremal lists, keys and witnesses every class; the theorem search
+    # walks only the proper classes and those with equal sets on every edge.
+    # CI repeats the catalog check over n <= 7 at k = 1 and n <= 6 at k = 2.
+    @pytest.mark.parametrize("n_max, k", [(6, 1), (5, 2), (4, 3)])
+    def test_matches_the_full_search_over_the_catalog(self, n_max, k):
+        assert theorem_search_mismatches(connected_catalog(n_max), k) == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_the_full_search_on_every_small_labelled_graph(self, k):
+        # edgeless and disconnected graphs included: on E3 every class is
+        # both proper and equal on every edge
+        assert theorem_search_mismatches(labelled_graphs(4), k) == []
+
+    def test_refused_as_the_full_search_is(self):
+        with pytest.raises(CapError) as full:
+            find_extremal(cycle_graph(13), 1)
+        with pytest.raises(CapError) as found:
+            extremal.theorem_search(cycle_graph(13), 1)
+        assert str(found.value) == str(full.value)
+
+
 class TestSearchMemo:
     @staticmethod
     def counted(monkeypatch) -> list:
         """Record (graph6, k) of every search the theorem checks make."""
         calls = []
-        real = extremal.find_extremal
+        real = extremal.theorem_search
 
         def counting(g, k):
             calls.append((to_graph6(g), k))
             return real(g, k)
 
-        monkeypatch.setattr(extremal, "find_extremal", counting)
+        monkeypatch.setattr(extremal, "theorem_search", counting)
         return calls
 
     def test_theorems_share_one_search_per_graph(self, monkeypatch):
@@ -612,21 +656,21 @@ class TestSearchMemo:
         assert sorted(calls) == sorted((to_graph6(g), 1) for g in catalog)
 
     def test_report_above_the_bound_is_not_kept(self, monkeypatch, c4, c7):
-        bound = find_extremal(c4, 1).class_count
+        bound = len(extremal.theorem_search(c4, 1).proper)
         monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", bound)
         calls = self.counted(monkeypatch)
         verify_a7_condition(c4, 1)
         first = verify_a7_condition(c7, 1)
         assert verify_a7_condition(c7, 1) == first
         assert len(calls) == 3
-        # nor does it empty the memo of the reports that fit
+        # nor does it empty the memo of the searches that fit
         assert list(extremal._SEARCHES) == [(to_graph6(c4), 1)]
         verify_a7_condition(c4, 1)
         assert len(calls) == 3
 
     def test_eviction_keeps_the_held_classes_within_the_bound(self, monkeypatch):
         c4, c5, c6 = (cycle_graph(n) for n in (4, 5, 6))
-        size = {g: find_extremal(g, 1).class_count for g in (c4, c5, c6)}
+        size = {g: len(extremal.theorem_search(g, 1).proper) for g in (c4, c5, c6)}
         bound = size[c5] + size[c6]
         assert size[c4] + size[c5] <= bound < sum(size.values())
         monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", bound)
@@ -637,7 +681,7 @@ class TestSearchMemo:
                  (c5, [c4, c5], 4), (c4, [c4, c5], 4), (c6, [c6], 5)]
         for g, held, searched in steps:
             verify_properness([g], 1)
-            assert sum(report.class_count for report in extremal._SEARCHES.values()) <= bound
+            assert sum(len(found.proper) for found in extremal._SEARCHES.values()) <= bound
             assert list(extremal._SEARCHES) == [(to_graph6(h), 1) for h in held]
             assert len(calls) == searched
 
@@ -647,6 +691,11 @@ class TestSearchMemo:
         monkeypatch.setattr(restraints, "FORMS_BUDGET", 1)
         with pytest.raises(CapError):
             verify_a7_condition(c4, 1)
+        assert extremal._SEARCHES == {}
+
+    def test_extremal_and_conjecture_leave_it_empty(self, c4):
+        extremal.search(c4, 1)
+        check_conjecture(5)
         assert extremal._SEARCHES == {}
 
 

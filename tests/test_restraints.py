@@ -24,9 +24,10 @@ from restchroma import (
     path_graph,
     render_restraint,
     star_graph,
+    to_graph6,
 )
-from restchroma.restraints import _normal_form_count, _normal_form_masks, check_id_shapes, id_masks
-from conftest import first_use_forms, restraint_of
+from restchroma.restraints import _normal_form_count, _normal_form_masks, check_id_shapes, class_canons, id_masks
+from conftest import first_use_forms, labelled_graphs, restraint_of
 
 R = parse_restraint
 
@@ -80,6 +81,36 @@ def walk_repeats(n: int, k: int, classes: bool = True) -> tuple[int, int | None]
 
     _normal_form_masks(n, k, visit)
     return visits, visits - len(seen) if classes else None
+
+
+def filtered_walk_faults(g: Graph, k: int) -> list[str]:
+    """The filters of the walk on g at k that list other classes than the
+    unfiltered walk and enumerate_k_restraints, kept to the classes with the
+    filter's property: zero masks (every class), avoiding the neighbours
+    (is_proper) and needing the earlier neighbours (equal sets on every
+    edge).  Each filter is checked on the colour classes that
+    _normal_form_masks visits, each visited once, and on the restraint
+    classes of class_canons."""
+    adj = g.adjacency_masks()
+    below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
+    zero = [0] * g.n
+    filters = {
+        "zero": (zero, zero, lambda r: True),
+        "proper": (adj, zero, lambda r: is_proper(g, r)),
+        "equal": (below, below, lambda r: all(r[u] == r[v] for u, v in g.edges)),
+    }
+    every = []
+    _normal_form_masks(g.n, k, lambda masks: every.append((tuple(sorted(masks)), restraint_of(masks, g.n))))
+    classes = enumerate_k_restraints(g, k)
+    faults = []
+    for name, (avoid, need, holds) in filters.items():
+        visited = []
+        _normal_form_masks(g.n, k, lambda masks: visited.append(tuple(sorted(masks))), avoid, need)
+        if sorted(visited) != sorted(m for m, r in every if holds(r)):
+            faults.append(f"{name} colour classes")
+        if class_canons(g, k, avoid, need) != [c.canon for c in classes if holds(c.representative)]:
+            faults.append(f"{name} classes")
+    return faults
 
 
 class TestRestraintValue:
@@ -402,6 +433,16 @@ class TestEnumeration:
             _normal_form_masks(2, k, lambda masks: visited.append(tuple(sorted(masks))))
             assert sorted(visited) == sorted(
                 tuple(sorted((0b11,) * j + (0b01, 0b10) * (k - j))) for j in range(k + 1)), k
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_filtered_walks_list_the_classes_with_their_property(self, k):
+        # every labelled graph on up to 4 vertices, edgeless and disconnected
+        # ones included, and at k = 1 the connected 5-vertex graphs, whose
+        # groups range from trivial to S_5
+        graphs = list(labelled_graphs(4))
+        if k == 1:
+            graphs += [g for g in connected_catalog(5) if g.n == 5]
+        assert [(to_graph6(g), f) for g in graphs for f in filtered_walk_faults(g, k)] == []
 
     def test_normal_form_counts_past_listing(self):
         # too many forms to list here; each is within FORMS_BUDGET

@@ -1,8 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 parse failure, 3 work budget exceeded, 4 theorem
-violation found by a verify run.  JSON mode emits a single top-level
-object with sorted keys, so identical invocations are byte-identical.
+Exit codes: 0 success, 2 parse failure or a --results-dir that is, or lies
+under, a path that is not a directory (refused before any search), 3 work
+budget exceeded, 4 theorem violation found by a verify run.  JSON mode
+emits a single top-level object with sorted keys, so identical invocations
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .graphs import (
     connected_bipartite_catalog,
     connected_catalog,
     load_graph,
+    quote_input,
     to_graph6,
 )
 from .restraints import (
@@ -55,6 +58,17 @@ def _load_restraint(source: str | None, g: Graph) -> Restraint:
     if len(r) != g.n:
         raise ParseError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
     return r
+
+
+def _check_results_dir(results_dir: str | None) -> None:
+    """Raise ParseError when results_dir, or the nearest of its ancestors
+    that exists, is not a directory, so no store file could be opened in
+    it.  A missing directory passes: the first store write makes it."""
+    path = results_dir
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ParseError(f"--results-dir {quote_input(results_dir)}: {quote_input(path)} is not a directory")
 
 
 def _emit(args, obj: dict, human_lines: list[str]) -> None:
@@ -154,6 +168,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    _check_results_dir(args.results_dir)
     g = load_graph(args.graph)
     report = search(g, args.k, args.results_dir)
     obj = report.to_record()
@@ -171,6 +186,7 @@ def cmd_extremal(args) -> int:
 def cmd_verify(args) -> int:
     """One theorem, or with --theorem all every theorem in THEOREMS, checked
     graph by graph so that each graph is searched once."""
+    _check_results_dir(args.results_dir)
     if args.graph:
         graphs = [load_graph(args.graph)]
     else:

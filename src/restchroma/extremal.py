@@ -14,10 +14,12 @@ checked on every graph of a catalog that meets its hypotheses; violations
 are report content, never exceptions.  Without a store that search is
 theorem_search, which walks only the classes that can win: the proper ones
 for the max side and those with equal sets on every edge for the min side.
-It is held in one dict, _SEARCHES, emptied when a search would take it past
-SEARCH_MEMO_CLASSES proper classes, so the checks in one process share it.
-With a store, the checks read the full record through the same view
-(TheoremSearch.from_report).  The theorem checks return only their
+It computes a polynomial only to break a tie on a side's extreme key, so it
+holds winners but no polynomials; a violation record computes the ones it
+shows.  It is held in one dict, _SEARCHES, emptied when a search would take
+it past SEARCH_MEMO_CLASSES proper classes, so the checks in one process
+share it.  With a store, the checks read the full record through the same
+view (TheoremSearch.from_report).  The theorem checks return only their
 verdicts; verify_theorems frames each record with the graph's graph6 and k.
 """
 
@@ -163,16 +165,16 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
 
 @dataclass(frozen=True)
 class TheoremSearch:
-    """What the theorem checks read of one (graph, k): each side's winners
-    and their polynomial, as an ExtremalReport holds them, and proper, the
-    canons of every proper class, the max winners included."""
+    """What the theorem checks read of one (graph, k): each side's winners,
+    as an ExtremalReport holds them, and proper, the canons of every proper
+    class, the max winners included.  It holds no polynomial: a search
+    computes one only to break a tie, and _unique_winner computes the
+    winners' polynomial when it writes a violation."""
 
     graph_id: str
     k: int
     min_classes: tuple[RestraintClass, ...]
     max_classes: tuple[RestraintClass, ...]
-    min_poly: IntPolynomial
-    max_poly: IntPolynomial
     proper: tuple[tuple[int, ...], ...]
 
     @classmethod
@@ -181,13 +183,12 @@ class TheoremSearch:
         are the max winners and the decoded _proper_witness_ids."""
         proper = [c.canon for c in report.max_classes]
         proper += [tuple(sorted(id_masks(cid))) for cid in _proper_witness_ids(report.max_witness, n)]
-        return cls(report.graph_id, report.k, report.min_classes, report.max_classes,
-                   report.min_poly, report.max_poly, tuple(proper))
+        return cls(report.graph_id, report.k, report.min_classes, report.max_classes, tuple(proper))
 
 
 def theorem_search(g: Graph, k: int) -> TheoremSearch:
-    """find_extremal's winners and polynomials of (g, k), from two filtered
-    walks (class_canons) that list and key only the classes that can win.
+    """find_extremal's winners of (g, k), from two filtered walks
+    (class_canons) that list and key only the classes that can win.
 
     engine.dominance_key ranks classes by I2 = sum over edges uv of
     |r(u) & r(v)| before anything else, the fewer the better.  Giving every
@@ -195,10 +196,11 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
     has I2 = k * m, which a class reaches exactly when its sets are equal on
     every edge.  So every class that ties the best key is proper, and every
     class that ties the worst has equal sets on every edge: the max side
-    keys only the proper classes, and the min side only the equal ones.  As
-    in find_extremal, only the classes that tie their side's extreme key get
-    a polynomial, all through one MemoCache, and the winners are those with
-    the largest or the smallest, in canon order.
+    keys only the proper classes, and the min side only the equal ones.
+    When one class ties a side's extreme key, it is that side's winner and
+    gets no polynomial.  When two or more tie, each gets one, all through
+    one MemoCache, and the winners are those with the largest or the
+    smallest, in canon order, as in find_extremal.
     """
     adj = g.adjacency_masks()
     below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
@@ -211,13 +213,15 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
         keys = list(map(key, canons))
         target = extreme(keys)
         tied = [RestraintClass(c, g.n) for c, c_key in zip(canons, keys) if c_key == target]
-        polys = [restrained_poly(g, c.representative, cache=memo) for c in tied]
-        # every polynomial is monic of degree n, so comparing the coefficient
-        # tuples from the top is eventual dominance
-        winner = extreme(polys, key=lambda p: p.coeffs[::-1])
-        sides.append((tuple(c for c, p in zip(tied, polys) if p == winner), winner))
-    (max_classes, max_poly), (min_classes, min_poly) = sides
-    return TheoremSearch(to_graph6(g), k, min_classes, max_classes, min_poly, max_poly, tuple(proper))
+        if len(tied) > 1:
+            polys = [restrained_poly(g, c.representative, cache=memo) for c in tied]
+            # every polynomial is monic of degree n, so comparing the
+            # coefficient tuples from the top is eventual dominance
+            winner = extreme(polys, key=lambda p: p.coeffs[::-1])
+            tied = [c for c, p in zip(tied, polys) if p == winner]
+        sides.append(tuple(tied))
+    max_classes, min_classes = sides
+    return TheoremSearch(to_graph6(g), k, min_classes, max_classes, tuple(proper))
 
 
 # -- resumable store -----------------------------------------------------------
@@ -380,7 +384,9 @@ def _expected_class(expected_restraint, g: Graph, k: int) -> RestraintClass:
 
 def _unique_winner(side: str, expected_restraint, g: Graph, k: int, found: TheoremSearch) -> dict:
     """Whether the class of expected_restraint(g, k) is the only winner on
-    side ("min" or "max"); a violation also carries both polynomials."""
+    side ("min" or "max"); a violation also carries both polynomials, each
+    computed here: that of the first winner, which every winner of a side
+    shares, and the expected class's."""
     winners = getattr(found, f"{side}_classes")
     expected = _expected_class(expected_restraint, g, k)
     ok = {c.canon for c in winners} == {expected.canon}
@@ -390,7 +396,7 @@ def _unique_winner(side: str, expected_restraint, g: Graph, k: int, found: Theor
         f"{side}_classes": _ids(winners),
     }
     if not ok:
-        rec[f"{side}_poly"] = [str(c) for c in getattr(found, f"{side}_poly").coeffs]
+        rec[f"{side}_poly"] = [str(c) for c in restrained_poly(g, winners[0].representative).coeffs]
         rec["expected_poly"] = [str(c) for c in restrained_poly(g, expected.representative).coeffs]
     return rec
 

@@ -20,19 +20,20 @@ a mask's row is its lowest bit's column ORed onto the row of the rest.  Rows
 are cached for one class_canons or canonicalize call, so the cache holds up
 to |Aut| ints for each distinct mask it meets.
 
-The enumeration walks one first-use normal form per colour class
+The enumeration walks one sorted form per colour class
 (_normal_form_masks), one colour slot of a vertex at a time over immutable
 mask tuples: a slot joins one old colour or fills the vertex's remaining
-slots with fresh ones.  Equal masks in a form are always contiguous, since
-they were created at the same vertex and joined alike since, and a vertex
-joins only a prefix of each run of them, so each colour class is visited
-once and the walk's work is proportional to its visits.  FORMS_BUDGET is
-checked against _normal_form_count, which counts the forms without that
-rule and so bounds the walk from above.  The walk takes an optional
-per-vertex filter on what a slot may join, and class_canons runs the
-enumeration's orbit deduplication over a filtered walk: the theorem search
-lists only the proper classes, or only those with equal sets on every
-edge, that way.
+slots with fresh ones.  The walk keeps each form's masks sorted, so it hands
+over each colour class as its sorted mask tuple and nothing sorts a form
+again.  Equal masks in a form are always contiguous, and a vertex joins
+only a prefix of each run of them, so each colour class is visited once and
+the walk's work is proportional to its visits.  FORMS_BUDGET is checked
+against _normal_form_count, which counts the first-use normal forms without
+that rule: the walk makes the same choices, so that count bounds its visits
+from above.  The walk takes an optional per-vertex filter on what a slot
+may join, and class_canons runs the enumeration's orbit deduplication over
+a filtered walk: the theorem search lists only the proper classes, or only
+those with equal sets on every edge, that way.
 """
 
 from __future__ import annotations
@@ -263,8 +264,8 @@ def _orbit_rows(n: int, autos: list[tuple[int, ...]]):
     Equal unsorted images, which most automorphisms of a large group give,
     are merged before sorting, so each is sorted once; sorted tuples can
     still repeat.  The enumeration calls orbit once per class found, on the
-    first form of it that the walk meets: one form per colour class, with
-    equal masks in contiguous runs, and at most _normal_form_count forms.
+    first sorted form of it that the walk visits: one form per colour class,
+    and at most _normal_form_count of them.
 
     Each mask's row, its image under every automorphism, is its lowest
     bit's column ORed entrywise onto the row of the remaining bits.  Rows
@@ -310,24 +311,29 @@ def incidence_masks(sets: Iterable[Iterable]) -> list[int]:
 
 def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
     """Call visit(masks) once for each colour class of k-restraints on n
-    vertices, with masks the class's incidence masks in first-use colour
-    normal form, as a tuple; with per-vertex masks avoid and need, only for
-    the colour classes that pass their filter.
+    vertices, with masks the class's incidence masks as a sorted tuple; with
+    per-vertex masks avoid and need, only for the colour classes that pass
+    their filter.
 
     Scanning vertices 0..n-1, vertex v fills its k colour slots one at a
     time: a slot either joins one colour used before v (ORs bit v into its
-    mask), later in the tuple than the slot before it joined, or fills all of
-    v's remaining slots with fresh colours (appends masks 1 << v).  Joins are
-    tried before fresh colours.  Equal masks are always contiguous: they were
-    created at the same vertex and joined alike since.  They are also
+    mask), later in the old order than the slot before it joined, or fills
+    all of v's remaining slots with fresh colours (masks 1 << v).  Joins are
+    tried before fresh colours.  The tuple stays sorted: the masks that v
+    has not joined keep their order, v's fresh colours come next, and the
+    masks that v joined come last, in their old order.  Before v every mask
+    is below 1 << v, and a joined mask now holds bit v, the highest bit so
+    far, above 1 << v.  Equal masks are therefore contiguous, and they are
     interchangeable, so of each run of equal masks vertex v joins only a
-    prefix: a slot joins mask j only when it is the first mask the slot may
-    join or differs from mask j - 1.  Every colour class (multiset of masks)
-    is then visited exactly once.  Each child is one new tuple, and every
-    choice a slot makes leads to at least one visit, so nothing is built and
-    then thrown away: the walk's work is proportional to its visits, up to
-    the n * k slots and the length of a form.  _normal_form_count counts the
-    forms without the prefix rule, so it bounds the visits from above.
+    prefix: a slot joins a mask only when it is the first mask the slot may
+    join or differs from the mask before it.  Every colour class (multiset
+    of masks) is then visited exactly once.  Each child is one new tuple,
+    and every choice a slot makes leads to at least one visit, so nothing is
+    built and then thrown away: the walk's work is proportional to its
+    visits, up to the n * k slots and the length of a form.  These are the
+    choices of the first-use normal forms, with the joined masks moved, so
+    _normal_form_count, which counts those forms without the prefix rule,
+    bounds the visits from above.
 
     The filter: a slot of v may join a mask only when mask & avoid[v] ==
     need[v], and v may take fresh colours only when need[v] == 0.  A mask
@@ -353,29 +359,31 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
     last = n - 1
 
     def rec(v: int, masks: tuple[int, ...], start: int, free: int) -> None:
-        # fill one of vertex v's free slots; start is one past the mask that
-        # v's previous slot joined, or 0 at its first slot.  The last vertex
-        # visits its children itself: a call per visit saved is about a
-        # quarter of the walk's time at (11, 1).
+        # fill one of vertex v's free slots; the k - free masks that v has
+        # joined sit at the end of masks, and start is where the mask after
+        # the one v's previous slot joined now sits, or 0 at its first slot.
+        # The last vertex visits its children itself: a call per visit saved
+        # is about a quarter of the walk's time at (11, 1).
         bit = 1 << v
+        end = len(masks) - k + free
         prev = 0  # no mask is 0, so the first mask the slot may join passes
         if avoid is None:
-            joins = range(start, len(masks))
+            joins = range(start, end)
         else:
-            joins = _joinable(masks, start, avoid[v], need[v])
+            joins = _joinable(masks, start, end, avoid[v], need[v])
         for j in joins:
             mask = masks[j]
             if mask != prev:
                 prev = mask
-                child = masks[:j] + (mask | bit,) + masks[j + 1:]
+                child = masks[:j] + masks[j + 1:] + (mask | bit,)
                 if free > 1:
-                    rec(v, child, j + 1, free - 1)
+                    rec(v, child, j, free - 1)
                 elif v == last:
                     visit(child)
                 else:
                     rec(v + 1, child, 0, k)
         if avoid is None or not need[v]:
-            child = masks + (bit,) * free
+            child = masks[:end] + (bit,) * free + masks[end:]
             if v == last:
                 visit(child)
             else:
@@ -384,20 +392,21 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
     rec(0, (), 0, k)
 
 
-def _joinable(masks: tuple[int, ...], start: int, avoid: int, need: int) -> list[int]:
-    """The indices from start of the masks that pass the walk's filter,
-    mask & avoid == need.  A function of its own: the same comprehension in
-    _normal_form_masks's rec would make masks a closure cell of every rec
-    call, which slowed the unfiltered walk by 7-10%."""
-    return [j for j in range(start, len(masks)) if masks[j] & avoid == need]
+def _joinable(masks: tuple[int, ...], start: int, end: int, avoid: int, need: int) -> list[int]:
+    """The indices in range(start, end) of the masks that pass the walk's
+    filter, mask & avoid == need.  A function of its own: the same
+    comprehension in _normal_form_masks's rec would make masks a closure
+    cell of every rec call, which slowed the unfiltered walk by 7-10%."""
+    return [j for j in range(start, end) if masks[j] & avoid == need]
 
 
 def _normal_form_count(n: int, k: int) -> int:
     """Number of first-use normal forms of k-restraints on n vertices, every
     choice of joined colours counted, so an upper bound on the colour classes
-    _normal_form_masks(n, k) visits.  ways[c] counts the vertex prefixes that
-    use c colours; a vertex taking t fresh colours joins k - t of the c used
-    ones.
+    _normal_form_masks(n, k) visits, which makes the same choices and keeps
+    only one of each run of equal ones.  ways[c] counts the vertex prefixes
+    that use c colours; a vertex taking t fresh colours joins k - t of the c
+    used ones.
 
     Raises CapError as soon as the prefixes counted so far pass
     FORMS_BUDGET.  Every prefix completes to at least one form (each later
@@ -426,17 +435,17 @@ def class_canons(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...
     filter (_normal_form_masks); the property filtered for must be kept by
     every automorphism of g, as properness and equal sets on every edge are.
 
-    Walks one first-use normal form per colour class (_normal_form_masks,
-    slot by slot, whose runs of equal masks stay contiguous and are joined
-    only along a prefix).  When g's automorphism group is trivial, each
-    colour class is one restraint class and its sorted mask tuple is its
-    canon, so no orbit is computed.  Otherwise the first candidate of a
-    class marks the class's whole orbit as seen, so every later candidate
-    of it (whose own sorted mask tuple lies in that orbit) is skipped; the
-    canon is the orbit minimum.  More than FORMS_BUDGET normal forms,
-    counted by _normal_form_count as an upper bound on the unfiltered walk,
-    raise CapError before any automorphism is listed; the count stops at
-    the first vertex whose prefixes pass the budget.
+    Walks one sorted form per colour class (_normal_form_masks, slot by
+    slot, whose runs of equal masks stay contiguous and are joined only
+    along a prefix), so no form is sorted here.  When g's automorphism
+    group is trivial, each colour class is one restraint class and the
+    visited tuple is its canon, so no orbit is computed.  Otherwise the
+    first candidate of a class marks the class's whole orbit as seen, so
+    every later candidate of it (whose visited tuple lies in that orbit) is
+    skipped; the canon is the orbit minimum.  More than FORMS_BUDGET
+    normal forms, counted by _normal_form_count as an upper bound on the
+    unfiltered walk, raise CapError before any automorphism is listed; the
+    count stops at the first vertex whose prefixes pass the budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -444,14 +453,13 @@ def class_canons(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...
     autos = g.automorphisms()
     canons: list[tuple[int, ...]] = []
     if len(autos) == 1:
-        def visit(masks: tuple[int, ...]) -> None:
-            canons.append(tuple(sorted(masks)))
+        visit = canons.append
     else:
         orbit = _orbit_rows(g.n, autos)
         seen: set[tuple[int, ...]] = set()
 
         def visit(masks: tuple[int, ...]) -> None:
-            if tuple(sorted(masks)) not in seen:
+            if masks not in seen:
                 images = set(orbit(masks))
                 seen.update(images)
                 canons.append(min(images))

@@ -440,6 +440,30 @@ class TestVerify:
         assert out == ""
         assert "k must be at least 1" in err
 
+    def test_results_dir_that_is_a_file_rejected(self, capsys, tmp_path, monkeypatch):
+        # a store that names a regular file, or a directory under one, is
+        # refused by both commands with one error line, before any search;
+        # a missing directory is still made by the first store write
+        monkeypatch.setattr(extremal_module, "find_extremal", no_search)
+        monkeypatch.setattr(extremal_module, "theorem_search", no_search)
+        monkeypatch.chdir(tmp_path)
+        plain = tmp_path / "F"
+        plain.write_text("not a store\n")
+        commands = (("extremal", "--graph", "C4", "--json"),
+                    ("verify", "--theorem", "min", "--graph", "C4", "--json"))
+        for args in commands:
+            for results_dir in ("F", "F/sub"):
+                code, out, err = run(capsys, *args, "--results-dir", results_dir)
+                assert (code, out) == (2, "")
+                assert err == f"error: --results-dir '{results_dir}': 'F' is not a directory\n"
+        assert plain.read_text() == "not a store\n"
+        monkeypatch.undo()
+        for args in commands:
+            missing = tmp_path / args[0] / "sub"
+            code, _, _ = run(capsys, *args, "--results-dir", str(missing))
+            assert code == 0
+            assert len(list(missing.iterdir())) == 1
+
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_empty_catalog_rejected(self, capsys, n_max):
         for theorem in ("min", "bipartite"):

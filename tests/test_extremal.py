@@ -30,6 +30,7 @@ from restchroma import (
     from_name,
     is_proper,
     load_or_compute_extremal,
+    parse_graph6,
     parse_restraint,
     path_graph,
     restrained_poly,
@@ -99,16 +100,22 @@ def a7_mismatches(catalog, k, results_dir=None):
 
 def theorem_search_mismatches(graphs, k):
     """(graph6, what) for each graph whose theorem search differs from
-    find_extremal's full search: the winners of each side, in order, their
-    polynomials, and the proper classes, which the full search names as its
-    max winners and its max witness keys of degree below n - 2."""
+    find_extremal's full search: the winners of each side, in order, the
+    polynomial of every winner against the full report's polynomial of its
+    side, and the proper classes, which the full search names as its max
+    winners and its max witness keys of degree below n - 2."""
     bad = []
     for g in graphs:
         found = extremal.theorem_search(g, k)
-        full = extremal.TheoremSearch.from_report(find_extremal(g, k), g.n)
-        for field in ("graph_id", "k", "min_classes", "max_classes", "min_poly", "max_poly"):
+        report = find_extremal(g, k)
+        full = extremal.TheoremSearch.from_report(report, g.n)
+        for field in ("graph_id", "k", "min_classes", "max_classes"):
             if getattr(found, field) != getattr(full, field):
                 bad.append((full.graph_id, field))
+        for side in ("min", "max"):
+            poly = getattr(report, f"{side}_poly")
+            if any(restrained_poly(g, c.representative) != poly for c in getattr(found, f"{side}_classes")):
+                bad.append((full.graph_id, f"{side} polynomial"))
         if sorted(found.proper) != sorted(full.proper):
             bad.append((full.graph_id, "proper classes"))
     return bad
@@ -478,15 +485,16 @@ class TestMinTheorem:
                 assert constant not in canons(rep.max_classes)
 
     def test_violation_carries_both_polynomials(self, c4):
-        # a report whose min winner is not the constant class: the verdict
-        # holds the report's min polynomial and the constant restraint's
-        report = extremal.theorem_search(c4, 1)
-        wrong = dataclasses.replace(report, min_classes=report.max_classes, min_poly=report.max_poly)
+        # a search whose min winners are the max winners: the verdict holds
+        # the polynomial of those winners, which the full report gives as its
+        # max polynomial, and the constant restraint's
+        found = extremal.theorem_search(c4, 1)
+        wrong = dataclasses.replace(found, min_classes=found.max_classes)
         _, check = extremal.THEOREMS["min"]
         rec = check(c4, 1, wrong)
         assert rec["ok"] is False
         assert rec["min_classes"] == ["[{1},{2},{1},{2}]"]
-        assert rec["min_poly"] == [str(c) for c in report.max_poly.coeffs]
+        assert rec["min_poly"] == [str(c) for c in find_extremal(c4, 1).max_poly.coeffs]
         assert rec["expected_poly"] == [str(c) for c in restrained_poly(c4, constant_restraint(c4, 1)).coeffs]
 
 
@@ -624,6 +632,32 @@ class TestTheoremSearch:
         # edgeless and disconnected graphs included: on E3 every class is
         # both proper and equal on every edge
         assert theorem_search_mismatches(labelled_graphs(4), k) == []
+
+    def test_polynomials_only_to_break_a_tie(self, monkeypatch):
+        # a side whose extreme key one class ties has that class as its
+        # winner, so its polynomial is not computed; Dy_ has three proper
+        # classes tied on the max key at k = 1, and C{ two at k = 2 (both
+        # win), while each min side has one class
+        calls = []
+        real = extremal.restrained_poly
+
+        def counting(g, r, **kwargs):
+            calls.append(to_graph6(g))
+            return real(g, r, **kwargs)
+
+        monkeypatch.setattr(extremal, "restrained_poly", counting)
+        for name in ("C4", "P4", "C6", "K2,3"):
+            extremal.theorem_search(from_name(name), 1)
+        assert calls == []
+        extremal.theorem_search(parse_graph6("Dy_"), 1)
+        assert len(calls) == 3
+        extremal.theorem_search(parse_graph6("C{"), 2)
+        assert len(calls) == 5
+        calls.clear()
+        extremal._SEARCHES.clear()
+        reports = extremal.verify_theorems(("min", "proper", "bipartite", "a7"), connected_catalog(5), 1)
+        assert all(report.violations == [] for report in reports.values())
+        assert len(calls) == 3
 
     def test_refused_as_the_full_search_is(self):
         with pytest.raises(CapError) as full:

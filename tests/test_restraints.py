@@ -52,12 +52,13 @@ def class_id_mismatches(g: Graph, k: int) -> list[tuple[str, str]]:
 def walk_faults(n: int, k: int) -> tuple[int, list[str]]:
     """(visits, faults) of _normal_form_masks(n, k) against the unpruned
     first_use_forms: faults names each colour class (sorted mask tuple) the
-    walk visits twice, misses or invents, and each visit with a vertex that
-    is not in exactly k masks."""
+    walk visits twice, misses or invents, each visit with a vertex that is
+    not in exactly k masks, and each visit whose masks are not sorted."""
     visited: list[tuple[int, ...]] = []
     _normal_form_masks(n, k, lambda masks: visited.append(tuple(masks)))
     faults = [f"vertex not in {k} masks: {m}" for m in visited if any(sum(x >> v & 1 for x in m) != k for v in range(n))]
     classes = [tuple(sorted(m)) for m in visited]
+    faults += [f"not sorted: {m}" for m, c in zip(visited, classes) if m != c][:5]
     reference = {tuple(sorted(m)) for m in first_use_forms(n, k)}
     if len(set(classes)) != len(classes):
         faults.append(f"{len(classes) - len(set(classes))} repeated visits")
@@ -67,20 +68,25 @@ def walk_faults(n: int, k: int) -> tuple[int, list[str]]:
 
 
 def walk_repeats(n: int, k: int, classes: bool = True) -> tuple[int, int | None]:
-    """(visits, repeats) of _normal_form_masks(n, k), where repeats counts the
-    visits to a colour class (sorted mask tuple) visited before; None when
-    classes is False, which keeps no class and so no memory per visit."""
-    visits = 0
+    """(visits, repeats) of _normal_form_masks(n, k), where visits counts only
+    the visits whose masks are sorted, as the walk hands them over, so an
+    unsorted visit makes it fall short of the class count, and repeats
+    counts the visits to a colour class (sorted mask tuple) visited before;
+    None when classes is False, which keeps no class and so no memory per
+    visit."""
+    visits = calls = 0
     seen: set[tuple[int, ...]] = set()
 
     def visit(masks):
-        nonlocal visits
-        visits += 1
+        nonlocal visits, calls
+        calls += 1
+        ordered = tuple(sorted(masks))
+        visits += masks == ordered
         if classes:
-            seen.add(tuple(sorted(masks)))
+            seen.add(ordered)
 
     _normal_form_masks(n, k, visit)
-    return visits, visits - len(seen) if classes else None
+    return visits, calls - len(seen) if classes else None
 
 
 def filtered_walk_faults(g: Graph, k: int) -> list[str]:
@@ -90,7 +96,8 @@ def filtered_walk_faults(g: Graph, k: int) -> list[str]:
     (is_proper) and needing the earlier neighbours (equal sets on every
     edge).  Each filter is checked on the colour classes that
     _normal_form_masks visits, each visited once, and on the restraint
-    classes of class_canons."""
+    classes of class_canons; every filtered walk must hand over its masks
+    sorted."""
     adj = g.adjacency_masks()
     below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
     zero = [0] * g.n
@@ -105,7 +112,9 @@ def filtered_walk_faults(g: Graph, k: int) -> list[str]:
     faults = []
     for name, (avoid, need, holds) in filters.items():
         visited = []
-        _normal_form_masks(g.n, k, lambda masks: visited.append(tuple(sorted(masks))), avoid, need)
+        _normal_form_masks(g.n, k, visited.append, avoid, need)
+        if any(m != tuple(sorted(m)) for m in visited):
+            faults.append(f"{name} unsorted visits")
         if sorted(visited) != sorted(m for m, r in every if holds(r)):
             faults.append(f"{name} colour classes")
         if class_canons(g, k, avoid, need) != [c.canon for c in classes if holds(c.representative)]:
@@ -427,10 +436,11 @@ class TestEnumeration:
         assert visits[8, 1] == 4140
         assert visits[5, 2] == 1750
         # two vertices with k colours each share j of them, for j = 0..k, so
-        # there are k + 1 colour classes: small n admits large k
+        # there are k + 1 colour classes, each visited as its sorted masks:
+        # small n admits large k
         for k in range(1, 51):
             visited = []
-            _normal_form_masks(2, k, lambda masks: visited.append(tuple(sorted(masks))))
+            _normal_form_masks(2, k, visited.append)
             assert sorted(visited) == sorted(
                 tuple(sorted((0b11,) * j + (0b01, 0b10) * (k - j))) for j in range(k + 1)), k
 

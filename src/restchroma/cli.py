@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 parse failure or a --results-dir that is, or lies
-under, a path that is not a directory (refused before any search), 3 work
-budget exceeded, 4 theorem violation found by a verify run.  JSON mode
-emits a single top-level object with sorted keys, so identical invocations
-are byte-identical.
+Exit codes: 0 success, 2 parse failure or an extremal --results-dir that
+is, or lies under, a path that is not a directory, or whose record path is
+a directory (refused before any search), 3 work budget exceeded, 4 theorem
+violation found by a verify run.  JSON mode emits a single top-level object
+with sorted keys, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -186,14 +186,13 @@ def cmd_extremal(args) -> int:
 def cmd_verify(args) -> int:
     """One theorem, or with --theorem all every theorem in THEOREMS, checked
     graph by graph so that each graph is searched once."""
-    _check_results_dir(args.results_dir)
     if args.graph:
         graphs = [load_graph(args.graph)]
     else:
         catalog = connected_bipartite_catalog if args.theorem == "bipartite" else connected_catalog
         graphs = catalog(args.n_max)
     names = list(THEOREMS) if args.theorem == "all" else [args.theorem]
-    reports = verify_theorems(names, graphs, args.k, args.results_dir)
+    reports = verify_theorems(names, graphs, args.k)
     if args.theorem == "all":
         results = {name: {"records": r.records, "violations": len(r.violations)} for name, r in reports.items()}
         obj = {"theorem": "all", "k": args.k, "theorems": results}
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--graph", default=None, help="check this one graph instead of the --n-max catalog")
     p_verify.add_argument("--k", type=int, default=1)
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--results-dir", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_conj = sub.add_parser("conjecture", help="odd-cycle maximizer pattern check")

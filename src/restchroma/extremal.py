@@ -6,21 +6,21 @@ coefficients (engine.dominance_key).  Only the classes that tie the best or
 the worst key get their polynomial computed; the winners under eventual
 dominance are collected among them (all ties reported), and every other
 class's witness is read from its key.  The extremal and conjecture commands
-read that full search through search(): from a results store
-(load_or_compute_extremal) when one is given, else find_extremal.
+read that full search through search(): extremal from a results store
+(load_or_compute_extremal) when it is given one, else find_extremal.  The
+store serves extremal only.
 
 Each theorem in THEOREMS is a predicate over one search per (graph, k),
 checked on every graph of a catalog that meets its hypotheses; violations
-are report content, never exceptions.  Without a store that search is
-theorem_search, which walks only the classes that can win: the proper ones
-for the max side and those with equal sets on every edge for the min side.
-It computes a polynomial only to break a tie on a side's extreme key, so it
-holds winners but no polynomials; a violation record computes the ones it
-shows.  It is held in one dict, _SEARCHES, emptied when a search would take
-it past SEARCH_MEMO_CLASSES proper classes, so the checks in one process
-share it.  With a store, the checks read the full record through the same
-view (TheoremSearch.from_report).  The theorem checks return only their
-verdicts; verify_theorems frames each record with the graph's graph6 and k.
+are report content, never exceptions.  That search is theorem_search,
+which walks only the classes that can win: the proper ones for the max side
+and those with equal sets on every edge for the min side.  It computes a
+polynomial only to break a tie on a side's extreme key, so it holds winners
+but no polynomials; a violation record computes the ones it shows.  It is
+held in one dict, _SEARCHES, emptied when a search would take it past
+SEARCH_MEMO_CLASSES proper classes, so the checks in one process share it.
+The theorem checks return only their verdicts; verify_theorems frames each
+record with the graph's graph6 and k.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 from .engine import MemoCache, dominance_key, restrained_poly
-from .graphs import Graph, cycle_graph, to_graph6
+from .graphs import Graph, ParseError, cycle_graph, quote_input, to_graph6
 from .graphs import connected_bipartite_catalog  # noqa: F401  (bench/ looks it up here)
 from .polynomials import IntPolynomial
 from .restraints import (
@@ -43,7 +43,6 @@ from .restraints import (
     class_canons,
     constant_restraint,
     enumerate_k_restraints,
-    id_masks,
     incidence_masks,
     is_proper,
     render_restraint,
@@ -177,14 +176,6 @@ class TheoremSearch:
     max_classes: tuple[RestraintClass, ...]
     proper: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_report(cls, report: ExtremalReport, n: int) -> TheoremSearch:
-        """The same view of a full search on n vertices: its proper classes
-        are the max winners and the decoded _proper_witness_ids."""
-        proper = [c.canon for c in report.max_classes]
-        proper += [tuple(sorted(id_masks(cid))) for cid in _proper_witness_ids(report.max_witness, n)]
-        return cls(report.graph_id, report.k, report.min_classes, report.max_classes, tuple(proper))
-
 
 def theorem_search(g: Graph, k: int) -> TheoremSearch:
     """find_extremal's winners of (g, k), from two filtered walks
@@ -252,9 +243,12 @@ def report_from_record(g: Graph, k: int, record: dict) -> ExtremalReport:
     - hold witness keys that together have the shape of k-restraint ids on
       n vertices (check_id_shapes: re-encoding every key would cost more
       than reading the record);
-    - give every id that a reader decodes an id that RestraintClass.from_id
-      accepts: the winners, and the proper classes' witness keys
-      (_proper_witness_ids), which the a7 check decodes.
+    - give the winners and the proper classes' witness keys
+      (_proper_witness_ids) as ids that RestraintClass.from_id accepts.  The
+      winners are decoded into the report.  No reader decodes the proper
+      keys, but re-encoding them refuses a key renamed to a well-formed id
+      of another class, which the shape count cannot, for about a tenth of
+      the time of a read of P7 at k = 2.
     Else it raises ValueError, or KeyError, TypeError, AttributeError or
     IndexError for a record of another shape.  Each winner is built from
     its id (from_id), and the report keeps the record's witness maps.  Its
@@ -320,19 +314,24 @@ def write_json(obj: dict, out) -> None:
 
 
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
-    """find_extremal with a results directory keyed by (graph6, k); search
-    and _theorem_input are its callers in the package.
+    """find_extremal with a results directory keyed by (graph6, k); search,
+    for the extremal command, is its caller in the package.
 
     Records are written atomically (temporary file, then os.replace); the
     temporary file is created with mode 0o666, so the kernel applies the
     umask as for a plain open(), and a failed write removes it before the
     error propagates.  A record that is missing, does not parse or that
-    report_from_record refuses is recomputed and rewritten.
+    report_from_record refuses is recomputed and rewritten.  A record path
+    that is a directory raises ParseError before any search, and the
+    directory is left as it is.
     """
     path = _store_path(results_dir, to_graph6(g), k)
     try:
         with open(path, "r", encoding="ascii") as fh:
             return report_from_record(g, k, json.load(fh))
+    except IsADirectoryError:
+        # raised outside the try body, so the clause below cannot take it for a corrupt record
+        raise ParseError(f"store file {quote_input(path)} is a directory") from None
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError, IndexError):
         pass  # missing, truncated or corrupt: recompute it
     report = find_extremal(g, k)
@@ -489,18 +488,14 @@ def search(g: Graph, k: int, results_dir: str | None = None) -> ExtremalReport:
 _SEARCHES: dict[tuple[str, int], TheoremSearch] = {}
 
 
-def _theorem_input(g: Graph, k: int, results_dir: str | None = None) -> TheoremSearch:
-    """What the theorem checks read of (g, k).  With a store (results_dir a
-    non-empty path), the full record read or computed and written as
-    extremal does, seen through TheoremSearch.from_report, and _SEARCHES is
-    neither read nor written.  Else theorem_search, through _SEARCHES: the
-    key is exact, as the search is a pure function of the labelled graph and
-    k.  A search of more than SEARCH_MEMO_CLASSES proper classes is not
-    kept, and one that would take the held searches past that total empties
-    _SEARCHES first.  A refused search raises CapError and keeps nothing.
-    Every caller is handed the same object, so none may mutate it."""
-    if results_dir:
-        return TheoremSearch.from_report(load_or_compute_extremal(g, k, results_dir), g.n)
+def _theorem_input(g: Graph, k: int) -> TheoremSearch:
+    """What the theorem checks read of (g, k): theorem_search, through
+    _SEARCHES.  The key is exact, as the search is a pure function of the
+    labelled graph and k.  A search of more than SEARCH_MEMO_CLASSES proper
+    classes is not kept, and one that would take the held searches past that
+    total empties _SEARCHES first.  A refused search raises CapError and
+    keeps nothing.  Every caller is handed the same object, so none may
+    mutate it."""
     key = (to_graph6(g), k)
     found = _SEARCHES.get(key)
     if found is None:
@@ -513,7 +508,7 @@ def _theorem_input(g: Graph, k: int, results_dir: str | None = None) -> TheoremS
     return found
 
 
-def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -> dict[str, VerifyReport]:
+def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
     """Check each of theorems on every graph of a catalog, graph by graph, so
     all of a graph's checks read its one search.  Returns a VerifyReport per
     theorem, in the order given.  Every record is framed here with the
@@ -532,7 +527,7 @@ def verify_theorems(theorems, catalog, k: int, results_dir: str | None = None) -
                 recs.append({"graph6": to_graph6(g), "k": k, "skipped": reason})
                 continue
             if found is None:
-                found = _theorem_input(g, k, results_dir)
+                found = _theorem_input(g, k)
             recs.append({"graph6": found.graph_id, "k": k, **check(g, k, found)})
     return {theorem: VerifyReport(theorem, k, recs) for theorem, recs in records.items()}
 

@@ -192,6 +192,53 @@ class TestExtremal:
         assert key in json.loads(out)["max_witness"]
         assert path.read_text() == fresh
 
+    def test_witness_degree_that_is_not_an_int_is_recomputed(self, capsys, tmp_path):
+        # a stored max witness of C5 with degree "x" is refused on read, so
+        # the store run prints the bytes of a run without a store, and the
+        # record is rewritten
+        args = ("extremal", "--graph", "C5", "--k", "1", "--json")
+        _, fresh, _ = run(capsys, *args)
+        run(capsys, *args, "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        record = json.loads(path.read_text())
+        record["max_witness"][min(record["max_witness"])][0] = "x"
+        path.write_text(json.dumps(record, sort_keys=True))
+        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert out == fresh
+        assert path.read_text() == fresh
+
+    def test_proper_key_that_is_not_a_class_id_is_recomputed(self, capsys, tmp_path):
+        # C5's rainbow class renamed on both sides to an id of the class of
+        # [{1},{2},{1},{2},{3}] in other colour labels: the shape count
+        # passes it, the re-encoding of the proper keys does not, so the
+        # record is recomputed and rewritten
+        args = ("extremal", "--graph", "C5", "--k", "1", "--json")
+        _, fresh, _ = run(capsys, *args)
+        run(capsys, *args, "--results-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        record = json.loads(path.read_text())
+        for side in ("min_witness", "max_witness"):
+            record[side]["[{1},{3},{1},{3},{2}]"] = record[side].pop("[{1},{2},{3},{4},{5}]")
+        path.write_text(json.dumps(record, sort_keys=True))
+        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert out == fresh
+        assert path.read_text() == fresh
+
+    def test_record_path_that_is_a_directory_rejected(self, capsys, tmp_path, monkeypatch):
+        # a directory where C4's record would be is refused with one error
+        # line naming it, before any search (not read as a corrupt record and
+        # recomputed), and is left as it is
+        monkeypatch.setattr(extremal_module, "find_extremal", no_search)
+        monkeypatch.chdir(tmp_path)
+        record = tmp_path / "D" / "436c_k1.json"
+        record.mkdir(parents=True)
+        code, out, err = run(capsys, "extremal", "--graph", "C4", "--results-dir", "D", "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: store file 'D/436c_k1.json' is a directory\n"
+        assert list(record.parent.iterdir()) == [record] and list(record.iterdir()) == []
+
     def test_stored_record_is_the_json_output(self, capsys, tmp_path):
         # C8's witness maps are longer than JSON_CHUNK, so the record is
         # written in several pieces
@@ -271,7 +318,7 @@ class TestVerify:
         from restchroma import VerifyReport
         from restchroma import cli as cli_module
 
-        def fake(theorems, catalog, k, results_dir=None):
+        def fake(theorems, catalog, k):
             rec = {"graph6": "Cl", "k": k, "ok": False}
             return {theorem: VerifyReport(theorem=theorem, k=k, records=[rec]) for theorem in theorems}
 
@@ -280,74 +327,41 @@ class TestVerify:
         assert code == 4
         assert "violation" in out
 
-    def test_results_dir_reads_the_extremal_store(self, capsys, tmp_path, monkeypatch):
-        verify = ("verify", "--theorem", "min", "--graph", "C4", "--json")
-        _, fresh, _ = run(capsys, *verify)
-        run(capsys, "extremal", "--graph", "C4", "--results-dir", str(tmp_path))
-        monkeypatch.setattr(extremal_module, "find_extremal", no_search)
-        code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
-
     def test_empty_results_dir_is_no_store(self, capsys, tmp_path, monkeypatch):
-        # both commands read an empty --results-dir as none, as extremal
-        # always did: nothing is written, and the output is the storeless one
+        # extremal reads an empty --results-dir as none: nothing is written,
+        # and the output is the storeless one
         monkeypatch.chdir(tmp_path)
-        for args in (("verify", "--theorem", "min", "--graph", "C4", "--json"),
-                     ("extremal", "--graph", "C4", "--json")):
-            _, fresh, _ = run(capsys, *args)
-            code, out, _ = run(capsys, *args, "--results-dir", "")
-            assert (code, out) == (0, fresh)
+        args = ("extremal", "--graph", "C4", "--json")
+        _, fresh, _ = run(capsys, *args)
+        code, out, _ = run(capsys, *args, "--results-dir", "")
+        assert (code, out) == (0, fresh)
         assert list(tmp_path.iterdir()) == []
+
+    def test_results_dir_is_not_a_verify_option(self, capsys, tmp_path):
+        # the theorem checks read only the theorem search: argparse refuses
+        # the option before anything runs, and no store is made
+        store = tmp_path / "D"
+        with pytest.raises(SystemExit) as refused:
+            main(["verify", "--theorem", "min", "--graph", "C4", "--results-dir", str(store)])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --results-dir" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_winner_replaced_by_a_witness_is_recomputed(self, capsys, tmp_path):
         # C4's max winner replaced by the valid id of a max witness: the
-        # record is recomputed, so the bipartite check finds no violation
-        verify = ("verify", "--theorem", "bipartite", "--graph", "C4", "--k", "1", "--json")
-        _, fresh, _ = run(capsys, *verify)
-        run(capsys, "extremal", "--graph", "C4", "--k", "1", "--results-dir", str(tmp_path))
+        # record is recomputed, so the store run prints the bytes of a run
+        # without a store, and the file holds them again
+        args = ("extremal", "--graph", "C4", "--k", "1", "--json")
+        _, fresh, _ = run(capsys, *args)
+        run(capsys, *args, "--results-dir", str(tmp_path))
         (path,) = tmp_path.iterdir()
         record = json.loads(path.read_text())
         record["max_classes"] = ["[{1},{1},{2},{2}]"]
         path.write_text(json.dumps(record, sort_keys=True))
-        code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
+        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
         assert code == 0
         assert out == fresh
-        assert json.loads(path.read_text())["max_classes"] == ["[{1},{2},{1},{2}]"]
-
-    def test_a7_recomputes_a_witness_degree_that_is_not_an_int(self, capsys, tmp_path):
-        # a7 is the theorem that reads witness degrees: a stored max witness
-        # of C5 with degree "x" is refused on read, so the check prints what
-        # it prints without a store, and the record is rewritten
-        verify = ("verify", "--theorem", "a7", "--graph", "C5", "--k", "1")
-        _, fresh, _ = run(capsys, *verify)
-        _, record_text, _ = run(capsys, "extremal", "--graph", "C5", "--k", "1", "--json",
-                                "--results-dir", str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        record = json.loads(record_text)
-        record["max_witness"][min(record["max_witness"])][0] = "x"
-        path.write_text(json.dumps(record, sort_keys=True))
-        code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
-        assert path.read_text() == record_text
-
-    def test_a7_recomputes_a_proper_key_that_is_not_a_class_id(self, capsys, tmp_path):
-        # C5's rainbow class renamed on both sides to an id of the class of
-        # [{1},{2},{1},{2},{3}] in other colour labels: read as it stands, a7
-        # would count that class twice and find two attaining classes
-        verify = ("verify", "--theorem", "a7", "--graph", "C5", "--json")
-        _, fresh, _ = run(capsys, *verify)
-        _, record_text, _ = run(capsys, "extremal", "--graph", "C5", "--json", "--results-dir", str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        record = json.loads(record_text)
-        for side in ("min_witness", "max_witness"):
-            record[side]["[{1},{3},{1},{3},{2}]"] = record[side].pop("[{1},{2},{3},{4},{5}]")
-        path.write_text(json.dumps(record, sort_keys=True))
-        code, out, _ = run(capsys, *verify, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
-        assert path.read_text() == record_text
+        assert path.read_text() == fresh
 
     def test_extremal_recomputes_an_improper_key_that_is_not_a_class_id(self, capsys, tmp_path):
         # C5's improper class [{1},{1},{2},{2},{2}] (max witness degree
@@ -367,24 +381,14 @@ class TestVerify:
         assert out == fresh
         assert path.read_text() == fresh
 
-    def test_theorems_share_one_search_per_graph(self, capsys, tmp_path, monkeypatch):
-        def verify(theorem, *extra):
-            code, out, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", "4", "--k", "2",
-                               "--json", *extra)
-            assert code == 0
-            return out
-
+    def test_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
         searched = []
         real = extremal_module.theorem_search
         monkeypatch.setattr(extremal_module, "theorem_search", lambda g, k: searched.append(to_graph6(g)) or real(g, k))
-        fresh = {theorem: verify(theorem) for theorem in ("min", "proper", "a7", "bipartite")}
+        for theorem in ("min", "proper", "a7", "bipartite"):
+            code, _, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", "4", "--k", "2", "--json")
+            assert code == 0
         assert sorted(searched) == sorted(to_graph6(g) for g in connected_catalog(4))
-        # a store run reads or writes full records, and no theorem search
-        monkeypatch.setattr(extremal_module, "theorem_search", no_search)
-        assert verify("min", "--results-dir", str(tmp_path)) == fresh["min"]
-        monkeypatch.setattr(extremal_module, "find_extremal", no_search)
-        for theorem in ("proper", "a7", "bipartite"):
-            assert verify(theorem, "--results-dir", str(tmp_path)) == fresh[theorem]
 
     def test_all_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
         searched = []
@@ -442,27 +446,23 @@ class TestVerify:
 
     def test_results_dir_that_is_a_file_rejected(self, capsys, tmp_path, monkeypatch):
         # a store that names a regular file, or a directory under one, is
-        # refused by both commands with one error line, before any search;
-        # a missing directory is still made by the first store write
+        # refused with one error line, before any search; a missing
+        # directory is still made by the first store write
         monkeypatch.setattr(extremal_module, "find_extremal", no_search)
-        monkeypatch.setattr(extremal_module, "theorem_search", no_search)
         monkeypatch.chdir(tmp_path)
         plain = tmp_path / "F"
         plain.write_text("not a store\n")
-        commands = (("extremal", "--graph", "C4", "--json"),
-                    ("verify", "--theorem", "min", "--graph", "C4", "--json"))
-        for args in commands:
-            for results_dir in ("F", "F/sub"):
-                code, out, err = run(capsys, *args, "--results-dir", results_dir)
-                assert (code, out) == (2, "")
-                assert err == f"error: --results-dir '{results_dir}': 'F' is not a directory\n"
+        args = ("extremal", "--graph", "C4", "--json")
+        for results_dir in ("F", "F/sub"):
+            code, out, err = run(capsys, *args, "--results-dir", results_dir)
+            assert (code, out) == (2, "")
+            assert err == f"error: --results-dir '{results_dir}': 'F' is not a directory\n"
         assert plain.read_text() == "not a store\n"
         monkeypatch.undo()
-        for args in commands:
-            missing = tmp_path / args[0] / "sub"
-            code, _, _ = run(capsys, *args, "--results-dir", str(missing))
-            assert code == 0
-            assert len(list(missing.iterdir())) == 1
+        missing = tmp_path / "extremal" / "sub"
+        code, _, _ = run(capsys, *args, "--results-dir", str(missing))
+        assert code == 0
+        assert len(list(missing.iterdir())) == 1
 
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_empty_catalog_rejected(self, capsys, n_max):

@@ -71,12 +71,12 @@ def a7_oracle_record(g, report):
 
 def a7_mismatches(catalog, k, results_dir=None):
     """(graph6, what) for each graph of catalog whose a7 verdict, read from
-    the theorem search or from a full report (TheoremSearch.from_report),
-    differs from a7_oracle_record of the full report, or on which some
-    class's properness (is_proper on its parsed id) disagrees with "max
-    winner, or max witness of degree below n - 2".  With results_dir, each
-    full search is also written to that store and read back, and the report
-    read is checked the same way."""
+    the theorem search, differs from a7_oracle_record of the full report, or
+    on which some class's properness (is_proper on its parsed id) disagrees
+    with "max winner, or max witness of degree below n - 2", the fact that
+    report_from_record relies on to pick the proper witness keys.  With
+    results_dir, each full search is also written to that store and read
+    back, and the report read is checked the same way."""
     bad = []
     for g in catalog:
         if results_dir is None:
@@ -84,11 +84,9 @@ def a7_mismatches(catalog, k, results_dir=None):
         else:
             reports = [("fresh", load_or_compute_extremal(g, k, results_dir)),
                        ("stored", load_or_compute_extremal(g, k, results_dir))]
-        if extremal._a7_check(g, k, extremal.theorem_search(g, k)) != a7_oracle_record(g, reports[0][1]):
-            bad.append((reports[0][1].graph_id, "theorem search a7 verdict"))
+        verdict = extremal._a7_check(g, k, extremal.theorem_search(g, k))
         for source, report in reports:
-            view = extremal.TheoremSearch.from_report(report, g.n)
-            if extremal._a7_check(g, k, view) != a7_oracle_record(g, report):
+            if verdict != a7_oracle_record(g, report):
                 bad.append((report.graph_id, f"{source} a7 verdict"))
             if not all(is_proper(g, c.representative) for c in report.max_classes):
                 bad.append((report.graph_id, f"{source} improper winner"))
@@ -100,24 +98,25 @@ def a7_mismatches(catalog, k, results_dir=None):
 
 def theorem_search_mismatches(graphs, k):
     """(graph6, what) for each graph whose theorem search differs from
-    find_extremal's full search: the winners of each side, in order, the
+    find_extremal's full search: the winners of each side, in order, and the
     polynomial of every winner against the full report's polynomial of its
-    side, and the proper classes, which the full search names as its max
-    winners and its max witness keys of degree below n - 2."""
+    side; or whose proper classes differ from the canons of the classes of
+    enumerate_k_restraints that is_proper accepts, tested edge by edge on
+    each representative."""
     bad = []
     for g in graphs:
         found = extremal.theorem_search(g, k)
         report = find_extremal(g, k)
-        full = extremal.TheoremSearch.from_report(report, g.n)
         for field in ("graph_id", "k", "min_classes", "max_classes"):
-            if getattr(found, field) != getattr(full, field):
-                bad.append((full.graph_id, field))
+            if getattr(found, field) != getattr(report, field):
+                bad.append((report.graph_id, field))
         for side in ("min", "max"):
             poly = getattr(report, f"{side}_poly")
             if any(restrained_poly(g, c.representative) != poly for c in getattr(found, f"{side}_classes")):
-                bad.append((full.graph_id, f"{side} polynomial"))
-        if sorted(found.proper) != sorted(full.proper):
-            bad.append((full.graph_id, "proper classes"))
+                bad.append((report.graph_id, f"{side} polynomial"))
+        proper = [c.canon for c in enumerate_k_restraints(g, k) if is_proper(g, c.representative)]
+        if sorted(found.proper) != sorted(proper):
+            bad.append((report.graph_id, "proper classes"))
     return bad
 
 
@@ -720,7 +719,9 @@ class TestSearchMemo:
             assert len(calls) == searched
 
     def test_store_runs_and_refused_searches_leave_it_empty(self, monkeypatch, tmp_path, c4):
-        extremal.verify_theorems(("a7",), [c4], 1, str(tmp_path))
+        # a store run is an extremal run, which reads or writes full records
+        extremal.search(c4, 1, str(tmp_path))
+        extremal.search(c4, 1, str(tmp_path))
         assert extremal._SEARCHES == {}
         monkeypatch.setattr(restraints, "FORMS_BUDGET", 1)
         with pytest.raises(CapError):

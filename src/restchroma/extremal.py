@@ -39,7 +39,6 @@ from .restraints import (
     Restraint,
     alternating_restraint,
     canonicalize,
-    check_id_shapes,
     class_canons,
     constant_restraint,
     enumerate_k_restraints,
@@ -218,64 +217,55 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
 # -- resumable store -----------------------------------------------------------
 
 
+# The line that ends a store file, after the record's --json bytes, with the
+# SHA-256 of those bytes.  Bump its number whenever what a record holds
+# changes, so that older files are recomputed.
+STORE_TRAILER = "restchroma-store 1 sha256:{}\n"
+
+
+def _sha256(data: bytes = b""):
+    """hashlib.sha256(data).  hashlib is imported here, not with the module,
+    because loading OpenSSL adds 3.5 MB to the peak RSS of every command,
+    and only store runs hash."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+class _Hashing:
+    """A text output that passes what it is written on to out and hashes it."""
+
+    def __init__(self, out):
+        self.out = out
+        self.digest = _sha256()
+
+    def write(self, text: str) -> None:
+        self.out.write(text)
+        self.digest.update(text.encode("ascii"))
+
+
 def _store_path(results_dir: str, graph_id: str, k: int) -> str:
     return os.path.join(results_dir, f"{graph_id.encode('ascii').hex()}_k{k}.json")
 
 
-def _proper_witness_ids(max_witness: dict, n: int) -> list[str]:
-    """The max witness keys of the proper classes that do not win: those of
-    degree below n - 2.
-
-    Giving every vertex k fresh colours is proper, so the best key has I2 = 0
-    (engine.dominance_key), and a class is improper exactly when its I2
-    differs from the best's, that is when its max witness has degree n - 2
-    (_gap).  So the proper classes are the max winners and these keys."""
-    return [cid for cid, (degree, _) in max_witness.items() if degree < n - 2]
-
-
-def report_from_record(g: Graph, k: int, record: dict) -> ExtremalReport:
-    """The report that a stored record of (g, k) holds.  The record must:
-    - hold g's graph6 and k;
-    - name the same class_count classes on each side, none twice: winner
-      ids plus witness keys, no winner repeated or among its witness keys;
-    - hold only witness values [degree, s] with an int degree and s the
-      decimal string of an int, as str() writes it;
-    - hold witness keys that together have the shape of k-restraint ids on
-      n vertices (check_id_shapes: re-encoding every key would cost more
-      than reading the record);
-    - give the winners and the proper classes' witness keys
-      (_proper_witness_ids) as ids that RestraintClass.from_id accepts.  The
-      winners are decoded into the report.  No reader decodes the proper
-      keys, but re-encoding them refuses a key renamed to a well-formed id
-      of another class, which the shape count cannot, for about a tenth of
-      the time of a read of P7 at k = 2.
-    Else it raises ValueError, or KeyError, TypeError, AttributeError or
-    IndexError for a record of another shape.  Each winner is built from
-    its id (from_id), and the report keeps the record's witness maps.  Its
-    graph6 and k are the values checked against and its class_count the
-    classes counted, so a record's true for 1 or 7.0 for 7 is not echoed."""
+def report_from_record(g: Graph, k: int, text: str) -> ExtremalReport:
+    """The report that the text of a store file of (g, k) holds.  Raises
+    ValueError unless the text is a record followed by its trailer line
+    (STORE_TRAILER with the record's SHA-256), the record holds g's graph6
+    and k (a file copied under another pair's name still matches its own
+    trailer), and RestraintClass.from_id accepts each winner id, which
+    builds the winner.  The report keeps the record's witness maps."""
+    end = text.rfind("\n", 0, -1) + 1
+    if text[end:] != STORE_TRAILER.format(_sha256(text[:end].encode("ascii")).hexdigest()):
+        raise ValueError("the record does not match its trailer")
+    record = json.JSONDecoder().raw_decode(text)[0]  # stops before the trailer
     graph_id = to_graph6(g)
     if (record["graph6"], record["k"]) != (graph_id, k):
         raise ValueError("the record holds another (graph6, k)")
-    named = [{*record[f"{side}_classes"], *record[f"{side}_witness"]} for side in ("min", "max")]
-    counts = [len(record[f"{side}_classes"]) + len(record[f"{side}_witness"]) for side in ("min", "max")]
-    # as both sides name one set, this is len({*winners, *witness}) ==
-    # len(winners) + len(witness) == class_count on each side
-    if named[0] != named[1] or not len(named[0]) == counts[0] == counts[1] == record["class_count"]:
-        raise ValueError("the sides name different classes, or repeat or miscount them")
-    canonical = set()  # coefficients checked so far: a record holds few distinct ones
-    for side in ("min_witness", "max_witness"):
-        for degree, coefficient in record[side].values():
-            if type(degree) is not int or coefficient not in canonical and coefficient != str(int(coefficient)):
-                raise ValueError("a witness value is not [degree, str(coefficient)]")
-            canonical.add(coefficient)
-    check_id_shapes(record["max_witness"], g.n, k)
-    for cid in _proper_witness_ids(record["max_witness"], g.n):
-        RestraintClass.from_id(cid, g.n)
     return ExtremalReport(
         graph_id=graph_id,
         k=k,
-        class_count=len(named[0]),
+        class_count=record["class_count"],
         min_classes=tuple(RestraintClass.from_id(cid, g.n) for cid in record["min_classes"]),
         max_classes=tuple(RestraintClass.from_id(cid, g.n) for cid in record["max_classes"]),
         min_poly=IntPolynomial(int(c) for c in record["min_poly"]),
@@ -317,30 +307,34 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
     """find_extremal with a results directory keyed by (graph6, k); search,
     for the extremal command, is its caller in the package.
 
-    Records are written atomically (temporary file, then os.replace); the
-    temporary file is created with mode 0o666, so the kernel applies the
-    umask as for a plain open(), and a failed write removes it before the
-    error propagates.  A record that is missing, does not parse or that
-    report_from_record refuses is recomputed and rewritten.  A record path
+    A file holds the record's --json bytes, hashed as write_json streams
+    them, then its STORE_TRAILER line.  Files are written atomically
+    (temporary file, then os.replace); the temporary file is created with
+    mode 0o666, so the kernel applies the umask as for a plain open(), and a
+    failed write removes it before the error propagates.  A file that is
+    missing or that report_from_record refuses (torn, edited, or without
+    this format's trailer) is recomputed and rewritten.  A record path
     that is a directory raises ParseError before any search, and the
     directory is left as it is.
     """
     path = _store_path(results_dir, to_graph6(g), k)
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return report_from_record(g, k, json.load(fh))
+            return report_from_record(g, k, fh.read())
     except IsADirectoryError:
         # raised outside the try body, so the clause below cannot take it for a corrupt record
         raise ParseError(f"store file {quote_input(path)} is a directory") from None
-    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError, IndexError):
-        pass  # missing, truncated or corrupt: recompute it
+    except (FileNotFoundError, ValueError):
+        pass  # missing, torn, edited or from an older format: recompute it
     report = find_extremal(g, k)
     os.makedirs(results_dir, exist_ok=True)
     tmp = os.path.join(results_dir, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            write_json(report.to_record(), fh)
+            record = _Hashing(fh)
+            write_json(report.to_record(), record)
+            fh.write(STORE_TRAILER.format(record.digest.hexdigest()))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

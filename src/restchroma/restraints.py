@@ -8,17 +8,16 @@ enumeration of k-restraints up to equivalence.
 Classes are colour incidence masks (one vertex bitmask per colour) from
 generation on; a Restraint is built from one only on demand, and a class id
 is rendered (RestraintClass.class_id), decoded (id_masks) and checked
-(RestraintClass.from_id, and check_id_shapes for many ids at once) only
-here.  Both canonicalisation and enumeration go through _orbit_rows, the
-sorted mask tuples of a restraint's distinct automorphic images: the canon
-is their minimum, and the enumeration marks a new class's whole orbit as
-seen, so each class is found once.  On a graph with a trivial group the
-enumeration skips them: each colour class is then one class, and its sorted
-masks its canon.  Images are computed a whole row of automorphisms at a
-time: each vertex has a column of its image bits, one per automorphism, and
-a mask's row is its lowest bit's column ORed onto the row of the rest.  Rows
-are cached for one class_canons or canonicalize call, so the cache holds up
-to |Aut| ints for each distinct mask it meets.
+(RestraintClass.from_id) only here.  Both canonicalisation and enumeration
+go through _orbit_rows, the sorted mask tuples of a restraint's distinct
+automorphic images: the canon is their minimum, and the enumeration marks a
+new class's whole orbit as seen, so each class is found once.  On a graph
+with a trivial group the enumeration skips them: each colour class is then
+one class, and its sorted masks its canon.  Images are computed a whole row
+of automorphisms at a time: each vertex has a column of its image bits, one
+per automorphism, and a mask's row is its lowest bit's column ORed onto the
+row of the rest.  Rows are cached for one class_canons or canonicalize
+call, so the cache holds up to |Aut| ints for each distinct mask it meets.
 
 The enumeration walks one sorted form per colour class
 (_normal_form_masks), one colour slot of a vertex at a time over immutable
@@ -220,22 +219,6 @@ def id_masks(cid: str) -> list[int]:
     "[]" has none), in no set order.  The id is not checked: that is
     RestraintClass.from_id."""
     return incidence_masks(s.split(",") if s else () for s in cid[2:-2].split("},{"))
-
-
-def check_id_shapes(cids, n: int, k: int) -> None:
-    """Raise ValueError unless the ids cids, taken together, have the shape of
-    ids of k-restraints on n >= 1 vertices: n brace sets of k labels, so one
-    "[", one "]", n "{" and n * k - 1 commas each.  The four characters are
-    counted once over the joined ids, about 5% of a store read, where
-    re-encoding every id (from_id) would cost more than the read.  Only
-    separators are counted, so it cannot refuse a well-formed id of another
-    class, labels that are not colours, or two malformed ids whose counts
-    balance."""
-    joined = "".join(cids)
-    count = len(cids)
-    shape = (joined.count("["), joined.count("]"), joined.count("{"), joined.count(","))
-    if shape != (count, count, count * n, count * (n * k - 1)):
-        raise ValueError("a class id is not n brace sets of k colours")
 
 
 @lru_cache(maxsize=1 << 16)

@@ -21,6 +21,41 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_store_edit_recomputed(capsys, tmp_path, graph, edit):
+    """Store graph's extremal record at k = 1, apply edit to the record line
+    of the file and keep its trailer line as written: a store run must then
+    print the bytes of a run without a store, and rewrite the file as those
+    bytes and the same trailer."""
+    args = ("extremal", "--graph", graph, "--k", "1", "--json")
+    _, fresh, _ = run(capsys, *args)
+    run(capsys, *args, "--results-dir", str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    record, trailer = path.read_text().split("\n", 1)
+    path.write_text(f"{edit(record)}\n{trailer}")
+    code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
+    assert (code, out) == (0, fresh)
+    assert path.read_text() == fresh + trailer
+
+
+def edited(change):
+    """An edit of a record's text that parses it, lets change alter the
+    record in place, and writes it back as the store writes it."""
+    def edit(text):
+        record = json.loads(text)
+        change(record)
+        return json.dumps(record, sort_keys=True)
+    return edit
+
+
+def renamed_keys(renames):
+    """An edit that renames witness keys on both sides, old -> new."""
+    def change(record):
+        for side in ("min_witness", "max_witness"):
+            for old, new in renames.items():
+                record[side][new] = record[side].pop(old)
+    return edited(change)
+
+
 class TestPoly:
     def test_rainbow_triangle_with_evaluations(self, capsys):
         code, out, _ = run(capsys, "poly", "--graph", "C3", "--restraint", "[{1},{2},{3}]")
@@ -165,66 +200,34 @@ class TestExtremal:
         assert out1 == out2
 
     def test_results_dir_recovers_truncated_record(self, capsys, tmp_path):
-        args = ("extremal", "--graph", "C4", "--k", "1", "--json")
-        _, fresh, _ = run(capsys, *args)
-        run(capsys, *args, "--results-dir", str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        path.write_text(path.read_text()[:40])
-        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
+        assert_store_edit_recomputed(capsys, tmp_path, "C4", lambda text: text[:40])
 
     def test_renamed_witness_is_recomputed(self, capsys, tmp_path):
-        # a max witness key of C4's stored record renamed to "not a class":
-        # the two sides no longer name the same classes, so the record is
-        # recomputed and --json prints the true key
-        extremal = ("extremal", "--graph", "C4", "--k", "1", "--json")
-        _, fresh, _ = run(capsys, *extremal)
-        run(capsys, *extremal, "--results-dir", str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        record = json.loads(path.read_text())
-        key = min(record["max_witness"])
-        record["max_witness"]["not a class"] = record["max_witness"].pop(key)
-        path.write_text(json.dumps(record, sort_keys=True))
-        code, out, _ = run(capsys, *extremal, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
-        assert key in json.loads(out)["max_witness"]
-        assert path.read_text() == fresh
+        # one max witness key of C4 renamed to "not a class" on that side only
+        def rename(record):
+            record["max_witness"]["not a class"] = record["max_witness"].pop(min(record["max_witness"]))
+        assert_store_edit_recomputed(capsys, tmp_path, "C4", edited(rename))
 
     def test_witness_degree_that_is_not_an_int_is_recomputed(self, capsys, tmp_path):
-        # a stored max witness of C5 with degree "x" is refused on read, so
-        # the store run prints the bytes of a run without a store, and the
-        # record is rewritten
-        args = ("extremal", "--graph", "C5", "--k", "1", "--json")
-        _, fresh, _ = run(capsys, *args)
-        run(capsys, *args, "--results-dir", str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        record = json.loads(path.read_text())
-        record["max_witness"][min(record["max_witness"])][0] = "x"
-        path.write_text(json.dumps(record, sort_keys=True))
-        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
-        assert path.read_text() == fresh
+        def degree_x(record):
+            record["max_witness"][min(record["max_witness"])][0] = "x"
+        assert_store_edit_recomputed(capsys, tmp_path, "C5", edited(degree_x))
 
     def test_proper_key_that_is_not_a_class_id_is_recomputed(self, capsys, tmp_path):
-        # C5's rainbow class renamed on both sides to an id of the class of
-        # [{1},{2},{1},{2},{3}] in other colour labels: the shape count
-        # passes it, the re-encoding of the proper keys does not, so the
-        # record is recomputed and rewritten
-        args = ("extremal", "--graph", "C5", "--k", "1", "--json")
-        _, fresh, _ = run(capsys, *args)
-        run(capsys, *args, "--results-dir", str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        record = json.loads(path.read_text())
-        for side in ("min_witness", "max_witness"):
-            record[side]["[{1},{3},{1},{3},{2}]"] = record[side].pop("[{1},{2},{3},{4},{5}]")
-        path.write_text(json.dumps(record, sort_keys=True))
-        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
-        assert path.read_text() == fresh
+        # C5's rainbow class, renamed to an id of [{1},{2},{1},{2},{3}]'s
+        # class in other colour labels
+        renamed = renamed_keys({"[{1},{2},{3},{4},{5}]": "[{1},{3},{1},{3},{2}]"})
+        assert_store_edit_recomputed(capsys, tmp_path, "C5", renamed)
+
+    def test_improper_key_renamed_to_another_class_id_is_recomputed(self, capsys, tmp_path):
+        renamed = renamed_keys({"[{1},{1},{2},{2},{2}]": "[{2},{2},{1},{1},{1}]"})
+        assert_store_edit_recomputed(capsys, tmp_path, "C5", renamed)
+
+    def test_malformed_keys_whose_separators_balance_are_recomputed(self, capsys, tmp_path):
+        # one vertex set dropped from one key and added to another
+        renamed = renamed_keys({"[{1},{2},{3},{3},{3}]": "[{1},{2},{3},{3}]",
+                                "[{1},{2},{2},{2},{2}]": "[{1},{2},{2},{2},{2},{2}]"})
+        assert_store_edit_recomputed(capsys, tmp_path, "C5", renamed)
 
     def test_record_path_that_is_a_directory_rejected(self, capsys, tmp_path, monkeypatch):
         # a directory where C4's record would be is refused with one error
@@ -241,13 +244,16 @@ class TestExtremal:
 
     def test_stored_record_is_the_json_output(self, capsys, tmp_path):
         # C8's witness maps are longer than JSON_CHUNK, so the record is
-        # written in several pieces
+        # written in several pieces; the file is those bytes, then the
+        # trailer line of their SHA-256
         args = ("extremal", "--graph", "C8", "--k", "1", "--json")
         _, fresh, _ = run(capsys, *args)
         _, computed, _ = run(capsys, *args, "--results-dir", str(tmp_path))
         (path,) = tmp_path.iterdir()
         assert len(json.loads(fresh)["max_witness"]) > JSON_CHUNK
-        assert computed == fresh and path.read_bytes() == fresh.encode("ascii")
+        record = fresh.encode("ascii")
+        trailer = f"restchroma-store 1 sha256:{hashlib.sha256(record).hexdigest()}\n".encode("ascii")
+        assert computed == fresh and path.read_bytes() == record + trailer
 
     def test_json_is_streamed(self, monkeypatch):
         # C10 at k=1 makes a 0.7 MB record; written to an output that keeps
@@ -348,38 +354,14 @@ class TestVerify:
         assert not store.exists()
 
     def test_winner_replaced_by_a_witness_is_recomputed(self, capsys, tmp_path):
-        # C4's max winner replaced by the valid id of a max witness: the
-        # record is recomputed, so the store run prints the bytes of a run
-        # without a store, and the file holds them again
-        args = ("extremal", "--graph", "C4", "--k", "1", "--json")
-        _, fresh, _ = run(capsys, *args)
-        run(capsys, *args, "--results-dir", str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        record = json.loads(path.read_text())
-        record["max_classes"] = ["[{1},{1},{2},{2}]"]
-        path.write_text(json.dumps(record, sort_keys=True))
-        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
-        assert path.read_text() == fresh
+        # C4's max winner replaced by the valid id of a max witness
+        def replace(record):
+            record["max_classes"] = ["[{1},{1},{2},{2}]"]
+        assert_store_edit_recomputed(capsys, tmp_path, "C4", edited(replace))
 
     def test_extremal_recomputes_an_improper_key_that_is_not_a_class_id(self, capsys, tmp_path):
-        # C5's improper class [{1},{1},{2},{2},{2}] (max witness degree
-        # n - 2), which no reader decodes, renamed on both sides: the store
-        # run prints the bytes of a run without a store, and the file holds
-        # them again
-        args = ("extremal", "--graph", "C5", "--k", "1", "--json")
-        _, fresh, _ = run(capsys, *args)
-        run(capsys, *args, "--results-dir", str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        record = json.loads(path.read_text())
-        for side in ("min_witness", "max_witness"):
-            record[side]["not a class"] = record[side].pop("[{1},{1},{2},{2},{2}]")
-        path.write_text(json.dumps(record, sort_keys=True))
-        code, out, _ = run(capsys, *args, "--results-dir", str(tmp_path))
-        assert code == 0
-        assert out == fresh
-        assert path.read_text() == fresh
+        renamed = renamed_keys({"[{1},{1},{2},{2},{2}]": "not a class"})
+        assert_store_edit_recomputed(capsys, tmp_path, "C5", renamed)
 
     def test_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
         searched = []

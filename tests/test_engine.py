@@ -582,7 +582,7 @@ class TestDominanceKey:
         # polynomial is one constant over all classes, so key differences are
         # exactly the coefficient differences that decide eventual dominance
         rng = random.Random(53)
-        cases = [(g, 1) for g in connected_catalog(5)] + [(g, 2) for g in connected_catalog(4)]
+        cases = [(g, 1) for g in connected_catalog(6)] + [(g, 2) for g in connected_catalog(5)]
         cases += [(path_graph(8), 1), (cycle_graph(8), 1)]
         for g, k in cases:
             perm = list(range(g.n))

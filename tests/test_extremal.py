@@ -73,10 +73,11 @@ def a7_mismatches(catalog, k, results_dir=None):
     """(graph6, what) for each graph of catalog whose a7 verdict, read from
     the theorem search, differs from a7_oracle_record of the full report, or
     on which some class's properness (is_proper on its parsed id) disagrees
-    with "max winner, or max witness of degree below n - 2", the fact that
-    report_from_record relies on to pick the proper witness keys.  With
-    results_dir, each full search is also written to that store and read
-    back, and the report read is checked the same way."""
+    with "max winner, or max witness of degree below n - 2" (the best key has
+    I2 = 0, so a class is improper exactly when its gap to the best is read
+    off I2, at degree n - 2: extremal._gap).  With results_dir, each full
+    search is also written to that store and read back, and the report read
+    is checked the same way."""
     bad = []
     for g in catalog:
         if results_dir is None:
@@ -288,6 +289,22 @@ def _winners_twice_one_witness_dropped(text: str) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def _store_file(report) -> str:
+    """The text of the store file of report: its --json bytes, then the
+    trailer line of their SHA-256."""
+    record = json.dumps(report.to_record(), sort_keys=True) + "\n"
+    return f"{record}restchroma-store 1 sha256:{hashlib.sha256(record.encode('ascii')).hexdigest()}\n"
+
+
+def _on_record(edit):
+    """A damage to a store file's text that applies edit to its record line
+    and keeps the trailer line as written."""
+    def damage(text: str) -> str:
+        record, trailer = text.split("\n", 1)
+        return f"{edit(record)}\n{trailer}"
+    return damage
+
+
 def _with_max_winner(text: str, cid: str) -> str:
     """The record text with its one max winner id replaced by cid."""
     record = json.loads(text)
@@ -304,7 +321,7 @@ class TestResumableStore:
         first = load_or_compute_extremal(c4, 1, str(tmp_path))
         files = list(tmp_path.iterdir())
         assert len(files) == 1
-        record = json.loads(files[0].read_text())
+        record = json.loads(files[0].read_text().split("\n")[0])
         assert record["graph6"] == to_graph6(c4)
         second = load_or_compute_extremal(c4, 1, str(tmp_path))
         assert second.to_record() == first.to_record()
@@ -317,48 +334,60 @@ class TestResumableStore:
         assert len(list(tmp_path.iterdir())) == 3
 
     @pytest.mark.parametrize("damage", [
-        lambda text: text[: len(text) // 2],
-        lambda text: "",
-        lambda text: "[]",
-        lambda text: text.replace('"k": 1', '"k": 2'),
-        lambda text: _drop_one_max_witness(json.loads(text)),
+        _on_record(lambda text: text[: len(text) // 2]),
+        _on_record(lambda text: ""),
+        _on_record(lambda text: "[]"),
+        _on_record(lambda text: text.replace('"k": 1', '"k": 2')),
+        _on_record(lambda text: _drop_one_max_witness(json.loads(text))),
         # C4's max winner is [{1},{2},{1},{2}]; each of these ids fails to
         # re-encode to itself on C4's 4 vertices
-        lambda text: _with_max_winner(text, "[{2},{1},{2},{1}]"),
-        lambda text: _with_max_winner(text, "[{1},{2},{1},{2},{1}]"),
-        lambda text: _with_max_winner(text, "alternating"),
+        _on_record(lambda text: _with_max_winner(text, "[{2},{1},{2},{1}]")),
+        _on_record(lambda text: _with_max_winner(text, "[{1},{2},{1},{2},{1}]")),
+        _on_record(lambda text: _with_max_winner(text, "alternating")),
         # a valid id of another class, which is still a max witness key
-        lambda text: _with_max_winner(text, "[{1},{1},{2},{2}]"),
-        _rename_one_max_witness,
-        # C4's rainbow class, proper and so decoded by the a7 check, renamed
-        # on both sides to an id whose masks re-encode to [{1},{2},{1},{2}]
-        lambda text: _rename_class(text, "[{1},{2},{3},{4}]", "[{1},{3},{1},{3}]"),
-        # an improper class (max witness degree n - 2), which no reader
-        # decodes, renamed on both sides to a key of no id's shape
-        lambda text: _rename_class(text, "[{1},{1},{2},{2}]", "not a class"),
-        _winners_twice_one_witness_dropped,
+        _on_record(lambda text: _with_max_winner(text, "[{1},{1},{2},{2}]")),
+        _on_record(_rename_one_max_witness),
+        # C4's rainbow class, proper, renamed on both sides to an id whose
+        # masks re-encode to [{1},{2},{1},{2}]
+        _on_record(lambda text: _rename_class(text, "[{1},{2},{3},{4}]", "[{1},{3},{1},{3}]")),
+        # an improper class renamed on both sides to a key of no id's shape
+        _on_record(lambda text: _rename_class(text, "[{1},{1},{2},{2}]", "not a class")),
+        _on_record(_winners_twice_one_witness_dropped),
         # witness values that are not [degree, str(coefficient)]: C4's
         # min(max_witness) is [2, "4"]
-        lambda text: _with_max_witness_value(text, ["x", "4"]),
-        lambda text: _with_max_witness_value(text, [True, "4"]),
-        lambda text: _with_max_witness_value(text, [2.0, "4"]),
-        lambda text: _with_max_witness_value(text, [2, "04"]),
-        lambda text: _with_max_witness_value(text, [2, 4]),
-        lambda text: _with_max_witness_value(text, [2, "4", 0]),
+        _on_record(lambda text: _with_max_witness_value(text, ["x", "4"])),
+        _on_record(lambda text: _with_max_witness_value(text, [True, "4"])),
+        _on_record(lambda text: _with_max_witness_value(text, [2.0, "4"])),
+        _on_record(lambda text: _with_max_witness_value(text, [2, "04"])),
+        _on_record(lambda text: _with_max_witness_value(text, [2, 4])),
+        _on_record(lambda text: _with_max_witness_value(text, [2, "4", 0])),
+        # true == 1 and 7.0 == 7, so these pass a comparison of values
+        _on_record(lambda text: text.replace('"k": 1', '"k": true').replace('"class_count": 7,', '"class_count": 7.0,')),
+        # the record as written, under a trailer with one hex digit changed
+        lambda text: text[:-2] + "10"[text[-2] == "1"] + "\n",
+        # the record as written with no trailer, as files were before it
+        lambda text: text.split("\n")[0] + "\n",
+        # C4's file at k = 2, copied under the k = 1 name: its trailer matches
+        lambda text: _store_file(find_extremal(cycle_graph(4), 2)),
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
             "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness",
             "non-canonical-proper-key", "renamed-improper-key", "winners-twice-one-witness-dropped",
             "degree-not-an-int", "degree-a-bool", "degree-a-float", "coefficient-not-canonical",
-            "coefficient-a-number", "witness-too-long"])
-    def test_unreadable_record_is_recomputed(self, tmp_path, c4, damage):
-        # compared as text, since 2.0 == 2 and True == 1 in Python
-        fresh = json.dumps(find_extremal(c4, 1).to_record(), sort_keys=True)
+            "coefficient-a-number", "witness-too-long", "scalars-true-and-float", "trailer-altered",
+            "no-trailer", "another-pairs-file"])
+    def test_unreadable_record_is_recomputed(self, tmp_path, c4, monkeypatch, damage):
+        # compared as text, since 2.0 == 2 and True == 1 in Python; the file
+        # is rewritten as the record and its trailer, and read from then on
+        sealed = _store_file(find_extremal(c4, 1))
         load_or_compute_extremal(c4, 1, str(tmp_path))
         (path,) = tmp_path.iterdir()
-        path.write_text(damage(path.read_text()))
-        assert json.dumps(load_or_compute_extremal(c4, 1, str(tmp_path)).to_record(), sort_keys=True) == fresh
-        assert path.read_text() == fresh + "\n"
+        assert path.read_text() == sealed
+        path.write_text(damage(sealed))
+        assert _store_file(load_or_compute_extremal(c4, 1, str(tmp_path))) == sealed
+        assert path.read_text() == sealed
         assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.setattr(extremal, "find_extremal", no_search)
+        assert _store_file(load_or_compute_extremal(c4, 1, str(tmp_path))) == sealed
 
     @pytest.mark.parametrize("name, k", [("K6", 1), ("C4", 2)])
     def test_read_decodes_winner_ids(self, tmp_path, monkeypatch, name, k):
@@ -376,31 +405,6 @@ class TestResumableStore:
         assert read.to_record() == fresh.to_record()
         for side in ("min_classes", "max_classes"):
             assert [c.canon for c in getattr(read, side)] == [c.canon for c in getattr(fresh, side)]
-
-    def test_read_report_holds_the_checked_scalars(self, tmp_path, c4, monkeypatch):
-        # true == 1 and 7.0 == 7 pass the (graph6, k) and count checks, but
-        # the report holds the ints it was checked against, not the record's
-        fresh = json.dumps(find_extremal(c4, 1).to_record(), sort_keys=True)
-        load_or_compute_extremal(c4, 1, str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        record = json.loads(path.read_text())
-        record["k"], record["class_count"] = True, 7.0
-        path.write_text(json.dumps(record, sort_keys=True))
-        monkeypatch.setattr(extremal, "find_extremal", no_search)
-        read = load_or_compute_extremal(c4, 1, str(tmp_path))
-        assert json.dumps(read.to_record(), sort_keys=True) == fresh
-
-    def test_record_without_trailing_newline_is_read(self, tmp_path, c4, monkeypatch):
-        # records written before the store shared the --json writer are one
-        # json.dumps string with no newline; they still load without a search
-        fresh = find_extremal(c4, 1).to_record()
-        load_or_compute_extremal(c4, 1, str(tmp_path))
-        (path,) = tmp_path.iterdir()
-        old = json.dumps(fresh, sort_keys=True)
-        path.write_text(old)
-        monkeypatch.setattr(extremal, "find_extremal", no_search)
-        assert load_or_compute_extremal(c4, 1, str(tmp_path)).to_record() == fresh
-        assert path.read_text() == old
 
     def test_failed_write_leaves_no_temporary_file(self, tmp_path, c4, monkeypatch):
         # the writer fails after its first piece while replacing a damaged

@@ -26,7 +26,7 @@ from restchroma import (
     star_graph,
     to_graph6,
 )
-from restchroma.restraints import _normal_form_count, _normal_form_masks, check_id_shapes, class_canons, id_masks
+from restchroma.restraints import _normal_form_count, _normal_form_masks, class_canons, id_masks
 from conftest import first_use_forms, labelled_graphs, restraint_of
 
 R = parse_restraint
@@ -188,20 +188,6 @@ class TestLiteralSyntax:
                        ("[{1},{3},{1},{3}]", 4), ("[{1}]", 0)]:
             with pytest.raises(ValueError, match="not the class id"):
                 RestraintClass.from_id(cid, n)
-
-    def test_id_shapes(self):
-        for g, k in [(cycle_graph(5), 1), (path_graph(4), 2), (Graph(1), 3)]:
-            check_id_shapes([cls.class_id() for cls in enumerate_k_restraints(g, k)], g.n, k)
-        check_id_shapes([], 3, 1)
-        ids = ["[{1},{2},{1},{2}]", "[{1},{1},{2},{2}]"]
-        for bad, n, k in [(ids + ["not a class"], 4, 1), (ids, 5, 1), (ids, 4, 2),
-                          (["[{1},{2},{1}]"], 4, 1), (["[{1,2},{1},{2},{2}]"], 4, 1)]:
-            with pytest.raises(ValueError, match="brace sets"):
-                check_id_shapes(bad, n, k)
-        # what one count over the joined ids cannot refuse: a well-formed id
-        # of another class, or two malformed ids whose counts balance
-        check_id_shapes(["[{1},{3},{1},{3}]"], 4, 1)
-        check_id_shapes(["[{1},{2},{1}]", "[{1},{2},{1},{2},{1}]"], 4, 1)
 
 
 class TestConstructions:

@@ -15,13 +15,8 @@ import os
 import sys
 
 from .engine import coeff_n1, coeff_n2, coeff_n3, count_colourings, restrained_poly, shared_pair_overlap
-from .extremal import (
-    THEOREMS,
-    check_conjecture,
-    search,
-    verify_theorems,
-    write_json,
-)
+from . import extremal
+from .extremal import THEOREMS, check_conjecture, verify_theorems, write_json
 from .graphs import (
     CapError,
     Graph,
@@ -170,7 +165,10 @@ def cmd_classes(args) -> int:
 def cmd_extremal(args) -> int:
     _check_results_dir(args.results_dir)
     g = load_graph(args.graph)
-    report = search(g, args.k, args.results_dir)
+    if args.results_dir:
+        report = extremal.load_or_compute_extremal(g, args.k, args.results_dir)
+    else:
+        report = extremal.find_extremal(g, args.k)
     obj = report.to_record()
     lines = [
         f"graph: {report.graph_id} (k={args.k}), {report.class_count} classes",

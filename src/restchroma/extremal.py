@@ -4,11 +4,10 @@ For a graph and restraint size k, find_extremal enumerates every
 equivalence class of k-restraints and ranks it by its closed-form top
 coefficients (engine.dominance_key).  Only the classes that tie the best or
 the worst key get their polynomial computed; the winners under eventual
-dominance are collected among them (all ties reported), and every other
-class's witness is read from its key.  The extremal and conjecture commands
-read that full search through search(): extremal from a results store
-(load_or_compute_extremal) when it is given one, else find_extremal.  The
-store serves extremal only.
+dominance (eventual_order) are collected among them (all ties reported),
+and every other class's witness is read from its key.  The conjecture
+command runs find_extremal, and so does the extremal command, unless it is
+given a results store (load_or_compute_extremal), which serves it only.
 
 Each theorem in THEOREMS is a predicate over one search per (graph, k),
 checked on every graph of a catalog that meets its hypotheses; violations
@@ -20,7 +19,7 @@ but no polynomials; a violation record computes the ones it shows.  It is
 held in one dict, _SEARCHES, emptied when a search would take it past
 SEARCH_MEMO_CLASSES proper classes, so the checks in one process share it.
 The theorem checks return only their verdicts; verify_theorems frames each
-record with the graph's graph6 and k.
+record with the graph's graph6, encoded once per graph, and k.
 """
 
 from __future__ import annotations
@@ -51,7 +50,11 @@ from .restraints import (
 # holds.  A search holds one canon per proper class, about a hundred bytes,
 # so this keeps the memo to about a MB while it still holds every search of
 # a catalog graph up to n = 7 at k = 1 (at most Bell(7) = 877 classes) long
-# enough for all theorems to read it.
+# enough for all theorems to read it.  Only repeated single-graph calls read
+# the memo, such as the ops of the bench verify workload: one pass of them
+# makes 58 searches and holds 507 proper classes, so nothing is evicted.  A
+# CLI verify run looks each graph up once, in one verify_theorems call that
+# shares the search among the theorems, so it never reads the memo.
 SEARCH_MEMO_CLASSES = 1 << 13
 
 
@@ -91,6 +94,15 @@ class ExtremalReport:
         }
 
 
+def eventual_order(p: IntPolynomial) -> tuple[int, ...]:
+    """Sort key of eventual dominance: p's coefficients from the top.  Every
+    polynomial compared here is a restrained chromatic polynomial of an
+    n-vertex graph, monic of degree n, so the first coefficient from the top
+    where two differ has the sign of their difference at every large enough
+    x, and the larger key is the larger polynomial there."""
+    return p.coeffs[::-1]
+
+
 def _gap(hi_key, lo_key, hi_poly, lo_poly, n: int) -> list:
     """Leading term of hi_poly - lo_poly as a witness value, the list
     [degree, str(coefficient)], read off the dominance keys when they differ
@@ -127,10 +139,8 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
         for i, (cls, class_key) in enumerate(zip(classes, keys))
         if class_key in (best, worst)
     }
-    # every polynomial is monic of degree n, so comparing the coefficient
-    # tuples from the top is eventual dominance
-    max_poly = max((p for i, p in polys.items() if keys[i] == best), key=lambda p: p.coeffs[::-1])
-    min_poly = min((p for i, p in polys.items() if keys[i] == worst), key=lambda p: p.coeffs[::-1])
+    max_poly = max((p for i, p in polys.items() if keys[i] == best), key=eventual_order)
+    min_poly = min((p for i, p in polys.items() if keys[i] == worst), key=eventual_order)
     max_witness = {}
     min_witness = {}
     gaps = {}  # key -> (max witness, min witness) of a class that ties neither
@@ -169,8 +179,6 @@ class TheoremSearch:
     computes one only to break a tie, and _unique_winner computes the
     winners' polynomial when it writes a violation."""
 
-    graph_id: str
-    k: int
     min_classes: tuple[RestraintClass, ...]
     max_classes: tuple[RestraintClass, ...]
     proper: tuple[tuple[int, ...], ...]
@@ -205,13 +213,11 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
         tied = [RestraintClass(c, g.n) for c, c_key in zip(canons, keys) if c_key == target]
         if len(tied) > 1:
             polys = [restrained_poly(g, c.representative, cache=memo) for c in tied]
-            # every polynomial is monic of degree n, so comparing the
-            # coefficient tuples from the top is eventual dominance
-            winner = extreme(polys, key=lambda p: p.coeffs[::-1])
+            winner = extreme(polys, key=eventual_order)
             tied = [c for c, p in zip(tied, polys) if p == winner]
         sides.append(tuple(tied))
     max_classes, min_classes = sides
-    return TheoremSearch(to_graph6(g), k, min_classes, max_classes, tuple(proper))
+    return TheoremSearch(min_classes, max_classes, tuple(proper))
 
 
 # -- resumable store -----------------------------------------------------------
@@ -304,8 +310,8 @@ def write_json(obj: dict, out) -> None:
 
 
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
-    """find_extremal with a results directory keyed by (graph6, k); search,
-    for the extremal command, is its caller in the package.
+    """find_extremal with a results directory keyed by (graph6, k), for the
+    extremal command.
 
     A file holds the record's --json bytes, hashed as write_json streams
     them, then its STORE_TRAILER line.  Files are written atomically
@@ -348,7 +354,6 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
 @dataclass
 class VerifyReport:
     theorem: str
-    k: int
     records: list
 
     @property
@@ -469,28 +474,19 @@ THEOREMS = {
 }
 
 
-def search(g: Graph, k: int, results_dir: str | None = None) -> ExtremalReport:
-    """The full search of (g, k) for the extremal and conjecture commands:
-    from the store in results_dir when that is a non-empty path
-    (load_or_compute_extremal), else find_extremal."""
-    if results_dir:
-        return load_or_compute_extremal(g, k, results_dir)
-    return find_extremal(g, k)
-
-
 # (graph6, k) -> the theorem search that the checks read again
 _SEARCHES: dict[tuple[str, int], TheoremSearch] = {}
 
 
-def _theorem_input(g: Graph, k: int) -> TheoremSearch:
+def _theorem_input(g: Graph, graph_id: str, k: int) -> TheoremSearch:
     """What the theorem checks read of (g, k): theorem_search, through
-    _SEARCHES.  The key is exact, as the search is a pure function of the
-    labelled graph and k.  A search of more than SEARCH_MEMO_CLASSES proper
-    classes is not kept, and one that would take the held searches past that
-    total empties _SEARCHES first.  A refused search raises CapError and
-    keeps nothing.  Every caller is handed the same object, so none may
-    mutate it."""
-    key = (to_graph6(g), k)
+    _SEARCHES under (graph_id, k), graph_id being g's graph6.  The key is
+    exact, as the search is a pure function of the labelled graph and k.  A
+    search of more than SEARCH_MEMO_CLASSES proper classes is not kept, and
+    one that would take the held searches past that total empties _SEARCHES
+    first.  A refused search raises CapError and keeps nothing.  Every
+    caller is handed the same object, so none may mutate it."""
+    key = (graph_id, k)
     found = _SEARCHES.get(key)
     if found is None:
         found = theorem_search(g, k)
@@ -513,17 +509,18 @@ def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
         raise ValueError("k must be at least 1")
     records: dict[str, list] = {theorem: [] for theorem in theorems}
     for g in catalog:
+        graph_id = to_graph6(g)
         found = None
         for theorem, recs in records.items():
             hypotheses, check = THEOREMS[theorem]
             reason = next((reason for reason, holds in hypotheses if not holds(g)), None)
             if reason is not None:
-                recs.append({"graph6": to_graph6(g), "k": k, "skipped": reason})
+                recs.append({"graph6": graph_id, "k": k, "skipped": reason})
                 continue
             if found is None:
-                found = _theorem_input(g, k)
-            recs.append({"graph6": found.graph_id, "k": k, **check(g, k, found)})
-    return {theorem: VerifyReport(theorem, k, recs) for theorem, recs in records.items()}
+                found = _theorem_input(g, graph_id, k)
+            recs.append({"graph6": graph_id, "k": k, **check(g, k, found)})
+    return {theorem: VerifyReport(theorem, recs) for theorem, recs in records.items()}
 
 
 def verify_min_theorem(catalog, k: int) -> VerifyReport:
@@ -594,7 +591,7 @@ def check_conjecture(n: int) -> dict:
     """
     star, uncovered = conjectured_odd_cycle_restraint(n)
     g = cycle_graph(n)
-    report = search(g, 1)
+    report = find_extremal(g, 1)
     winners = sorted(_ids(report.max_classes))
     rec = {
         "n": n,

@@ -326,7 +326,6 @@ def from_name(name: str) -> Graph:
             return empty_graph(size)
     except ValueError as exc:
         raise ParseError(f"bad graph name {quote_input(name)}: {exc}") from exc
-    raise ParseError(f"unknown graph name {quote_input(name)}")
 
 
 # -- ingestion ------------------------------------------------------------------

@@ -124,6 +124,10 @@ class TestCount:
         assert code == 0
         assert "6" in out
 
+    def test_requires_x(self, capsys):
+        code, out, err = run(capsys, "count", "--graph", "C4")
+        assert (code, out, err) == (2, "", "error: count requires --x\n")
+
 
 class TestCoeffs:
     def test_breakdown(self, capsys):
@@ -326,7 +330,7 @@ class TestVerify:
 
         def fake(theorems, catalog, k):
             rec = {"graph6": "Cl", "k": k, "ok": False}
-            return {theorem: VerifyReport(theorem=theorem, k=k, records=[rec]) for theorem in theorems}
+            return {theorem: VerifyReport(theorem=theorem, records=[rec]) for theorem in theorems}
 
         monkeypatch.setattr(cli_module, "verify_theorems", fake)
         code, out, _ = run(capsys, "verify", "--theorem", "min", "--n-max", "3")
@@ -388,8 +392,8 @@ class TestVerify:
             assert obj["theorems"][theorem] == {"records": report.records, "violations": len(report.violations)}
 
     def test_all_prints_a_summary_per_theorem(self, capsys, monkeypatch):
-        def failing(g, k, report):
-            return {"graph6": report.graph_id, "k": k, "ok": False}
+        def failing(g, k, found):
+            return {"ok": False}
 
         code, out, _ = run(capsys, "verify", "--theorem", "all", "--graph", "C4")
         assert code == 0

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from collections import Counter
 from itertools import combinations, permutations
@@ -39,6 +40,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            Graph(-1)
+
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0)])
         assert g.m == 1
@@ -57,6 +62,17 @@ class TestConstruction:
         assert from_name("S3") == star_graph(3)
         with pytest.raises(ParseError):
             from_name("Q5")
+
+    @pytest.mark.parametrize("name, reason", [
+        ("C2", "cycle needs at least three vertices"),
+        ("P0", "path needs at least one vertex"),
+        ("K0", "complete graph needs at least one vertex"),
+        ("K0,3", "both sides need at least one vertex"),
+        ("S0", "star needs at least one leaf"),
+    ])
+    def test_from_name_refuses_a_size_outside_its_family(self, name, reason):
+        with pytest.raises(ParseError, match=re.escape(f"bad graph name '{name}': {reason}")):
+            from_name(name)
 
 
 class TestCensus:
@@ -266,6 +282,20 @@ class TestGraph6:
         with pytest.raises(ParseError):
             parse_graph6("C")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph6 input"),
+        ("A!", "invalid graph6 character '!'"),
+        ("~??", "graph6 inputs beyond 62 vertices are not supported"),
+        ("B~", "graph6 padding bits must be zero"),  # n = 3 uses 3 of the 6 bits of '~'
+    ], ids=["empty", "below-63", "n-above-62", "nonzero-padding"])
+    def test_refuses(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_graph6(text)
+
+    def test_writes_at_most_62_vertices(self):
+        with pytest.raises(ValueError, match="graph6 output beyond 62 vertices is not supported"):
+            to_graph6(Graph(63))
+
 
 class TestEdgeList:
     def test_parse(self):
@@ -295,6 +325,16 @@ class TestEdgeList:
         with pytest.raises(ParseError, match="header"):
             parse_edgelist("0 1\n1 2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("# a comment\n\n# and another\n", "empty edge-list input"),
+        ("n x", "bad vertex count 'x'"),
+        ("n -1", "vertex count must be nonnegative"),
+        ("n 3\n0 a", "bad edge line '0 a'"),
+    ], ids=["comments-only", "count-not-an-int", "negative-count", "endpoint-not-an-int"])
+    def test_refuses(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_edgelist(text)
+
 
 def masks_by_relabelling(g):
     """Edge mask of each labelling of g, g's own first: bit i stands for the
@@ -315,7 +355,7 @@ class TestCatalog:
         assert [sizes[n] for n in range(1, 8)] == [1, 1, 1, 3, 5, 17, 44]
 
     def test_empty_catalog_rejected(self):
-        for catalog in (connected_catalog, connected_bipartite_catalog):
+        for catalog in (connected_catalog, connected_bipartite_catalog, all_connected_graphs):
             for n_max in (0, -3):
                 with pytest.raises(ValueError):
                     catalog(n_max)

@@ -23,6 +23,10 @@ class TestConstruction:
         assert poly() == IntPolynomial()
         assert poly().degree == -1
 
+    def test_negative_coefficient_index_refused(self):
+        with pytest.raises(ValueError, match="coefficient index must be nonnegative"):
+            poly(1, 2).coefficient(-1)
+
 
 def linear_factors(roots):
     """Product of (x - a) over roots, built with IntPolynomial's product."""

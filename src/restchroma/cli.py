@@ -29,6 +29,7 @@ from .graphs import (
 )
 from .restraints import (
     Restraint,
+    RestraintClass,
     empty_restraint,
     enumerate_k_restraints,
     is_proper,
@@ -148,13 +149,12 @@ def cmd_coeffs(args) -> int:
 
 def cmd_classes(args) -> int:
     g = load_graph(args.graph)
-    classes = enumerate_k_restraints(g, args.k)
     entries = [
         {"restraint": cls.class_id(), "proper": is_proper(g, cls.representative)}
-        for cls in classes
+        for cls in (RestraintClass(canon, g.n) for canon in enumerate_k_restraints(g, args.k))
     ]
-    obj = {"graph6": to_graph6(g), "k": args.k, "count": len(classes), "classes": entries}
-    lines = [f"{len(classes)} classes on {to_graph6(g)} (k={args.k})"]
+    obj = {"graph6": to_graph6(g), "k": args.k, "count": len(entries), "classes": entries}
+    lines = [f"{len(entries)} classes on {to_graph6(g)} (k={args.k})"]
     for i, entry in enumerate(entries, 1):
         tag = " proper" if entry["proper"] else ""
         lines.append(f"{i}. {entry['restraint']}{tag}")

@@ -45,22 +45,23 @@ class MemoCache:
     """Memo table for the recursion: the value at X of each exact labeled
     subproblem, keyed on (adj, sets, X), so queries at two points never mix.
 
-    _rec reads and writes the table itself and counts hits and misses.
-    Entries are never dropped, so the peak entry count is the table's size.
+    _rec reads and writes the table and counts hits; each miss stores one
+    entry, never dropped, so misses and peak_entries are the table's size.
     Passing one cache to several computations lets them reuse each other's
     subproblems.  It is not synchronised: use it from one thread at a time.
     """
 
-    __slots__ = ("_table", "hits", "misses")
+    __slots__ = ("_table", "hits")
 
     def __init__(self):
         self._table: dict = {}
         self.hits = 0
-        self.misses = 0
 
     @property
-    def peak_entries(self) -> int:
+    def misses(self) -> int:
         return len(self._table)
+
+    peak_entries = misses
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "peak_entries": self.peak_entries}
@@ -138,7 +139,6 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
     if value is not None:
         memo.hits += 1
         return value
-    memo.misses += 1
     if not any(adj):
         value = 1
         for s in sets:

@@ -1,12 +1,12 @@
 """Exhaustive extremal-restraint search and theorem verification.
 
-For a graph and restraint size k, find_extremal enumerates every
-equivalence class of k-restraints and ranks it by its closed-form top
-coefficients (engine.dominance_key).  Only the classes that tie the best or
-the worst key get their polynomial computed; the winners under eventual
-dominance (eventual_order) are collected among them (all ties reported),
-and every other class's witness is read from its key.  The conjecture
-command runs find_extremal, and so does the extremal command, unless it is
+For a graph and restraint size k, find_extremal lists the canon of every
+equivalence class of k-restraints (enumerate_k_restraints) and ranks it by
+its closed-form top coefficients (engine.dominance_key).  Only the classes
+that tie the best or the worst key get their polynomial computed; the
+winners under eventual dominance (eventual_order) are collected among them
+(all ties reported), and every other class's witness is read from its key.
+The conjecture command runs find_extremal, and so does the extremal command, unless it is
 given a results store (load_or_compute_extremal), which serves it only.
 
 Each theorem in THEOREMS is a predicate over one search per (graph, k),
@@ -38,7 +38,6 @@ from .restraints import (
     Restraint,
     alternating_restraint,
     canonicalize,
-    class_canons,
     constant_restraint,
     enumerate_k_restraints,
     incidence_masks,
@@ -127,16 +126,17 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     polynomial, so ties mean exactly equal polynomials.  Only those classes
     compare polynomials: every other class's key differs from both the best
     and the worst, so both its witnesses are read from the keys, once per
-    distinct key, and every class with that key shares the pair.
+    distinct key, and every class with that key shares the pair.  A
+    RestraintClass is built only for a tied class or a winner.
     """
-    classes = enumerate_k_restraints(g, k)
+    canons = enumerate_k_restraints(g, k)
     key = dominance_key(g, k)
-    keys = [key(c.canon) for c in classes]
+    keys = list(map(key, canons))
     best, worst = max(keys), min(keys)
     memo = cache if cache is not None else MemoCache()
     polys = {
-        i: restrained_poly(g, cls.representative, cache=memo)
-        for i, (cls, class_key) in enumerate(zip(classes, keys))
+        i: restrained_poly(g, RestraintClass(canons[i], g.n).representative, cache=memo)
+        for i, class_key in enumerate(keys)
         if class_key in (best, worst)
     }
     max_poly = max((p for i, p in polys.items() if keys[i] == best), key=eventual_order)
@@ -144,8 +144,8 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     max_witness = {}
     min_witness = {}
     gaps = {}  # key -> (max witness, min witness) of a class that ties neither
-    for i, (cls, class_key) in enumerate(zip(classes, keys)):
-        cid = cls.class_id()
+    for i, (canon, class_key) in enumerate(zip(canons, keys)):
+        cid = RestraintClass(canon, g.n).class_id()
         poly = polys.get(i)
         if poly is None:
             pair = gaps.get(class_key)
@@ -161,9 +161,9 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     return ExtremalReport(
         graph_id=to_graph6(g),
         k=k,
-        class_count=len(classes),
-        min_classes=tuple(classes[i] for i, p in polys.items() if p == min_poly),
-        max_classes=tuple(classes[i] for i, p in polys.items() if p == max_poly),
+        class_count=len(canons),
+        min_classes=tuple(RestraintClass(canons[i], g.n) for i, p in polys.items() if p == min_poly),
+        max_classes=tuple(RestraintClass(canons[i], g.n) for i, p in polys.items() if p == max_poly),
         min_poly=min_poly,
         max_poly=max_poly,
         max_witness=max_witness,
@@ -185,8 +185,8 @@ class TheoremSearch:
 
 
 def theorem_search(g: Graph, k: int) -> TheoremSearch:
-    """find_extremal's winners of (g, k), from two filtered walks
-    (class_canons) that list and key only the classes that can win.
+    """find_extremal's winners of (g, k), from two filtered walks of
+    enumerate_k_restraints, which list and key only the classes that can win.
 
     engine.dominance_key ranks classes by I2 = sum over edges uv of
     |r(u) & r(v)| before anything else, the fewer the better.  Giving every
@@ -202,8 +202,8 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
     """
     adj = g.adjacency_masks()
     below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
-    proper = class_canons(g, k, adj, [0] * g.n)
-    equal = class_canons(g, k, below, below)
+    proper = enumerate_k_restraints(g, k, adj, [0] * g.n)
+    equal = enumerate_k_restraints(g, k, below, below)
     key = dominance_key(g, k)
     memo = MemoCache()
     sides = []

@@ -6,8 +6,9 @@ colour renaming), canonical class representatives, and exhaustive
 enumeration of k-restraints up to equivalence.
 
 Classes are colour incidence masks (one vertex bitmask per colour) from
-generation on; a Restraint is built from one only on demand, and a class id
-is rendered (RestraintClass.class_id), decoded (id_masks) and checked
+generation on, listed as canons by enumerate_k_restraints only; a
+RestraintClass or Restraint is built from one only on demand, and a class
+id is rendered (RestraintClass.class_id), decoded (id_masks) and checked
 (RestraintClass.from_id) only here.  Both canonicalisation and enumeration
 go through _orbit_rows, the sorted mask tuples of a restraint's distinct
 automorphic images: the canon is their minimum, and the enumeration marks a
@@ -16,8 +17,8 @@ with a trivial group the enumeration skips them: each colour class is then
 one class, and its sorted masks its canon.  Images are computed a whole row
 of automorphisms at a time: each vertex has a column of its image bits, one
 per automorphism, and a mask's row is its lowest bit's column ORed onto the
-row of the rest.  Rows are cached for one class_canons or canonicalize
-call, so the cache holds up to |Aut| ints for each distinct mask it meets.
+row of the rest.  Rows are cached for one enumerate_k_restraints or
+canonicalize call, so the cache holds up to |Aut| ints per distinct mask.
 
 The enumeration walks one sorted form per colour class
 (_normal_form_masks), one colour slot of a vertex at a time over immutable
@@ -30,9 +31,8 @@ the walk's work is proportional to its visits.  FORMS_BUDGET is checked
 against _normal_form_count, which counts the first-use normal forms without
 that rule: the walk makes the same choices, so that count bounds its visits
 from above.  The walk takes an optional per-vertex filter on what a slot
-may join, and class_canons runs the enumeration's orbit deduplication over
-a filtered walk: the theorem search lists only the proper classes, or only
-those with equal sets on every edge, that way.
+may join, which enumerate_k_restraints passes on: so the theorem search
+lists only the proper classes, or only those with equal sets on every edge.
 """
 
 from __future__ import annotations
@@ -373,6 +373,7 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
                 rec(v + 1, child, 0, k)
 
     rec(0, (), 0, k)
+    del rec  # rec holds itself and visit, which only the cyclic collector would free
 
 
 def _joinable(masks: tuple[int, ...], start: int, end: int, avoid: int, need: int) -> list[int]:
@@ -412,11 +413,12 @@ def _normal_form_count(n: int, k: int) -> int:
     return sum(ways)
 
 
-def class_canons(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...]]:
-    """The sorted canons of the classes of k-restraints on g, or with
-    per-vertex masks avoid and need only of those that pass the walk's
-    filter (_normal_form_masks); the property filtered for must be kept by
-    every automorphism of g, as properness and equal sets on every edge are.
+def enumerate_k_restraints(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...]]:
+    """The sorted canons of the equivalence classes of k-restraints on g, one
+    per class (RestraintClass(canon, g.n) is its class), or with per-vertex
+    masks avoid and need only of those that pass the walk's filter
+    (_normal_form_masks); the property filtered for must be kept by every
+    automorphism of g, as properness and equal sets on every edge are.
 
     Walks one sorted form per colour class (_normal_form_masks, slot by
     slot, whose runs of equal masks stay contiguous and are joined only
@@ -450,9 +452,3 @@ def class_canons(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...
     _normal_form_masks(g.n, k, visit, avoid, need)
     canons.sort()
     return canons
-
-
-def enumerate_k_restraints(g: Graph, k: int) -> list[RestraintClass]:
-    """One representative per equivalence class of k-restraints on g, sorted
-    by canon (class_canons, unfiltered)."""
-    return [RestraintClass(c, g.n) for c in class_canons(g, k)]

@@ -4,7 +4,10 @@ from itertools import combinations, zip_longest
 
 import pytest
 
-from restchroma import Graph, IntPolynomial, Restraint, cycle_graph, extremal, path_graph, to_graph6
+from restchroma import (
+    Graph, IntPolynomial, Restraint, RestraintClass, cycle_graph, enumerate_k_restraints, extremal, path_graph,
+    to_graph6,
+)
 from restchroma.graphs import _min_mask_form
 
 
@@ -53,6 +56,12 @@ def random_restraint(rng: random.Random, n: int, max_colour: int = 6, max_size: 
         size = rng.randint(0, max_size)
         sets.append(rng.sample(range(1, max_colour + 1), min(size, max_colour)))
     return Restraint(sets)
+
+
+def restraint_classes(g: Graph, k: int) -> list[RestraintClass]:
+    """The class of each canon that enumerate_k_restraints(g, k) lists, in
+    its order, for the tests that read a class's id or representative."""
+    return [RestraintClass(canon, g.n) for canon in enumerate_k_restraints(g, k)]
 
 
 def restraint_of(masks, n: int) -> Restraint:

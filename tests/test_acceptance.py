@@ -21,7 +21,6 @@ from restchroma import (
     count_colourings,
     cycle_graph,
     empty_restraint,
-    enumerate_k_restraints,
     find_extremal,
     is_proper,
     parse_restraint,
@@ -33,7 +32,7 @@ from restchroma import (
     verify_properness,
 )
 from restchroma import engine
-from conftest import random_pivot
+from conftest import random_pivot, restraint_classes
 
 R = parse_restraint
 
@@ -100,7 +99,7 @@ def test_criterion_3_path_tie():
 
 def test_criterion_4_four_cycle_suite():
     c4 = cycle_graph(4)
-    classes = enumerate_k_restraints(c4, 1)
+    classes = restraint_classes(c4, 1)
     for cls in classes:
         _poly(c4, cls.representative)
     proper = [cls for cls in classes if is_proper(c4, cls.representative)]
@@ -125,7 +124,7 @@ def test_criterion_5_oracle_equivalence():
     mismatches = 0
     checked = 0
     for g in connected_catalog_upto(5):
-        for cls in enumerate_k_restraints(g, 1):
+        for cls in restraint_classes(g, 1):
             r = cls.representative
             p = _poly(g, r)
             m = r.m_value()

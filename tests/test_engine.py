@@ -29,7 +29,6 @@ from restchroma import (
     empty_graph,
     empty_restraint,
     from_name,
-    enumerate_k_restraints,
     parse_restraint,
     path_graph,
     restrained_poly,
@@ -46,6 +45,7 @@ from conftest import (
     random_graph,
     random_pivot,
     random_restraint,
+    restraint_classes,
     subgraph_expansion,
 )
 
@@ -174,7 +174,7 @@ class TestPolynomialMeaning:
         for n in range(1, 6):
             for g in all_connected_graphs(n):
                 autos = g.automorphisms()
-                for cls in enumerate_k_restraints(g, 1):
+                for cls in restraint_classes(g, 1):
                     perm = rng.choice(autos)
                     shiftc = rng.randint(0, 3)
                     scrambled = [set() for _ in range(g.n)]
@@ -322,7 +322,7 @@ def dominance_key_mismatches(graphs, k: int) -> list:
         key = dominance_key(g, k)
         memo = MemoCache()
         offsets = set()
-        for cls in enumerate_k_restraints(g, k):
+        for cls in restraint_classes(g, k):
             p = restrained_poly(g, cls.representative, cache=memo)
             top2, top3 = (p.coefficient(d) if d >= 0 else 0 for d in (g.n - 2, g.n - 3))
             i2, six_v3 = key(cls.canon)

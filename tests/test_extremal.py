@@ -41,7 +41,7 @@ from restchroma import (
     verify_min_theorem,
     verify_properness,
 )
-from conftest import labelled_graphs, no_search
+from conftest import labelled_graphs, no_search, restraint_classes
 
 R = parse_restraint
 
@@ -115,7 +115,7 @@ def theorem_search_mismatches(graphs, k):
             poly = getattr(report, f"{side}_poly")
             if any(restrained_poly(g, c.representative) != poly for c in getattr(found, f"{side}_classes")):
                 bad.append((report.graph_id, f"{side} polynomial"))
-        proper = [c.canon for c in enumerate_k_restraints(g, k) if is_proper(g, c.representative)]
+        proper = [c.canon for c in restraint_classes(g, k) if is_proper(g, c.representative)]
         if sorted(found.proper) != sorted(proper):
             bad.append((report.graph_id, "proper classes"))
     return bad
@@ -147,7 +147,7 @@ class TestFindExtremal:
         rep = find_extremal(c4, 1)
         winners = {c.class_id() for c in rep.max_classes}
         assert set(rep.max_witness) == {
-            c.class_id() for c in enumerate_k_restraints(c4, 1)
+            c.class_id() for c in restraint_classes(c4, 1)
         } - winners
         for degree, coeff in rep.max_witness.values():
             assert int(coeff) > 0
@@ -162,7 +162,7 @@ class TestFindExtremal:
         cases = [(g, k) for k in (1, 2) for g in connected_catalog(4)] + [(cycle_graph(6), 1)]
         for g, k in cases:
             rep = find_extremal(g, k)
-            for cls in enumerate_k_restraints(g, k):
+            for cls in restraint_classes(g, k):
                 p = restrained_poly(g, cls.representative)
                 cid = cls.class_id()
                 for witness, diff in ((rep.max_witness, rep.max_poly - p), (rep.min_witness, p - rep.min_poly)):
@@ -177,7 +177,7 @@ class TestFindExtremal:
         cases = [(g, 1) for g in connected_catalog(5)] + [(g, 2) for g in connected_catalog(4)]
         for g, k in cases:
             rep = find_extremal(g, k)
-            every = {c.class_id() for c in enumerate_k_restraints(g, k)}
+            every = {c.class_id() for c in restraint_classes(g, k)}
             assert len(rep.max_classes) + len(rep.max_witness) == rep.class_count == len(every)
             assert {c.class_id() for c in rep.max_classes} | set(rep.max_witness) == every
             assert {c.class_id() for c in rep.min_classes} | set(rep.min_witness) == every
@@ -190,7 +190,7 @@ class TestFindExtremal:
 
         g = path_graph(8)
         key = dominance_key(g, 1)
-        keys = [key(c.canon) for c in enumerate_k_restraints(g, 1)]
+        keys = list(map(key, enumerate_k_restraints(g, 1)))
         tied = sum(k in (max(keys), min(keys)) for k in keys)
         built = []
         real = restraints.Restraint
@@ -513,7 +513,7 @@ class TestPropernessTheorem:
             rep = find_extremal(g, 1)
             rainbow = canonicalize(g, R("[" + ",".join("{%d}" % (i + 1) for i in range(n)) + "]"))
             assert canons(rep.max_classes) == {rainbow.canon}
-            proper = [c for c in enumerate_k_restraints(g, 1) if is_proper(g, c.representative)]
+            proper = [c for c in restraint_classes(g, 1) if is_proper(g, c.representative)]
             assert len(proper) == 1
 
 
@@ -563,7 +563,7 @@ class TestProperCoefficientAgreement:
     def test_extracted_polynomials_agree_to_third(self, c4):
         polys = [
             restrained_poly(c4, cls.representative)
-            for cls in enumerate_k_restraints(c4, 1)
+            for cls in restraint_classes(c4, 1)
             if is_proper(c4, cls.representative)
         ]
         tops = {tuple(p.coefficient(i) for i in (4, 3, 2)) for p in polys}
@@ -668,6 +668,25 @@ class TestTheoremSearch:
         with pytest.raises(CapError) as found:
             extremal.theorem_search(cycle_graph(13), 1)
         assert str(found.value) == str(full.value)
+
+    def test_both_searches_list_through_one_function(self, monkeypatch, c4):
+        # wrapped where the bench tracer wraps it: the full search lists
+        # every class in one unfiltered call, and the theorem search makes
+        # its two filtered walks through it, the proper one first
+        calls = []
+        real = extremal.enumerate_k_restraints
+
+        def counting(g, k, avoid=None, need=None):
+            calls.append((avoid, need))
+            return real(g, k, avoid, need)
+
+        monkeypatch.setattr(extremal, "enumerate_k_restraints", counting)
+        find_extremal(c4, 1)
+        assert calls == [(None, None)]
+        calls.clear()
+        found = extremal.theorem_search(c4, 1)
+        assert calls == [((10, 5, 10, 5), [0] * 4), ([0, 1, 2, 5], [0, 1, 2, 5])]
+        assert len(found.proper) == 3
 
 
 class TestSearchMemo:

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import permutations
 
@@ -26,8 +27,8 @@ from restchroma import (
     star_graph,
     to_graph6,
 )
-from restchroma.restraints import _normal_form_count, _normal_form_masks, class_canons, id_masks
-from conftest import first_use_forms, labelled_graphs, restraint_of
+from restchroma.restraints import _normal_form_count, _normal_form_masks, id_masks
+from conftest import first_use_forms, labelled_graphs, restraint_classes, restraint_of
 
 R = parse_restraint
 
@@ -39,7 +40,7 @@ def class_id_mismatches(g: Graph, k: int) -> list[tuple[str, str]]:
     representative, or whose id does not decode (id_masks) to its canon.
     The formula shares no code with class_id."""
     bad = []
-    for cls in enumerate_k_restraints(g, k):
+    for cls in restraint_classes(g, k):
         reference = restraint_of(cls.canon, g.n)
         cid = cls.class_id()
         expected = render_restraint(reference)
@@ -96,8 +97,8 @@ def filtered_walk_faults(g: Graph, k: int) -> list[str]:
     (is_proper) and needing the earlier neighbours (equal sets on every
     edge).  Each filter is checked on the colour classes that
     _normal_form_masks visits, each visited once, and on the restraint
-    classes of class_canons; every filtered walk must hand over its masks
-    sorted."""
+    classes that enumerate_k_restraints lists with it; every filtered walk
+    must hand over its masks sorted."""
     adj = g.adjacency_masks()
     below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
     zero = [0] * g.n
@@ -108,7 +109,7 @@ def filtered_walk_faults(g: Graph, k: int) -> list[str]:
     }
     every = []
     _normal_form_masks(g.n, k, lambda masks: every.append((tuple(sorted(masks)), restraint_of(masks, g.n))))
-    classes = enumerate_k_restraints(g, k)
+    classes = restraint_classes(g, k)
     faults = []
     for name, (avoid, need, holds) in filters.items():
         visited = []
@@ -117,7 +118,7 @@ def filtered_walk_faults(g: Graph, k: int) -> list[str]:
             faults.append(f"{name} unsorted visits")
         if sorted(visited) != sorted(m for m, r in every if holds(r)):
             faults.append(f"{name} colour classes")
-        if class_canons(g, k, avoid, need) != [c.canon for c in classes if holds(c.representative)]:
+        if enumerate_k_restraints(g, k, avoid, need) != [c.canon for c in classes if holds(c.representative)]:
             faults.append(f"{name} classes")
     return faults
 
@@ -158,7 +159,7 @@ class TestLiteralSyntax:
         # a class id is also a restraint literal of the class's representative
         for n, k in [(5, 1), (4, 2)]:
             for g in connected_catalog(n):
-                for cls in enumerate_k_restraints(g, k):
+                for cls in restraint_classes(g, k):
                     cid = cls.class_id()
                     r = R(cid)
                     assert r == cls.representative == R(cid.replace("{", "[").replace("}", "]"))
@@ -169,7 +170,7 @@ class TestLiteralSyntax:
         cases += [(cycle_graph(4), 3), (path_graph(4), 3), (Graph(0), 1)]
         for g, k in cases:
             assert class_id_mismatches(g, k) == []
-        assert [c.class_id() for c in enumerate_k_restraints(Graph(0), 1)] == ["[]"]
+        assert [c.class_id() for c in restraint_classes(Graph(0), 1)] == ["[]"]
 
     def test_id_masks_decode_class_ids(self):
         assert id_masks("[]") == []
@@ -180,7 +181,7 @@ class TestLiteralSyntax:
 
     def test_from_id_accepts_exactly_class_ids(self):
         for g, k in [(g, 1) for g in connected_catalog(5)] + [(cycle_graph(4), 2), (Graph(0), 1)]:
-            for cls in enumerate_k_restraints(g, k):
+            for cls in restraint_classes(g, k):
                 assert RestraintClass.from_id(cls.class_id(), g.n).class_id() == cls.class_id()
         # swapped labels, a fifth vertex set, not an id, an id whose masks
         # re-encode to [{1},{2},{1},{2}], and a non-empty id on no vertices
@@ -291,7 +292,7 @@ class TestEnumeration:
         ]
         canons = {canonicalize(c4, R(lit)).canon for lit in reference}
         assert len(canons) == 7
-        assert canons == {cls.canon for cls in classes}
+        assert canons == set(classes)
 
     def test_k_below_one_rejected(self, c3):
         with pytest.raises(ValueError, match="k must be at least 1"):
@@ -302,19 +303,18 @@ class TestEnumeration:
 
     def test_classes_are_valid_k_restraints(self, c4):
         for k in (1, 2):
-            for cls in enumerate_k_restraints(c4, k):
+            for cls in restraint_classes(c4, k):
                 r = cls.representative
                 assert r.sizes() == (k,) * c4.n and r.m_value() <= k * c4.n
 
     def test_classes_pairwise_nonequivalent(self, c4):
-        classes = enumerate_k_restraints(c4, 1)
-        canons = [cls.canon for cls in classes]
+        canons = enumerate_k_restraints(c4, 1)
         assert len(set(canons)) == len(canons)
 
     def test_completeness_spot_check(self, c4):
         # any random simple restraint lands in an enumerated class
         rng = random.Random(13)
-        canons = {cls.canon for cls in enumerate_k_restraints(c4, 1)}
+        canons = set(enumerate_k_restraints(c4, 1))
         for _ in range(100):
             r = Restraint([[rng.randint(1, 4)] for _ in range(4)])
             assert canonicalize(c4, r).canon in canons
@@ -322,7 +322,7 @@ class TestEnumeration:
     def test_completeness_spot_check_k2(self):
         g = path_graph(4)
         rng = random.Random(14)
-        canons = {cls.canon for cls in enumerate_k_restraints(g, 2)}
+        canons = set(enumerate_k_restraints(g, 2))
         for _ in range(60):
             r = Restraint([rng.sample(range(1, 9), 2) for _ in range(4)])
             assert canonicalize(g, r).canon in canons
@@ -340,7 +340,7 @@ class TestEnumeration:
             reference = sorted({
                 canonicalize(g, restraint_of(masks, g.n)).canon for masks in first_use_forms(g.n, k)
             })
-            assert [cls.canon for cls in classes] == reference
+            assert classes == reference
             perm = list(range(g.n))
             rng.shuffle(perm)
             relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
@@ -371,7 +371,7 @@ class TestEnumeration:
                 seen |= images
                 reference.append(min(images))
                 assert canonicalize(g, restraint_of(masks, g.n)).canon == min(images)
-            assert [cls.canon for cls in enumerate_k_restraints(g, k)] == sorted(reference)
+            assert enumerate_k_restraints(g, k) == sorted(reference)
 
     def test_trivial_group_computes_no_orbit(self, monkeypatch):
         # with |Aut| = 1 each colour class is one restraint class: the walk's
@@ -384,7 +384,7 @@ class TestEnumeration:
         g = next(g for g in connected_catalog(6) if g.n == 6 and len(g.automorphisms()) == 1)
         monkeypatch.setattr(restraints, "_orbit_rows", no_orbit)
         for k, count in [(1, 203), (2, 29_388)]:
-            canons = [cls.canon for cls in enumerate_k_restraints(g, k)]
+            canons = enumerate_k_restraints(g, k)
             assert len(canons) == len(set(canons)) == count
             assert canons == sorted(canons)
 
@@ -429,6 +429,18 @@ class TestEnumeration:
             _normal_form_masks(2, k, visited.append)
             assert sorted(visited) == sorted(
                 tuple(sorted((0b11,) * j + (0b01, 0b10) * (k - j))) for j in range(k + 1)), k
+
+    def test_walk_leaves_no_reference_cycle(self):
+        # the recursive walk would hold itself and its visit, and whatever
+        # that holds (an enumeration's seen set), until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            for n, k in [(4, 1), (4, 2)]:
+                _normal_form_masks(n, k, [].append)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_filtered_walks_list_the_classes_with_their_property(self, k):

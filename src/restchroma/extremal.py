@@ -174,14 +174,16 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
 @dataclass(frozen=True)
 class TheoremSearch:
     """What the theorem checks read of one (graph, k): each side's winners,
-    as an ExtremalReport holds them, and proper, the canons of every proper
-    class, the max winners included.  It holds no polynomial: a search
-    computes one only to break a tie, and _unique_winner computes the
-    winners' polynomial when it writes a violation."""
+    as an ExtremalReport holds them; proper, the canons of every proper
+    class; and max_tied, those that tie the best key, in canon order, before
+    polynomials break the tie.  It holds no polynomial: a search computes
+    one only to break a tie, and _unique_winner computes the winners'
+    polynomial when it writes a violation."""
 
     min_classes: tuple[RestraintClass, ...]
     max_classes: tuple[RestraintClass, ...]
     proper: tuple[tuple[int, ...], ...]
+    max_tied: tuple[tuple[int, ...], ...]
 
 
 def theorem_search(g: Graph, k: int) -> TheoremSearch:
@@ -198,7 +200,8 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
     When one class ties a side's extreme key, it is that side's winner and
     gets no polynomial.  When two or more tie, each gets one, all through
     one MemoCache, and the winners are those with the largest or the
-    smallest, in canon order, as in find_extremal.
+    smallest, in canon order, as in find_extremal; max_tied keeps the max
+    side's tied canons, for _a7_check.
     """
     adj = g.adjacency_masks()
     below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
@@ -210,14 +213,15 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
     for canons, extreme in ((proper, max), (equal, min)):
         keys = list(map(key, canons))
         target = extreme(keys)
-        tied = [RestraintClass(c, g.n) for c, c_key in zip(canons, keys) if c_key == target]
-        if len(tied) > 1:
-            polys = [restrained_poly(g, c.representative, cache=memo) for c in tied]
+        tied = tuple(c for c, c_key in zip(canons, keys) if c_key == target)
+        winners = [RestraintClass(c, g.n) for c in tied]
+        if len(winners) > 1:
+            polys = [restrained_poly(g, c.representative, cache=memo) for c in winners]
             winner = extreme(polys, key=eventual_order)
-            tied = [c for c, p in zip(tied, polys) if p == winner]
-        sides.append(tuple(tied))
-    max_classes, min_classes = sides
-    return TheoremSearch(min_classes, max_classes, tuple(proper))
+            winners = [c for c, p in zip(winners, polys) if p == winner]
+        sides.append((tied, tuple(winners)))
+    (max_tied, max_classes), (_, min_classes) = sides
+    return TheoremSearch(min_classes, max_classes, tuple(proper), max_tied)
 
 
 # -- resumable store -----------------------------------------------------------
@@ -416,47 +420,37 @@ def _a7_check(g: Graph, k: int, found: TheoremSearch) -> dict:
     that minimum pins down a unique class, and gives the once-per-pair
     overlap variant (engine.shared_pair_overlap) for each attaining class.
 
-    Both terms are sums over the colour masks of a class's canon: A7''
-    charges a mask -C(|N(v) & mask|, 2) at each vertex v, and the pair term
-    -1 for each pair of its vertices with a common neighbour.  Each mask's
-    share of both is computed once per call, and only the attaining classes
-    and the max winners are rendered as ids."""
+    On a proper class engine.dominance_key is (0, -6 * A7''), so the classes
+    attaining the minimum are the max side's best-key tie set, max_tied, and
+    the minimum is read from one's key.  The pair term charges each colour
+    mask of a canon -1 per pair of its vertices with a common neighbour,
+    each mask once per call.  Only those classes and the max winners get ids."""
     adj = g.adjacency_masks()
     # partners[i]: the vertices j != i with a neighbour in common with i
-    partners = [
-        sum(1 << j for j in range(g.n) if j != i and adj[i] & adj[j]) for i in range(g.n)
-    ]
+    partners = [0] * g.n
+    for u, v in g.edges:
+        partners[u] |= adj[v] & ~(1 << u)
+        partners[v] |= adj[u] & ~(1 << v)
 
     @cache
-    def share(mask: int) -> tuple[int, int]:
-        a7 = 0
-        for nbrs in adj:
-            d = (nbrs & mask).bit_count()
-            a7 -= d * (d - 1) // 2
-        pairs = sum((partners[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1) // 2
-        return a7, -pairs
+    def share(mask: int) -> int:
+        pairs = 0
+        for v, bits in enumerate(partners):
+            if mask >> v & 1:
+                pairs += (bits & mask).bit_count()
+        return -(pairs // 2)
 
-    terms = []  # (A7'' term, pair term, canon) of each proper class
-    for canon in found.proper:
-        term = pair_term = 0
-        for mask in canon:
-            a7, pairs = share(mask)
-            term += a7
-            pair_term += pairs
-        terms.append((term, pair_term, canon))
-    minimum = min(term for term, _, _ in terms)
-    pair_terms = {RestraintClass(canon, g.n).class_id(): pair_term
-                  for term, pair_term, canon in terms if term == minimum}
+    pair_terms = {RestraintClass(canon, g.n).class_id(): sum(map(share, canon)) for canon in found.max_tied}
     attaining = sorted(pair_terms)
     max_ids = sorted(_ids(found.max_classes))
     return {
         "ok": set(max_ids) <= pair_terms.keys(),  # so every maximizer is proper too
-        "proper_class_count": len(terms),
-        "min_term": minimum,
+        "proper_class_count": len(found.proper),
+        "min_term": -dominance_key(g, k)(found.max_tied[0])[1] // 6,
         "attaining": attaining,
         "unique": len(attaining) == 1,
         "pair_terms": {cid: pair_terms[cid] for cid in attaining},
-        "pair_term_min": min(pair_term for _, pair_term, _ in terms),
+        "pair_term_min": min(sum(map(share, canon)) for canon in found.proper),
         "max_classes": max_ids,
     }
 

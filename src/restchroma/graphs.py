@@ -251,7 +251,9 @@ def _first_isomorphism(g: Graph, h: Graph, prefix: tuple[int, ...] = ()) -> tupl
                 image.pop()
         return False
 
-    return tuple(image) if extend(len(prefix), sum(1 << w for w in prefix)) else None
+    found = extend(len(prefix), sum(1 << w for w in prefix))
+    del extend  # extend holds itself, which only the cyclic collector would free
+    return tuple(image) if found else None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -259,19 +259,21 @@ def _orbit_rows(n: int, autos: list[tuple[int, ...]]):
     # a single-bit mask's row is its vertex's column
     rows = {bits[v]: [bits[p[v]] for p in autos] for v in range(n)}
 
-    def row(mask: int) -> list[int]:
-        r = rows.get(mask)
-        if r is None:
-            low = mask & -mask
-            r = rows[mask] = list(map(or_, row(mask ^ low), rows[low]))
-        return r
-
     def orbit(masks):
         if not masks:
             return [()]
-        return map(tuple, map(sorted, set(zip(*map(row, masks)))))
+        return map(tuple, map(sorted, set(zip(*[_row(rows, mask) for mask in masks]))))
 
     return orbit
+
+
+def _row(rows: dict[int, list[int]], mask: int) -> list[int]:
+    """mask's row, cached in rows; not a closure, so rows is in no cycle."""
+    r = rows.get(mask)
+    if r is None:
+        low = mask & -mask
+        r = rows[mask] = list(map(or_, _row(rows, mask ^ low), rows[low]))
+    return r
 
 
 def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
@@ -389,28 +391,27 @@ def _normal_form_count(n: int, k: int) -> int:
     choice of joined colours counted, so an upper bound on the colour classes
     _normal_form_masks(n, k) visits, which makes the same choices and keeps
     only one of each run of equal ones.  ways[c] counts the vertex prefixes
-    that use c colours; a vertex taking t fresh colours joins k - t of the c
-    used ones.
+    that use c colours; a vertex taking t >= k - c fresh colours joins k - t
+    of the c used ones.
 
-    Raises CapError as soon as the prefixes counted so far pass
-    FORMS_BUDGET.  Every prefix completes to at least one form (each later
-    vertex can take k fresh colours), so that count only grows, and the
-    message says after how many vertices it stopped."""
-    ways = [1]
+    Raises CapError at the first term whose running total at a vertex passes
+    FORMS_BUDGET: every prefix completes to at least one form (each later
+    vertex can take k fresh colours), so that total bounds the forms from
+    below.  The message names the vertex but no count, so it stays short."""
+    ways = {0: 1}
     for done in range(1, n + 1):
-        nxt = [0] * (len(ways) + k)
-        for c, w in enumerate(ways):
-            if w:
-                for t in range(k + 1):
-                    nxt[c + t] += w * comb(c, k - t)
+        nxt = {}
+        forms = 0
+        for c, w in ways.items():
+            for t in range(max(0, k - c), k + 1):
+                term = w * comb(c, k - t)
+                nxt[c + t] = nxt.get(c + t, 0) + term
+                forms += term
+                if forms > FORMS_BUDGET:
+                    raise CapError(f"normal-form budget exceeded (more than {FORMS_BUDGET} forms"
+                                   f" for n={n}, k={k}; stopped counting at vertex {done} of {n})")
         ways = nxt
-        if (forms := sum(ways)) > FORMS_BUDGET:
-            if done == n:
-                raise CapError(f"normal-form budget exceeded ({forms} forms for n={n}, k={k} > {FORMS_BUDGET})")
-            raise CapError(
-                f"normal-form budget exceeded (more than {forms} forms for n={n}, k={k} > {FORMS_BUDGET};"
-                f" stopped counting after {done} of {n} vertices)")
-    return sum(ways)
+    return sum(ways.values())
 
 
 def enumerate_k_restraints(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...]]:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -25,6 +26,7 @@ from restchroma import (
     connected_catalog,
     constant_restraint,
     cycle_graph,
+    dominance_key,
     enumerate_k_restraints,
     find_extremal,
     from_name,
@@ -103,7 +105,8 @@ def theorem_search_mismatches(graphs, k):
     polynomial of every winner against the full report's polynomial of its
     side; or whose proper classes differ from the canons of the classes of
     enumerate_k_restraints that is_proper accepts, tested edge by edge on
-    each representative."""
+    each representative; or whose max_tied differs from the canons of that
+    unfiltered listing that tie its best dominance key, in canon order."""
     bad = []
     for g in graphs:
         found = extremal.theorem_search(g, k)
@@ -115,9 +118,15 @@ def theorem_search_mismatches(graphs, k):
             poly = getattr(report, f"{side}_poly")
             if any(restrained_poly(g, c.representative) != poly for c in getattr(found, f"{side}_classes")):
                 bad.append((report.graph_id, f"{side} polynomial"))
-        proper = [c.canon for c in restraint_classes(g, k) if is_proper(g, c.representative)]
+        classes = restraint_classes(g, k)
+        proper = [c.canon for c in classes if is_proper(g, c.representative)]
         if sorted(found.proper) != sorted(proper):
             bad.append((report.graph_id, "proper classes"))
+        key = dominance_key(g, k)
+        keys = [key(c.canon) for c in classes]
+        best = max(keys)
+        if found.max_tied != tuple(c.canon for c, c_key in zip(classes, keys) if c_key == best):
+            bad.append((report.graph_id, "max tie set"))
     return bad
 
 
@@ -186,7 +195,6 @@ class TestFindExtremal:
         # classes are ranked and named on their masks; only a class whose
         # key ties the best or the worst becomes a Restraint, for its polynomial
         from restchroma import restraints
-        from restchroma.engine import dominance_key
 
         g = path_graph(8)
         key = dominance_key(g, 1)
@@ -687,6 +695,28 @@ class TestTheoremSearch:
         found = extremal.theorem_search(c4, 1)
         assert calls == [((10, 5, 10, 5), [0] * 4), ([0, 1, 2, 5], [0, 1, 2, 5])]
         assert len(found.proper) == 3
+
+
+class TestNoReferenceCycles:
+    def test_pipeline_leaves_nothing_for_the_cyclic_collector(self):
+        # a recursion through its own closure cell (the isomorphism search's,
+        # the orbit rows') would keep the rows cache, up to |Aut| ints per
+        # mask, and whatever a search held alive until a full collection
+        k34, c6 = from_name("K3,4"), cycle_graph(6)
+        calls = [
+            lambda: from_name("K3,4").automorphisms(),
+            lambda: enumerate_k_restraints(k34, 1),
+            lambda: find_extremal(c6, 1),
+            lambda: extremal.theorem_search(c6, 2),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSearchMemo:

@@ -1,9 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 parse failure or an extremal --results-dir that
-is, or lies under, a path that is not a directory, or whose record path is
-a directory (refused before any search), 3 work budget exceeded, 4 theorem
-violation found by a verify run.  JSON mode emits a single top-level object
+Exit codes: 0 success, 2 parse failure or an unusable extremal
+--results-dir (refused before any search, with the OS reason), 3 work
+budget exceeded, 4 theorem violation found by a verify run.  JSON mode emits a single top-level object
 with sorted keys, so identical invocations are byte-identical.
 """
 
@@ -24,7 +23,6 @@ from .graphs import (
     connected_bipartite_catalog,
     connected_catalog,
     load_graph,
-    quote_input,
     to_graph6,
 )
 from .restraints import (
@@ -54,17 +52,6 @@ def _load_restraint(source: str | None, g: Graph) -> Restraint:
     if len(r) != g.n:
         raise ParseError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
     return r
-
-
-def _check_results_dir(results_dir: str | None) -> None:
-    """Raise ParseError when results_dir, or the nearest of its ancestors
-    that exists, is not a directory, so no store file could be opened in
-    it.  A missing directory passes: the first store write makes it."""
-    path = results_dir
-    while path and not os.path.lexists(path):
-        path = os.path.dirname(path)
-    if path and not os.path.isdir(path):
-        raise ParseError(f"--results-dir {quote_input(results_dir)}: {quote_input(path)} is not a directory")
 
 
 def _emit(args, obj: dict, human_lines: list[str]) -> None:
@@ -163,7 +150,6 @@ def cmd_classes(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    _check_results_dir(args.results_dir)
     g = load_graph(args.graph)
     if args.results_dir:
         report = extremal.load_or_compute_extremal(g, args.k, args.results_dir)

@@ -93,9 +93,10 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
     elif not isinstance(cache, MemoCache):
         raise TypeError("cache must be None or a MemoCache")
     # P is unchanged by a bijective colour renaming, so colours become bits
-    # 0..C-1 in ascending order whatever their size
-    bit = {c: 1 << i for i, c in enumerate(sorted(set().union(*r.sets)))}
-    sets = tuple(sum(bit[c] for c in s) for s in r.sets)
+    # 0..C-1 in ascending order whatever their size; the map holds each
+    # colour's rank, not its bit, which would make it O(C^2) bits in all
+    rank = {c: i for i, c in enumerate(sorted(set().union(*r.sets)))}
+    sets = tuple(sum(1 << rank[c] for c in s) for s in r.sets)
     s = g.m + sum(len(c).bit_length() for c in r.sets) + 2
     return IntPolynomial._trusted(_digits(_rec(g.adjacency_masks(), sets, 1 << s, cache), s))
 

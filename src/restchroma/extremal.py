@@ -3,23 +3,24 @@
 For a graph and restraint size k, find_extremal lists the canon of every
 equivalence class of k-restraints (enumerate_k_restraints) and ranks it by
 its closed-form top coefficients (engine.dominance_key).  Only the classes
-that tie the best or the worst key get their polynomial computed; the
-winners under eventual dominance (eventual_order) are collected among them
-(all ties reported), and every other class's witness is read from its key.
-The conjecture command runs find_extremal, and so does the extremal command, unless it is
-given a results store (load_or_compute_extremal), which serves it only.
+that tie the best or the worst key get their polynomial computed, and
+_tie_break picks the winners under eventual dominance (eventual_order)
+among them (all ties reported); every other class's witness is read from
+its key.  The conjecture command runs find_extremal, and so does the
+extremal command, unless it is given a results store
+(load_or_compute_extremal), which serves it only.
 
 Each theorem in THEOREMS is a predicate over one search per (graph, k),
 checked on every graph of a catalog that meets its hypotheses; violations
 are report content, never exceptions.  That search is theorem_search,
 which walks only the classes that can win: the proper ones for the max side
-and those with equal sets on every edge for the min side.  It computes a
-polynomial only to break a tie on a side's extreme key, so it holds winners
-but no polynomials; a violation record computes the ones it shows.  It is
-held in one dict, _SEARCHES, emptied when a search would take it past
-SEARCH_MEMO_CLASSES proper classes, so the checks in one process share it.
-The theorem checks return only their verdicts; verify_theorems frames each
-record with the graph's graph6, encoded once per graph, and k.
+and those with equal sets on every edge for the min side.  It computes
+polynomials only for _tie_break, when a side's extreme key is tied, so it
+holds winners but no polynomials; a violation record computes the ones it
+shows.  It is held in one dict, _SEARCHES, emptied when a search would take
+it past SEARCH_MEMO_CLASSES proper classes, so the checks in one process
+share it.  The theorem checks return only their verdicts; verify_theorems
+frames each record with the graph's graph6, encoded once per graph, and k.
 """
 
 from __future__ import annotations
@@ -116,14 +117,28 @@ def _gap(hi_key, lo_key, hi_poly, lo_poly, n: int) -> list:
     return [degree, str(coefficient)]
 
 
+def _class_polys(g: Graph, memo: MemoCache):
+    """canon -> its class's polynomial on g, through memo, computed once per
+    canon, also when _tie_break sees the canon on both sides."""
+    return cache(lambda canon: restrained_poly(g, RestraintClass(canon, g.n).representative, cache=memo))
+
+
+def _tie_break(tied, extreme, poly) -> tuple[tuple, IntPolynomial]:
+    """The canons of tied, in canon order, whose class polynomial poly(canon)
+    is extreme (max or min) under eventual_order, and that polynomial.  Both
+    searches break every tie on a side's extreme key here."""
+    winner = extreme(map(poly, tied), key=eventual_order)
+    return tuple(c for c in tied if poly(c) == winner), winner
+
+
 def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalReport:
     """Determine the classes permitting the fewest/most colourings eventually.
 
     Every class is ranked by its closed-form top coefficients
     (engine.dominance_key).  Only the classes whose key ties the best or the
-    worst get a polynomial, all from one memo cache (the given one or a fresh
-    one); the winners are the tied classes with the largest or smallest
-    polynomial, so ties mean exactly equal polynomials.  Only those classes
+    worst get a polynomial, once each, all from one memo cache (the given
+    one or a fresh one), and _tie_break picks each side's winners among
+    them, so ties mean exactly equal polynomials.  Only those classes
     compare polynomials: every other class's key differs from both the best
     and the worst, so both its witnesses are read from the keys, once per
     distinct key, and every class with that key shares the pair.  A
@@ -133,37 +148,32 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     key = dominance_key(g, k)
     keys = list(map(key, canons))
     best, worst = max(keys), min(keys)
-    memo = cache if cache is not None else MemoCache()
-    polys = {
-        i: restrained_poly(g, RestraintClass(canons[i], g.n).representative, cache=memo)
-        for i, class_key in enumerate(keys)
-        if class_key in (best, worst)
-    }
-    max_poly = max((p for i, p in polys.items() if keys[i] == best), key=eventual_order)
-    min_poly = min((p for i, p in polys.items() if keys[i] == worst), key=eventual_order)
+    poly = _class_polys(g, cache if cache is not None else MemoCache())
+    max_canons, max_poly = _tie_break([c for c, c_key in zip(canons, keys) if c_key == best], max, poly)
+    min_canons, min_poly = _tie_break([c for c, c_key in zip(canons, keys) if c_key == worst], min, poly)
     max_witness = {}
     min_witness = {}
     gaps = {}  # key -> (max witness, min witness) of a class that ties neither
-    for i, (canon, class_key) in enumerate(zip(canons, keys)):
+    for canon, class_key in zip(canons, keys):
         cid = RestraintClass(canon, g.n).class_id()
-        poly = polys.get(i)
-        if poly is None:
+        if class_key != best and class_key != worst:
             pair = gaps.get(class_key)
             if pair is None:
                 pair = gaps[class_key] = (
                     _gap(best, class_key, None, None, g.n), _gap(class_key, worst, None, None, g.n))
             max_witness[cid], min_witness[cid] = pair
             continue
-        if poly != max_poly:
-            max_witness[cid] = _gap(best, class_key, max_poly, poly, g.n)
-        if poly != min_poly:
-            min_witness[cid] = _gap(class_key, worst, poly, min_poly, g.n)
+        class_poly = poly(canon)
+        if class_poly != max_poly:
+            max_witness[cid] = _gap(best, class_key, max_poly, class_poly, g.n)
+        if class_poly != min_poly:
+            min_witness[cid] = _gap(class_key, worst, class_poly, min_poly, g.n)
     return ExtremalReport(
         graph_id=to_graph6(g),
         k=k,
         class_count=len(canons),
-        min_classes=tuple(RestraintClass(canons[i], g.n) for i, p in polys.items() if p == min_poly),
-        max_classes=tuple(RestraintClass(canons[i], g.n) for i, p in polys.items() if p == max_poly),
+        min_classes=tuple(RestraintClass(c, g.n) for c in min_canons),
+        max_classes=tuple(RestraintClass(c, g.n) for c in max_canons),
         min_poly=min_poly,
         max_poly=max_poly,
         max_witness=max_witness,
@@ -198,28 +208,24 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
     class that ties the worst has equal sets on every edge: the max side
     keys only the proper classes, and the min side only the equal ones.
     When one class ties a side's extreme key, it is that side's winner and
-    gets no polynomial.  When two or more tie, each gets one, all through
-    one MemoCache, and the winners are those with the largest or the
-    smallest, in canon order, as in find_extremal; max_tied keeps the max
-    side's tied canons, for _a7_check.
+    gets no polynomial.  When two or more tie, _tie_break picks the winners
+    among them, as in find_extremal, with each tied class's polynomial
+    computed through one MemoCache; max_tied keeps the max side's tied
+    canons, for _a7_check.
     """
     adj = g.adjacency_masks()
     below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
     proper = enumerate_k_restraints(g, k, adj, [0] * g.n)
     equal = enumerate_k_restraints(g, k, below, below)
     key = dominance_key(g, k)
-    memo = MemoCache()
+    poly = _class_polys(g, MemoCache())
     sides = []
     for canons, extreme in ((proper, max), (equal, min)):
         keys = list(map(key, canons))
         target = extreme(keys)
         tied = tuple(c for c, c_key in zip(canons, keys) if c_key == target)
-        winners = [RestraintClass(c, g.n) for c in tied]
-        if len(winners) > 1:
-            polys = [restrained_poly(g, c.representative, cache=memo) for c in winners]
-            winner = extreme(polys, key=eventual_order)
-            winners = [c for c, p in zip(winners, polys) if p == winner]
-        sides.append((tied, tuple(winners)))
+        winners = _tie_break(tied, extreme, poly)[0] if len(tied) > 1 else tied
+        sides.append((tied, tuple(RestraintClass(c, g.n) for c in winners)))
     (max_tied, max_classes), (_, min_classes) = sides
     return TheoremSearch(min_classes, max_classes, tuple(proper), max_tied)
 
@@ -323,21 +329,23 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
     mode 0o666, so the kernel applies the umask as for a plain open(), and a
     failed write removes it before the error propagates.  A file that is
     missing or that report_from_record refuses (torn, edited, or without
-    this format's trailer) is recomputed and rewritten.  A record path
-    that is a directory raises ParseError before any search, and the
-    directory is left as it is.
+    this format's trailer) is recomputed and rewritten; results_dir is made
+    before the search.  Any other OSError from opening the record or making
+    results_dir (a directory, a file or a symlink loop in the way, a
+    dangling symlink, a name too long) raises ParseError with the path and
+    the OS reason, before any search: no other code checks the location.
     """
     path = _store_path(results_dir, to_graph6(g), k)
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return report_from_record(g, k, fh.read())
-    except IsADirectoryError:
-        # raised outside the try body, so the clause below cannot take it for a corrupt record
-        raise ParseError(f"store file {quote_input(path)} is a directory") from None
-    except (FileNotFoundError, ValueError):
-        pass  # missing, torn, edited or from an older format: recompute it
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                return report_from_record(g, k, fh.read())
+        except (FileNotFoundError, ValueError):
+            pass  # missing, torn, edited or from an older format: recompute it
+        os.makedirs(results_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"results store {quote_input(exc.filename or path)}: {exc.strerror}") from None
     report = find_extremal(g, k)
-    os.makedirs(results_dir, exist_ok=True)
     tmp = os.path.join(results_dir, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -1,7 +1,9 @@
 import argparse
+import errno
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -12,6 +14,7 @@ from restchroma import IntPolynomial, connected_catalog, find_extremal, from_nam
 from restchroma import extremal as extremal_module
 from restchroma.cli import _emit, main
 from restchroma.extremal import JSON_CHUNK, THEOREMS, verify_theorems, write_json
+from restchroma.graphs import quote_input
 from conftest import no_search
 
 
@@ -243,8 +246,37 @@ class TestExtremal:
         record.mkdir(parents=True)
         code, out, err = run(capsys, "extremal", "--graph", "C4", "--results-dir", "D", "--json")
         assert (code, out) == (2, "")
-        assert err == "error: store file 'D/436c_k1.json' is a directory\n"
+        assert err == "error: results store 'D/436c_k1.json': Is a directory\n"
         assert list(record.parent.iterdir()) == [record] and list(record.iterdir()) == []
+
+    @pytest.mark.parametrize("results_dir, refused, error", [
+        ("F", "F/436c_k1.json", errno.ENOTDIR),
+        ("F/sub", "F/sub/436c_k1.json", errno.ENOTDIR),
+        ("D", "D/436c_k1.json", errno.EISDIR),
+        ("loop", "loop/436c_k1.json", errno.ELOOP),
+        ("dangling", "dangling", errno.EEXIST),
+        ("x" * 300, "x" * 300 + "/436c_k1.json", errno.ENAMETOOLONG),
+    ], ids=["file", "under-a-file", "record-is-a-directory", "symlink-loop", "dangling-symlink", "long-name"])
+    def test_unusable_results_dir_refused(self, capsys, tmp_path, monkeypatch, results_dir, refused, error):
+        # every store location that cannot hold C4's record is refused by
+        # the store itself, before any search, with one error line that
+        # names the path and the OS reason, and nothing is made or changed
+        monkeypatch.setattr(extremal_module, "find_extremal", no_search)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("not a store\n")
+        (tmp_path / "D" / "436c_k1.json").mkdir(parents=True)
+        os.symlink("loop", "loop")
+        os.symlink("nowhere", "dangling")
+
+        def tree():
+            paths = [os.path.join(top, name) for top, dirs, files in os.walk(".") for name in dirs + files]
+            return sorted((p, os.readlink(p) if os.path.islink(p) else os.path.isdir(p)) for p in paths)
+
+        before = tree()
+        code, out, err = run(capsys, "extremal", "--graph", "C4", "--json", "--results-dir", results_dir)
+        assert (code, out) == (2, "")
+        assert err == f"error: results store {quote_input(refused)}: {os.strerror(error)}\n"
+        assert tree() == before and (tmp_path / "F").read_text() == "not a store\n"
 
     def test_stored_record_is_the_json_output(self, capsys, tmp_path):
         # C8's witness maps are longer than JSON_CHUNK, so the record is
@@ -442,7 +474,7 @@ class TestVerify:
         for results_dir in ("F", "F/sub"):
             code, out, err = run(capsys, *args, "--results-dir", results_dir)
             assert (code, out) == (2, "")
-            assert err == f"error: --results-dir '{results_dir}': 'F' is not a directory\n"
+            assert err == f"error: results store '{results_dir}/436c_k1.json': Not a directory\n"
         assert plain.read_text() == "not a store\n"
         monkeypatch.undo()
         missing = tmp_path / "extremal" / "sub"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -183,6 +184,19 @@ class TestPolynomialMeaning:
                     other = Restraint(scrambled)
                     assert canonicalize(g, other).canon == cls.canon
                     assert restrained_poly(g, other) == restrained_poly(g, cls.representative)
+
+    def test_many_colours_take_memory_linear_in_their_count(self):
+        # the colours are renamed to bits by rank: a map from each colour to
+        # its bit would hold about C^2 / 2 bits, some 109 MB at C = 40,000
+        r = Restraint([range(1, 40_001)])
+        tracemalloc.start()
+        try:
+            p = restrained_poly(from_name("K1"), r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.coeffs == (-40_000, 1)
+        assert peak < 10_000_000, peak
 
     def test_component_multiplicativity(self):
         rng = random.Random(23)

@@ -206,6 +206,15 @@ class TestFindExtremal:
         rep = find_extremal(g, 1)
         assert len(built) == tied < rep.class_count
 
+    def test_class_tied_on_both_sides_gets_one_polynomial(self, monkeypatch):
+        # on an edgeless graph every class ties both the best and the worst
+        # key, so _tie_break sees it twice, and it is computed once
+        calls = []
+        real = extremal.restrained_poly
+        monkeypatch.setattr(extremal, "restrained_poly", lambda g, r, **kwargs: calls.append(r) or real(g, r, **kwargs))
+        rep = find_extremal(Graph(3), 2)
+        assert len(calls) == rep.class_count == len(rep.max_classes) == len(rep.min_classes) > 1
+
     def test_tied_winners_share_polynomial(self):
         # disconnected graphs tie: any per-component constant is minimal
         g = Graph(3, [(0, 1)])
@@ -669,6 +678,26 @@ class TestTheoremSearch:
         reports = extremal.verify_theorems(("min", "proper", "bipartite", "a7"), connected_catalog(5), 1)
         assert all(report.violations == [] for report in reports.values())
         assert len(calls) == 3
+
+    def test_both_searches_break_ties_through_one_function(self, monkeypatch):
+        # on Dy_ at k = 1 three proper classes tie the best key and one class
+        # the worst: the full search breaks both sides' ties in _tie_break,
+        # and the theorem search only the max side's, where two or more tie
+        calls = []
+        real = extremal._tie_break
+
+        def counting(tied, extreme, poly):
+            calls.append((len(tied), extreme))
+            return real(tied, extreme, poly)
+
+        monkeypatch.setattr(extremal, "_tie_break", counting)
+        dy = parse_graph6("Dy_")
+        full = find_extremal(dy, 1)
+        assert calls == [(3, max), (1, min)]
+        calls.clear()
+        found = extremal.theorem_search(dy, 1)
+        assert calls == [(3, max)]
+        assert (found.max_classes, found.min_classes) == (full.max_classes, full.min_classes)
 
     def test_refused_as_the_full_search_is(self):
         with pytest.raises(CapError) as full:

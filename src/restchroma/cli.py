@@ -158,9 +158,9 @@ def cmd_extremal(args) -> int:
     obj = report.to_record()
     lines = [
         f"graph: {report.graph_id} (k={args.k}), {report.class_count} classes",
-        f"max: {', '.join(c.class_id() for c in report.max_classes)}",
+        f"max: {', '.join(obj['max_classes'])}",
         f"max polynomial: {report.max_poly}",
-        f"min: {', '.join(c.class_id() for c in report.min_classes)}",
+        f"min: {', '.join(obj['min_classes'])}",
         f"min polynomial: {report.min_poly}",
     ]
     _emit(args, obj, lines)

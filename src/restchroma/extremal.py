@@ -13,13 +13,13 @@ extremal command, unless it is given a results store
 Each theorem in THEOREMS is a predicate over one search per (graph, k),
 checked on every graph of a catalog that meets its hypotheses; violations
 are report content, never exceptions.  That search is theorem_search,
-which walks only the classes that can win: the proper ones for the max side
-and those with equal sets on every edge for the min side.  It computes
-polynomials only for _tie_break, when a side's extreme key is tied, so it
-holds winners but no polynomials; a violation record computes the ones it
-shows.  It is held in one dict, _SEARCHES, emptied when a search would take
-it past SEARCH_MEMO_CLASSES proper classes, so the checks in one process
-share it.  The theorem checks return only their verdicts; verify_theorems
+which walks only the classes that can win the max side, the proper ones
+(the min side needs none, _min_check).  It computes polynomials only for
+_tie_break, when the best key is tied, so it holds winners but no
+polynomials; a violation record computes the ones it shows.  It is held
+in one dict, _SEARCHES, emptied when a search would take it past
+SEARCH_MEMO_CLASSES proper classes, so the checks in one process share
+it.  The theorem checks return only their verdicts; verify_theorems
 frames each record with the graph's graph6, encoded once per graph, and k.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 from .engine import MemoCache, dominance_key, restrained_poly
 from .graphs import Graph, ParseError, cycle_graph, quote_input, to_graph6
@@ -183,51 +183,38 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
 
 @dataclass(frozen=True)
 class TheoremSearch:
-    """What the theorem checks read of one (graph, k): each side's winners,
-    as an ExtremalReport holds them; proper, the canons of every proper
-    class; and max_tied, those that tie the best key, in canon order, before
-    polynomials break the tie.  It holds no polynomial: a search computes
-    one only to break a tie, and _unique_winner computes the winners'
-    polynomial when it writes a violation."""
+    """What the theorem checks read of one (graph, k): the max side's
+    winners, as an ExtremalReport holds them; proper, the canons of every
+    proper class; and max_tied, those that tie the best key, in canon
+    order, before polynomials break the tie.  It holds no polynomial: a
+    search computes one only to break a tie, and _bipartite_check computes
+    the winners' polynomial when it writes a violation."""
 
-    min_classes: tuple[RestraintClass, ...]
     max_classes: tuple[RestraintClass, ...]
     proper: tuple[tuple[int, ...], ...]
     max_tied: tuple[tuple[int, ...], ...]
 
 
 def theorem_search(g: Graph, k: int) -> TheoremSearch:
-    """find_extremal's winners of (g, k), from two filtered walks of
-    enumerate_k_restraints, which list and key only the classes that can win.
+    """find_extremal's max winners of (g, k), from one walk of
+    enumerate_k_restraints filtered to the proper classes, the only ones
+    that can win.
 
     engine.dominance_key ranks classes by I2 = sum over edges uv of
     |r(u) & r(v)| before anything else, the fewer the better.  Giving every
-    vertex k fresh colours is proper, so I2 = 0, and the constant restraint
-    has I2 = k * m, which a class reaches exactly when its sets are equal on
-    every edge.  So every class that ties the best key is proper, and every
-    class that ties the worst has equal sets on every edge: the max side
-    keys only the proper classes, and the min side only the equal ones.
-    When one class ties a side's extreme key, it is that side's winner and
-    gets no polynomial.  When two or more tie, _tie_break picks the winners
-    among them, as in find_extremal, with each tied class's polynomial
-    computed through one MemoCache; max_tied keeps the max side's tied
+    vertex k fresh colours is proper, so I2 = 0, and every class that ties
+    the best key is proper.  When one class ties the best key, it is the
+    winner and gets no polynomial.  When two or more tie, _tie_break picks
+    the winners among them, as in find_extremal, with each tied class's
+    polynomial computed through one MemoCache; max_tied keeps the tied
     canons, for _a7_check.
     """
-    adj = g.adjacency_masks()
-    below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
-    proper = enumerate_k_restraints(g, k, adj, [0] * g.n)
-    equal = enumerate_k_restraints(g, k, below, below)
-    key = dominance_key(g, k)
-    poly = _class_polys(g, MemoCache())
-    sides = []
-    for canons, extreme in ((proper, max), (equal, min)):
-        keys = list(map(key, canons))
-        target = extreme(keys)
-        tied = tuple(c for c, c_key in zip(canons, keys) if c_key == target)
-        winners = _tie_break(tied, extreme, poly)[0] if len(tied) > 1 else tied
-        sides.append((tied, tuple(RestraintClass(c, g.n) for c in winners)))
-    (max_tied, max_classes), (_, min_classes) = sides
-    return TheoremSearch(min_classes, max_classes, tuple(proper), max_tied)
+    proper = enumerate_k_restraints(g, k, g.adjacency_masks())
+    keys = list(map(dominance_key(g, k), proper))
+    best = max(keys)
+    max_tied = tuple(c for c, c_key in zip(proper, keys) if c_key == best)
+    winners = _tie_break(max_tied, max, _class_polys(g, MemoCache()))[0] if len(max_tied) > 1 else max_tied
+    return TheoremSearch(tuple(RestraintClass(c, g.n) for c in winners), tuple(proper), max_tied)
 
 
 # -- resumable store -----------------------------------------------------------
@@ -333,7 +320,8 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
     before the search.  Any other OSError from opening the record or making
     results_dir (a directory, a file or a symlink loop in the way, a
     dangling symlink, a name too long) raises ParseError with the path and
-    the OS reason, before any search: no other code checks the location.
+    the OS reason (for a dangling symlink, not mkdir's but that its target
+    is missing), before any search: no other code checks the location.
     """
     path = _store_path(results_dir, to_graph6(g), k)
     try:
@@ -344,7 +332,10 @@ def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalRepo
             pass  # missing, torn, edited or from an older format: recompute it
         os.makedirs(results_dir, exist_ok=True)
     except OSError as exc:
-        raise ParseError(f"results store {quote_input(exc.filename or path)}: {exc.strerror}") from None
+        refused = exc.filename or path
+        dangling = os.path.islink(refused) and not os.path.exists(refused)
+        reason = "Symbolic link to a missing target" if dangling else exc.strerror
+        raise ParseError(f"results store {quote_input(refused)}: {reason}") from None
     report = find_extremal(g, k)
     tmp = os.path.join(results_dir, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -392,21 +383,30 @@ def _expected_class(expected_restraint, g: Graph, k: int) -> RestraintClass:
     return RestraintClass(tuple(sorted(incidence_masks(expected_restraint(g, k)))), g.n)
 
 
-def _unique_winner(side: str, expected_restraint, g: Graph, k: int, found: TheoremSearch) -> dict:
-    """Whether the class of expected_restraint(g, k) is the only winner on
-    side ("min" or "max"); a violation also carries both polynomials, each
-    computed here: that of the first winner, which every winner of a side
-    shares, and the expected class's."""
-    winners = getattr(found, f"{side}_classes")
-    expected = _expected_class(expected_restraint, g, k)
-    ok = {c.canon for c in winners} == {expected.canon}
+def _min_check(g: Graph, k: int, found: TheoremSearch) -> dict:
+    """The constant class is the only minimizing class of a connected graph,
+    read from no search: dominance_key ranks I2 = sum over edges uv of
+    |r(u) & r(v)| first, the more the worse, and I2 <= k * m, with equality
+    exactly when the sets are equal on every edge, so on a connected graph
+    the constant class alone has the worst key."""
+    expected = _expected_class(constant_restraint, g, k).class_id()
+    return {"ok": True, "expected": expected, "min_classes": [expected]}
+
+
+def _bipartite_check(g: Graph, k: int, found: TheoremSearch) -> dict:
+    """Whether the alternating class is the only maximizing class; a
+    violation also carries both polynomials, each computed here: that of
+    the first winner, which every winner shares, and the alternating
+    class's."""
+    expected = _expected_class(alternating_restraint, g, k)
+    ok = {c.canon for c in found.max_classes} == {expected.canon}
     rec = {
         "ok": ok,
         "expected": expected.class_id(),
-        f"{side}_classes": _ids(winners),
+        "max_classes": _ids(found.max_classes),
     }
     if not ok:
-        rec[f"{side}_poly"] = [str(c) for c in restrained_poly(g, winners[0].representative).coeffs]
+        rec["max_poly"] = [str(c) for c in restrained_poly(g, found.max_classes[0].representative).coeffs]
         rec["expected_poly"] = [str(c) for c in restrained_poly(g, expected.representative).coeffs]
     return rec
 
@@ -469,9 +469,9 @@ _BIPARTITE = ("not bipartite", lambda g: g.bipartition() is not None)
 # theorem -> (hypotheses as (reason skipped, predicate), check of (g, k,
 # TheoremSearch) returning the verdict fields of the graph's record)
 THEOREMS = {
-    "min": ((_CONNECTED,), partial(_unique_winner, "min", constant_restraint)),
+    "min": ((_CONNECTED,), _min_check),
     "proper": ((), _proper_check),
-    "bipartite": ((_CONNECTED, _BIPARTITE), partial(_unique_winner, "max", alternating_restraint)),
+    "bipartite": ((_CONNECTED, _BIPARTITE), _bipartite_check),
     "a7": ((), _a7_check),
 }
 
@@ -529,8 +529,8 @@ def verify_min_theorem(catalog, k: int) -> VerifyReport:
     """Check that the constant restraint is the unique minimizing class.
 
     Disconnected inputs are skipped with a notice; each record carries the
-    winner set and, on a violation, the witnessing polynomial coefficient
-    vectors.
+    winner set, the constant class, which the worst key proves the only
+    winner (_min_check), so a record never carries a polynomial.
     """
     return verify_theorems(("min",), catalog, k)["min"]
 

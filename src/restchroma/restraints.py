@@ -32,7 +32,7 @@ against _normal_form_count, which counts the first-use normal forms without
 that rule: the walk makes the same choices, so that count bounds its visits
 from above.  The walk takes an optional per-vertex filter on what a slot
 may join, which enumerate_k_restraints passes on: so the theorem search
-lists only the proper classes, or only those with equal sets on every edge.
+lists only the proper classes.
 """
 
 from __future__ import annotations
@@ -294,11 +294,11 @@ def incidence_masks(sets: Iterable[Iterable]) -> list[int]:
     return list(masks.values())
 
 
-def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
+def _normal_form_masks(n: int, k: int, visit, avoid=None) -> None:
     """Call visit(masks) once for each colour class of k-restraints on n
     vertices, with masks the class's incidence masks as a sorted tuple; with
-    per-vertex masks avoid and need, only for the colour classes that pass
-    their filter.
+    per-vertex masks avoid, only for the colour classes that pass its
+    filter.
 
     Scanning vertices 0..n-1, vertex v fills its k colour slots one at a
     time: a slot either joins one colour used before v (ORs bit v into its
@@ -320,23 +320,19 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
     _normal_form_count, which counts those forms without the prefix rule,
     bounds the visits from above.
 
-    The filter: a slot of v may join a mask only when mask & avoid[v] ==
-    need[v], and v may take fresh colours only when need[v] == 0.  A mask
-    that v may join holds only vertices before v, all placed, so the test
-    reads the finished class's colour on the edges from v back.  Avoiding
-    v's neighbours visits the proper classes; needing v's earlier
-    neighbours (avoid = need) visits the classes with equal sets on every
-    edge.  Both properties are prefix-closed: a class has one exactly when
-    each of its restrictions to vertices 0..v has it, which is what the
-    test at v adds.  So a choice the filter refuses leads only to classes
-    without the property, every class with it passes each test on its way
-    and is still visited once, and the walk visits nothing else.  The filter
-    selects a slot's joinable masks once, before its loop, and a run of
-    equal masks passes or fails whole, so the prefix rule is unchanged.
-    When need[v] != 0, v can be left no way to fill its slots (two earlier
-    neighbours whose sets differ), so that walk can reach dead ends: the
-    work is proportional to the visits only for the full walk and for
-    filters with need 0 everywhere, such as the proper walk.
+    The filter: a slot of v may join a mask only when not mask & avoid[v].
+    A mask that v may join holds only vertices before v, all placed, so the
+    test reads the finished class's colour on the edges from v back.
+    Avoiding v's neighbours visits the proper classes.  That property is
+    prefix-closed: a class has it exactly when each of its restrictions to
+    vertices 0..v has it, which is what the test at v adds.  So a choice
+    the filter refuses leads only to improper classes, every proper class
+    passes each test on its way and is still visited once, and the walk
+    visits nothing else.  Fresh colours pass every filter, so every choice
+    still leads to a visit and the work stays proportional to the visits.
+    The filter selects a slot's joinable masks once, before its loop, and a
+    run of equal masks passes or fails whole, so the prefix rule is
+    unchanged.
     """
     if not n:
         visit(())
@@ -355,7 +351,7 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
         if avoid is None:
             joins = range(start, end)
         else:
-            joins = _joinable(masks, start, end, avoid[v], need[v])
+            joins = _joinable(masks, start, end, avoid[v])
         for j in joins:
             mask = masks[j]
             if mask != prev:
@@ -367,23 +363,22 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
                     visit(child)
                 else:
                     rec(v + 1, child, 0, k)
-        if avoid is None or not need[v]:
-            child = masks[:end] + (bit,) * free + masks[end:]
-            if v == last:
-                visit(child)
-            else:
-                rec(v + 1, child, 0, k)
+        child = masks[:end] + (bit,) * free + masks[end:]
+        if v == last:
+            visit(child)
+        else:
+            rec(v + 1, child, 0, k)
 
     rec(0, (), 0, k)
     del rec  # rec holds itself and visit, which only the cyclic collector would free
 
 
-def _joinable(masks: tuple[int, ...], start: int, end: int, avoid: int, need: int) -> list[int]:
+def _joinable(masks: tuple[int, ...], start: int, end: int, avoid: int) -> list[int]:
     """The indices in range(start, end) of the masks that pass the walk's
-    filter, mask & avoid == need.  A function of its own: the same
+    filter, not mask & avoid.  A function of its own: the same
     comprehension in _normal_form_masks's rec would make masks a closure
     cell of every rec call, which slowed the unfiltered walk by 7-10%."""
-    return [j for j in range(start, end) if masks[j] & avoid == need]
+    return [j for j in range(start, end) if not masks[j] & avoid]
 
 
 def _normal_form_count(n: int, k: int) -> int:
@@ -414,12 +409,12 @@ def _normal_form_count(n: int, k: int) -> int:
     return sum(ways.values())
 
 
-def enumerate_k_restraints(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...]]:
+def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]]:
     """The sorted canons of the equivalence classes of k-restraints on g, one
     per class (RestraintClass(canon, g.n) is its class), or with per-vertex
-    masks avoid and need only of those that pass the walk's filter
+    masks avoid only of those that pass the walk's filter
     (_normal_form_masks); the property filtered for must be kept by every
-    automorphism of g, as properness and equal sets on every edge are.
+    automorphism of g, as properness is.
 
     Walks one sorted form per colour class (_normal_form_masks, slot by
     slot, whose runs of equal masks stay contiguous and are joined only
@@ -450,6 +445,6 @@ def enumerate_k_restraints(g: Graph, k: int, avoid=None, need=None) -> list[tupl
                 seen.update(images)
                 canons.append(min(images))
 
-    _normal_form_masks(g.n, k, visit, avoid, need)
+    _normal_form_masks(g.n, k, visit, avoid)
     canons.sort()
     return canons

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from restchroma import IntPolynomial, connected_catalog, find_extremal, from_name, to_graph6
+from restchroma import IntPolynomial, RestraintClass, connected_catalog, find_extremal, from_name, to_graph6
 from restchroma import extremal as extremal_module
 from restchroma.cli import _emit, main
 from restchroma.extremal import JSON_CHUNK, THEOREMS, verify_theorems, write_json
@@ -197,6 +197,29 @@ class TestExtremal:
         assert "max: [{1},{2},{1},{2}]" in out
         assert "min: [{1},{1},{1},{1}]" in out
 
+    @pytest.mark.parametrize("graph, k, digest", [
+        ("C4", "1", "f1ca59e634794b559e3fb6925b21b0359d3a8a76289ec2481861db7cf58b8c67"),
+        ("n 3", "2", "11efaff242f415d2acc51daf84fd2bf3c694c2c5fb53da5b7e68f852a5e32a10"),
+    ])
+    def test_text_pinned(self, capsys, graph, k, digest):
+        # sha256 of the whole plain output; on the edgeless "n 3" at k = 2
+        # all 8 classes win on both sides
+        code, out, _ = run(capsys, "extremal", "--graph", graph, "--k", k)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize("graph, k, renders", [("K1", "3", 3), ("C4", "1", 9)])
+    def test_each_id_rendered_once_per_use(self, capsys, monkeypatch, graph, k, renders):
+        # the witness loop renders every class's id and to_record every
+        # winner's once; the text lines reuse the record's ids, so --json
+        # renders no id for output it discards
+        calls = []
+        real = RestraintClass.class_id
+        monkeypatch.setattr(RestraintClass, "class_id", lambda self: calls.append(self.canon) or real(self))
+        code, _, _ = run(capsys, "extremal", "--graph", graph, "--k", k, "--json")
+        assert code == 0
+        assert len(calls) == renders
+
     def test_results_dir(self, capsys, tmp_path):
         code, out1, _ = run(capsys, "extremal", "--graph", "C4", "--k", "1",
                             "--results-dir", str(tmp_path), "--json")
@@ -249,15 +272,15 @@ class TestExtremal:
         assert err == "error: results store 'D/436c_k1.json': Is a directory\n"
         assert list(record.parent.iterdir()) == [record] and list(record.iterdir()) == []
 
-    @pytest.mark.parametrize("results_dir, refused, error", [
-        ("F", "F/436c_k1.json", errno.ENOTDIR),
-        ("F/sub", "F/sub/436c_k1.json", errno.ENOTDIR),
-        ("D", "D/436c_k1.json", errno.EISDIR),
-        ("loop", "loop/436c_k1.json", errno.ELOOP),
-        ("dangling", "dangling", errno.EEXIST),
-        ("x" * 300, "x" * 300 + "/436c_k1.json", errno.ENAMETOOLONG),
+    @pytest.mark.parametrize("results_dir, refused, reason", [
+        ("F", "F/436c_k1.json", os.strerror(errno.ENOTDIR)),
+        ("F/sub", "F/sub/436c_k1.json", os.strerror(errno.ENOTDIR)),
+        ("D", "D/436c_k1.json", os.strerror(errno.EISDIR)),
+        ("loop", "loop/436c_k1.json", os.strerror(errno.ELOOP)),
+        ("dangling", "dangling", "Symbolic link to a missing target"),
+        ("x" * 300, "x" * 300 + "/436c_k1.json", os.strerror(errno.ENAMETOOLONG)),
     ], ids=["file", "under-a-file", "record-is-a-directory", "symlink-loop", "dangling-symlink", "long-name"])
-    def test_unusable_results_dir_refused(self, capsys, tmp_path, monkeypatch, results_dir, refused, error):
+    def test_unusable_results_dir_refused(self, capsys, tmp_path, monkeypatch, results_dir, refused, reason):
         # every store location that cannot hold C4's record is refused by
         # the store itself, before any search, with one error line that
         # names the path and the OS reason, and nothing is made or changed
@@ -275,7 +298,7 @@ class TestExtremal:
         before = tree()
         code, out, err = run(capsys, "extremal", "--graph", "C4", "--json", "--results-dir", results_dir)
         assert (code, out) == (2, "")
-        assert err == f"error: results store {quote_input(refused)}: {os.strerror(error)}\n"
+        assert err == f"error: results store {quote_input(refused)}: {reason}\n"
         assert tree() == before and (tmp_path / "F").read_text() == "not a store\n"
 
     def test_stored_record_is_the_json_output(self, capsys, tmp_path):
@@ -343,6 +366,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--theorem", "min", "--n-max", "4", "--k", "1")
         assert code == 0
         assert "0 violations" in out
+
+    @pytest.mark.parametrize("args, digest", [
+        (("--n-max", "6", "--k", "1"), "71556f95a7514a60137d53e99f7303ce7b7ef2fe8d687bbf86c1728b67f40fec"),
+        (("--n-max", "5", "--k", "2"), "f5cc83d71c69dd65e8d83da451e740f45c3ca9abe8cf9285ff16b65ec43f39b5"),
+        # P3 + K2, disconnected, so min and bipartite skip it
+        (("--graph", "DgC", "--k", "2"), "ac721a9a49906231b599d3b05e492cd528d4a3f7c453e6a6b3dff72daa314756"),
+    ])
+    def test_json_pinned(self, capsys, args, digest):
+        # sha256 of the whole --json output of every theorem
+        code, out, _ = run(capsys, "verify", "--theorem", "all", *args, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_a7_single_graph(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "a7", "--graph", "C4", "--k", "1")

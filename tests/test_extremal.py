@@ -101,23 +101,29 @@ def a7_mismatches(catalog, k, results_dir=None):
 
 def theorem_search_mismatches(graphs, k):
     """(graph6, what) for each graph whose theorem search differs from
-    find_extremal's full search: the winners of each side, in order, and the
-    polynomial of every winner against the full report's polynomial of its
-    side; or whose proper classes differ from the canons of the classes of
-    enumerate_k_restraints that is_proper accepts, tested edge by edge on
-    each representative; or whose max_tied differs from the canons of that
-    unfiltered listing that tie its best dominance key, in canon order."""
+    find_extremal's full search: the max winners, in order, and the
+    polynomial of every max winner against the full report's max
+    polynomial; on a connected graph, the min record's winner ids against
+    the full report's min winners, in order, and the constant class's
+    polynomial against its min polynomial; or whose proper classes differ
+    from the canons of the classes of enumerate_k_restraints that is_proper
+    accepts, tested edge by edge on each representative; or whose max_tied
+    differs from the canons of that unfiltered listing that tie its best
+    dominance key, in canon order."""
     bad = []
+    _, min_check = extremal.THEOREMS["min"]
     for g in graphs:
         found = extremal.theorem_search(g, k)
         report = find_extremal(g, k)
-        for field in ("min_classes", "max_classes"):
-            if getattr(found, field) != getattr(report, field):
-                bad.append((report.graph_id, field))
-        for side in ("min", "max"):
-            poly = getattr(report, f"{side}_poly")
-            if any(restrained_poly(g, c.representative) != poly for c in getattr(found, f"{side}_classes")):
-                bad.append((report.graph_id, f"{side} polynomial"))
+        if found.max_classes != report.max_classes:
+            bad.append((report.graph_id, "max_classes"))
+        if any(restrained_poly(g, c.representative) != report.max_poly for c in found.max_classes):
+            bad.append((report.graph_id, "max polynomial"))
+        if g.is_connected():
+            if min_check(g, k, found)["min_classes"] != [c.class_id() for c in report.min_classes]:
+                bad.append((report.graph_id, "min_classes"))
+            if restrained_poly(g, constant_restraint(g, k)) != report.min_poly:
+                bad.append((report.graph_id, "min polynomial"))
         classes = restraint_classes(g, k)
         proper = [c.canon for c in classes if is_proper(g, c.representative)]
         if sorted(found.proper) != sorted(proper):
@@ -504,19 +510,6 @@ class TestMinTheorem:
                 constant = canonicalize(g, constant_restraint(g, 1)).canon
                 assert constant not in canons(rep.max_classes)
 
-    def test_violation_carries_both_polynomials(self, c4):
-        # a search whose min winners are the max winners: the verdict holds
-        # the polynomial of those winners, which the full report gives as its
-        # max polynomial, and the constant restraint's
-        found = extremal.theorem_search(c4, 1)
-        wrong = dataclasses.replace(found, min_classes=found.max_classes)
-        _, check = extremal.THEOREMS["min"]
-        rec = check(c4, 1, wrong)
-        assert rec["ok"] is False
-        assert rec["min_classes"] == ["[{1},{2},{1},{2}]"]
-        assert rec["min_poly"] == [str(c) for c in find_extremal(c4, 1).max_poly.coeffs]
-        assert rec["expected_poly"] == [str(c) for c in restrained_poly(c4, constant_restraint(c4, 1)).coeffs]
-
 
 class TestPropernessTheorem:
     def test_small_catalog_no_violations(self):
@@ -551,6 +544,19 @@ class TestBipartiteTheorem:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
             verify_bipartite_max([cycle_graph(3)], 0)
+
+    def test_violation_carries_both_polynomials(self, c4):
+        # a search whose max winner is the constant class: the verdict holds
+        # the polynomial of that winner, which the full report gives as its
+        # min polynomial, and the alternating restraint's
+        found = extremal.theorem_search(c4, 1)
+        wrong = dataclasses.replace(found, max_classes=(canonicalize(c4, constant_restraint(c4, 1)),))
+        _, check = extremal.THEOREMS["bipartite"]
+        rec = check(c4, 1, wrong)
+        assert rec["ok"] is False
+        assert rec["max_classes"] == ["[{1},{1},{1},{1}]"]
+        assert rec["max_poly"] == [str(c) for c in find_extremal(c4, 1).min_poly.coeffs]
+        assert rec["expected_poly"] == [str(c) for c in restrained_poly(c4, alternating_restraint(c4, 1)).coeffs]
 
     def test_non_bipartite_skipped(self, c3):
         report = verify_bipartite_max([c3], 1)
@@ -641,7 +647,7 @@ class TestExpectedClass:
 
 class TestTheoremSearch:
     # find_extremal lists, keys and witnesses every class; the theorem search
-    # walks only the proper classes and those with equal sets on every edge.
+    # walks only the proper classes, and the min check searches nothing.
     # CI repeats the catalog check over n <= 7 at k = 1 and n <= 6 at k = 2.
     @pytest.mark.parametrize("n_max, k", [(6, 1), (5, 2), (4, 3)])
     def test_matches_the_full_search_over_the_catalog(self, n_max, k):
@@ -650,14 +656,14 @@ class TestTheoremSearch:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_the_full_search_on_every_small_labelled_graph(self, k):
         # edgeless and disconnected graphs included: on E3 every class is
-        # both proper and equal on every edge
+        # proper
         assert theorem_search_mismatches(labelled_graphs(4), k) == []
 
     def test_polynomials_only_to_break_a_tie(self, monkeypatch):
-        # a side whose extreme key one class ties has that class as its
+        # a max side whose best key one class ties has that class as its
         # winner, so its polynomial is not computed; Dy_ has three proper
         # classes tied on the max key at k = 1, and C{ two at k = 2 (both
-        # win), while each min side has one class
+        # win), while the min side is the constant class, with no search
         calls = []
         real = extremal.restrained_poly
 
@@ -682,7 +688,7 @@ class TestTheoremSearch:
     def test_both_searches_break_ties_through_one_function(self, monkeypatch):
         # on Dy_ at k = 1 three proper classes tie the best key and one class
         # the worst: the full search breaks both sides' ties in _tie_break,
-        # and the theorem search only the max side's, where two or more tie
+        # and the theorem search only the max side's, the one it searches
         calls = []
         real = extremal._tie_break
 
@@ -697,7 +703,7 @@ class TestTheoremSearch:
         calls.clear()
         found = extremal.theorem_search(dy, 1)
         assert calls == [(3, max)]
-        assert (found.max_classes, found.min_classes) == (full.max_classes, full.min_classes)
+        assert found.max_classes == full.max_classes
 
     def test_refused_as_the_full_search_is(self):
         with pytest.raises(CapError) as full:
@@ -709,20 +715,20 @@ class TestTheoremSearch:
     def test_both_searches_list_through_one_function(self, monkeypatch, c4):
         # wrapped where the bench tracer wraps it: the full search lists
         # every class in one unfiltered call, and the theorem search makes
-        # its two filtered walks through it, the proper one first
+        # its one walk through it, filtered to the proper classes
         calls = []
         real = extremal.enumerate_k_restraints
 
-        def counting(g, k, avoid=None, need=None):
-            calls.append((avoid, need))
-            return real(g, k, avoid, need)
+        def counting(g, k, avoid=None):
+            calls.append(avoid)
+            return real(g, k, avoid)
 
         monkeypatch.setattr(extremal, "enumerate_k_restraints", counting)
         find_extremal(c4, 1)
-        assert calls == [(None, None)]
+        assert calls == [None]
         calls.clear()
         found = extremal.theorem_search(c4, 1)
-        assert calls == [((10, 5, 10, 5), [0] * 4), ([0, 1, 2, 5], [0, 1, 2, 5])]
+        assert calls == [(10, 5, 10, 5)]
         assert len(found.proper) == 3
 
 

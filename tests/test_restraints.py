@@ -94,32 +94,27 @@ def walk_repeats(n: int, k: int, classes: bool = True) -> tuple[int, int | None]
 def filtered_walk_faults(g: Graph, k: int) -> list[str]:
     """The filters of the walk on g at k that list other classes than the
     unfiltered walk and enumerate_k_restraints, kept to the classes with the
-    filter's property: zero masks (every class), avoiding the neighbours
-    (is_proper) and needing the earlier neighbours (equal sets on every
-    edge).  Each filter is checked on the colour classes that
+    filter's property: zero masks (every class) and avoiding the neighbours
+    (is_proper).  Each filter is checked on the colour classes that
     _normal_form_masks visits, each visited once, and on the restraint
     classes that enumerate_k_restraints lists with it; every filtered walk
     must hand over its masks sorted."""
-    adj = g.adjacency_masks()
-    below = [nbrs & ((1 << v) - 1) for v, nbrs in enumerate(adj)]
-    zero = [0] * g.n
     filters = {
-        "zero": (zero, zero, lambda r: True),
-        "proper": (adj, zero, lambda r: is_proper(g, r)),
-        "equal": (below, below, lambda r: all(r[u] == r[v] for u, v in g.edges)),
+        "zero": ([0] * g.n, lambda r: True),
+        "proper": (g.adjacency_masks(), lambda r: is_proper(g, r)),
     }
     every = []
     _normal_form_masks(g.n, k, lambda masks: every.append((tuple(sorted(masks)), restraint_of(masks, g.n))))
     classes = restraint_classes(g, k)
     faults = []
-    for name, (avoid, need, holds) in filters.items():
+    for name, (avoid, holds) in filters.items():
         visited = []
-        _normal_form_masks(g.n, k, visited.append, avoid, need)
+        _normal_form_masks(g.n, k, visited.append, avoid)
         if any(m != tuple(sorted(m)) for m in visited):
             faults.append(f"{name} unsorted visits")
         if sorted(visited) != sorted(m for m, r in every if holds(r)):
             faults.append(f"{name} colour classes")
-        if enumerate_k_restraints(g, k, avoid, need) != [c.canon for c in classes if holds(c.representative)]:
+        if enumerate_k_restraints(g, k, avoid) != [c.canon for c in classes if holds(c.representative)]:
             faults.append(f"{name} classes")
     return faults
 

@@ -8,16 +8,17 @@ bitmasks, and computes P at one point X = 2^s as a plain int (Kronecker
 substitution); restrained_poly reads the coefficients once, as the
 balanced base-2^s digits of that value.  Before it branches it settles
 what needs no pivot: an edgeless graph gives the product of
-(x - |forbidden set|) over the vertices, a pendant vertex's edge is deleted
-and contracted at once (the deletion isolates it), and components multiply,
-an isolated vertex beside an edge being a component of its own.  So a
-pivot edge is chosen only in connected subproblems of minimum degree at
-least 2, and always by one rule, _pivot: vertex 0 and its lowest
-neighbour.  The identity holds for any edge, so the rule decides only
-which subproblems the memo table sees.  The resulting polynomial agrees
-with the permitted proper-colouring count for every x at or above the
-largest forbidden colour; below that threshold the brute-force counter
-is the ground truth.
+(x - |forbidden set|) over the vertices; a pendant vertex, or else a vertex
+of degree 2, is eliminated in one step, as the colours left to it once its
+neighbours are coloured have a closed form (_eliminate); and components
+multiply, an isolated vertex beside an edge being a component of its own.
+So a pivot edge is chosen only in connected subproblems of minimum degree
+at least 3, never on a graph whose blocks are all edges and cycles, and
+always by one rule, _pivot: vertex 0 and its lowest neighbour.  The
+identity holds for any edge, so the rule decides only which subproblems
+the memo table sees.  The resulting polynomial agrees with the permitted
+proper-colouring count for every x at or above the largest forbidden
+colour; below that threshold the brute-force counter is the ground truth.
 
 Also includes the closed-form coefficient formulas for the three top
 non-trivial coefficients, with the full additive term breakdown for the
@@ -129,10 +130,12 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
 
     adj holds each vertex's neighbour bitmask and sets its forbidden colours
     as a bitmask.  At a miss the first rule that applies decides: with no
-    edges P is the product of (x - |s_v|); a pendant vertex is peeled
-    (_peel); components multiply, an isolated vertex being a component of
-    its own (they are listed only when one sweep from vertex 0 misses a
-    vertex); otherwise the pivot edge is deleted and contracted (_branch).
+    edges P is the product of (x - |s_v|); the first pendant vertex, or else
+    the first vertex of degree 2, is eliminated (_eliminate); components
+    multiply, an isolated vertex being a component of its own (they are
+    listed only when one sweep from vertex 0 misses a vertex); otherwise,
+    at minimum degree 3 or more, the pivot edge is deleted and contracted
+    (_branch).
     """
     key = (adj, sets, x)
     table = memo._table
@@ -145,54 +148,79 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
         for s in sets:
             value *= x - s.bit_count()
     else:
+        elim = None
         for v, a in enumerate(adj):
             if a and not a & a - 1:
-                value = _peel(adj, sets, v, x, memo)
+                elim = v
                 break
+            if elim is None and a.bit_count() == 2:
+                elim = v
+        if elim is not None:
+            value = _eliminate(adj, sets, elim, x, memo)
+        elif reach_mask(adj, 1) == (1 << len(adj)) - 1:
+            value = _branch(adj, sets, x, memo)
         else:
-            if reach_mask(adj, 1) == (1 << len(adj)) - 1:
-                value = _branch(adj, sets, x, memo)
-            else:
-                value = 1
-                for verts in component_vertices(adj):
-                    value *= _rec(*_induced(adj, sets, verts), x, memo)
+            value = 1
+            for verts in component_vertices(adj):
+                value *= _rec(*_induced(adj, sets, verts), x, memo)
     table[key] = value
     return value
 
 
-def _peel(adj: tuple, sets: tuple, v: int, x: int, memo: MemoCache) -> int:
-    """Delete and contract the edge of pendant vertex v, whose deletion isolates v.
+def _eliminate(adj: tuple, sets: tuple, v: int, x: int, memo: MemoCache) -> int:
+    """P with vertex v of degree 1 or 2 removed in one step.
 
-    With u the neighbour of v, P = (x - |s_v|) P(G - v) - P(G - v, s_u | s_v),
-    which is (x - |s_v| - 1) P(G - v) when s_v is inside s_u.
+    Once v's neighbours w are coloured, v has x - |s_v| - sum_w [c_w not in
+    s_v] + [c_a = c_b not in s_v] colours left, the last term for the two
+    neighbours a, b of a degree-2 vertex.  Summing over the colourings of
+    G - v:  P = (x - |s_v|) P(G - v) - sum_w P(G - v; s_w | s_v at w)
+    + P((G - v)/ab; s_a | s_b | s_v at the merged vertex), whose last term
+    is 0, and left out, when a and b are adjacent.  A term for w with s_v
+    inside s_w is P(G - v) itself, so it only lowers that coefficient.
     """
-    u = adj[v].bit_length() - 1
-    sv, su = sets[v], sets[u]
     rest, rest_sets = _drop(adj, v), sets[:v] + sets[v + 1:]
-    if sv & su == sv:
-        return (x - sv.bit_count() - 1) * _rec(rest, rest_sets, x, memo)
-    w = u - (u > v)
-    merged = rest_sets[:w] + (su | sv,) + rest_sets[w + 1:]
-    return (x - sv.bit_count()) * _rec(rest, rest_sets, x, memo) - _rec(rest, merged, x, memo)
+    sv = sets[v]
+    a, b = (adj[v] & -adj[v]).bit_length() - 1, adj[v].bit_length() - 1
+    coeff, value, joined = x - sv.bit_count(), 0, rest_sets
+    for w in {a, b}:
+        w -= w > v
+        sw = rest_sets[w]
+        if sw & sv == sv:
+            coeff -= 1
+        else:
+            joined = rest_sets[:w] + (sw | sv,) + rest_sets[w + 1:]
+            value -= _rec(rest, joined, x, memo)
+    value += coeff * _rec(rest, rest_sets, x, memo)
+    if a != b and not adj[a] >> b & 1:
+        # s_v is in joined at one end, or else inside s_a and s_b already
+        value += _rec(*_merge(rest, joined, a - (a > v), b - (b > v)), x, memo)
+    return value
 
 
 def _pivot(adj: tuple) -> tuple[int, int]:
     """The edge (u, v), u < v, that _branch deletes and contracts: vertex 0
-    and its lowest neighbour, so equal subproblems branch alike."""
+    and its lowest neighbour, so equal subproblems branch alike.  _rec
+    consults it only on connected subproblems of minimum degree 3 or more."""
     return 0, (adj[0] & -adj[0]).bit_length() - 1
 
 
-def _branch(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
-    """Delete and contract the edge _pivot(adj), merging its higher end into its lower."""
-    u, v = _pivot(adj)
+def _merge(adj: tuple, sets: tuple, u: int, v: int) -> tuple[tuple, tuple]:
+    """(adj, sets) with vertex v merged into u < v, adjacent or not: u takes
+    both neighbourhoods and the union of both forbidden sets."""
     bu, bv = 1 << u, 1 << v
-    deleted = list(adj)
-    deleted[u] ^= bv
-    deleted[v] ^= bu
     merged = [a ^ bv | bu if a & bv else a for a in adj]
     merged[u] = (adj[u] | adj[v]) & ~(bu | bv)
-    moved = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
-    return _rec(tuple(deleted), sets, x, memo) - _rec(_drop(merged, v), moved, x, memo)
+    return _drop(merged, v), sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
+
+
+def _branch(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
+    """Delete and contract the edge _pivot(adj), merging its higher end into
+    its lower; reached only at minimum degree 3 or more."""
+    u, v = _pivot(adj)
+    deleted = list(adj)
+    deleted[u] ^= 1 << v
+    deleted[v] ^= 1 << u
+    return _rec(tuple(deleted), sets, x, memo) - _rec(*_merge(adj, sets, u, v), x, memo)
 
 
 def count_colourings(g: Graph, r: Restraint, x: int) -> int:

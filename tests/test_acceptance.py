@@ -218,6 +218,10 @@ def test_criterion_8_shape_and_pivot_invariance(monkeypatch):
     sample = list(_RECORDED[:14])  # all named fixtures from criteria 1-4
     rest = _RECORDED[14:]
     sample += [rest[rng.randrange(len(rest))] for _ in range(30)] if rest else []
+    # the pivot is consulted only at minimum degree 3 or more, so the sample
+    # takes recorded graphs of that kind too
+    dense = [t for t in rest if min(map(int.bit_count, t[0].adjacency_masks()), default=0) >= 3]
+    sample += [dense[rng.randrange(len(dense))] for _ in range(10)] if dense else []
     pivot_changes = pivot_calls = 0
     for g, r, p in sample:
         for _ in range(10):
@@ -230,7 +234,8 @@ def test_criterion_8_shape_and_pivot_invariance(monkeypatch):
     _check(
         8,
         f"shape invariants on {len(_RECORDED)} polynomials, "
-        f"{pivot_calls} random pivots over {len(sample)} samples x 10 reshuffles",
+        f"{pivot_calls} random pivots over {len(sample)} samples ({len(dense)} graphs of minimum "
+        f"degree >= 3 to draw from) x 10 reshuffles",
         bad_shape == 0 and pivot_changes == 0 and pivot_calls > 0 and len(_RECORDED) > 500,
     )
 

@@ -218,14 +218,21 @@ class TestPolynomialMeaning:
                 lhs, base = restrained_poly(g, constant_restraint(g, k)), restrained_poly(g, empty_restraint(g))
                 assert all(lhs.evaluate(x + k) == base.evaluate(x) for x in range(g.n + 1))
 
-    def test_pivot_independence(self, c7, monkeypatch):
-        r = R("[{1},{2},{1},{2},{1},{2},{3}]")
-        base = restrained_poly(c7, r)
-        for seed in range(6):
-            pick = random_pivot(random.Random(seed))
-            monkeypatch.setattr(engine, "_pivot", pick)
-            assert restrained_poly(c7, r) == base
-            assert pick.calls > 0
+    def test_pivot_independence(self, monkeypatch):
+        # graphs of minimum degree 3, as the pivot is consulted on no other:
+        # a pendant or degree-2 vertex is eliminated first
+        cases = [
+            (complete_graph(4), R("[{1},{2},{1},{3}]")),
+            (complete_bipartite_graph(3, 3), R("[{1},{2},{1},{2},{1},{3}]")),
+            (petersen_graph(), R("[{1},{2},{1},{2},{1},{2},{3},{1},{3},{2}]")),
+        ]
+        bases = [restrained_poly(g, r) for g, r in cases]
+        for (g, r), base in zip(cases, bases):
+            for seed in range(6):
+                pick = random_pivot(random.Random(seed))
+                monkeypatch.setattr(engine, "_pivot", pick)
+                assert restrained_poly(g, r) == base
+                assert pick.calls > 0
 
     def test_whole_polynomial_matches_oracle(self):
         # n + 1 consecutive values from m(r) on pin the degree-n polynomial;
@@ -291,6 +298,33 @@ class TestPolynomialMeaning:
                 assert c == 0 or (c > 0) == (i % 2 == 0)
             if g.m + sum(r.sizes()) > 0:
                 assert -p.coefficient(g.n - 1) > 0
+
+
+def petersen_graph() -> Graph:
+    """The Petersen graph: outer 5-cycle 0..4, spokes i - i + 5, inner pentagram."""
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(i + 5, (i + 2) % 5 + 5) for i in range(5)])
+
+
+def relabel(g: Graph, r: Restraint, perm) -> tuple[Graph, Restraint]:
+    """g and r with each vertex v renamed perm[v]."""
+    sets = [()] * g.n
+    for v, s in enumerate(r.sets):
+        sets[perm[v]] = s
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]), Restraint(sets)
+
+
+def random_cactus(rng: random.Random, blocks: int) -> Graph:
+    """A connected graph of the given number of blocks, each an edge or a
+    cycle of length 3..6 hung on a random earlier vertex, randomly labelled."""
+    n, edges = 1, []
+    for _ in range(blocks):
+        at, size = rng.randrange(n), rng.choice((2, 3, 4, 5, 6))
+        ring = [at, *range(n, n + size - 1)]
+        n += size - 1
+        edges += list(zip(ring, ring[1:])) + ([(ring[-1], at)] if size > 2 else [])
+    label = rng.sample(range(n), n)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
 
 
 def first_pendant(g: Graph):
@@ -374,12 +408,20 @@ def sparse_queries() -> list:
     return queries
 
 
+def sparse_expansion_mismatches(m_max: int = 15) -> list:
+    """(graph6, restraint) pairs among the sparse_queries() with at most
+    m_max edges whose polynomial differs from subgraph_expansion's."""
+    return [(to_graph6(g), r) for g, r in sparse_queries()
+            if g.m <= m_max and restrained_poly(g, r).coeffs != subgraph_expansion(g, r)]
+
+
 class TestPeeling:
-    """Pendant vertices are peeled and components split before any pivot is consulted."""
+    """Pendant and degree-2 vertices are eliminated and components split
+    before any pivot is consulted."""
 
     def test_pendant_rule_matches_oracle(self):
         # trees, forests and unicyclic graphs with pendant paths; the first
-        # pendant v on u is peeled first, with s_v inside s_u or not, and
+        # pendant v on u is eliminated first, with s_v inside s_u or not, and
         # some forests keep an isolated vertex beside an edge.  The counter's
         # leaves grow as (m + n)**n, so n = 7 is rare and m small
         rng = random.Random(67)
@@ -402,6 +444,33 @@ class TestPeeling:
             assert [p.evaluate(x) for x in xs] == [count_colourings(g, r, x) for x in xs], (g, r)
         assert inside and outside and isolated
 
+    def test_degree_two_rule_matches_oracle(self, monkeypatch):
+        # cycles with chords, theta graphs and pendant paths: the recursion
+        # eliminates degree-2 vertices whose two neighbours are adjacent (a
+        # triangle, so no merge term) or not, with s_v inside both
+        # neighbours' sets, inside one or inside neither; every such case
+        # is reached, and each polynomial matches the counter at n + 1 points
+        eliminate, seen = engine._eliminate, set()
+
+        def spy(adj, sets, v, x, memo):
+            a, b = (adj[v] & -adj[v]).bit_length() - 1, adj[v].bit_length() - 1
+            if a != b:
+                inside = sum(sets[v] & sets[w] == sets[v] for w in (a, b))
+                seen.add((bool(adj[a] >> b & 1), inside))
+            return eliminate(adj, sets, v, x, memo)
+
+        monkeypatch.setattr(engine, "_eliminate", spy)
+        rng = random.Random(79)
+        for _ in range(30):
+            n = rng.randint(3, 6)
+            g = random_connected_graph(rng, n, extra_edges=min(rng.randint(1, 3), (n - 1) * (n - 2) // 2))
+            r = random_restraint(rng, n, max_colour=3, max_size=2)
+            m = r.m_value()
+            p = restrained_poly(g, r)
+            xs = range(m, m + n + 1)
+            assert [p.evaluate(x) for x in xs] == [count_colourings(g, r, x) for x in xs], (g, r)
+        assert seen == {(adjacent, inside) for adjacent in (True, False) for inside in (0, 1, 2)}
+
     def test_small_cases(self):
         assert restrained_poly(Graph(0), R("[]")) == IntPolynomial([1])
         assert restrained_poly(Graph(1), R("[{4,9}]")) == IntPolynomial([-2, 1])
@@ -409,19 +478,29 @@ class TestPeeling:
         assert restrained_poly(empty_graph(3), R("[{},{1,2,3},{2}]")) == IntPolynomial([0, 3, -4, 1])
 
     def test_pivot_never_consulted_on_a_forest(self, monkeypatch):
+        # nor on any graph whose blocks are all edges and cycles: forests,
+        # cycles, unicyclic graphs, two cycles sharing a vertex and random
+        # cacti, connected or beside a forest
         def refuse(adj):
             raise AssertionError(f"pivot consulted on {adj}")
 
         rng = random.Random(71)
-        forests = []
+        graphs = []
         for _ in range(20):
             n = rng.randint(1, 10)
             g = random_connected_graph(rng, n)
-            g = Graph(n, rng.sample(sorted(g.edges), rng.randint(0, n - 1)))
-            forests.append((g, random_restraint(rng, n, max_colour=4)))
-        expected = [restrained_poly(g, r) for g, r in forests]
+            graphs.append(Graph(n, rng.sample(sorted(g.edges), rng.randint(0, n - 1))))
+        graphs += [cycle_graph(n) for n in range(3, 11)]
+        graphs += [random_connected_graph(rng, rng.randint(3, 10), extra_edges=1) for _ in range(10)]
+        for p, q in [(3, 3), (3, 6), (4, 4), (4, 5), (5, 6)]:
+            second = [0, *range(p, p + q - 1)]  # a q-cycle through vertex 0
+            graphs.append(Graph(p + q - 1, [*cycle_graph(p).edges, *zip(second, second[1:] + second[:1])]))
+        graphs += [random_cactus(rng, rng.randint(1, 5)) for _ in range(10)]
+        graphs += [disjoint_union(random_cactus(rng, 3), g) for g in graphs[:5]]
+        cases = [(g, random_restraint(rng, g.n, max_colour=4)) for g in graphs]
+        expected = [restrained_poly(g, r) for g, r in cases]
         monkeypatch.setattr(engine, "_pivot", refuse)
-        assert [restrained_poly(g, r) for g, r in forests] == expected
+        assert [restrained_poly(g, r) for g, r in cases] == expected
 
     def test_colours_renamed_to_bits(self, c7):
         # a colour of 10**9 would be a 10**9-bit mask without the renaming
@@ -435,6 +514,19 @@ class TestPeeling:
         coeffs = [list(restrained_poly(g, r).coeffs) for g, r in sparse_queries()]
         digest = hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()
         assert digest == "423ef4304dbca0ec05e22039538e48396f7e58df8cbca40beb0867478861ba1a"
+
+    def test_sparse_queries_relabelled(self):
+        # the polynomial does not depend on which vertex is eliminated: three
+        # seeded vertex permutations of each query give the same one
+        rng = random.Random(83)
+        for g, r in sparse_queries():
+            p = restrained_poly(g, r)
+            for _ in range(3):
+                assert restrained_poly(*relabel(g, r, rng.sample(range(g.n), g.n))) == p, (g, r)
+
+    def test_sparse_queries_match_subgraph_expansion(self):
+        # CI runs the same check on all 40 queries, m = 12..15
+        assert sparse_expansion_mismatches(m_max=13) == []
 
     def test_catalog_top_coefficients(self):
         # CI runs the same check over connected_catalog(7)
@@ -479,12 +571,12 @@ class TestMemoCache:
         stats = cache.stats()
         assert set(stats) == {"hits", "misses", "peak_entries"}
 
-    # the memo sees the subproblems it saw when the recursion returned
-    # coefficient tuples: stats taken from that recursion
+    # stats of the recursion that eliminates a pendant or degree-2 vertex
+    # before any component split or pivot
     @pytest.mark.parametrize("name, k, stats", [
-        ("C8", 1, {"hits": 37, "misses": 55, "peak_entries": 55}),
+        ("C8", 1, {"hits": 45, "misses": 52, "peak_entries": 52}),
         ("P5", 2, {"hits": 6, "misses": 14, "peak_entries": 14}),
-        ("K2,3", 2, {"hits": 20, "misses": 33, "peak_entries": 33}),
+        ("K2,3", 2, {"hits": 18, "misses": 21, "peak_entries": 21}),
     ])
     def test_search_stats_pinned(self, name, k, stats):
         cache = MemoCache()
@@ -498,7 +590,7 @@ class TestMemoCache:
             restrained_poly(g, r, cache=cache)
             for key, value in cache.stats().items():
                 total[key] += value
-        assert total == {"hits": 7034, "misses": 9149, "peak_entries": 9149}
+        assert total == {"hits": 6335, "misses": 5265, "peak_entries": 5265}
 
 
 class TestDigits:

@@ -384,6 +384,14 @@ class TestVerify:
         assert code == 0
         assert "0 violations" in out
 
+    def test_min_refused_at_large_k(self, capsys):
+        # the min record reads no search, but the forms budget must still
+        # refuse the run: its class id, k labels per vertex, would take time
+        # quadratic in k to render
+        code, out, err = run(capsys, "verify", "--theorem", "min", "--graph", "C4", "--k", "300")
+        assert (code, out) == (3, "")
+        assert "normal-form budget exceeded" in err and "n=4, k=300" in err
+
     def test_graph_flag_checks_one_graph(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "min", "--graph", "C4", "--json")
         assert code == 0

@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 parse failure or an unusable extremal
---results-dir (refused before any search, with the OS reason), 3 work
-budget exceeded, 4 theorem violation found by a verify run.  JSON mode emits a single top-level object
-with sorted keys, so identical invocations are byte-identical.
+Exit codes: 0 success, 2 parse failure (a restraint that check_fit
+refuses for its graph included) or an unusable extremal --results-dir
+(refused before any search, with the OS reason), 3 work budget exceeded,
+4 theorem violation found by a verify run.  JSON mode emits a single
+top-level object with sorted keys, so identical invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import os
 import sys
 
-from .engine import coeff_n1, coeff_n2, coeff_n3, count_colourings, restrained_poly, shared_pair_overlap
+from .engine import (
+    coeff_n1, coeff_n2, coeff_n3, count_colourings, dominance_key, restrained_poly, shared_pair_overlap,
+)
 from . import extremal
 from .extremal import THEOREMS, check_conjecture, verify_theorems, write_json
 from .graphs import (
@@ -28,9 +32,9 @@ from .graphs import (
 from .restraints import (
     Restraint,
     RestraintClass,
+    check_fit,
     empty_restraint,
     enumerate_k_restraints,
-    is_proper,
     parse_restraint,
     render_restraint,
 )
@@ -49,8 +53,7 @@ def _load_restraint(source: str | None, g: Graph) -> Restraint:
         with open(source, "r", encoding="ascii") as fh:
             text = fh.read()
     r = parse_restraint(text)
-    if len(r) != g.n:
-        raise ParseError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
+    check_fit(g, r)
     return r
 
 
@@ -136,9 +139,10 @@ def cmd_coeffs(args) -> int:
 
 def cmd_classes(args) -> int:
     g = load_graph(args.graph)
+    key = dominance_key(g, args.k)  # a class is proper exactly when its I2, -key(canon)[0], is 0
     entries = [
-        {"restraint": cls.class_id(), "proper": is_proper(g, cls.representative)}
-        for cls in (RestraintClass(canon, g.n) for canon in enumerate_k_restraints(g, args.k))
+        {"restraint": RestraintClass(canon, g.n).class_id(), "proper": not key(canon)[0]}
+        for canon in enumerate_k_restraints(g, args.k)
     ]
     obj = {"graph6": to_graph6(g), "k": args.k, "count": len(entries), "classes": entries}
     lines = [f"{len(entries)} classes on {to_graph6(g)} (k={args.k})"]

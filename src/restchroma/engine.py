@@ -37,7 +37,7 @@ from math import comb
 
 from .graphs import CapError, Graph, component_vertices, reach_mask
 from .polynomials import IntPolynomial, elementary_symmetric
-from .restraints import Restraint
+from .restraints import Restraint, check_fit
 
 ORACLE_WORK_BUDGET = 10_000_000
 
@@ -87,8 +87,7 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
 
     cache: None for a private memo table, or a shared MemoCache instance.
     """
-    if len(r) != g.n:
-        raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
+    check_fit(g, r)
     if cache is None:
         cache = MemoCache()
     elif not isinstance(cache, MemoCache):
@@ -231,8 +230,7 @@ def count_colourings(g: Graph, r: Restraint, x: int) -> int:
     vertices in index order; refuses any instance with more than
     ORACLE_WORK_BUDGET leaves (x**n), whatever n is.
     """
-    if len(r) != g.n:
-        raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
+    check_fit(g, r)
     if x < 0:
         raise ValueError("colour count x must be nonnegative")
     if x ** g.n > ORACLE_WORK_BUDGET:
@@ -264,7 +262,9 @@ def count_colourings(g: Graph, r: Restraint, x: int) -> int:
         colours[v] = 0
         return total
 
-    return count_from(0)
+    total = count_from(0)
+    del count_from  # count_from holds itself, which only the cyclic collector would free
+    return total
 
 
 # -- closed-form coefficients ---------------------------------------------------
@@ -275,6 +275,7 @@ def count_colourings(g: Graph, r: Restraint, x: int) -> int:
 
 def coeff_n1(g: Graph, r: Restraint) -> int:
     """a_{n-1}: edge count plus the total size of the forbidden sets; requires n >= 1."""
+    check_fit(g, r)
     if g.n < 1:
         raise ValueError("coefficient undefined for graphs with no vertices")
     return g.m + sum(len(s) for s in r.sets)
@@ -286,6 +287,7 @@ def _edge_intersections(g: Graph, r: Restraint) -> int:
 
 def coeff_n2(g: Graph, r: Restraint) -> int:
     """a_{n-2} from the census and the pairwise set-size sums; requires n >= 2."""
+    check_fit(g, r)
     if g.n < 2:
         raise ValueError("coefficient undefined for graphs on fewer than 2 vertices")
     sizes = r.sizes()
@@ -320,6 +322,7 @@ def coeff_n3(g: Graph, r: Restraint) -> CoefficientBreakdown:
     A4, A6, A7', A8 vanish on proper restraints.  A7'' charges every
     unordered pair of vertices once per common neighbour.
     """
+    check_fit(g, r)
     if g.n < 3:
         raise ValueError("coefficient undefined for graphs on fewer than 3 vertices")
     sizes = r.sizes()
@@ -429,6 +432,7 @@ def common_neighbor_overlap(g: Graph, r: Restraint) -> int:
     minimization of this quantity over proper k-restraints is a necessary
     condition for a class to permit the most colourings.
     """
+    check_fit(g, r)
     adj = g.adjacency_masks()
     total = 0
     for v in range(g.n):
@@ -445,6 +449,7 @@ def shared_pair_overlap(g: Graph, r: Restraint) -> int:
     matter how many common neighbours it has; the two agree exactly on
     graphs where every such pair has a unique common neighbour.
     """
+    check_fit(g, r)
     adj = g.adjacency_masks()
     total = 0
     for i, j in combinations(range(g.n), 2):

@@ -1,9 +1,11 @@
 """Restraints: per-vertex forbidden colour sets.
 
-Covers the named constructions (constant, alternating), properness,
-the equivalence relation (graph automorphism composed with a bijective
-colour renaming), canonical class representatives, and exhaustive
-enumeration of k-restraints up to equivalence.
+Covers the named constructions (constant, alternating), a restraint's
+fit to its graph (check_fit, which every function that takes a graph and
+a restraint calls first), properness, the equivalence relation (graph
+automorphism composed with a bijective colour renaming), canonical class
+representatives, and exhaustive enumeration of k-restraints up to
+equivalence.
 
 Classes are colour incidence masks (one vertex bitmask per colour) from
 generation on, listed as canons by enumerate_k_restraints only; a
@@ -126,8 +128,15 @@ def alternating_restraint(g: Graph, k: int) -> Restraint:
     return Restraint(sets)
 
 
+def check_fit(g: Graph, r: Restraint) -> None:
+    """Raise ValueError unless r has one set per vertex of g."""
+    if len(r) != g.n:
+        raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
+
+
 def is_proper(g: Graph, r: Restraint) -> bool:
     """True iff adjacent vertices have disjoint forbidden sets."""
+    check_fit(g, r)
     return all(not (r[u] & r[v]) for u, v in g.edges)
 
 
@@ -278,8 +287,7 @@ def _row(rows: dict[int, list[int]], mask: int) -> list[int]:
 
 def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     """Canonical class of a restraint under automorphism x colour bijection."""
-    if len(r) != g.n:
-        raise ValueError(f"restraint has {len(r)} sets for a graph on {g.n} vertices")
+    check_fit(g, r)
     orbit = _orbit_rows(g.n, g.automorphisms())
     return RestraintClass(min(orbit(incidence_masks(r))), g.n)
 

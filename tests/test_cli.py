@@ -10,7 +10,10 @@ import tracemalloc
 
 import pytest
 
-from restchroma import IntPolynomial, RestraintClass, connected_catalog, find_extremal, from_name, to_graph6
+from restchroma import (
+    IntPolynomial, RestraintClass, connected_catalog, enumerate_k_restraints, find_extremal, from_name, is_proper,
+    load_graph, to_graph6,
+)
 from restchroma import extremal as extremal_module
 from restchroma.cli import _emit, main
 from restchroma.extremal import JSON_CHUNK, THEOREMS, verify_theorems, write_json
@@ -176,6 +179,19 @@ class TestClasses:
         code, out, _ = run(capsys, "classes", "--graph", graph, "--k", k, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_proper_flags_match_is_proper(self, capsys):
+        # classes reads each flag from dominance_key (proper exactly when
+        # I2 is 0); the oracle tests each class's representative edge by
+        # edge.  FPpC? has a trivial group, n 3 no edges and E0 no vertices
+        cases = [(to_graph6(g), 1) for g in connected_catalog(5)] + [(to_graph6(g), 2) for g in connected_catalog(4)]
+        cases += [("K3,4", 1), ("FPpC?", 1), ("n 3", 2), ("E0", 1)]
+        for graph, k in cases:
+            code, out, _ = run(capsys, "classes", "--graph", graph, "--k", str(k), "--json")
+            g = load_graph(graph)
+            classes = [RestraintClass(canon, g.n) for canon in enumerate_k_restraints(g, k)]
+            want = [{"restraint": c.class_id(), "proper": is_proper(g, c.representative)} for c in classes]
+            assert (code, json.loads(out)["classes"]) == (0, want), (graph, k)
 
     def test_cap_exit_code(self, capsys):
         # C4 at k=6 has 92,022,204 normal forms: refused before any sweep

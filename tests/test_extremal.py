@@ -25,6 +25,7 @@ from restchroma import (
     connected_bipartite_catalog,
     connected_catalog,
     constant_restraint,
+    count_colourings,
     cycle_graph,
     dominance_key,
     enumerate_k_restraints,
@@ -736,9 +737,11 @@ class TestNoReferenceCycles:
     def test_pipeline_leaves_nothing_for_the_cyclic_collector(self):
         # a recursion through its own closure cell (the isomorphism search's,
         # the orbit rows') would keep the rows cache, up to |Aut| ints per
-        # mask, and whatever a search held alive until a full collection
-        k34, c6 = from_name("K3,4"), cycle_graph(6)
+        # mask, and whatever a search held alive until a full collection;
+        # the brute-force counter's recursion would hold itself the same way
+        k34, c6, c5 = from_name("K3,4"), cycle_graph(6), cycle_graph(5)
         calls = [
+            lambda: count_colourings(c5, constant_restraint(c5, 1), 3),
             lambda: from_name("K3,4").automorphisms(),
             lambda: enumerate_k_restraints(k34, 1),
             lambda: find_extremal(c6, 1),

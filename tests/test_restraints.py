@@ -1,10 +1,12 @@
 import gc
+import inspect
 import random
 import time
 from itertools import permutations
 
 import pytest
 
+import restchroma
 from restchroma import (
     CapError,
     Graph,
@@ -32,6 +34,12 @@ from restchroma.restraints import _normal_form_count, _normal_form_masks, id_mas
 from conftest import first_use_forms, labelled_graphs, restraint_classes, restraint_of
 
 R = parse_restraint
+
+# the library entry points that take a graph and a restraint
+FIT_CHECKED = [
+    "canonicalize", "coeff_n1", "coeff_n2", "coeff_n3", "common_neighbor_overlap", "count_colourings",
+    "is_proper", "restrained_poly", "shared_pair_overlap",
+]
 
 
 def class_id_mismatches(g: Graph, k: int) -> list[tuple[str, str]]:
@@ -267,6 +275,25 @@ class TestEquivalence:
         assert canonicalize(p3, R("[{1},{2},{2}]")).canon != canonicalize(p3, R("[{1},{2},{1}]")).canon
         # reversal of the path maps end to end
         assert canonicalize(p3, R("[{1},{2},{3}]")).canon == canonicalize(p3, R("[{3},{2},{1}]")).canon
+
+
+class TestFit:
+    @pytest.mark.parametrize("sets", [3, 5])
+    @pytest.mark.parametrize("name", FIT_CHECKED)
+    def test_every_entry_point_refuses_a_restraint_that_does_not_fit(self, name, sets):
+        # check_fit owns the rule and its message; one set too few or too
+        # many once made coeff_n1 return a number and others IndexError
+        g = cycle_graph(4)
+        extra = (3,) if name == "count_colourings" else ()
+        with pytest.raises(ValueError, match=f"^restraint has {sets} sets for a graph on 4 vertices$"):
+            getattr(restchroma, name)(g, Restraint([[1]] * sets), *extra)
+
+    def test_fit_checked_names_every_entry_point(self):
+        # every public function whose first two parameters are a graph and a
+        # restraint: one exported later fails here until FIT_CHECKED names it
+        takes = [name for name, f in vars(restchroma).items()
+                 if inspect.isfunction(f) and list(inspect.signature(f).parameters)[:2] == ["g", "r"]]
+        assert sorted(takes) == sorted(FIT_CHECKED)
 
 
 class TestEnumeration:

@@ -16,9 +16,18 @@ So a pivot edge is chosen only in connected subproblems of minimum degree
 at least 3, never on a graph whose blocks are all edges and cycles, and
 always by one rule, _pivot: vertex 0 and its lowest neighbour.  The
 identity holds for any edge, so the rule decides only which subproblems
-the memo table sees.  The resulting polynomial agrees with the permitted
-proper-colouring count for every x at or above the largest forbidden
-colour; below that threshold the brute-force counter is the ground truth.
+the memo table sees.
+
+The rule reads only the adjacency, so each subproblem is split in two.  Its
+plan (_plan), which rule applies and the child adjacencies that rule needs,
+is decided once per adjacency per MemoCache; the forbidden-set tuples met
+on that adjacency, and the point X, share it.  Only the arithmetic on the
+sets (the product, _eliminate, the component product, or deletion minus
+contraction) is done once per (adjacency, sets, X), the memo's entry.
+
+The resulting polynomial agrees with the permitted proper-colouring count
+for every x at or above the largest forbidden colour; below that threshold
+the brute-force counter is the ground truth.
 
 Also includes the closed-form coefficient formulas for the three top
 non-trivial coefficients, with the full additive term breakdown for the
@@ -43,24 +52,31 @@ ORACLE_WORK_BUDGET = 10_000_000
 
 
 class MemoCache:
-    """Memo table for the recursion: the value at X of each exact labeled
-    subproblem, keyed on (adj, sets, X), so queries at two points never mix.
+    """Memo table for the recursion, in two parts.
 
-    _rec reads and writes the table and counts hits; each miss stores one
-    entry, never dropped, so misses and peak_entries are the table's size.
-    Passing one cache to several computations lets them reuse each other's
-    subproblems.  It is not synchronised: use it from one thread at a time.
+    _plans maps each adjacency (a tuple of neighbour bitmasks) to its plan
+    (_plan), built once per cache whatever the forbidden sets or the point.
+    _tables maps each evaluation point X to a dict from adjacency to the
+    pair (plan, values), values mapping a sets tuple to P(X) of that exact
+    labeled subproblem, so queries at two points never mix.
+
+    _rec reads and writes the tables and counts hits; each miss stores one
+    value, never dropped, so misses and peak_entries are the number of
+    values stored.  Passing one cache to several computations lets them
+    reuse each other's plans and values.  It is not synchronised: use it
+    from one thread at a time.
     """
 
-    __slots__ = ("_table", "hits")
+    __slots__ = ("_plans", "_tables", "hits")
 
     def __init__(self):
-        self._table: dict = {}
+        self._plans: dict = {}
+        self._tables: dict = {}
         self.hits = 0
 
     @property
     def misses(self) -> int:
-        return len(self._table)
+        return sum(len(values) for table in self._tables.values() for _, values in table.values())
 
     peak_entries = misses
 
@@ -98,7 +114,9 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
     rank = {c: i for i, c in enumerate(sorted(set().union(*r.sets)))}
     sets = tuple(sum(1 << rank[c] for c in s) for s in r.sets)
     s = g.m + sum(len(c).bit_length() for c in r.sets) + 2
-    return IntPolynomial._trusted(_digits(_rec(g.adjacency_masks(), sets, 1 << s, cache), s))
+    x = 1 << s
+    table = cache._tables.setdefault(x, {})
+    return IntPolynomial._trusted(_digits(_rec(g.adjacency_masks(), sets, x, cache, table), s))
 
 
 def _digits(value: int, s: int) -> tuple[int, ...]:
@@ -118,56 +136,121 @@ def _drop(adj, v: int) -> tuple:
     return tuple([a & low | a >> 1 & high for a in adj[:v] + adj[v + 1:]])
 
 
-def _induced(adj: tuple, sets: tuple, verts) -> tuple[tuple, tuple]:
-    """(adj, sets) of the subproblem induced on the increasing vertices verts."""
+def _induced(adj: tuple, verts) -> tuple:
+    """Neighbour masks of the subgraph induced on the increasing vertices verts."""
     at = {w: i for i, w in enumerate(verts)}
-    return tuple(sum(1 << at[w] for w in verts if adj[a] >> w & 1) for a in verts), tuple(sets[a] for a in verts)
+    return tuple(sum(1 << at[w] for w in verts if adj[a] >> w & 1) for a in verts)
 
 
-def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
-    """P(x) on the labeled subproblem (adj, sets), memoised on (adj, sets, x).
+def _merge(adj: tuple, u: int, v: int) -> tuple:
+    """Neighbour masks with vertex v merged into u < v, adjacent or not: u
+    takes both neighbourhoods."""
+    bu, bv = 1 << u, 1 << v
+    merged = [a ^ bv | bu if a & bv else a for a in adj]
+    merged[u] = (adj[u] | adj[v]) & ~(bu | bv)
+    return _drop(merged, v)
+
+
+def _pivot(adj: tuple) -> tuple[int, int]:
+    """The edge (u, v), u < v, that a branch plan deletes and contracts:
+    vertex 0 and its lowest neighbour, so equal adjacencies branch alike.
+    _plan consults it only on connected adjacencies of minimum degree 3 or
+    more."""
+    return 0, (adj[0] & -adj[0]).bit_length() - 1
+
+
+# the kinds of plan, each plan's first item
+_EDGELESS, _ELIMINATE, _SPLIT, _BRANCH = range(4)
+
+
+def _plan(adj: tuple):
+    """What _rec's rule does to the adjacency adj, whatever the forbidden
+    sets: decided once per adjacency per MemoCache, with every child
+    adjacency it needs.  The first rule that applies decides:
+
+    - (_EDGELESS,): adj has no edges, so P is the product of (x - |s_v|);
+    - (_ELIMINATE, v, rest, ws, merged): the first pendant vertex v, or
+      else the first vertex of degree 2, is eliminated (_eliminate); rest
+      is adj less v, ws the ascending indices of v's neighbours in rest,
+      and merged is rest with the two neighbours merged when they are not
+      adjacent, else None;
+    - (_SPLIT, ((component adjacency, its vertices), ...)): components
+      multiply, an isolated vertex being a component of its own (they are
+      listed only when one sweep from vertex 0 misses a vertex);
+    - (_BRANCH, deleted, merged, u, v): at minimum degree 3 or more the
+      edge (u, v) = _pivot(adj) is deleted, and contracted by merging v
+      into u.
+    """
+    if not any(adj):
+        return (_EDGELESS,)
+    elim = None
+    for v, a in enumerate(adj):
+        if a and not a & a - 1:
+            elim = v
+            break
+        if elim is None and a.bit_count() == 2:
+            elim = v
+    if elim is not None:
+        v, nbrs = elim, adj[elim]
+        rest = _drop(adj, v)
+        a, b = (nbrs & -nbrs).bit_length() - 1, nbrs.bit_length() - 1
+        ws = (a - (a > v),) if a == b else (a - (a > v), b - (b > v))
+        merged = _merge(rest, *ws) if a != b and not adj[a] >> b & 1 else None
+        return _ELIMINATE, v, rest, ws, merged
+    if reach_mask(adj, 1) == (1 << len(adj)) - 1:
+        u, v = _pivot(adj)
+        deleted = list(adj)
+        deleted[u] ^= 1 << v
+        deleted[v] ^= 1 << u
+        return _BRANCH, tuple(deleted), _merge(adj, u, v), u, v
+    return _SPLIT, tuple((_induced(adj, verts), verts) for verts in component_vertices(adj))
+
+
+def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
+    """P(x) on the labeled subproblem (adj, sets), memoised in table, memo's
+    table for the point x.
 
     adj holds each vertex's neighbour bitmask and sets its forbidden colours
-    as a bitmask.  At a miss the first rule that applies decides: with no
-    edges P is the product of (x - |s_v|); the first pendant vertex, or else
-    the first vertex of degree 2, is eliminated (_eliminate); components
-    multiply, an isolated vertex being a component of its own (they are
-    listed only when one sweep from vertex 0 misses a vertex); otherwise,
-    at minimum degree 3 or more, the pivot edge is deleted and contracted
-    (_branch).
+    as a bitmask.  The plan of adj, what the rule does to the graph
+    (_plan), is built once per memo and fetched into table the first time
+    adj is met at x.  A miss does only the arithmetic on its sets tuple,
+    reading the plan: the edgeless product, the elimination (_eliminate),
+    the product over components, or the pivot edge's deletion minus its
+    contraction.
     """
-    key = (adj, sets, x)
-    table = memo._table
-    value = table.get(key)
+    entry = table.get(adj)
+    if entry is None:
+        plan = memo._plans.get(adj)
+        if plan is None:
+            plan = memo._plans[adj] = _plan(adj)
+        entry = table[adj] = (plan, {})
+    plan, values = entry
+    value = values.get(sets)
     if value is not None:
         memo.hits += 1
         return value
-    if not any(adj):
+    kind = plan[0]
+    if kind == _ELIMINATE:
+        value = _eliminate(plan, sets, x, memo, table)
+    elif kind == _EDGELESS:
         value = 1
         for s in sets:
             value *= x - s.bit_count()
+    elif kind == _BRANCH:
+        _, deleted, merged, u, v = plan
+        joined = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
+        value = _rec(deleted, sets, x, memo, table) - _rec(merged, joined, x, memo, table)
     else:
-        elim = None
-        for v, a in enumerate(adj):
-            if a and not a & a - 1:
-                elim = v
-                break
-            if elim is None and a.bit_count() == 2:
-                elim = v
-        if elim is not None:
-            value = _eliminate(adj, sets, elim, x, memo)
-        elif reach_mask(adj, 1) == (1 << len(adj)) - 1:
-            value = _branch(adj, sets, x, memo)
-        else:
-            value = 1
-            for verts in component_vertices(adj):
-                value *= _rec(*_induced(adj, sets, verts), x, memo)
-    table[key] = value
+        value = 1
+        for part, verts in plan[1]:
+            value *= _rec(part, tuple([sets[a] for a in verts]), x, memo, table)
+    values[sets] = value
     return value
 
 
-def _eliminate(adj: tuple, sets: tuple, v: int, x: int, memo: MemoCache) -> int:
-    """P with vertex v of degree 1 or 2 removed in one step.
+def _eliminate(plan: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
+    """P with the vertex v of an elimination plan, of degree 1 or 2, removed
+    in one step: the arithmetic on one sets tuple.
 
     Once v's neighbours w are coloured, v has x - |s_v| - sum_w [c_w not in
     s_v] + [c_a = c_b not in s_v] colours left, the last term for the two
@@ -177,49 +260,21 @@ def _eliminate(adj: tuple, sets: tuple, v: int, x: int, memo: MemoCache) -> int:
     is 0, and left out, when a and b are adjacent.  A term for w with s_v
     inside s_w is P(G - v) itself, so it only lowers that coefficient.
     """
-    rest, rest_sets = _drop(adj, v), sets[:v] + sets[v + 1:]
-    sv = sets[v]
-    a, b = (adj[v] & -adj[v]).bit_length() - 1, adj[v].bit_length() - 1
-    coeff, value, joined = x - sv.bit_count(), 0, rest_sets
-    for w in {a, b}:
-        w -= w > v
+    _, v, rest, ws, merged = plan
+    rest_sets, sv = sets[:v] + sets[v + 1:], sets[v]
+    coeff, value = x - sv.bit_count(), 0
+    for w in ws:
         sw = rest_sets[w]
         if sw & sv == sv:
             coeff -= 1
         else:
-            joined = rest_sets[:w] + (sw | sv,) + rest_sets[w + 1:]
-            value -= _rec(rest, joined, x, memo)
-    value += coeff * _rec(rest, rest_sets, x, memo)
-    if a != b and not adj[a] >> b & 1:
-        # s_v is in joined at one end, or else inside s_a and s_b already
-        value += _rec(*_merge(rest, joined, a - (a > v), b - (b > v)), x, memo)
+            value -= _rec(rest, rest_sets[:w] + (sw | sv,) + rest_sets[w + 1:], x, memo, table)
+    value += coeff * _rec(rest, rest_sets, x, memo, table)
+    if merged is not None:
+        a, b = ws
+        joined = rest_sets[:a] + (rest_sets[a] | rest_sets[b] | sv,) + rest_sets[a + 1:b] + rest_sets[b + 1:]
+        value += _rec(merged, joined, x, memo, table)
     return value
-
-
-def _pivot(adj: tuple) -> tuple[int, int]:
-    """The edge (u, v), u < v, that _branch deletes and contracts: vertex 0
-    and its lowest neighbour, so equal subproblems branch alike.  _rec
-    consults it only on connected subproblems of minimum degree 3 or more."""
-    return 0, (adj[0] & -adj[0]).bit_length() - 1
-
-
-def _merge(adj: tuple, sets: tuple, u: int, v: int) -> tuple[tuple, tuple]:
-    """(adj, sets) with vertex v merged into u < v, adjacent or not: u takes
-    both neighbourhoods and the union of both forbidden sets."""
-    bu, bv = 1 << u, 1 << v
-    merged = [a ^ bv | bu if a & bv else a for a in adj]
-    merged[u] = (adj[u] | adj[v]) & ~(bu | bv)
-    return _drop(merged, v), sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
-
-
-def _branch(adj: tuple, sets: tuple, x: int, memo: MemoCache) -> int:
-    """Delete and contract the edge _pivot(adj), merging its higher end into
-    its lower; reached only at minimum degree 3 or more."""
-    u, v = _pivot(adj)
-    deleted = list(adj)
-    deleted[u] ^= 1 << v
-    deleted[v] ^= 1 << u
-    return _rec(tuple(deleted), sets, x, memo) - _rec(*_merge(adj, sets, u, v), x, memo)
 
 
 def count_colourings(g: Graph, r: Restraint, x: int) -> int:

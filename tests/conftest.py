@@ -5,8 +5,8 @@ from itertools import combinations, zip_longest
 import pytest
 
 from restchroma import (
-    Graph, IntPolynomial, Restraint, RestraintClass, cycle_graph, enumerate_k_restraints, extremal, path_graph,
-    to_graph6,
+    Graph, IntPolynomial, Restraint, RestraintClass, cycle_graph, dominance_key, enumerate_k_restraints, extremal,
+    path_graph, to_graph6,
 )
 from restchroma.graphs import _min_mask_form
 
@@ -192,3 +192,35 @@ def subgraph_expansion(g: Graph, r: Restraint) -> tuple[int, ...]:
         for i, c in enumerate(product):
             coeffs[i] += sign * c
     return tuple(coeffs)
+
+
+def tie_break_mismatches(graphs, k: int) -> tuple[int, list]:
+    """(tied sides, mismatches): each side of each graph's k-restraint
+    classes on which two or more classes tie the extreme dominance key is
+    re-decided from subgraph_expansion, which shares no code with the
+    engine.  The winners are the tied canons, in canon order, whose
+    expansion is largest (max side) or smallest (min side) compared from
+    the top coefficient down.  A mismatch (graph6, what) is a side whose
+    find_extremal winners or polynomial differ from that, or a max side
+    whose theorem_search winners do."""
+    tied_sides, bad = 0, []
+    for g in graphs:
+        report, found = extremal.find_extremal(g, k), extremal.theorem_search(g, k)
+        canons = enumerate_k_restraints(g, k)
+        keys = list(map(dominance_key(g, k), canons))
+        for side, extreme in (("max", max), ("min", min)):
+            target = extreme(keys)
+            tied = [c for c, c_key in zip(canons, keys) if c_key == target]
+            if len(tied) < 2:
+                continue
+            tied_sides += 1
+            polys = [subgraph_expansion(g, RestraintClass(c, g.n).representative) for c in tied]
+            poly = extreme(polys, key=lambda p: p[::-1])
+            winners = [c for c, p in zip(tied, polys) if p == poly]
+            if [c.canon for c in getattr(report, f"{side}_classes")] != winners:
+                bad.append((report.graph_id, f"find_extremal {side} winners"))
+            if getattr(report, f"{side}_poly").coeffs != poly:
+                bad.append((report.graph_id, f"find_extremal {side} polynomial"))
+            if side == "max" and [c.canon for c in found.max_classes] != winners:
+                bad.append((report.graph_id, "theorem_search max winners"))
+    return tied_sides, bad

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -353,20 +354,26 @@ def catalog_coefficient_mismatches(n_max: int) -> list:
     return bad
 
 
+def relabelled(graphs):
+    """Yield each graph relabelled by a permutation drawn from one seeded
+    generator, so a check over a catalog does not see its labellings alone."""
+    rng = random.Random(53)
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def dominance_key_mismatches(graphs, k: int) -> list:
     """(graph6, offsets) for each graph on which dominance_key minus
     (c_{n-2}, 6 * c_{n-3}) of the whole polynomial is not one constant over
     every k-restraint class.  Where it is one constant, key differences are
     exactly the coefficient differences that decide eventual dominance.
 
-    Each graph is relabelled by a seeded permutation first, so the key is
-    not checked on catalog labellings alone."""
-    rng = random.Random(53)
+    Each graph is relabelled first (relabelled), so the key is not checked
+    on catalog labellings alone."""
     bad = []
-    for g in graphs:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    for g in relabelled(graphs):
         key = dominance_key(g, k)
         memo = MemoCache()
         offsets = set()
@@ -378,6 +385,20 @@ def dominance_key_mismatches(graphs, k: int) -> list:
         if len(offsets) != 1:
             bad.append((to_graph6(g), sorted(offsets)))
     return bad
+
+
+def catalog_memo_stats(graphs, k: int) -> dict[str, int]:
+    """MemoCache stats summed over graphs, each relabelled as
+    dominance_key_mismatches relabels it, with one cache per graph through
+    which every k-restraint class's polynomial is computed."""
+    total = {"hits": 0, "misses": 0, "peak_entries": 0}
+    for g in relabelled(graphs):
+        memo = MemoCache()
+        for cls in restraint_classes(g, k):
+            restrained_poly(g, cls.representative, cache=memo)
+        for name, value in memo.stats().items():
+            total[name] += value
+    return total
 
 
 def catalog_expansion_mismatches(n_max: int) -> list:
@@ -452,12 +473,16 @@ class TestPeeling:
         # is reached, and each polynomial matches the counter at n + 1 points
         eliminate, seen = engine._eliminate, set()
 
-        def spy(adj, sets, v, x, memo):
-            a, b = (adj[v] & -adj[v]).bit_length() - 1, adj[v].bit_length() - 1
-            if a != b:
-                inside = sum(sets[v] & sets[w] == sets[v] for w in (a, b))
-                seen.add((bool(adj[a] >> b & 1), inside))
-            return eliminate(adj, sets, v, x, memo)
+        def spy(plan, sets, x, memo, table):
+            # ws are the neighbours' indices in rest, the graph less v
+            _, v, rest, ws, merged = plan
+            if len(ws) == 2:
+                a, b = ws
+                adjacent = bool(rest[a] >> b & 1)
+                assert (merged is None) == adjacent, plan
+                inside = sum(sets[v] & sets[w + (w >= v)] == sets[v] for w in ws)
+                seen.add((adjacent, inside))
+            return eliminate(plan, sets, x, memo, table)
 
         monkeypatch.setattr(engine, "_eliminate", spy)
         rng = random.Random(79)
@@ -507,7 +532,8 @@ class TestPeeling:
         memo = MemoCache()
         huge = restrained_poly(c7, R("[{1},{2},{1},{2},{1000000000},{1},{1000000000}]"), cache=memo)
         assert huge == restrained_poly(c7, R("[{1},{2},{1},{2},{3},{1},{3}]"))
-        assert max(s.bit_length() for _, sets, _ in memo._table for s in sets) == 3
+        stored = [sets for table in memo._tables.values() for _, values in table.values() for sets in values]
+        assert max(s.bit_length() for sets in stored for s in sets) == 3
 
     def test_sparse_queries_pinned(self):
         # digest taken from the edge-list recursion that had no peeling rules
@@ -591,6 +617,27 @@ class TestMemoCache:
             for key, value in cache.stats().items():
                 total[key] += value
         assert total == {"hits": 6335, "misses": 5265, "peak_entries": 5265}
+
+    def test_plans_built_once_per_adjacency(self, monkeypatch):
+        # one cache across the sparse queries, at several points X, and every
+        # class of C8 at k = 1: each adjacency is planned once, whatever its
+        # sets or point, and every polynomial is the one a private cache gives
+        c8 = cycle_graph(8)
+        queries = sparse_queries() + [(c8, cls.representative) for cls in restraint_classes(c8, 1)]
+        private = [restrained_poly(g, r) for g, r in queries]
+        plan, planned = engine._plan, []
+
+        def spy(adj):
+            planned.append(adj)
+            return plan(adj)
+
+        monkeypatch.setattr(engine, "_plan", spy)
+        shared = MemoCache()
+        assert [restrained_poly(g, r, cache=shared) for g, r in queries] == private
+        assert len(planned) == len(set(planned)) == len(shared._plans)
+        # some adjacencies are met at two or more points, and planned once
+        points = Counter(adj for table in shared._tables.values() for adj in table)
+        assert len(shared._tables) > 1 and max(points.values()) > 1
 
 
 class TestDigits:

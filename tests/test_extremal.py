@@ -44,7 +44,7 @@ from restchroma import (
     verify_min_theorem,
     verify_properness,
 )
-from conftest import labelled_graphs, no_search, restraint_classes
+from conftest import labelled_graphs, no_search, restraint_classes, tie_break_mismatches
 
 R = parse_restraint
 
@@ -731,6 +731,19 @@ class TestTheoremSearch:
         found = extremal.theorem_search(c4, 1)
         assert calls == [(10, 5, 10, 5)]
         assert len(found.proper) == 3
+
+
+class TestTieBreakOracle:
+    # every side on which two or more classes tie the extreme key, re-decided
+    # from the subgraph expansion: both sides of find_extremal and the max
+    # side of theorem_search.  CI repeats it over n <= 7 at k = 1, n <= 6 at
+    # k = 2 and C11 at k = 1
+    @pytest.mark.parametrize("n_max, k, tied_sides", [(6, 1, 15), (5, 2, 9)])
+    def test_catalog_ties(self, n_max, k, tied_sides):
+        assert tie_break_mismatches(connected_catalog(n_max), k) == (tied_sides, [])
+
+    def test_nine_cycle_tie(self):
+        assert tie_break_mismatches([cycle_graph(9)], 1) == (1, [])
 
 
 class TestNoReferenceCycles:

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 parse failure (a restraint that check_fit
-refuses for its graph included) or an unusable extremal --results-dir
-(refused before any search, with the OS reason), 3 work budget exceeded,
-4 theorem violation found by a verify run.  JSON mode emits a single
+refuses for its graph, and an input file that cannot be read, included)
+or an unusable extremal --results-dir (refused before any search, with
+the OS reason), 3 work budget exceeded, 4 theorem violation found by a
+verify run.  JSON mode emits a single
 top-level object with sorted keys, so identical invocations are
 byte-identical.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .engine import (
@@ -27,6 +27,7 @@ from .graphs import (
     connected_bipartite_catalog,
     connected_catalog,
     load_graph,
+    read_source,
     to_graph6,
 )
 from .restraints import (
@@ -48,11 +49,7 @@ EXIT_VIOLATION = 4
 def _load_restraint(source: str | None, g: Graph) -> Restraint:
     if source is None:
         return empty_restraint(g)
-    text = source
-    if os.path.isfile(source):
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    r = parse_restraint(text)
+    r = parse_restraint(read_source(source))
     check_fit(g, r)
     return r
 

@@ -206,6 +206,16 @@ def _plan(adj: tuple):
     return _SPLIT, tuple((_induced(adj, verts), verts) for verts in component_vertices(adj))
 
 
+def _entry(adj: tuple, memo: MemoCache, table: dict) -> tuple:
+    """The (plan, values) pair of adj in table, made on the first meeting of
+    adj at table's point; its plan (_plan) is built once per memo."""
+    plan = memo._plans.get(adj)
+    if plan is None:
+        plan = memo._plans[adj] = _plan(adj)
+    entry = table[adj] = (plan, {})
+    return entry
+
+
 def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
     """P(x) on the labeled subproblem (adj, sets), memoised in table, memo's
     table for the point x.
@@ -213,18 +223,19 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
     adj holds each vertex's neighbour bitmask and sets its forbidden colours
     as a bitmask.  The plan of adj, what the rule does to the graph
     (_plan), is built once per memo and fetched into table the first time
-    adj is met at x.  A miss does only the arithmetic on its sets tuple,
-    reading the plan: the edgeless product, the elimination (_eliminate),
-    the product over components, or the pivot edge's deletion minus its
-    contraction.
+    adj is met at x (_entry).  A miss does only the arithmetic on its sets
+    tuple, reading the plan: the edgeless product, the elimination
+    (_eliminate), the product over components, or the pivot edge's deletion
+    minus its contraction.
+
+    A deletion keeps the sets, and its child is most often a branch plan
+    too: on a dense graph that chain is about m - 2n plans long, past
+    Python's recursion limit on K50.  So the chain is walked in a loop, not
+    recursed into, and each contraction is subtracted on the way back up,
+    in the order the recursion would take: the same subproblems are looked
+    up, met and stored.
     """
-    entry = table.get(adj)
-    if entry is None:
-        plan = memo._plans.get(adj)
-        if plan is None:
-            plan = memo._plans[adj] = _plan(adj)
-        entry = table[adj] = (plan, {})
-    plan, values = entry
+    plan, values = table.get(adj) or _entry(adj, memo, table)
     value = values.get(sets)
     if value is not None:
         memo.hits += 1
@@ -237,9 +248,22 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
         for s in sets:
             value *= x - s.bit_count()
     elif kind == _BRANCH:
-        _, deleted, merged, u, v = plan
-        joined = sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]
-        value = _rec(deleted, sets, x, memo, table) - _rec(merged, joined, x, memo, table)
+        chain = []  # (values, merged, joined) of each branch plan down the deletions
+        while True:
+            _, deleted, merged, u, v = plan
+            chain.append((values, merged, sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]))
+            plan, values = table.get(deleted) or _entry(deleted, memo, table)
+            value = values.get(sets)
+            if value is not None:
+                memo.hits += 1
+                break
+            if plan[0] != _BRANCH:
+                value = _rec(deleted, sets, x, memo, table)
+                break
+        for values, merged, joined in reversed(chain):
+            value -= _rec(merged, joined, x, memo, table)
+            values[sets] = value
+        return value
     else:
         value = 1
         for part, verts in plan[1]:

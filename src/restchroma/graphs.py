@@ -426,6 +426,20 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def read_source(source: str) -> str:
+    """The text of the file named source, or source itself when it names
+    no file.  A file that os.path.isfile accepts but open refuses (no
+    permission, or removed since the check) raises ParseError with the
+    quoted path and the OS reason."""
+    if not os.path.isfile(source):
+        return source
+    try:
+        with open(source, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"input file {quote_input(source)}: {exc.strerror or exc}") from None
+
+
 def load_graph(source: str) -> Graph:
     """Load a graph from a file path, a short name, or inline text.
 
@@ -433,10 +447,7 @@ def load_graph(source: str) -> Graph:
     Otherwise the text (or the file's contents) is an edge list when it
     holds whitespace or ';', which a graph6 string never does, else graph6.
     """
-    text = source
-    if os.path.isfile(source):
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
+    text = read_source(source)
     stripped = text.strip()
     if stripped[:1] in _NAMED_PREFIXES and not os.path.isfile(source):
         try:

@@ -32,7 +32,8 @@ from restchroma import (
     verify_properness,
 )
 from restchroma import engine
-from conftest import random_pivot, restraint_classes
+from conftest import random_pivot
+from oracles import restraint_classes
 
 R = parse_restraint
 

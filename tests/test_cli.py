@@ -122,6 +122,25 @@ class TestPoly:
         assert code == 0
         assert "x^3 - 6x^2 + 14x - 13" in out
 
+    @pytest.mark.parametrize("option", ["--graph", "--restraint"])
+    def test_file_that_open_refuses(self, capsys, tmp_path, monkeypatch, option):
+        # os.path.isfile accepts the path, and open raises (no permission,
+        # or the file removed since the check): exit 2, one error line
+        path = tmp_path / "input.txt"
+        path.write_text("C3")
+        real = open
+
+        def refusing(file, *args, **kwargs):
+            if file == str(path):
+                raise PermissionError(errno.EACCES, "Permission denied", file)
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", refusing)
+        args = {"--graph": "C3", "--restraint": "[{1},{2},{3}]", option: str(path)}
+        code, out, err = run(capsys, "poly", *(word for pair in args.items() for word in pair))
+        assert (code, out) == (2, "")
+        assert err == f"error: input file {quote_input(str(path))}: Permission denied\n"
+
 
 class TestCount:
     def test_count(self, capsys):

@@ -3,138 +3,22 @@ import gc
 import hashlib
 import json
 import os
-import random
 import stat
 
 import pytest
 
 from restchroma import extremal, restraints
 from restchroma import (
-    CapError,
-    Graph,
-    MemoCache,
-    all_connected_graphs,
-    alternating_restraint,
-    canonicalize,
-    check_conjecture,
-    coeff_n1,
-    coeff_n2,
-    common_neighbor_overlap,
-    complete_graph,
-    conjectured_odd_cycle_restraint,
-    connected_bipartite_catalog,
-    connected_catalog,
-    constant_restraint,
-    count_colourings,
-    cycle_graph,
-    dominance_key,
-    enumerate_k_restraints,
-    find_extremal,
-    from_name,
-    is_proper,
-    load_or_compute_extremal,
-    parse_graph6,
-    parse_restraint,
-    path_graph,
-    restrained_poly,
-    shared_pair_overlap,
-    to_graph6,
-    verify_a7_condition,
-    verify_bipartite_max,
-    verify_min_theorem,
-    verify_properness,
+    CapError, Graph, MemoCache, all_connected_graphs, alternating_restraint, canonicalize, check_conjecture,
+    coeff_n1, coeff_n2, complete_graph, conjectured_odd_cycle_restraint, connected_bipartite_catalog,
+    connected_catalog, constant_restraint, count_colourings, cycle_graph, dominance_key, enumerate_k_restraints,
+    find_extremal, from_name, is_proper, load_or_compute_extremal, parse_graph6, parse_restraint, path_graph,
+    restrained_poly, to_graph6, verify_a7_condition, verify_bipartite_max, verify_min_theorem, verify_properness,
 )
-from conftest import labelled_graphs, no_search, restraint_classes, tie_break_mismatches
+from conftest import no_search
+from oracles import first_use_forms, restraint_classes, restraint_of
 
 R = parse_restraint
-
-
-def a7_oracle_record(g, report):
-    """The a7 verdict built the direct way: every class id of the report
-    parsed back to a Restraint, properness tested edge by edge, and both
-    overlap terms summed per restraint."""
-    max_ids = [c.class_id() for c in report.max_classes]
-    parsed = {cid: parse_restraint(cid) for cid in max_ids + list(report.max_witness)}
-    proper = {cid: r for cid, r in parsed.items() if is_proper(g, r)}
-    terms = {cid: common_neighbor_overlap(g, r) for cid, r in proper.items()}
-    pair_terms = {cid: shared_pair_overlap(g, r) for cid, r in proper.items()}
-    minimum = min(terms.values())
-    attaining = sorted(cid for cid, t in terms.items() if t == minimum)
-    return {
-        "ok": set(max_ids) <= set(attaining),
-        "proper_class_count": len(proper),
-        "min_term": minimum,
-        "attaining": attaining,
-        "unique": len(attaining) == 1,
-        "pair_terms": {cid: pair_terms[cid] for cid in attaining},
-        "pair_term_min": min(pair_terms.values()),
-        "max_classes": sorted(max_ids),
-    }
-
-
-def a7_mismatches(catalog, k, results_dir=None):
-    """(graph6, what) for each graph of catalog whose a7 verdict, read from
-    the theorem search, differs from a7_oracle_record of the full report, or
-    on which some class's properness (is_proper on its parsed id) disagrees
-    with "max winner, or max witness of degree below n - 2" (the best key has
-    I2 = 0, so a class is improper exactly when its gap to the best is read
-    off I2, at degree n - 2: extremal._gap).  With results_dir, each full
-    search is also written to that store and read back, and the report read
-    is checked the same way."""
-    bad = []
-    for g in catalog:
-        if results_dir is None:
-            reports = [("fresh", find_extremal(g, k))]
-        else:
-            reports = [("fresh", load_or_compute_extremal(g, k, results_dir)),
-                       ("stored", load_or_compute_extremal(g, k, results_dir))]
-        verdict = extremal._a7_check(g, k, extremal.theorem_search(g, k))
-        for source, report in reports:
-            if verdict != a7_oracle_record(g, report):
-                bad.append((report.graph_id, f"{source} a7 verdict"))
-            if not all(is_proper(g, c.representative) for c in report.max_classes):
-                bad.append((report.graph_id, f"{source} improper winner"))
-            for cid, (degree, _) in report.max_witness.items():
-                if is_proper(g, parse_restraint(cid)) != (degree < g.n - 2):
-                    bad.append((report.graph_id, f"{source} properness of {cid}"))
-    return bad
-
-
-def theorem_search_mismatches(graphs, k):
-    """(graph6, what) for each graph whose theorem search differs from
-    find_extremal's full search: the max winners, in order, and the
-    polynomial of every max winner against the full report's max
-    polynomial; on a connected graph, the min record's winner ids against
-    the full report's min winners, in order, and the constant class's
-    polynomial against its min polynomial; or whose proper classes differ
-    from the canons of the classes of enumerate_k_restraints that is_proper
-    accepts, tested edge by edge on each representative; or whose max_tied
-    differs from the canons of that unfiltered listing that tie its best
-    dominance key, in canon order."""
-    bad = []
-    _, min_check = extremal.THEOREMS["min"]
-    for g in graphs:
-        found = extremal.theorem_search(g, k)
-        report = find_extremal(g, k)
-        if found.max_classes != report.max_classes:
-            bad.append((report.graph_id, "max_classes"))
-        if any(restrained_poly(g, c.representative) != report.max_poly for c in found.max_classes):
-            bad.append((report.graph_id, "max polynomial"))
-        if g.is_connected():
-            if min_check(g, k, found)["min_classes"] != [c.class_id() for c in report.min_classes]:
-                bad.append((report.graph_id, "min_classes"))
-            if restrained_poly(g, constant_restraint(g, k)) != report.min_poly:
-                bad.append((report.graph_id, "min polynomial"))
-        classes = restraint_classes(g, k)
-        proper = [c.canon for c in classes if is_proper(g, c.representative)]
-        if sorted(found.proper) != sorted(proper):
-            bad.append((report.graph_id, "proper classes"))
-        key = dominance_key(g, k)
-        keys = [key(c.canon) for c in classes]
-        best = max(keys)
-        if found.max_tied != tuple(c.canon for c, c_key in zip(classes, keys) if c_key == best):
-            bad.append((report.graph_id, "max tie set"))
-    return bad
 
 
 def canons(classes):
@@ -573,7 +457,6 @@ class TestProperCoefficientAgreement:
     def test_top_three_match_across_proper_classes(self):
         # proper simple restraints on one graph share the three leading
         # values; raw normal-form candidates suffice (no dedup needed)
-        from conftest import first_use_forms, restraint_of
 
         for n in range(3, 7):
             for g in all_connected_graphs(n):
@@ -621,14 +504,6 @@ class TestA7Condition:
         assert rec3["ok"]
 
 
-class TestA7Oracle:
-    @pytest.mark.parametrize("n_max, k", [(6, 1), (5, 2)])
-    def test_matches_parsed_restraints(self, n_max, k, tmp_path):
-        catalog = connected_catalog(n_max)
-        assert a7_mismatches(catalog, k) == []
-        assert a7_mismatches(catalog, k, str(tmp_path)) == []
-
-
 class TestExpectedClass:
     @staticmethod
     def rotated_labels(g):
@@ -647,19 +522,6 @@ class TestExpectedClass:
 
 
 class TestTheoremSearch:
-    # find_extremal lists, keys and witnesses every class; the theorem search
-    # walks only the proper classes, and the min check searches nothing.
-    # CI repeats the catalog check over n <= 7 at k = 1 and n <= 6 at k = 2.
-    @pytest.mark.parametrize("n_max, k", [(6, 1), (5, 2), (4, 3)])
-    def test_matches_the_full_search_over_the_catalog(self, n_max, k):
-        assert theorem_search_mismatches(connected_catalog(n_max), k) == []
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_the_full_search_on_every_small_labelled_graph(self, k):
-        # edgeless and disconnected graphs included: on E3 every class is
-        # proper
-        assert theorem_search_mismatches(labelled_graphs(4), k) == []
-
     def test_polynomials_only_to_break_a_tie(self, monkeypatch):
         # a max side whose best key one class ties has that class as its
         # winner, so its polynomial is not computed; Dy_ has three proper
@@ -731,19 +593,6 @@ class TestTheoremSearch:
         found = extremal.theorem_search(c4, 1)
         assert calls == [(10, 5, 10, 5)]
         assert len(found.proper) == 3
-
-
-class TestTieBreakOracle:
-    # every side on which two or more classes tie the extreme key, re-decided
-    # from the subgraph expansion: both sides of find_extremal and the max
-    # side of theorem_search.  CI repeats it over n <= 7 at k = 1, n <= 6 at
-    # k = 2 and C11 at k = 1
-    @pytest.mark.parametrize("n_max, k, tied_sides", [(6, 1, 15), (5, 2, 9)])
-    def test_catalog_ties(self, n_max, k, tied_sides):
-        assert tie_break_mismatches(connected_catalog(n_max), k) == (tied_sides, [])
-
-    def test_nine_cycle_tie(self):
-        assert tie_break_mismatches([cycle_graph(9)], 1) == (1, [])
 
 
 class TestNoReferenceCycles:

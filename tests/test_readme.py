@@ -14,6 +14,7 @@ from restchroma import (
     restrained_poly, restraints,
 )
 from restchroma.restraints import FORMS_BUDGET, _normal_form_count
+from oracles import CI, RUNS, TIER1
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -61,15 +62,16 @@ def test_quick_start_prints_its_comments():
 
 
 def test_named_checks_exist():
-    # the tier-1 classes and CI steps that README names as oracles
-    text = " ".join(README.split())
-    steps = re.findall(r'CI "([^"]+)"', text)
-    classes = re.findall(r"tier-1 `(Test\w+)`", text)
-    assert len(steps) == len(classes) == 3
+    # each oracle README names has a tier-1 row and a CI row in RUNS, and a
+    # workflow step named after it
+    text = section("CLI")
+    text = text[text.index("The oracles that check them"):text.index("`--theorem all` searches")]
+    named = re.findall(r"`(\w+_mismatches)`", text)
+    assert len(named) == 3
+    tiers = {(run.name, run.tier) for run in RUNS}
+    assert [name for name in named if not {(name, TIER1), (name, CI)} <= tiers] == []
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-    assert [s for s in steps if f"- name: {s}\n" not in workflow] == []
-    tests = "".join(f.read_text(encoding="utf-8") for f in (ROOT / "tests").glob("*.py"))
-    assert [c for c in classes if f"class {c}:" not in tests] == []
+    assert [name for name in named if f"- name: {name}\n" not in workflow] == []
 
 
 def test_forms_budget_admits_what_readme_says():

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 parse failure (a restraint that check_fit
 refuses for its graph, and an input file that cannot be read, included)
 or an unusable extremal --results-dir (refused before any search, with
 the OS reason), 3 work budget exceeded, 4 theorem violation found by a
-verify run.  JSON mode emits a single
+verify run, 141 (128 + SIGPIPE, as a shell reports a process that the
+signal ends) a reader that closed stdout before the output ended, with
+nothing on stderr.  JSON mode emits a single
 top-level object with sorted keys, so identical invocations are
 byte-identical.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .engine import (
@@ -44,6 +47,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_VIOLATION = 4
+EXIT_PIPE = 141
 
 
 def _load_restraint(source: str | None, g: Graph) -> Restraint:
@@ -275,6 +279,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # stdout now writes to os.devnull, so the flush at exit of what is
+        # left in its buffer cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return code
 
 

@@ -13,13 +13,16 @@ extremal command, unless it is given a results store
 Each theorem in THEOREMS is a predicate over one search per (graph, k),
 checked on every graph of a catalog that meets its hypotheses; violations
 are report content, never exceptions.  That search is theorem_search,
-which walks only the classes that can win the max side, the proper ones
-(the min side needs none, _min_check).  It computes polynomials only for
-_tie_break, when the best key is tied, so it holds winners but no
-polynomials; a violation record computes the ones it shows.  It is held
-in one dict, _SEARCHES, emptied when a search would take it past
-SEARCH_MEMO_CLASSES proper classes, so the checks in one process share
-it.  The theorem checks return only their verdicts; verify_theorems
+which walks only the classes that can win the max side, the proper ones,
+and on a connected bipartite graph only those that reach the bound of the
+dominance key; the list of every proper class is walked only for the a7
+check, which alone reads it.  The min check reads no search (_min_check),
+so verify_theorems makes none for a graph whose only check is min.  A
+search computes polynomials only for _tie_break, when the best key is
+tied, so it holds winners but no polynomials; a violation record computes
+the ones it shows.  It is held in _SEARCHES, emptied when a search would
+take it past SEARCH_MEMO_CLASSES canons, so the checks in one process
+share it.  The theorem checks return only their verdicts; verify_theorems
 frames each record with the graph's graph6, encoded once per graph, and k.
 """
 
@@ -43,18 +46,20 @@ from .restraints import (
     enumerate_k_restraints,
     incidence_masks,
     is_proper,
+    normal_form_count,
+    normal_forms,
     render_restraint,
 )
 
-# Most proper classes, in total, of the theorem searches that _SEARCHES
-# holds.  A search holds one canon per proper class, about a hundred bytes,
-# so this keeps the memo to about a MB while it still holds every search of
-# a catalog graph up to n = 7 at k = 1 (at most Bell(7) = 877 classes) long
-# enough for all theorems to read it.  Only repeated single-graph calls read
-# the memo, such as the ops of the bench verify workload: one pass of them
-# makes 58 searches and holds 507 proper classes, so nothing is evicted.  A
-# CLI verify run looks each graph up once, in one verify_theorems call that
-# shares the search among the theorems, so it never reads the memo.
+# Most canons, in total, of the theorem searches that _SEARCHES holds
+# (TheoremSearch.held).  A canon is about a hundred bytes, so this keeps the
+# memo to about a MB while it still holds every search of a catalog graph up
+# to n = 7 at k = 1 (at most Bell(7) = 877 proper classes) long enough for
+# all theorems to read it.  Only repeated single-graph calls read the memo,
+# such as the ops of the bench verify workload: one pass of them makes 48
+# searches and holds 141 canons, so nothing is evicted.  A CLI verify run
+# looks each graph up once, in one verify_theorems call that shares the
+# search among the theorems, so it never reads the memo.
 SEARCH_MEMO_CLASSES = 1 << 13
 
 
@@ -181,24 +186,51 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     )
 
 
-@dataclass(frozen=True)
 class TheoremSearch:
-    """What the theorem checks read of one (graph, k): the max side's
-    winners, as an ExtremalReport holds them; proper, the canons of every
-    proper class; and max_tied, those that tie the best key, in canon
-    order, before polynomials break the tie.  It holds no polynomial: a
+    """What the theorem checks read of one (graph, k): max_classes, the max
+    side's winners, as an ExtremalReport holds them; max_tied, the canons
+    that tie the best key, in canon order, before polynomials break the
+    tie; and proper, the canons of every proper class, which only _a7_check
+    reads.  A search that did not list them (theorem_search's bounded walk)
+    lists them on the first read of proper.  It holds no polynomial: a
     search computes one only to break a tie, and _bipartite_check computes
     the winners' polynomial when it writes a violation."""
 
-    max_classes: tuple[RestraintClass, ...]
-    proper: tuple[tuple[int, ...], ...]
-    max_tied: tuple[tuple[int, ...], ...]
+    __slots__ = ("graph", "k", "max_classes", "max_tied", "_proper")
+
+    def __init__(self, graph: Graph, k: int, max_classes, max_tied, proper=None):
+        self.graph, self.k = graph, k
+        self.max_classes: tuple[RestraintClass, ...] = max_classes
+        self.max_tied: tuple[tuple[int, ...], ...] = max_tied
+        self._proper: tuple[tuple[int, ...], ...] | None = proper
+
+    @property
+    def proper(self) -> tuple[tuple[int, ...], ...]:
+        if self._proper is None:
+            self._proper = tuple(enumerate_k_restraints(self.graph, self.k, self.graph.adjacency_masks()))
+        return self._proper
+
+    @property
+    def held(self) -> int:
+        """The canons it holds, read without listing the proper classes:
+        every proper class once they are listed (max_tied is among them),
+        else the tied ones."""
+        return len(self.max_tied if self._proper is None else self._proper)
 
 
-def theorem_search(g: Graph, k: int) -> TheoremSearch:
-    """find_extremal's max winners of (g, k), from one walk of
-    enumerate_k_restraints filtered to the proper classes, the only ones
-    that can win.
+def _linked(g: Graph) -> list[int]:
+    """linked[v]: the vertices other than v that share a neighbour with v."""
+    adj = g.adjacency_masks()
+    linked = [0] * g.n
+    for u, v in g.edges:
+        linked[u] |= adj[v] & ~(1 << u)
+        linked[v] |= adj[u] & ~(1 << v)
+    return linked
+
+
+def theorem_search(g: Graph, k: int, list_proper: bool = False) -> TheoremSearch:
+    """find_extremal's max winners of (g, k), from one walk of the proper
+    classes (enumerate_k_restraints's filter), the only ones that can win.
 
     engine.dominance_key ranks classes by I2 = sum over edges uv of
     |r(u) & r(v)| before anything else, the fewer the better.  Giving every
@@ -208,13 +240,51 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
     the winners among them, as in find_extremal, with each tied class's
     polynomial computed through one MemoCache; max_tied keeps the tied
     canons, for _a7_check.
+
+    The bound.  On a proper class the key is (0, 3 * S), S the sum over
+    colours c and vertices v of d(d - 1), with d = |N(v) & mask of c| the
+    neighbours of v that hold c.  Those d add up to k * deg(v) over the
+    colours, and each d <= deg(v), so v adds at most 3 * sum d (deg(v) - 1)
+    = 3k * deg(v)(deg(v) - 1), and exactly that when each d is 0 or deg(v):
+    when all of v's neighbours hold one k-set.  So B = 3k * sum over v of
+    deg(v)(deg(v) - 1) bounds the second key of every proper class, and a
+    proper class reaches B exactly when every two vertices that share a
+    neighbour (linked vertices) hold equal sets.  On a connected graph with
+    n >= 2, chains of links join any two vertices joined by a walk of even
+    length.  With an odd cycle that is every pair, so all vertices hold one
+    set, and the class is not proper, as it has an edge.  Without one it is
+    each side of the bipartition, so each side holds one set, disjoint from
+    the other's in a proper class: that is the alternating class, which
+    reaches B.  So on a connected bipartite graph with n >= 2 the best key
+    is (0, B), and the alternating class alone has it.
+    tests/oracles.py's key_bound_faults checks this over whole catalogs.
+
+    On such a graph, unless list_proper asks for every proper class (the a7
+    check reads them), the walk keeps only the nodes that can still reach
+    B (_normal_form_masks's need): a vertex joins only colours that every
+    vertex before it that it shares a neighbour with holds, and takes fresh
+    colours only when there is no such vertex.  When the walk finds only the
+    alternating class's form, those sorted masks are its canon
+    (_expected_class), so no automorphism is listed; anything else it finds
+    goes through enumerate_k_restraints's orbit step and _tie_break, as on
+    any other graph, and proper is listed on its first read.  Either walk
+    checks normal_form_count's budget first, so a search refuses what
+    find_extremal refuses.
     """
-    proper = enumerate_k_restraints(g, k, g.adjacency_masks())
-    keys = list(map(dominance_key(g, k), proper))
-    best = max(keys)
-    max_tied = tuple(c for c, c_key in zip(proper, keys) if c_key == best)
+    adj = g.adjacency_masks()
+    if not list_proper and g.n >= 2 and g.is_connected() and g.bipartition() is not None:
+        need = [mask & (1 << v) - 1 for v, mask in enumerate(_linked(g))]
+        max_tied = tuple(normal_forms(g.n, k, adj, need))
+        if max_tied != (_expected_class(alternating_restraint, g, k).canon,):
+            max_tied = tuple(enumerate_k_restraints(g, k, adj, need))
+        proper = None
+    else:
+        proper = tuple(enumerate_k_restraints(g, k, adj))
+        keys = list(map(dominance_key(g, k), proper))
+        best = max(keys)
+        max_tied = tuple(c for c, c_key in zip(proper, keys) if c_key == best)
     winners = _tie_break(max_tied, max, _class_polys(g, MemoCache()))[0] if len(max_tied) > 1 else max_tied
-    return TheoremSearch(tuple(RestraintClass(c, g.n) for c in winners), tuple(proper), max_tied)
+    return TheoremSearch(g, k, tuple(RestraintClass(c, g.n) for c in winners), max_tied, proper)
 
 
 # -- resumable store -----------------------------------------------------------
@@ -383,12 +453,13 @@ def _expected_class(expected_restraint, g: Graph, k: int) -> RestraintClass:
     return RestraintClass(tuple(sorted(incidence_masks(expected_restraint(g, k)))), g.n)
 
 
-def _min_check(g: Graph, k: int, found: TheoremSearch) -> dict:
+def _min_check(g: Graph, k: int, found: None) -> dict:
     """The constant class is the only minimizing class of a connected graph,
-    read from no search: dominance_key ranks I2 = sum over edges uv of
-    |r(u) & r(v)| first, the more the worse, and I2 <= k * m, with equality
-    exactly when the sets are equal on every edge, so on a connected graph
-    the constant class alone has the worst key."""
+    read from no search (verify_theorems passes found as None, and checks
+    normal_form_count's budget in its place): dominance_key ranks I2 = sum
+    over edges uv of |r(u) & r(v)| first, the more the worse, and I2 <= k *
+    m, with equality exactly when the sets are equal on every edge, so on a
+    connected graph the constant class alone has the worst key."""
     expected = _expected_class(constant_restraint, g, k).class_id()
     return {"ok": True, "expected": expected, "min_classes": [expected]}
 
@@ -433,12 +504,7 @@ def _a7_check(g: Graph, k: int, found: TheoremSearch) -> dict:
     the minimum is read from one's key.  The pair term charges each colour
     mask of a canon -1 per pair of its vertices with a common neighbour,
     each mask once per call.  Only those classes and the max winners get ids."""
-    adj = g.adjacency_masks()
-    # partners[i]: the vertices j != i with a neighbour in common with i
-    partners = [0] * g.n
-    for u, v in g.edges:
-        partners[u] |= adj[v] & ~(1 << u)
-        partners[v] |= adj[u] & ~(1 << v)
+    partners = _linked(g)
 
     @cache
     def share(mask: int) -> int:
@@ -476,33 +542,60 @@ THEOREMS = {
 }
 
 
-# (graph6, k) -> the theorem search that the checks read again
-_SEARCHES: dict[tuple[str, int], TheoremSearch] = {}
+class _SearchMemo(dict):
+    """(graph6, k) -> the theorem search that the checks read again, and
+    held, the canons that those searches hold in total (TheoremSearch.held),
+    kept as searches come and go."""
+
+    held = 0
+
+    def keep(self, key, found: TheoremSearch) -> None:
+        """Hold found under key, unless it alone holds more than
+        SEARCH_MEMO_CLASSES canons; when it would take the total past that,
+        empty the memo first."""
+        size = found.held
+        if size > SEARCH_MEMO_CLASSES:
+            return
+        if self.held + size > SEARCH_MEMO_CLASSES:
+            self.clear()
+            self.held = 0
+        self[key] = found
+        self.held += size
 
 
-def _theorem_input(g: Graph, graph_id: str, k: int) -> TheoremSearch:
+_SEARCHES = _SearchMemo()
+
+
+def _theorem_input(g: Graph, graph_id: str, k: int, list_proper: bool) -> TheoremSearch:
     """What the theorem checks read of (g, k): theorem_search, through
     _SEARCHES under (graph_id, k), graph_id being g's graph6.  The key is
-    exact, as the search is a pure function of the labelled graph and k.  A
-    search of more than SEARCH_MEMO_CLASSES proper classes is not kept, and
-    one that would take the held searches past that total empties _SEARCHES
-    first.  A refused search raises CapError and keeps nothing.  Every
-    caller is handed the same object, so none may mutate it."""
+    exact, as the search is a pure function of the labelled graph and k.
+    With list_proper, for the a7 check, the search lists every proper
+    class: a new one in its one walk, and a held one that had not listed
+    them lists them here and is counted again.  A refused search raises
+    CapError and keeps nothing.  Every caller is handed the same object,
+    so none may mutate it."""
     key = (graph_id, k)
     found = _SEARCHES.get(key)
     if found is None:
-        found = theorem_search(g, k)
-        size = len(found.proper)
-        if size <= SEARCH_MEMO_CLASSES:
-            if sum(len(held.proper) for held in _SEARCHES.values()) + size > SEARCH_MEMO_CLASSES:
-                _SEARCHES.clear()
-            _SEARCHES[key] = found
+        found = theorem_search(g, k, list_proper)
+        _SEARCHES.keep(key, found)
+    elif list_proper:
+        held = found.held
+        if len(found.proper) != held:
+            del _SEARCHES[key]
+            _SEARCHES.held -= held
+            _SEARCHES.keep(key, found)
     return found
 
 
 def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
     """Check each of theorems on every graph of a catalog, graph by graph, so
-    all of a graph's checks read its one search.  Returns a VerifyReport per
+    all of a graph's checks read its one search, made only when a check
+    other than min reads it, and listing every proper class only when a7 is
+    among theorems.  The min check reads none, so the budget that a search
+    would check, normal_form_count's, is checked for it once per graph size:
+    verify refuses what extremal refuses.  Returns a VerifyReport per
     theorem, in the order given.  Every record is framed here with the
     graph's graph6 and k: a checked graph gets its check's verdict fields,
     and a graph outside a theorem's hypotheses a "skipped" reason and no
@@ -510,6 +603,8 @@ def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
     if k < 1:
         raise ValueError("k must be at least 1")
     records: dict[str, list] = {theorem: [] for theorem in theorems}
+    list_proper = "a7" in records
+    counted = set()  # the graph sizes whose forms the min check counted
     for g in catalog:
         graph_id = to_graph6(g)
         found = None
@@ -519,8 +614,12 @@ def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
             if reason is not None:
                 recs.append({"graph6": graph_id, "k": k, "skipped": reason})
                 continue
-            if found is None:
-                found = _theorem_input(g, graph_id, k)
+            if check is _min_check:
+                if g.n not in counted:
+                    normal_form_count(g.n, k)
+                    counted.add(g.n)
+            elif found is None:
+                found = _theorem_input(g, graph_id, k, list_proper)
             recs.append({"graph6": graph_id, "k": k, **check(g, k, found)})
     return {theorem: VerifyReport(theorem, recs) for theorem, recs in records.items()}
 

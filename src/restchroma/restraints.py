@@ -30,11 +30,13 @@ over each colour class as its sorted mask tuple and nothing sorts a form
 again.  Equal masks in a form are always contiguous, and a vertex joins
 only a prefix of each run of them, so each colour class is visited once and
 the walk's work is proportional to its visits.  FORMS_BUDGET is checked
-against _normal_form_count, which counts the first-use normal forms without
+against normal_form_count, which counts the first-use normal forms without
 that rule: the walk makes the same choices, so that count bounds its visits
-from above.  The walk takes an optional per-vertex filter on what a slot
-may join, which enumerate_k_restraints passes on: so the theorem search
-lists only the proper classes.
+from above.  The walk takes optional per-vertex filters on what a slot may
+join, which enumerate_k_restraints and normal_forms pass on: with avoid the
+theorem search lists only the proper classes, and with need as well only
+the proper classes that reach the dominance key's bound on a connected
+bipartite graph (extremal.theorem_search).
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from typing import Iterable
 from .graphs import CapError, Graph, ParseError, quote_input
 
 FORMS_BUDGET = 3_000_000
+# most masks of a class whose id RestraintClass.class_id renders by concatenation
+_SHORT_ID = 64
 
 
 class Restraint:
@@ -196,16 +200,32 @@ class RestraintClass:
 
     def class_id(self) -> str:
         """render_restraint(self.representative), built as the masks are
-        scanned: each vertex's string gets the cached label of every mask
-        that holds it (_labels), comma-separated and so ascending, and the
-        strings are joined once; a class on 0 vertices reads "[]"."""
+        scanned: each vertex gets the cached label of every mask that holds
+        it (_labels), in mask order and so ascending, comma-separated, and
+        the vertices' strings are joined once; a class on 0 vertices reads
+        "[]".  A vertex holds at most one label per mask.  So with at most
+        _SHORT_ID masks, as every class of a k-restraint with k * n <=
+        _SHORT_ID has, each vertex's string grows by concatenation, which
+        copies fewer than _SHORT_ID labels a time.  With more, each vertex
+        collects its labels in a list, joined once, so the time stays linear
+        in the labels written: concatenation alone took 4.5 s for 100,000
+        labels on one vertex, and a list per vertex is 16-73% slower on
+        small classes."""
         if not self.n:
             return "[]"
-        sets = [""] * self.n
-        for label, mask in zip(_labels(len(self.canon)), self.canon):
-            for v in _mask_vertices(mask):
-                s = sets[v]
-                sets[v] = f"{s},{label}" if s else label
+        labelled = zip(_labels(len(self.canon)), self.canon)
+        if len(self.canon) <= _SHORT_ID:
+            sets = [""] * self.n
+            for label, mask in labelled:
+                for v in _mask_vertices(mask):
+                    s = sets[v]
+                    sets[v] = f"{s},{label}" if s else label
+        else:
+            lists = [[] for _ in range(self.n)]
+            for label, mask in labelled:
+                for v in _mask_vertices(mask):
+                    lists[v].append(label)
+            sets = map(",".join, lists)
         return "[{" + "},{".join(sets) + "}]"
 
     @classmethod
@@ -257,7 +277,7 @@ def _orbit_rows(n: int, autos: list[tuple[int, ...]]):
     are merged before sorting, so each is sorted once; sorted tuples can
     still repeat.  The enumeration calls orbit once per class found, on the
     first sorted form of it that the walk visits: one form per colour class,
-    and at most _normal_form_count of them.
+    and at most normal_form_count of them.
 
     Each mask's row, its image under every automorphism, is its lowest
     bit's column ORed entrywise onto the row of the remaining bits.  Rows
@@ -302,11 +322,11 @@ def incidence_masks(sets: Iterable[Iterable]) -> list[int]:
     return list(masks.values())
 
 
-def _normal_form_masks(n: int, k: int, visit, avoid=None) -> None:
+def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
     """Call visit(masks) once for each colour class of k-restraints on n
     vertices, with masks the class's incidence masks as a sorted tuple; with
-    per-vertex masks avoid, only for the colour classes that pass its
-    filter.
+    per-vertex masks avoid, and need, only for the colour classes that pass
+    their filters.
 
     Scanning vertices 0..n-1, vertex v fills its k colour slots one at a
     time: a slot either joins one colour used before v (ORs bit v into its
@@ -325,22 +345,30 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None) -> None:
     built and then thrown away: the walk's work is proportional to its
     visits, up to the n * k slots and the length of a form.  These are the
     choices of the first-use normal forms, with the joined masks moved, so
-    _normal_form_count, which counts those forms without the prefix rule,
+    normal_form_count, which counts those forms without the prefix rule,
     bounds the visits from above.
 
-    The filter: a slot of v may join a mask only when not mask & avoid[v].
-    A mask that v may join holds only vertices before v, all placed, so the
-    test reads the finished class's colour on the edges from v back.
-    Avoiding v's neighbours visits the proper classes.  That property is
-    prefix-closed: a class has it exactly when each of its restrictions to
-    vertices 0..v has it, which is what the test at v adds.  So a choice
-    the filter refuses leads only to improper classes, every proper class
-    passes each test on its way and is still visited once, and the walk
-    visits nothing else.  Fresh colours pass every filter, so every choice
-    still leads to a visit and the work stays proportional to the visits.
-    The filter selects a slot's joinable masks once, before its loop, and a
-    run of equal masks passes or fails whole, so the prefix rule is
-    unchanged.
+    The filters: a slot of v may join a mask only when not mask & avoid[v]
+    and, with need, only when the mask holds every vertex of need[v]; and v
+    takes fresh colours only when need[v] is 0.  need is read only with
+    avoid, and need[v] must be disjoint from avoid[v] and hold only vertices
+    before v.  A mask that v may join holds only vertices before v, all
+    placed, so the tests read the finished class's colours on the vertices
+    before v.  Avoiding v's neighbours visits the proper classes.  Needing
+    the vertices before v that share a neighbour with v visits the classes
+    in which v holds exactly the colours of each of those: each of v's k
+    colours is held by all of them, and each of them holds k.  Both
+    properties are prefix-closed: a class has one exactly when each of its
+    restrictions to vertices 0..v has it, which is what the test at v adds.
+    So a choice a filter refuses leads only to classes without the
+    property, every class with it passes each test on its way and is still
+    visited once, and the walk visits nothing else.  Fresh colours pass
+    avoid, so with avoid alone every choice still leads to a visit and the
+    work stays proportional to the visits.  need can leave a slot no choice
+    (two vertices of need[v] that hold different colours), so the walk can
+    then build a node that leads to no visit.  The filters select a slot's
+    joinable masks once, before its loop, and a run of equal masks passes
+    or fails whole, so the prefix rule is unchanged.
     """
     if not n:
         visit(())
@@ -358,8 +386,10 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None) -> None:
         prev = 0  # no mask is 0, so the first mask the slot may join passes
         if avoid is None:
             joins = range(start, end)
+            fresh = True
         else:
-            joins = _joinable(masks, start, end, avoid[v])
+            joins = _joinable(masks, start, end, care[v], need[v])
+            fresh = not need[v]
         for j in joins:
             mask = masks[j]
             if mask != prev:
@@ -371,25 +401,31 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None) -> None:
                     visit(child)
                 else:
                     rec(v + 1, child, 0, k)
-        child = masks[:end] + (bit,) * free + masks[end:]
-        if v == last:
-            visit(child)
-        else:
-            rec(v + 1, child, 0, k)
+        if fresh:
+            child = masks[:end] + (bit,) * free + masks[end:]
+            if v == last:
+                visit(child)
+            else:
+                rec(v + 1, child, 0, k)
 
+    if avoid is not None:
+        need = need or [0] * n
+        care = [a | b for a, b in zip(avoid, need)]
     rec(0, (), 0, k)
     del rec  # rec holds itself and visit, which only the cyclic collector would free
 
 
-def _joinable(masks: tuple[int, ...], start: int, end: int, avoid: int) -> list[int]:
+def _joinable(masks: tuple[int, ...], start: int, end: int, care: int, need: int) -> list[int]:
     """The indices in range(start, end) of the masks that pass the walk's
-    filter, not mask & avoid.  A function of its own: the same
-    comprehension in _normal_form_masks's rec would make masks a closure
-    cell of every rec call, which slowed the unfiltered walk by 7-10%."""
-    return [j for j in range(start, end) if not masks[j] & avoid]
+    filters, mask & care == need with care = avoid | need: each mask misses
+    every vertex of avoid and holds every vertex of need.  A function of
+    its own: the same comprehension in _normal_form_masks's rec would make
+    masks a closure cell of every rec call, which slowed the unfiltered walk
+    by 7-10%."""
+    return [j for j in range(start, end) if masks[j] & care == need]
 
 
-def _normal_form_count(n: int, k: int) -> int:
+def normal_form_count(n: int, k: int) -> int:
     """Number of first-use normal forms of k-restraints on n vertices, every
     choice of joined colours counted, so an upper bound on the colour classes
     _normal_form_masks(n, k) visits, which makes the same choices and keeps
@@ -417,11 +453,24 @@ def _normal_form_count(n: int, k: int) -> int:
     return sum(ways.values())
 
 
-def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]]:
+def normal_forms(n: int, k: int, avoid, need) -> list[tuple[int, ...]]:
+    """The sorted mask tuples that _normal_form_masks(n, k) visits with the
+    filters avoid and need, one per colour class that passes them, after
+    normal_form_count's budget check, as enumerate_k_restraints makes it.
+    No automorphism is listed, so a form is its class's canon only where
+    the caller shows that every automorphism maps its masks onto themselves
+    (extremal.theorem_search)."""
+    normal_form_count(n, k)
+    forms: list[tuple[int, ...]] = []
+    _normal_form_masks(n, k, forms.append, avoid, need)
+    return forms
+
+
+def enumerate_k_restraints(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...]]:
     """The sorted canons of the equivalence classes of k-restraints on g, one
     per class (RestraintClass(canon, g.n) is its class), or with per-vertex
-    masks avoid only of those that pass the walk's filter
-    (_normal_form_masks); the property filtered for must be kept by every
+    masks avoid, and need, only of those that pass the walk's filters
+    (_normal_form_masks); the properties filtered for must be kept by every
     automorphism of g, as properness is.
 
     Walks one sorted form per colour class (_normal_form_masks, slot by
@@ -432,13 +481,13 @@ def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]
     first candidate of a class marks the class's whole orbit as seen, so
     every later candidate of it (whose visited tuple lies in that orbit) is
     skipped; the canon is the orbit minimum.  More than FORMS_BUDGET
-    normal forms, counted by _normal_form_count as an upper bound on the
+    normal forms, counted by normal_form_count as an upper bound on the
     unfiltered walk, raise CapError before any automorphism is listed; the
     count stops at the first vertex whose prefixes pass the budget.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    _normal_form_count(g.n, k)
+    normal_form_count(g.n, k)
     autos = g.automorphisms()
     canons: list[tuple[int, ...]] = []
     if len(autos) == 1:
@@ -453,6 +502,6 @@ def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]
                 seen.update(images)
                 canons.append(min(images))
 
-    _normal_form_masks(g.n, k, visit, avoid)
+    _normal_form_masks(g.n, k, visit, avoid, need)
     canons.sort()
     return canons

@@ -11,7 +11,7 @@ def fresh_search_memo(monkeypatch):
     """Each test starts with an empty theorem-search memo, as a new process
     does, so a search counted or patched in one test is never served from
     another's."""
-    monkeypatch.setattr(extremal, "_SEARCHES", {})
+    monkeypatch.setattr(extremal, "_SEARCHES", extremal._SearchMemo())
 
 
 @pytest.fixture

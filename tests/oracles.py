@@ -23,13 +23,13 @@ from itertools import combinations, permutations, zip_longest
 from typing import Callable, NamedTuple
 
 from restchroma import (
-    Graph, MemoCache, Restraint, RestraintClass, all_connected_graphs, coeff_n1, coeff_n2, coeff_n3,
-    common_neighbor_overlap, connected_bipartite_catalog, connected_catalog, constant_restraint, dominance_key,
-    empty_graph, enumerate_k_restraints, extremal, find_extremal, is_proper, load_or_compute_extremal,
+    Graph, MemoCache, Restraint, RestraintClass, all_connected_graphs, alternating_restraint, canonicalize, coeff_n1,
+    coeff_n2, coeff_n3, common_neighbor_overlap, connected_bipartite_catalog, connected_catalog, constant_restraint,
+    dominance_key, empty_graph, enumerate_k_restraints, extremal, find_extremal, is_proper, load_or_compute_extremal,
     parse_restraint, render_restraint, restrained_poly, shared_pair_overlap, to_graph6,
 )
 from restchroma.graphs import _min_mask_form, load_graph
-from restchroma.restraints import _normal_form_count, _normal_form_masks, id_masks
+from restchroma.restraints import _normal_form_masks, id_masks, normal_form_count
 
 
 def restraint_classes(g: Graph, k: int) -> list[RestraintClass]:
@@ -213,7 +213,7 @@ def walk_faults(graphs, k: int) -> tuple[int, list[str]]:
     against the unpruned first_use_forms: the visits summed, and each
     colour class (sorted mask tuple) a walk visits twice, misses or invents,
     each visit with a vertex not in exactly k masks or with unsorted masks,
-    and each walk with more visits than _normal_form_count(n, k)."""
+    and each walk with more visits than normal_form_count(n, k)."""
     total, faults = 0, []
     for n in (g.n for g in graphs):
         visited: list[tuple[int, ...]] = []
@@ -227,7 +227,7 @@ def walk_faults(graphs, k: int) -> tuple[int, list[str]]:
             bad.append(f"{len(classes) - len(set(classes))} repeated visits")
         bad += [f"missed {c}" for c in sorted(reference - set(classes))[:5]]
         bad += [f"not a normal form {c}" for c in sorted(set(classes) - reference)[:5]]
-        if len(visited) > _normal_form_count(n, k):
+        if len(visited) > normal_form_count(n, k):
             bad.append(f"{len(visited)} visits, more than the forms counted")
         total += len(visited)
         faults += [f"n={n}: {fault}" for fault in bad]
@@ -385,6 +385,36 @@ def theorem_search_mismatches(graphs, k: int) -> list:
     return bad
 
 
+def key_bound_faults(graphs, k: int) -> list:
+    """(graph6, what) for each graph whose proper classes break the bound
+    that extremal.theorem_search's bounded walk rests on, B = 3k * sum over
+    v of deg(v)(deg(v) - 1), read from every class that
+    enumerate_k_restraints lists unfiltered and is_proper accepts: a proper
+    class's second key above B; on a connected bipartite graph with n >= 2,
+    a best key other than (0, B), or a class other than the alternating one
+    (canonicalize'd) that reaches B; on a connected graph with an odd
+    cycle, a class that reaches B."""
+    bad = []
+    for g in graphs:
+        graph_id, key = to_graph6(g), dominance_key(g, k)
+        bound = 3 * k * sum(d * (d - 1) for d in (mask.bit_count() for mask in g.adjacency_masks()))
+        keys = {c: key(c) for c in enumerate_k_restraints(g, k) if is_proper(g, RestraintClass(c, g.n).representative)}
+        if any(c_key[1] > bound for c_key in keys.values()):
+            bad.append((graph_id, "a proper class above the bound"))
+        reaching = [c for c, c_key in keys.items() if c_key[1] == bound]
+        if g.n < 2 or not g.is_connected():
+            continue
+        if g.bipartition() is None:
+            if reaching:
+                bad.append((graph_id, "the bound reached with an odd cycle"))
+            continue
+        if max(keys.values()) != (0, bound):
+            bad.append((graph_id, "a best key other than the bound"))
+        if reaching != [canonicalize(g, alternating_restraint(g, k)).canon]:
+            bad.append((graph_id, "the bound reached by a class other than the alternating one"))
+    return bad
+
+
 def a7_oracle_record(g, report):
     """The a7 verdict built the direct way: every class id of the report
     parsed back to a Restraint, properness tested edge by edge, and both
@@ -535,6 +565,15 @@ RUNS = [
     Run(theorem_search_mismatches, "labelled_graphs(4)", 2, [], TIER1),
     Run(theorem_search_mismatches, "connected_catalog(7)", 1, [], CI),
     Run(theorem_search_mismatches, "connected_catalog(6)", 2, [], CI),
+    Run(theorem_search_mismatches, "connected_bipartite_catalog(8)", 1, [], CI),
+    Run(theorem_search_mismatches, "connected_catalog(5)", 3, [], CI),
+    # the bound of the bounded walk (72 of the 996 graphs of connected_catalog(7) are bipartite, K1 among them)
+    Run(key_bound_faults, "connected_catalog(6)", 1, [], TIER1),
+    Run(key_bound_faults, "connected_catalog(5)", 2, [], TIER1),
+    Run(key_bound_faults, "connected_catalog(7)", 1, [], CI),
+    Run(key_bound_faults, "connected_catalog(6)", 2, [], CI),
+    Run(key_bound_faults, "connected_bipartite_catalog(8)", 1, [], CI),
+    Run(key_bound_faults, "connected_catalog(5)", 3, [], CI),
     # a store row checks the fresh report, as a plain row does, and then the one read back
     Run(partial(a7_mismatches, store=True), "connected_catalog(6)", 1, [], TIER1),
     Run(partial(a7_mismatches, store=True), "connected_catalog(5)", 2, [], TIER1),

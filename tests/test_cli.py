@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -15,7 +16,7 @@ from restchroma import (
     load_graph, to_graph6,
 )
 from restchroma import extremal as extremal_module
-from restchroma.cli import _emit, main
+from restchroma.cli import EXIT_PIPE, _emit, main
 from restchroma.extremal import JSON_CHUNK, THEOREMS, verify_theorems, write_json
 from restchroma.graphs import quote_input
 from conftest import no_search
@@ -477,23 +478,38 @@ class TestVerify:
         renamed = renamed_keys({"[{1},{1},{2},{2},{2}]": "not a class"})
         assert_store_edit_recomputed(capsys, tmp_path, "C5", renamed)
 
-    def test_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
-        searched = []
+    @staticmethod
+    def searched(monkeypatch) -> list:
+        """Record (graph6, list_proper) of every theorem search made."""
+        calls = []
         real = extremal_module.theorem_search
-        monkeypatch.setattr(extremal_module, "theorem_search", lambda g, k: searched.append(to_graph6(g)) or real(g, k))
+
+        def counting(g, k, list_proper=False):
+            calls.append((to_graph6(g), list_proper))
+            return real(g, k, list_proper)
+
+        monkeypatch.setattr(extremal_module, "theorem_search", counting)
+        return calls
+
+    def test_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
+        # min reads no search; proper makes each graph's, and a7 and
+        # bipartite read it again
+        searched = self.searched(monkeypatch)
         for theorem in ("min", "proper", "a7", "bipartite"):
             code, _, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", "4", "--k", "2", "--json")
             assert code == 0
-        assert sorted(searched) == sorted(to_graph6(g) for g in connected_catalog(4))
+            if theorem == "min":
+                assert searched == []
+        assert sorted(searched) == sorted((to_graph6(g), False) for g in connected_catalog(4))
 
     def test_all_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
-        searched = []
-        real = extremal_module.theorem_search
-        monkeypatch.setattr(extremal_module, "theorem_search", lambda g, k: searched.append(to_graph6(g)) or real(g, k))
+        # with a7 among the checks, each graph's one search lists every
+        # proper class in its one walk
+        searched = self.searched(monkeypatch)
         code, out, _ = run(capsys, "verify", "--theorem", "all", "--n-max", "5", "--k", "1", "--json")
         assert code == 0
         catalog = connected_catalog(5)
-        assert sorted(searched) == sorted(to_graph6(g) for g in catalog)
+        assert sorted(searched) == sorted((to_graph6(g), True) for g in catalog)
         obj = json.loads(out)
         assert (obj["theorem"], obj["k"], obj["violations"]) == ("all", 1, 0)
         assert list(obj["theorems"]) == sorted(THEOREMS)
@@ -609,6 +625,19 @@ class TestErrorsAndDeterminism:
             code, _, err = run(capsys, "poly", *args)
             assert code == 2
             assert err.startswith("error:") and start in err and len(err.encode()) < 300
+
+    def test_reader_that_closes_stdout_early_gets_no_traceback(self):
+        # C9's classes take 98 KB, more than a pipe holds: the reader takes
+        # 10 bytes and closes its end while the command still writes
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "restchroma.cli", "classes", "--graph", "C9", "--k", "1", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        assert child.stdout.read(10) == b'{"classes"'
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(), err) == (EXIT_PIPE, b"")
 
     def test_byte_identical_output(self, capsys):
         args = ("extremal", "--graph", "C4", "--k", "1", "--json")

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -435,7 +434,7 @@ class TestBipartiteTheorem:
         # the polynomial of that winner, which the full report gives as its
         # min polynomial, and the alternating restraint's
         found = extremal.theorem_search(c4, 1)
-        wrong = dataclasses.replace(found, max_classes=(canonicalize(c4, constant_restraint(c4, 1)),))
+        wrong = extremal.TheoremSearch(c4, 1, (canonicalize(c4, constant_restraint(c4, 1)),), found.max_tied)
         _, check = extremal.THEOREMS["bipartite"]
         rec = check(c4, 1, wrong)
         assert rec["ok"] is False
@@ -568,6 +567,23 @@ class TestTheoremSearch:
         assert calls == [(3, max)]
         assert found.max_classes == full.max_classes
 
+    def test_bounded_search_lists_no_automorphism(self, monkeypatch):
+        # on a connected bipartite graph the bounded walk finds only the
+        # alternating class's form, whose sorted masks are its canon, so
+        # the search lists no automorphism and gives the listing search's
+        # winners and tie set (K1, with n < 2, walks every proper class)
+        graphs = [from_name(name) for name in ("C6", "K2,3", "S4")] + connected_bipartite_catalog(5)[1:]
+        listed = {(to_graph6(g), k): extremal.theorem_search(g, k, list_proper=True) for g in graphs for k in (1, 2)}
+
+        def refuse(g):
+            raise AssertionError(f"listed the automorphisms of {to_graph6(g)}")
+
+        monkeypatch.setattr(Graph, "automorphisms", refuse)
+        for g in graphs:
+            for k in (1, 2):
+                found, want = extremal.theorem_search(g, k), listed[(to_graph6(g), k)]
+                assert (found.max_classes, found.max_tied, found.held) == (want.max_classes, want.max_tied, 1)
+
     def test_refused_as_the_full_search_is(self):
         with pytest.raises(CapError) as full:
             find_extremal(cycle_graph(13), 1)
@@ -575,24 +591,40 @@ class TestTheoremSearch:
             extremal.theorem_search(cycle_graph(13), 1)
         assert str(found.value) == str(full.value)
 
-    def test_both_searches_list_through_one_function(self, monkeypatch, c4):
+    def test_both_searches_list_through_one_function(self, monkeypatch, c4, c3):
         # wrapped where the bench tracer wraps it: the full search lists
-        # every class in one unfiltered call, and the theorem search makes
-        # its one walk through it, filtered to the proper classes
+        # every class in one unfiltered call.  On a connected bipartite graph
+        # the theorem search makes its one walk through normal_forms, kept
+        # to the classes that reach the key's bound, and lists the proper
+        # classes through enumerate_k_restraints only when proper is read;
+        # asked to list them, or on any other graph, its one walk is that
+        # listing, filtered to the proper classes
         calls = []
-        real = extremal.enumerate_k_restraints
+        for name in ("enumerate_k_restraints", "normal_forms"):
+            real = getattr(extremal, name)
 
-        def counting(g, k, avoid=None):
-            calls.append(avoid)
-            return real(g, k, avoid)
+            def counting(*args, real=real, name=name):
+                calls.append((name, *args[2:]))
+                return real(*args)
 
-        monkeypatch.setattr(extremal, "enumerate_k_restraints", counting)
+            monkeypatch.setattr(extremal, name, counting)
         find_extremal(c4, 1)
-        assert calls == [None]
+        assert calls == [("enumerate_k_restraints",)]
         calls.clear()
         found = extremal.theorem_search(c4, 1)
-        assert calls == [(10, 5, 10, 5)]
-        assert len(found.proper) == 3
+        # vertex 2 shares both neighbours with vertex 0, and 3 with 1
+        assert calls == [("normal_forms", (10, 5, 10, 5), [0, 0, 1, 2])]
+        assert (found.held, found.max_tied) == (1, (extremal._expected_class(alternating_restraint, c4, 1).canon,))
+        calls.clear()
+        assert len(found.proper) == found.held == 3
+        assert calls == [("enumerate_k_restraints", (10, 5, 10, 5))]
+        calls.clear()
+        listed = extremal.theorem_search(c4, 1, list_proper=True)
+        assert calls == [("enumerate_k_restraints", (10, 5, 10, 5))]
+        assert (listed.max_classes, listed.max_tied, listed.proper) == (found.max_classes, found.max_tied, found.proper)
+        calls.clear()
+        extremal.theorem_search(c3, 1)
+        assert calls == [("enumerate_k_restraints", (6, 5, 3))]
 
 
 class TestNoReferenceCycles:
@@ -626,9 +658,9 @@ class TestSearchMemo:
         calls = []
         real = extremal.theorem_search
 
-        def counting(g, k):
+        def counting(g, k, list_proper=False):
             calls.append((to_graph6(g), k))
-            return real(g, k)
+            return real(g, k, list_proper)
 
         monkeypatch.setattr(extremal, "theorem_search", counting)
         return calls
@@ -636,7 +668,9 @@ class TestSearchMemo:
     def test_theorems_share_one_search_per_graph(self, monkeypatch):
         calls = self.counted(monkeypatch)
         catalog = connected_catalog(5)
-        for verify in (verify_min_theorem, verify_properness, verify_bipartite_max):
+        assert verify_min_theorem(catalog, 1).violations == []
+        assert calls == []  # the min check reads no search
+        for verify in (verify_properness, verify_bipartite_max):
             assert verify(catalog, 1).violations == []
         assert all(verify_a7_condition(g, 1)["ok"] for g in catalog)
         assert sorted(calls) == sorted((to_graph6(g), 1) for g in catalog)
@@ -655,20 +689,30 @@ class TestSearchMemo:
         assert len(calls) == 3
 
     def test_eviction_keeps_the_held_classes_within_the_bound(self, monkeypatch):
-        c4, c5, c6 = (cycle_graph(n) for n in (4, 5, 6))
-        size = {g: len(extremal.theorem_search(g, 1).proper) for g in (c4, c5, c6)}
-        bound = size[c5] + size[c6]
-        assert size[c4] + size[c5] <= bound < sum(size.values())
-        monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", bound)
+        # C4 and C6 are bipartite: their searches hold the one tied class
+        # until a7 lists their proper classes (3 and 12); C5 and C7 list
+        # theirs in every search (3 and 20)
+        c4, c5, c6, c7 = (cycle_graph(n) for n in (4, 5, 6, 7))
+        listed = {c4: 3, c5: 3, c6: 12, c7: 20}
+        assert all(len(extremal.theorem_search(g, 1).proper) == size for g, size in listed.items())
+        monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", 6)
         calls = self.counted(monkeypatch)
-        # each call, then the graphs held after it and the searches made so
-        # far: a miss that would pass the bound empties the memo first
-        steps = [(c5, [c5], 1), (c6, [c5, c6], 2), (c5, [c5, c6], 2), (c4, [c4], 3),
-                 (c5, [c4, c5], 4), (c4, [c4, c5], 4), (c6, [c6], 5)]
-        for g, held, searched in steps:
-            verify_properness([g], 1)
-            assert sum(len(found.proper) for found in extremal._SEARCHES.values()) <= bound
-            assert list(extremal._SEARCHES) == [(to_graph6(h), 1) for h in held]
+        proper, a7 = verify_properness, lambda graphs, k: verify_a7_condition(graphs[0], k)
+        # each call, then the graphs held after it with the canons each
+        # holds, and the searches made so far: a miss, or a listing, that
+        # would pass the bound empties the memo first, and a search that
+        # alone passes it is not kept, also when a7's listing takes a held
+        # one past it
+        steps = [(proper, c5, [(c5, 3)], 1), (proper, c4, [(c5, 3), (c4, 1)], 2),
+                 (a7, c4, [(c5, 3), (c4, 3)], 2), (proper, c6, [(c6, 1)], 3),
+                 (a7, c5, [(c6, 1), (c5, 3)], 4), (a7, c6, [(c5, 3)], 4),
+                 (proper, c6, [(c5, 3), (c6, 1)], 5), (a7, c7, [(c5, 3), (c6, 1)], 6),
+                 (a7, c4, [(c4, 3)], 7)]
+        for verify, g, held, searched in steps:
+            verify([g], 1)
+            assert [(key, found.held) for key, found in extremal._SEARCHES.items()] == [
+                ((to_graph6(h), 1), size) for h, size in held]
+            assert extremal._SEARCHES.held == sum(size for _, size in held) <= 6
             assert len(calls) == searched
 
     def test_store_runs_and_refused_searches_leave_it_empty(self, monkeypatch, tmp_path, c4):

@@ -13,7 +13,7 @@ from restchroma import (
     CapError, check_conjecture, common_neighbor_overlap, cycle_graph, engine, graphs, is_proper, parse_restraint,
     restrained_poly, restraints,
 )
-from restchroma.restraints import FORMS_BUDGET, _normal_form_count
+from restchroma.restraints import FORMS_BUDGET, normal_form_count
 from oracles import CI, RUNS, TIER1
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,8 +66,8 @@ def test_named_checks_exist():
     # workflow step named after it
     text = section("CLI")
     text = text[text.index("The oracles that check them"):text.index("`--theorem all` searches")]
-    named = re.findall(r"`(\w+_mismatches)`", text)
-    assert len(named) == 3
+    named = re.findall(r"`(\w+_(?:mismatches|faults))`", text)
+    assert len(named) == 4
     tiers = {(run.name, run.tier) for run in RUNS}
     assert [name for name in named if not {(name, TIER1), (name, CI)} <= tiers] == []
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
@@ -81,16 +81,16 @@ def test_forms_budget_admits_what_readme_says():
     assert len(by_n) == 4 and len(by_k) == 2
     for k, n, forms in by_n:
         k, n = int(k), int(n)
-        assert _normal_form_count(n, k) == int(forms.replace(",", "")) <= FORMS_BUDGET
+        assert normal_form_count(n, k) == int(forms.replace(",", "")) <= FORMS_BUDGET
         with pytest.raises(CapError):
-            _normal_form_count(n + 1, k)
+            normal_form_count(n + 1, k)
     for n, k in by_k:
         n, k = int(n), int(k)
-        assert _normal_form_count(n, k) <= FORMS_BUDGET
+        assert normal_form_count(n, k) <= FORMS_BUDGET
         with pytest.raises(CapError):
-            _normal_form_count(n, k + 1)
+            normal_form_count(n, k + 1)
     assert "one vertex at every `k`" in text
-    assert _normal_form_count(1, 10**6) == 1
+    assert normal_form_count(1, 10**6) == 1
 
 
 def test_odd_cycle_record_at_eleven():

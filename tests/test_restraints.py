@@ -12,7 +12,7 @@ from restchroma import (
     complete_bipartite_graph, complete_graph, connected_catalog, constant_restraint, cycle_graph, empty_graph,
     empty_restraint, enumerate_k_restraints, is_proper, parse_restraint, path_graph, render_restraint, star_graph,
 )
-from restchroma.restraints import _normal_form_count, _normal_form_masks, id_masks
+from restchroma.restraints import _normal_form_masks, id_masks, normal_form_count
 from oracles import first_use_forms, restraint_classes, restraint_of
 
 R = parse_restraint
@@ -73,6 +73,24 @@ class TestLiteralSyntax:
         assert sorted(id_masks("[{1,2},{3},{1,3}]")) == [0b001, 0b101, 0b110]
         # the decoder does not check: swapped labels decode to the same masks
         assert sorted(id_masks("[{2},{1},{2},{1}]")) == [0b0101, 0b1010]
+
+    def test_class_id_is_linear_in_the_labels(self):
+        # one vertex holding 200,000 labels: rendering by appending each
+        # label to the vertex's string took 4.5 s for 100,000 of them
+        start = time.perf_counter()
+        cid = RestraintClass((1,) * 200_000, 1).class_id()
+        assert time.perf_counter() - start < 2
+        assert cid == "[{" + ",".join(map(str, range(1, 200_001))) + "}]"
+
+    def test_class_id_of_many_masks_held_unevenly(self):
+        # decoded masks past the concatenated length, with vertices that
+        # hold different numbers of labels, render as their representative
+        rng = random.Random(7)
+        for count in (63, 64, 65, 200):
+            canon = tuple(sorted(rng.randrange(1, 1 << 6) for _ in range(count)))
+            cls = RestraintClass(canon, 6)
+            assert cls.class_id() == render_restraint(cls.representative)
+            assert RestraintClass.from_id(cls.class_id(), 6) == cls
 
     def test_from_id_accepts_exactly_class_ids(self):
         for g, k in [(g, 1) for g in connected_catalog(5)] + [(cycle_graph(4), 2), (Graph(0), 1)]:
@@ -309,7 +327,7 @@ class TestEnumeration:
         for n in range(9):
             forms = list(first_use_forms(n, 1))
             assert len(forms) == bell[n]
-            assert _normal_form_count(n, 1) == len(forms)
+            assert normal_form_count(n, 1) == len(forms)
             assert len(set(forms)) == len(forms)
             for masks in forms:
                 assert all(sum(m >> v & 1 for m in masks) == 1 for v in range(n))
@@ -317,7 +335,7 @@ class TestEnumeration:
     def test_normal_forms_at_k2_cover_each_vertex_twice(self):
         for n in range(5):
             forms = list(first_use_forms(n, 2))
-            assert _normal_form_count(n, 2) == len(forms)
+            assert normal_form_count(n, 2) == len(forms)
             assert len(set(forms)) == len(forms)
             for masks in forms:
                 assert all(sum(m >> v & 1 for m in masks) == 2 for v in range(n))
@@ -346,11 +364,11 @@ class TestEnumeration:
 
     def test_normal_form_counts_past_listing(self):
         # too many forms to list here; each is within FORMS_BUDGET
-        assert _normal_form_count(11, 1) == 678_570
-        assert _normal_form_count(6, 2) == 97_191
-        assert _normal_form_count(7, 2) == 2_406_417
-        assert _normal_form_count(5, 3) == 507_622
-        assert _normal_form_count(4, 4) == 168_481
+        assert normal_form_count(11, 1) == 678_570
+        assert normal_form_count(6, 2) == 97_191
+        assert normal_form_count(7, 2) == 2_406_417
+        assert normal_form_count(5, 3) == 507_622
+        assert normal_form_count(4, 4) == 168_481
 
     def test_caps(self):
         # the normal-form budget, not n, decides: C13 at k=1 has 27.6M forms,

@@ -14,16 +14,17 @@ Each theorem in THEOREMS is a predicate over one search per (graph, k),
 checked on every graph of a catalog that meets its hypotheses; violations
 are report content, never exceptions.  That search is theorem_search,
 which walks only the classes that can win the max side, the proper ones,
-and on a connected bipartite graph only those that reach the bound of the
-dominance key; the list of every proper class is walked only for the a7
-check, which alone reads it.  The min check reads no search (_min_check),
-so verify_theorems makes none for a graph whose only check is min.  A
-search computes polynomials only for _tie_break, when the best key is
-tied, so it holds winners but no polynomials; a violation record computes
-the ones it shows.  It is held in _SEARCHES, emptied when a search would
-take it past SEARCH_MEMO_CLASSES canons, so the checks in one process
-share it.  The theorem checks return only their verdicts; verify_theorems
-frames each record with the graph's graph6, encoded once per graph, and k.
+and on a connected bipartite graph none, as the alternating class alone
+reaches the bound of the dominance key there; the list of every proper
+class is walked only for the a7 check, which alone reads it.  The min
+check reads no search (_min_check), so verify_theorems makes none for a
+graph whose only check is min.  A search computes polynomials only for
+_tie_break, when the best key is tied, so it holds winners but no
+polynomials; a violation record computes the ones it shows.  It is held
+in _SEARCHES, emptied when a search would take it past
+SEARCH_MEMO_CLASSES canons, so the checks in one process share it.  The
+theorem checks return only their verdicts; verify_theorems frames each
+record with the graph's graph6, encoded once per graph, and k.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .restraints import (
     incidence_masks,
     is_proper,
     normal_form_count,
-    normal_forms,
     render_restraint,
 )
 
@@ -191,10 +191,11 @@ class TheoremSearch:
     side's winners, as an ExtremalReport holds them; max_tied, the canons
     that tie the best key, in canon order, before polynomials break the
     tie; and proper, the canons of every proper class, which only _a7_check
-    reads.  A search that did not list them (theorem_search's bounded walk)
-    lists them on the first read of proper.  It holds no polynomial: a
-    search computes one only to break a tie, and _bipartite_check computes
-    the winners' polynomial when it writes a violation."""
+    reads.  A search that did not list them (theorem_search on a connected
+    bipartite graph) lists them on the first read of proper.  It holds no
+    polynomial: a search computes one only to break a tie, and
+    _bipartite_check computes the winners' polynomial when it writes a
+    violation."""
 
     __slots__ = ("graph", "k", "max_classes", "max_tied", "_proper")
 
@@ -218,19 +219,10 @@ class TheoremSearch:
         return len(self.max_tied if self._proper is None else self._proper)
 
 
-def _linked(g: Graph) -> list[int]:
-    """linked[v]: the vertices other than v that share a neighbour with v."""
-    adj = g.adjacency_masks()
-    linked = [0] * g.n
-    for u, v in g.edges:
-        linked[u] |= adj[v] & ~(1 << u)
-        linked[v] |= adj[u] & ~(1 << v)
-    return linked
-
-
 def theorem_search(g: Graph, k: int, list_proper: bool = False) -> TheoremSearch:
     """find_extremal's max winners of (g, k), from one walk of the proper
-    classes (enumerate_k_restraints's filter), the only ones that can win.
+    classes (enumerate_k_restraints's filter), the only ones that can win,
+    or on a connected bipartite graph with n >= 2 from the bound below.
 
     engine.dominance_key ranks classes by I2 = sum over edges uv of
     |r(u) & r(v)| before anything else, the fewer the better.  Giving every
@@ -259,27 +251,19 @@ def theorem_search(g: Graph, k: int, list_proper: bool = False) -> TheoremSearch
     is (0, B), and the alternating class alone has it.
     tests/oracles.py's key_bound_faults checks this over whole catalogs.
 
-    On such a graph, unless list_proper asks for every proper class (the a7
-    check reads them), the walk keeps only the nodes that can still reach
-    B (_normal_form_masks's need): a vertex joins only colours that every
-    vertex before it that it shares a neighbour with holds, and takes fresh
-    colours only when there is no such vertex.  When the walk finds only the
-    alternating class's form, those sorted masks are its canon
-    (_expected_class), so no automorphism is listed; anything else it finds
-    goes through enumerate_k_restraints's orbit step and _tie_break, as on
-    any other graph, and proper is listed on its first read.  Either walk
-    checks normal_form_count's budget first, so a search refuses what
+    So on such a graph, unless list_proper asks for every proper class (the
+    a7 check reads them), the search walks nothing: max_tied is the
+    alternating class alone, with its sorted masks as its canon
+    (_expected_class), and proper is listed on its first read.  It checks
+    normal_form_count's budget all the same, so a search refuses what
     find_extremal refuses.
     """
-    adj = g.adjacency_masks()
     if not list_proper and g.n >= 2 and g.is_connected() and g.bipartition() is not None:
-        need = [mask & (1 << v) - 1 for v, mask in enumerate(_linked(g))]
-        max_tied = tuple(normal_forms(g.n, k, adj, need))
-        if max_tied != (_expected_class(alternating_restraint, g, k).canon,):
-            max_tied = tuple(enumerate_k_restraints(g, k, adj, need))
+        normal_form_count(g.n, k)
+        max_tied = (_expected_class(alternating_restraint, g, k).canon,)
         proper = None
     else:
-        proper = tuple(enumerate_k_restraints(g, k, adj))
+        proper = tuple(enumerate_k_restraints(g, k, g.adjacency_masks()))
         keys = list(map(dominance_key(g, k), proper))
         best = max(keys)
         max_tied = tuple(c for c, c_key in zip(proper, keys) if c_key == best)
@@ -453,13 +437,14 @@ def _expected_class(expected_restraint, g: Graph, k: int) -> RestraintClass:
     return RestraintClass(tuple(sorted(incidence_masks(expected_restraint(g, k)))), g.n)
 
 
-def _min_check(g: Graph, k: int, found: None) -> dict:
+def _min_check(g: Graph, k: int, found: TheoremSearch | None) -> dict:
     """The constant class is the only minimizing class of a connected graph,
-    read from no search (verify_theorems passes found as None, and checks
-    normal_form_count's budget in its place): dominance_key ranks I2 = sum
-    over edges uv of |r(u) & r(v)| first, the more the worse, and I2 <= k *
-    m, with equality exactly when the sets are equal on every edge, so on a
-    connected graph the constant class alone has the worst key."""
+    read from no search: found is ignored, and verify_theorems checks
+    normal_form_count's budget in a search's place.  dominance_key ranks
+    I2 = sum over edges uv of |r(u) & r(v)| first, the more the worse, and
+    I2 <= k * m, with equality exactly when the sets are equal on every
+    edge, so on a connected graph the constant class alone has the worst
+    key."""
     expected = _expected_class(constant_restraint, g, k).class_id()
     return {"ok": True, "expected": expected, "min_classes": [expected]}
 
@@ -504,7 +489,12 @@ def _a7_check(g: Graph, k: int, found: TheoremSearch) -> dict:
     the minimum is read from one's key.  The pair term charges each colour
     mask of a canon -1 per pair of its vertices with a common neighbour,
     each mask once per call.  Only those classes and the max winners get ids."""
-    partners = _linked(g)
+    adj = g.adjacency_masks()
+    # partners[i]: the vertices j != i with a neighbour in common with i
+    partners = [0] * g.n
+    for u, v in g.edges:
+        partners[u] |= adj[v] & ~(1 << u)
+        partners[v] |= adj[u] & ~(1 << v)
 
     @cache
     def share(mask: int) -> int:

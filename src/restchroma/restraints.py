@@ -32,11 +32,9 @@ only a prefix of each run of them, so each colour class is visited once and
 the walk's work is proportional to its visits.  FORMS_BUDGET is checked
 against normal_form_count, which counts the first-use normal forms without
 that rule: the walk makes the same choices, so that count bounds its visits
-from above.  The walk takes optional per-vertex filters on what a slot may
-join, which enumerate_k_restraints and normal_forms pass on: with avoid the
-theorem search lists only the proper classes, and with need as well only
-the proper classes that reach the dominance key's bound on a connected
-bipartite graph (extremal.theorem_search).
+from above.  The walk takes an optional per-vertex filter on what a slot
+may join, which enumerate_k_restraints passes on: so the theorem search
+lists only the proper classes.
 """
 
 from __future__ import annotations
@@ -322,11 +320,11 @@ def incidence_masks(sets: Iterable[Iterable]) -> list[int]:
     return list(masks.values())
 
 
-def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
+def _normal_form_masks(n: int, k: int, visit, avoid=None) -> None:
     """Call visit(masks) once for each colour class of k-restraints on n
     vertices, with masks the class's incidence masks as a sorted tuple; with
-    per-vertex masks avoid, and need, only for the colour classes that pass
-    their filters.
+    per-vertex masks avoid, only for the colour classes that pass its
+    filter.
 
     Scanning vertices 0..n-1, vertex v fills its k colour slots one at a
     time: a slot either joins one colour used before v (ORs bit v into its
@@ -348,27 +346,19 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
     normal_form_count, which counts those forms without the prefix rule,
     bounds the visits from above.
 
-    The filters: a slot of v may join a mask only when not mask & avoid[v]
-    and, with need, only when the mask holds every vertex of need[v]; and v
-    takes fresh colours only when need[v] is 0.  need is read only with
-    avoid, and need[v] must be disjoint from avoid[v] and hold only vertices
-    before v.  A mask that v may join holds only vertices before v, all
-    placed, so the tests read the finished class's colours on the vertices
-    before v.  Avoiding v's neighbours visits the proper classes.  Needing
-    the vertices before v that share a neighbour with v visits the classes
-    in which v holds exactly the colours of each of those: each of v's k
-    colours is held by all of them, and each of them holds k.  Both
-    properties are prefix-closed: a class has one exactly when each of its
-    restrictions to vertices 0..v has it, which is what the test at v adds.
-    So a choice a filter refuses leads only to classes without the
-    property, every class with it passes each test on its way and is still
-    visited once, and the walk visits nothing else.  Fresh colours pass
-    avoid, so with avoid alone every choice still leads to a visit and the
-    work stays proportional to the visits.  need can leave a slot no choice
-    (two vertices of need[v] that hold different colours), so the walk can
-    then build a node that leads to no visit.  The filters select a slot's
-    joinable masks once, before its loop, and a run of equal masks passes
-    or fails whole, so the prefix rule is unchanged.
+    The filter: a slot of v may join a mask only when not mask & avoid[v].
+    A mask that v may join holds only vertices before v, all placed, so the
+    test reads the finished class's colour on the edges from v back.
+    Avoiding v's neighbours visits the proper classes.  That property is
+    prefix-closed: a class has it exactly when each of its restrictions to
+    vertices 0..v has it, which is what the test at v adds.  So a choice
+    the filter refuses leads only to improper classes, every proper class
+    passes each test on its way and is still visited once, and the walk
+    visits nothing else.  Fresh colours pass every filter, so every choice
+    still leads to a visit and the work stays proportional to the visits.
+    The filter selects a slot's joinable masks once, before its loop, and a
+    run of equal masks passes or fails whole, so the prefix rule is
+    unchanged.
     """
     if not n:
         visit(())
@@ -386,10 +376,8 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
         prev = 0  # no mask is 0, so the first mask the slot may join passes
         if avoid is None:
             joins = range(start, end)
-            fresh = True
         else:
-            joins = _joinable(masks, start, end, care[v], need[v])
-            fresh = not need[v]
+            joins = _joinable(masks, start, end, avoid[v])
         for j in joins:
             mask = masks[j]
             if mask != prev:
@@ -401,28 +389,22 @@ def _normal_form_masks(n: int, k: int, visit, avoid=None, need=None) -> None:
                     visit(child)
                 else:
                     rec(v + 1, child, 0, k)
-        if fresh:
-            child = masks[:end] + (bit,) * free + masks[end:]
-            if v == last:
-                visit(child)
-            else:
-                rec(v + 1, child, 0, k)
+        child = masks[:end] + (bit,) * free + masks[end:]
+        if v == last:
+            visit(child)
+        else:
+            rec(v + 1, child, 0, k)
 
-    if avoid is not None:
-        need = need or [0] * n
-        care = [a | b for a, b in zip(avoid, need)]
     rec(0, (), 0, k)
     del rec  # rec holds itself and visit, which only the cyclic collector would free
 
 
-def _joinable(masks: tuple[int, ...], start: int, end: int, care: int, need: int) -> list[int]:
+def _joinable(masks: tuple[int, ...], start: int, end: int, avoid: int) -> list[int]:
     """The indices in range(start, end) of the masks that pass the walk's
-    filters, mask & care == need with care = avoid | need: each mask misses
-    every vertex of avoid and holds every vertex of need.  A function of
-    its own: the same comprehension in _normal_form_masks's rec would make
-    masks a closure cell of every rec call, which slowed the unfiltered walk
-    by 7-10%."""
-    return [j for j in range(start, end) if masks[j] & care == need]
+    filter, not mask & avoid.  A function of its own: the same
+    comprehension in _normal_form_masks's rec would make masks a closure
+    cell of every rec call, which slowed the unfiltered walk by 7-10%."""
+    return [j for j in range(start, end) if not masks[j] & avoid]
 
 
 def normal_form_count(n: int, k: int) -> int:
@@ -453,24 +435,11 @@ def normal_form_count(n: int, k: int) -> int:
     return sum(ways.values())
 
 
-def normal_forms(n: int, k: int, avoid, need) -> list[tuple[int, ...]]:
-    """The sorted mask tuples that _normal_form_masks(n, k) visits with the
-    filters avoid and need, one per colour class that passes them, after
-    normal_form_count's budget check, as enumerate_k_restraints makes it.
-    No automorphism is listed, so a form is its class's canon only where
-    the caller shows that every automorphism maps its masks onto themselves
-    (extremal.theorem_search)."""
-    normal_form_count(n, k)
-    forms: list[tuple[int, ...]] = []
-    _normal_form_masks(n, k, forms.append, avoid, need)
-    return forms
-
-
-def enumerate_k_restraints(g: Graph, k: int, avoid=None, need=None) -> list[tuple[int, ...]]:
+def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]]:
     """The sorted canons of the equivalence classes of k-restraints on g, one
     per class (RestraintClass(canon, g.n) is its class), or with per-vertex
-    masks avoid, and need, only of those that pass the walk's filters
-    (_normal_form_masks); the properties filtered for must be kept by every
+    masks avoid only of those that pass the walk's filter
+    (_normal_form_masks); the property filtered for must be kept by every
     automorphism of g, as properness is.
 
     Walks one sorted form per colour class (_normal_form_masks, slot by
@@ -502,6 +471,6 @@ def enumerate_k_restraints(g: Graph, k: int, avoid=None, need=None) -> list[tupl
                 seen.update(images)
                 canons.append(min(images))
 
-    _normal_form_masks(g.n, k, visit, avoid, need)
+    _normal_form_masks(g.n, k, visit, avoid)
     canons.sort()
     return canons

@@ -567,18 +567,19 @@ class TestTheoremSearch:
         assert calls == [(3, max)]
         assert found.max_classes == full.max_classes
 
-    def test_bounded_search_lists_no_automorphism(self, monkeypatch):
-        # on a connected bipartite graph the bounded walk finds only the
-        # alternating class's form, whose sorted masks are its canon, so
-        # the search lists no automorphism and gives the listing search's
-        # winners and tie set (K1, with n < 2, walks every proper class)
+    def test_bipartite_search_walks_nothing(self, monkeypatch):
+        # on a connected bipartite graph the alternating class alone reaches
+        # the key's bound, so the search lists no class and no automorphism
+        # and gives the listing search's winners and tie set (K1, with
+        # n < 2, walks every proper class)
         graphs = [from_name(name) for name in ("C6", "K2,3", "S4")] + connected_bipartite_catalog(5)[1:]
         listed = {(to_graph6(g), k): extremal.theorem_search(g, k, list_proper=True) for g in graphs for k in (1, 2)}
 
-        def refuse(g):
-            raise AssertionError(f"listed the automorphisms of {to_graph6(g)}")
+        def refuse(g, *args):
+            raise AssertionError(f"listed the classes or automorphisms of {to_graph6(g)}")
 
         monkeypatch.setattr(Graph, "automorphisms", refuse)
+        monkeypatch.setattr(extremal, "enumerate_k_restraints", refuse)
         for g in graphs:
             for k in (1, 2):
                 found, want = extremal.theorem_search(g, k), listed[(to_graph6(g), k)]
@@ -593,38 +594,33 @@ class TestTheoremSearch:
 
     def test_both_searches_list_through_one_function(self, monkeypatch, c4, c3):
         # wrapped where the bench tracer wraps it: the full search lists
-        # every class in one unfiltered call.  On a connected bipartite graph
-        # the theorem search makes its one walk through normal_forms, kept
-        # to the classes that reach the key's bound, and lists the proper
-        # classes through enumerate_k_restraints only when proper is read;
-        # asked to list them, or on any other graph, its one walk is that
-        # listing, filtered to the proper classes
+        # every class in one unfiltered call.  The theorem search lists the
+        # proper classes in one filtered call: on a connected bipartite
+        # graph only when proper is read or list_proper asks for them, and
+        # on any other graph in every search
         calls = []
-        for name in ("enumerate_k_restraints", "normal_forms"):
-            real = getattr(extremal, name)
+        real = extremal.enumerate_k_restraints
 
-            def counting(*args, real=real, name=name):
-                calls.append((name, *args[2:]))
-                return real(*args)
+        def counting(g, k, avoid=None):
+            calls.append(avoid)
+            return real(g, k, avoid)
 
-            monkeypatch.setattr(extremal, name, counting)
+        monkeypatch.setattr(extremal, "enumerate_k_restraints", counting)
         find_extremal(c4, 1)
-        assert calls == [("enumerate_k_restraints",)]
+        assert calls == [None]
         calls.clear()
         found = extremal.theorem_search(c4, 1)
-        # vertex 2 shares both neighbours with vertex 0, and 3 with 1
-        assert calls == [("normal_forms", (10, 5, 10, 5), [0, 0, 1, 2])]
+        assert calls == []
         assert (found.held, found.max_tied) == (1, (extremal._expected_class(alternating_restraint, c4, 1).canon,))
-        calls.clear()
         assert len(found.proper) == found.held == 3
-        assert calls == [("enumerate_k_restraints", (10, 5, 10, 5))]
+        assert calls == [(10, 5, 10, 5)]
         calls.clear()
         listed = extremal.theorem_search(c4, 1, list_proper=True)
-        assert calls == [("enumerate_k_restraints", (10, 5, 10, 5))]
+        assert calls == [(10, 5, 10, 5)]
         assert (listed.max_classes, listed.max_tied, listed.proper) == (found.max_classes, found.max_tied, found.proper)
         calls.clear()
         extremal.theorem_search(c3, 1)
-        assert calls == [("enumerate_k_restraints", (6, 5, 3))]
+        assert calls == [(6, 5, 3)]
 
 
 class TestNoReferenceCycles:

@@ -23,6 +23,8 @@ from typing import Iterable
 Edge = tuple[int, int]
 
 AUTOMORPHISM_BUDGET = 50_000
+# Graph._sides before bipartition() has run; None is one of its answers
+_UNKNOWN = object()
 
 
 class ParseError(ValueError):
@@ -61,7 +63,7 @@ class SubgraphCensus:
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_autos", "_census")
+    __slots__ = ("n", "edges", "_adj", "_sides", "_chain", "_autos", "_census")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -78,6 +80,8 @@ class Graph:
         self.n = n
         self.edges: frozenset[Edge] = frozenset(norm)
         self._adj: tuple[int, ...] | None = None
+        self._sides = _UNKNOWN
+        self._chain: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         self._autos: list[tuple[int, ...]] | None = None
         self._census: SubgraphCensus | None = None
 
@@ -112,14 +116,17 @@ class Graph:
         return len(component_vertices(self.adjacency_masks())) <= 1
 
     def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """BFS 2-colouring of a connected graph.
+        """BFS 2-colouring of a connected graph (cached).
 
         Returns the bipartition with vertex 0's side first, or None when an
         odd cycle exists.  Raises on disconnected input (split by components
-        first).
+        first), on every call: only an answer is cached.
         """
+        if self._sides is not _UNKNOWN:
+            return self._sides
         if self.n == 0:
-            return ((), ())
+            self._sides = ((), ())
+            return self._sides
         if not self.is_connected():
             raise ValueError("graph is disconnected; bipartition is per-component")
         side = [-1] * self.n
@@ -136,10 +143,10 @@ class Graph:
                     side[w] = 1 - side[v]
                     queue.append(w)
                 elif side[w] == side[v]:
+                    self._sides = None
                     return None
-        v1 = tuple(i for i in range(self.n) if side[i] == 0)
-        v2 = tuple(i for i in range(self.n) if side[i] == 1)
-        return (v1, v2)
+        self._sides = tuple(i for i in range(self.n) if side[i] == 0), tuple(i for i in range(self.n) if side[i] == 1)
+        return self._sides
 
     # -- census -----------------------------------------------------------------
 
@@ -167,37 +174,56 @@ class Graph:
 
     # -- automorphisms --------------------------------------------------------------
 
+    def stabilizer_chain(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The automorphism group as a stabilizer chain (Sims 1970), one
+        level per vertex (cached).
+
+        Level i holds the identity and, for each w > i of i's degree and
+        adjacency to 0..i-1, the first automorphism that fixes 0..i-1 and
+        maps i to w, if one exists: a transversal of the stabilizer of
+        0..i in the stabilizer of 0..i-1.  So every automorphism is
+        t_0 o t_1 o ... o t_(n-1), one element t_i of each level, in exactly
+        one way (level_products), and |Aut| is the product of the level
+        sizes.  A group over AUTOMORPHISM_BUDGET raises CapError, with its
+        exact order, and is not cached.
+        """
+        if self._chain is None:
+            n, adj = self.n, self.adjacency_masks()
+            identity = tuple(range(n))
+            levels = []
+            for i in range(n):
+                low = (1 << i) - 1
+                same = [w for w in range(i + 1, n)
+                        if adj[w].bit_count() == adj[i].bit_count() and adj[w] & low == adj[i] & low]
+                found = (_first_isomorphism(self, self, identity[:i] + (w,)) for w in same)
+                levels.append(tuple([identity] + [t for t in found if t]))
+            order = math.prod(map(len, levels))
+            if order > AUTOMORPHISM_BUDGET:
+                raise CapError(f"automorphism budget exceeded ({order} automorphisms > {AUTOMORPHISM_BUDGET}, n={n})")
+            self._chain = tuple(levels)
+        return self._chain
+
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Full automorphism group as explicit vertex permutations, sorted
-        (cached).
-
-        Built from a stabilizer chain (Sims 1970).  Level i holds the
-        identity and, for each w > i of i's degree and adjacency to
-        0..i-1, the first automorphism that fixes 0..i-1 and maps i to w,
-        if one exists.  |Aut| is the product of the level sizes, so a group
-        over AUTOMORPHISM_BUDGET raises CapError, with its exact order,
-        before any element is formed; the elements are the products of one
-        element per level.
-        """
-        if self._autos is not None:
-            return list(self._autos)
-        n, adj = self.n, self.adjacency_masks()
-        identity = tuple(range(n))
-        levels = []
-        for i in range(n):
-            low = (1 << i) - 1
-            same = [w for w in range(i + 1, n)
-                    if adj[w].bit_count() == adj[i].bit_count() and adj[w] & low == adj[i] & low]
-            found = (_first_isomorphism(self, self, identity[:i] + (w,)) for w in same)
-            levels.append([identity] + [t for t in found if t])
-        order = math.prod(map(len, levels))
-        if order > AUTOMORPHISM_BUDGET:
-            raise CapError(f"automorphism budget exceeded ({order} automorphisms > {AUTOMORPHISM_BUDGET}, n={n})")
-        group = [identity]
-        for level in reversed(levels):  # level i composed with the stabilizer of 0..i
-            group = [tuple(map(t.__getitem__, h)) for t in level for h in group]
-        self._autos = sorted(group)
+        (cached): the products of the whole stabilizer_chain, so a group
+        over AUTOMORPHISM_BUDGET raises CapError before any element is
+        formed.  The catalog's orbit pruning reads this list; the class
+        orbits read the chain itself (restraints._orbit_blocks)."""
+        if self._autos is None:
+            self._autos = sorted(level_products(self.stabilizer_chain(), self.n))
         return list(self._autos)
+
+
+def level_products(levels, n: int) -> list[tuple[int, ...]]:
+    """Every product t_i o t_(i+1) o ... o t_j of one element of each of
+    levels, the consecutive levels i..j of a stabilizer chain on n vertices
+    (Graph.stabilizer_chain), each as the images of 0..n-1; (t o h)(v) is
+    t[h[v]].  The products are distinct, so len is the product of the level
+    sizes; the whole chain gives every automorphism once."""
+    group = [tuple(range(n))]
+    for level in reversed(levels):  # level i composed with the products of the levels after it
+        group = [tuple(map(t.__getitem__, h)) for t in level for h in group]
+    return group
 
 
 def reach_mask(adj, start: int) -> int:

@@ -12,15 +12,17 @@ generation on, listed as canons by enumerate_k_restraints only; a
 RestraintClass or Restraint is built from one only on demand, and a class
 id is rendered (RestraintClass.class_id), decoded (id_masks) and checked
 (RestraintClass.from_id) only here.  Both canonicalisation and enumeration
-go through _orbit_rows, the sorted mask tuples of a restraint's distinct
+go through _orbit_blocks, the set of sorted mask tuples of a restraint's
 automorphic images: the canon is their minimum, and the enumeration marks a
 new class's whole orbit as seen, so each class is found once.  On a graph
 with a trivial group the enumeration skips them: each colour class is then
-one class, and its sorted masks its canon.  Images are computed a whole row
-of automorphisms at a time: each vertex has a column of its image bits, one
-per automorphism, and a mask's row is its lowest bit's column ORed onto the
-row of the rest.  Rows are cached for one enumerate_k_restraints or
-canonicalize call, so the cache holds up to |Aut| ints per distinct mask.
+one class, and its sorted masks its canon.  The group is never listed for
+them: the stabilizer chain's levels are multiplied, from the last, into
+blocks of at most ORBIT_BLOCK elements, and an orbit is expanded one block
+at a time, its sorted images deduplicated between blocks.  Images are
+computed a whole block at a time: each vertex has a column of its image
+bits, one per element, and a mask's row is its lowest bit's column ORed
+onto the row of the rest.
 
 The enumeration walks one sorted form per colour class
 (_normal_form_masks), one colour slot of a vertex at a time over immutable
@@ -46,9 +48,15 @@ from math import comb
 from operator import or_
 from typing import Iterable
 
-from .graphs import CapError, Graph, ParseError, quote_input
+from .graphs import CapError, Graph, ParseError, level_products, quote_input
 
 FORMS_BUDGET = 3_000_000
+# most elements a block of the stabilizer chain lists for the class orbits
+# (_orbit_blocks).  Of 16-256, only 64 was within 4% of the fastest on K8,
+# K3,7 and the bench's symmetric graphs at k = 1 and on K2,5 at k = 2; 128
+# was 16% faster on K7 at k = 2 but 12-24% slower on the symmetric graphs
+# and K3,7
+ORBIT_BLOCK = 64
 # most masks of a class whose id RestraintClass.class_id renders by concatenation
 _SHORT_ID = 64
 
@@ -268,28 +276,57 @@ def _labels(count: int) -> tuple[str, ...]:
     return tuple(map(str, range(1, count + 1)))
 
 
-def _orbit_rows(n: int, autos: list[tuple[int, ...]]):
-    """Return orbit(masks), the sorted mask tuples of a restraint's images
-    under autos, in no set order (sorting is what renames the colours).
-    Equal unsorted images, which most automorphisms of a large group give,
-    are merged before sorting, so each is sorted once; sorted tuples can
-    still repeat.  The enumeration calls orbit once per class found, on the
-    first sorted form of it that the walk visits: one form per colour class,
-    and at most normal_form_count of them.
+def _orbit_blocks(g: Graph):
+    """Return orbit(masks), the set of sorted mask tuples of a restraint's
+    images under g's automorphisms (sorting is what renames the colours),
+    from its masks in any order.  The enumeration calls orbit once per class
+    found, on the first sorted form of it that the walk visits: one form per
+    colour class, and at most normal_form_count of them.
 
-    Each mask's row, its image under every automorphism, is its lowest
-    bit's column ORed entrywise onto the row of the remaining bits.  Rows
-    are memoised for the life of the returned function, up to len(autos)
-    ints per distinct mask, so each mask is expanded once.
+    The group is read from g.stabilizer_chain() and never listed whole.  Its
+    levels with more than the identity are multiplied into blocks from the
+    last one back, T_(n-1), T_(n-2), ...: a block is the level_products of
+    as many consecutive levels as keep it within ORBIT_BLOCK elements (a
+    level larger than that is a block alone).  Every automorphism is then
+    one element of each block composed in chain order, and the block of the
+    last levels acts first.  So orbit takes the seed's images under the last
+    block, their images under the block before it, and so on.  The set of
+    sorted images is taken after each block, so a form that many elements
+    give is expanded once by the next block, and within a block equal
+    unsorted images are merged before sorting.  A
+    group of order at most ORBIT_BLOCK is one block, each image of the seed
+    under one listed element; a trivial group has none, and the orbit is
+    the sorted seed.
+
+    Each block keeps one row per mask, its image under each of the block's
+    elements: the row of the mask's lowest bit, that vertex's column, ORed
+    entrywise onto the row of its other bits.  Rows are memoised for the
+    life of the returned function, at most ORBIT_BLOCK ints per mask and
+    block, so each mask is expanded once per block.
     """
-    bits = [1 << v for v in range(n)]
+    levels = [level for level in g.stabilizer_chain() if len(level) > 1]
+    blocks = []
+    while levels:
+        first, size = len(levels) - 1, len(levels[-1])
+        while first and size * len(levels[first - 1]) <= ORBIT_BLOCK:
+            first -= 1
+            size *= len(levels[first])
+        blocks.append(level_products(levels[first:], g.n))
+        del levels[first:]
+    bits = [1 << v for v in range(g.n)]
     # a single-bit mask's row is its vertex's column
-    rows = {bits[v]: [bits[p[v]] for p in autos] for v in range(n)}
+    tables = [{bits[v]: [bits[p[v]] for p in block] for v in range(g.n)} for block in blocks]
 
     def orbit(masks):
-        if not masks:
-            return [()]
-        return map(tuple, map(sorted, set(zip(*[_row(rows, mask) for mask in masks]))))
+        if not (tables and masks):
+            return {tuple(sorted(masks))}
+        forms = (masks,)
+        for rows in tables:
+            images = set()
+            for form in forms:
+                images.update(zip(*[_row(rows, mask) for mask in form]))
+            forms = set(map(tuple, map(sorted, images)))
+        return forms
 
     return orbit
 
@@ -306,8 +343,7 @@ def _row(rows: dict[int, list[int]], mask: int) -> list[int]:
 def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     """Canonical class of a restraint under automorphism x colour bijection."""
     check_fit(g, r)
-    orbit = _orbit_rows(g.n, g.automorphisms())
-    return RestraintClass(min(orbit(incidence_masks(r))), g.n)
+    return RestraintClass(min(_orbit_blocks(g)(incidence_masks(r))), g.n)
 
 
 def incidence_masks(sets: Iterable[Iterable]) -> list[int]:
@@ -445,29 +481,31 @@ def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]
     Walks one sorted form per colour class (_normal_form_masks, slot by
     slot, whose runs of equal masks stay contiguous and are joined only
     along a prefix), so no form is sorted here.  When g's automorphism
-    group is trivial, each colour class is one restraint class and the
-    visited tuple is its canon, so no orbit is computed.  Otherwise the
+    group is trivial (every level of its stabilizer chain is the identity
+    alone), each colour class is one restraint class and the visited tuple
+    is its canon, so no orbit is computed.  Otherwise the
     first candidate of a class marks the class's whole orbit as seen, so
     every later candidate of it (whose visited tuple lies in that orbit) is
     skipped; the canon is the orbit minimum.  More than FORMS_BUDGET
     normal forms, counted by normal_form_count as an upper bound on the
-    unfiltered walk, raise CapError before any automorphism is listed; the
-    count stops at the first vertex whose prefixes pass the budget.
+    unfiltered walk, raise CapError before the stabilizer chain is built;
+    the count stops at the first vertex whose prefixes pass the budget.
+    The chain raises CapError for a group over AUTOMORPHISM_BUDGET, as
+    listing the group would, though the orbits never list it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     normal_form_count(g.n, k)
-    autos = g.automorphisms()
     canons: list[tuple[int, ...]] = []
-    if len(autos) == 1:
+    if all(len(level) == 1 for level in g.stabilizer_chain()):
         visit = canons.append
     else:
-        orbit = _orbit_rows(g.n, autos)
+        orbit = _orbit_blocks(g)
         seen: set[tuple[int, ...]] = set()
 
         def visit(masks: tuple[int, ...]) -> None:
             if masks not in seen:
-                images = set(orbit(masks))
+                images = orbit(masks)
                 seen.update(images)
                 canons.append(min(images))
 

@@ -20,6 +20,7 @@ import time
 from collections import Counter
 from functools import partial
 from itertools import combinations, permutations, zip_longest
+from operator import or_
 from typing import Callable, NamedTuple
 
 from restchroma import (
@@ -29,7 +30,7 @@ from restchroma import (
     parse_restraint, render_restraint, restrained_poly, shared_pair_overlap, to_graph6,
 )
 from restchroma.graphs import _min_mask_form, load_graph
-from restchroma.restraints import _normal_form_masks, id_masks, normal_form_count
+from restchroma.restraints import _normal_form_masks, id_masks, incidence_masks, normal_form_count
 
 
 def restraint_classes(g: Graph, k: int) -> list[RestraintClass]:
@@ -206,6 +207,63 @@ def automorphism_mismatches(graphs, k=None) -> list[str]:
     permutations that preserve its edge set, listed in sorted order."""
     return [to_graph6(g) for g in graphs if g.automorphisms() != [
         p for p in permutations(range(g.n)) if all(tuple(sorted((p[u], p[v]))) in g.edges for u, v in g.edges)]]
+
+
+def orbit_rows(n: int, autos: list[tuple[int, ...]]):
+    """Return orbit(masks), the sorted mask tuples of a restraint's images
+    under every element of autos, in no set order (sorting is what renames
+    the colours): the reference for the package's orbits, which read the
+    stabilizer chain a block at a time and never list the group.  Equal
+    unsorted images are merged before sorting.  Each mask's row, its image
+    under every element, is its lowest bit's column ORed entrywise onto the
+    row of the remaining bits, memoised for the life of orbit."""
+    bits = [1 << v for v in range(n)]
+    rows = {bits[v]: [bits[p[v]] for p in autos] for v in range(n)}
+
+    def orbit(masks):
+        if not masks:
+            return [()]
+        return map(tuple, map(sorted, set(zip(*[_reference_row(rows, mask) for mask in masks]))))
+
+    return orbit
+
+
+def _reference_row(rows: dict[int, list[int]], mask: int) -> list[int]:
+    """mask's row, cached in rows (orbit_rows)."""
+    r = rows.get(mask)
+    if r is None:
+        low = mask & -mask
+        r = rows[mask] = list(map(or_, _reference_row(rows, mask ^ low), rows[low]))
+    return r
+
+
+def orbit_mismatches(graphs, k: int) -> list[tuple[str, str]]:
+    """(graph6, what) for each graph whose classes at k differ from those of
+    orbit_rows over the listed g.automorphisms(), which
+    automorphism_mismatches checks against brute force: the canons
+    enumerate_k_restraints lists, against the walk's colour classes with
+    each new one's whole reference orbit marked as seen; and canonicalize of
+    each reference class's representative, whose masks come unsorted, against
+    its orbit minimum."""
+    bad = []
+    for g in graphs:
+        orbit, seen, reference = orbit_rows(g.n, g.automorphisms()), set(), []
+
+        def visit(masks):
+            if masks not in seen:
+                images = set(orbit(masks))
+                seen.update(images)
+                reference.append(min(images))
+
+        _normal_form_masks(g.n, k, visit)
+        reference.sort()
+        if enumerate_k_restraints(g, k) != reference:
+            bad.append((to_graph6(g), "classes"))
+        for canon in reference:
+            representative = RestraintClass(canon, g.n).representative
+            if canonicalize(g, representative).canon != min(orbit(incidence_masks(representative))):
+                bad.append((to_graph6(g), f"canonicalize {render_restraint(representative)}"))
+    return bad
 
 
 def walk_faults(graphs, k: int) -> tuple[int, list[str]]:
@@ -520,6 +578,16 @@ RUNS = [
     Run(unpruned_catalog_mismatches, "connected_catalog(7)", None, [], CI),
     Run(automorphism_mismatches, "connected_catalog(6) + FPpC?", None, [], TIER1),
     Run(automorphism_mismatches, "connected_catalog(7)", None, [], CI),
+    # tier-1 has the symmetric workload's graphs; CI has groups of 5,040 to
+    # 40,320 elements (K7, K3,7, K8), several blocks at k = 2 (K2,5's 240)
+    # and one (C7's 14)
+    Run(orbit_mismatches, "connected_catalog(6)", 1, [], TIER1),
+    Run(orbit_mismatches, "connected_catalog(5)", 2, [], TIER1),
+    Run(orbit_mismatches, "K6 + S6 + K2,5 + K3,4", 1, [], TIER1),
+    Run(orbit_mismatches, "K5 + S4", 2, [], TIER1),
+    Run(orbit_mismatches, "connected_catalog(7)", 1, [], CI),
+    Run(orbit_mismatches, "K3,7 + K8", 1, [], CI),
+    Run(orbit_mismatches, "K7 + K2,5 + C7", 2, [], CI),
     # the visits at k = 1 are Bell numbers
     Run(walk_faults, "edgeless_graphs(7)", 1, (1_156, []), TIER1),
     Run(walk_faults, "E8", 1, (4_140, []), TIER1),

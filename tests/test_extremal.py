@@ -220,7 +220,7 @@ def _with_max_winner(text: str, cid: str) -> str:
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a store read listed automorphisms, canonicalized or parsed a restraint")
+    raise AssertionError("a store read built the group, canonicalized or parsed a restraint")
 
 
 class TestResumableStore:
@@ -298,12 +298,13 @@ class TestResumableStore:
 
     @pytest.mark.parametrize("name, k", [("K6", 1), ("C4", 2)])
     def test_read_decodes_winner_ids(self, tmp_path, monkeypatch, name, k):
-        # a store read builds each winner from its id's masks: it lists no
-        # automorphisms, canonicalizes nothing, parses no restraint and
-        # searches nothing
+        # a store read builds each winner from its id's masks: it builds no
+        # stabilizer chain, lists no automorphisms, canonicalizes nothing,
+        # parses no restraint and searches nothing
         fresh = find_extremal(from_name(name), k)
         load_or_compute_extremal(from_name(name), k, str(tmp_path))
-        monkeypatch.setattr(Graph, "automorphisms", _refuse)
+        for method in ("stabilizer_chain", "automorphisms"):
+            monkeypatch.setattr(Graph, method, _refuse)
         for module in (restraints, extremal):
             for fn in ("canonicalize", "parse_restraint"):
                 monkeypatch.setattr(module, fn, _refuse, raising=False)
@@ -569,16 +570,18 @@ class TestTheoremSearch:
 
     def test_bipartite_search_walks_nothing(self, monkeypatch):
         # on a connected bipartite graph the alternating class alone reaches
-        # the key's bound, so the search lists no class and no automorphism
-        # and gives the listing search's winners and tie set (K1, with
-        # n < 2, walks every proper class)
+        # the key's bound, so the search lists no class, builds no
+        # stabilizer chain, lists no automorphism and gives the listing
+        # search's winners and tie set (K1, with n < 2, walks every proper
+        # class)
         graphs = [from_name(name) for name in ("C6", "K2,3", "S4")] + connected_bipartite_catalog(5)[1:]
         listed = {(to_graph6(g), k): extremal.theorem_search(g, k, list_proper=True) for g in graphs for k in (1, 2)}
 
         def refuse(g, *args):
             raise AssertionError(f"listed the classes or automorphisms of {to_graph6(g)}")
 
-        monkeypatch.setattr(Graph, "automorphisms", refuse)
+        for method in ("stabilizer_chain", "automorphisms"):
+            monkeypatch.setattr(Graph, method, refuse)
         monkeypatch.setattr(extremal, "enumerate_k_restraints", refuse)
         for g in graphs:
             for k in (1, 2):

@@ -147,6 +147,7 @@ class TestAutomorphisms:
 
         monkeypatch.setattr(graphs_module, "_first_isomorphism", refuse)
         assert g.automorphisms() == autos
+        assert g.stabilizer_chain() is g.stabilizer_chain()
 
     def test_cap(self):
         # the group-order budget, not n, decides: P11 has 2 automorphisms;
@@ -215,6 +216,25 @@ class TestBipartition:
     def test_disconnected_errors(self):
         with pytest.raises(ValueError, match="disconnected"):
             empty_graph(2).bipartition()
+
+    def test_second_call_runs_no_sweep(self, monkeypatch):
+        # the sides are cached, an odd cycle's None and the empty graph's too;
+        # a disconnected graph is swept and refused on every call
+        cases = [cycle_graph(6), cycle_graph(7), Graph(0), star_graph(3)]
+        first = [g.bipartition() for g in cases]
+        assert first == [((0, 2, 4), (1, 3, 5)), None, ((), ()), ((0,), (1, 2, 3))]
+
+        def refuse(*args):
+            raise AssertionError("connectivity sweep or BFS for cached sides")
+
+        monkeypatch.setattr(graphs_module, "component_vertices", refuse)
+        monkeypatch.setattr(Graph, "adjacency_masks", refuse)
+        assert [g.bipartition() for g in cases] == first
+        monkeypatch.undo()
+        disconnected = empty_graph(2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="disconnected"):
+                disconnected.bipartition()
 
     def test_proper_two_colouring(self):
         for g in all_connected_graphs(5):

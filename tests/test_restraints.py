@@ -2,6 +2,7 @@ import gc
 import inspect
 import random
 import time
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -310,15 +311,32 @@ class TestEnumeration:
         # Bell(6) set partitions at k = 1 and 29,388 colour classes at k = 2
         from restchroma import restraints
 
-        def no_orbit(*args):
-            raise AssertionError("orbit rows built for a trivial group")
+        def no_orbit(g):
+            raise AssertionError(f"orbit built for a group of order {len(g.automorphisms())}")
 
         g = next(g for g in connected_catalog(6) if g.n == 6 and len(g.automorphisms()) == 1)
-        monkeypatch.setattr(restraints, "_orbit_rows", no_orbit)
+        monkeypatch.setattr(restraints, "_orbit_blocks", no_orbit)
         for k, count in [(1, 203), (2, 29_388)]:
             canons = enumerate_k_restraints(g, k)
             assert len(canons) == len(set(canons)) == count
             assert canons == sorted(canons)
+        # the stand-in replaces the builder that the enumeration calls
+        with pytest.raises(AssertionError, match="order 2"):
+            enumerate_k_restraints(path_graph(3), 1)
+
+    def test_orbits_of_a_large_group_stay_small(self):
+        # K3,7 has 30,240 automorphisms and 257 classes at k = 1.  A row per
+        # mask over the whole listed group peaked at 165 MiB; rows per block
+        # of the stabilizer chain peak at 15 MiB, most of it the seen colour
+        # classes
+        tracemalloc.start()
+        try:
+            canons = enumerate_k_restraints(complete_bipartite_graph(3, 7), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(canons) == 257
+        assert peak < 32 * 2**20
 
     def test_normal_forms_at_k1_are_set_partitions(self):
         # first-use normal forms of 1-restraints are the set partitions of

@@ -15,13 +15,13 @@ checked on every graph of a catalog that meets its hypotheses; violations
 are report content, never exceptions.  That search is theorem_search,
 which walks only the classes that can win the max side, the proper ones,
 and on a connected bipartite graph none, as the alternating class alone
-reaches the bound of the dominance key there; the list of every proper
-class is walked only for the a7 check, which alone reads it.  The min
-check reads no search (_min_check), so verify_theorems makes none for a
-graph whose only check is min.  A search computes polynomials only for
-_tie_break, when the best key is tied, so it holds winners but no
-polynomials; a violation record computes the ones it shows.  It is held
-in _SEARCHES, emptied when a search would take it past
+reaches the bound of the dominance key there.  The a7 check, the only one
+that reads every proper class, lists them itself when the search walked
+none.  The min check reads no search (_min_check), so verify_theorems
+makes none for a graph whose only check is min.  A search computes
+polynomials only for _tie_break, when the best key is tied, so it holds
+winners but no polynomials; a violation record computes the ones it
+shows.  It is held in _SEARCHES, emptied when a search would take it past
 SEARCH_MEMO_CLASSES canons, so the checks in one process share it.  The
 theorem checks return only their verdicts; verify_theorems frames each
 record with the graph's graph6, encoded once per graph, and k.
@@ -33,6 +33,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .engine import MemoCache, dominance_key, restrained_poly
 from .graphs import Graph, ParseError, cycle_graph, quote_input, to_graph6
@@ -51,11 +52,13 @@ from .restraints import (
     render_restraint,
 )
 
-# Most canons, in total, of the theorem searches that _SEARCHES holds
-# (TheoremSearch.held).  A canon is about a hundred bytes, so this keeps the
-# memo to about a MB while it still holds every search of a catalog graph up
-# to n = 7 at k = 1 (at most Bell(7) = 877 proper classes) long enough for
-# all theorems to read it.  Only repeated single-graph calls read the memo,
+# Most canons, in total, of the theorem searches that _SEARCHES holds: a
+# search holds its proper classes, or on a connected bipartite graph only its
+# tied one, as it walks none there, and the a7 check keeps nothing of its own
+# listing.  A canon is about a hundred bytes, so this keeps the memo to about
+# a MB while it still holds every search of a catalog graph up to n = 7 at
+# k = 1 (at most Bell(7) = 877 proper classes) long enough for all theorems
+# to read it.  Only repeated single-graph calls read the memo,
 # such as the ops of the bench verify workload: one pass of them makes 48
 # searches and holds 141 canons, so nothing is evicted.  A CLI verify run
 # looks each graph up once, in one verify_theorems call that shares the
@@ -186,40 +189,22 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     )
 
 
-class TheoremSearch:
+class TheoremSearch(NamedTuple):
     """What the theorem checks read of one (graph, k): max_classes, the max
     side's winners, as an ExtremalReport holds them; max_tied, the canons
     that tie the best key, in canon order, before polynomials break the
-    tie; and proper, the canons of every proper class, which only _a7_check
-    reads.  A search that did not list them (theorem_search on a connected
-    bipartite graph) lists them on the first read of proper.  It holds no
-    polynomial: a search computes one only to break a tie, and
+    tie; and proper, the canons of every proper class, or None when the
+    search walked none (theorem_search on a connected bipartite graph).  It
+    holds no polynomial: a search computes one only to break a tie, and
     _bipartite_check computes the winners' polynomial when it writes a
     violation."""
 
-    __slots__ = ("graph", "k", "max_classes", "max_tied", "_proper")
-
-    def __init__(self, graph: Graph, k: int, max_classes, max_tied, proper=None):
-        self.graph, self.k = graph, k
-        self.max_classes: tuple[RestraintClass, ...] = max_classes
-        self.max_tied: tuple[tuple[int, ...], ...] = max_tied
-        self._proper: tuple[tuple[int, ...], ...] | None = proper
-
-    @property
-    def proper(self) -> tuple[tuple[int, ...], ...]:
-        if self._proper is None:
-            self._proper = tuple(enumerate_k_restraints(self.graph, self.k, self.graph.adjacency_masks()))
-        return self._proper
-
-    @property
-    def held(self) -> int:
-        """The canons it holds, read without listing the proper classes:
-        every proper class once they are listed (max_tied is among them),
-        else the tied ones."""
-        return len(self.max_tied if self._proper is None else self._proper)
+    max_classes: tuple[RestraintClass, ...]
+    max_tied: tuple[tuple[int, ...], ...]
+    proper: tuple[tuple[int, ...], ...] | None
 
 
-def theorem_search(g: Graph, k: int, list_proper: bool = False) -> TheoremSearch:
+def theorem_search(g: Graph, k: int) -> TheoremSearch:
     """find_extremal's max winners of (g, k), from one walk of the proper
     classes (enumerate_k_restraints's filter), the only ones that can win,
     or on a connected bipartite graph with n >= 2 from the bound below.
@@ -251,14 +236,12 @@ def theorem_search(g: Graph, k: int, list_proper: bool = False) -> TheoremSearch
     is (0, B), and the alternating class alone has it.
     tests/oracles.py's key_bound_faults checks this over whole catalogs.
 
-    So on such a graph, unless list_proper asks for every proper class (the
-    a7 check reads them), the search walks nothing: max_tied is the
+    So on such a graph the search walks nothing: max_tied is the
     alternating class alone, with its sorted masks as its canon
-    (_expected_class), and proper is listed on its first read.  It checks
-    normal_form_count's budget all the same, so a search refuses what
-    find_extremal refuses.
+    (_expected_class), and proper is None.  It checks normal_form_count's
+    budget all the same, so a search refuses what find_extremal refuses.
     """
-    if not list_proper and g.n >= 2 and g.is_connected() and g.bipartition() is not None:
+    if g.n >= 2 and g.is_connected() and g.bipartition() is not None:
         normal_form_count(g.n, k)
         max_tied = (_expected_class(alternating_restraint, g, k).canon,)
         proper = None
@@ -268,7 +251,7 @@ def theorem_search(g: Graph, k: int, list_proper: bool = False) -> TheoremSearch
         best = max(keys)
         max_tied = tuple(c for c, c_key in zip(proper, keys) if c_key == best)
     winners = _tie_break(max_tied, max, _class_polys(g, MemoCache()))[0] if len(max_tied) > 1 else max_tied
-    return TheoremSearch(g, k, tuple(RestraintClass(c, g.n) for c in winners), max_tied, proper)
+    return TheoremSearch(tuple(RestraintClass(c, g.n) for c in winners), max_tied, proper)
 
 
 # -- resumable store -----------------------------------------------------------
@@ -311,25 +294,30 @@ def report_from_record(g: Graph, k: int, text: str) -> ExtremalReport:
     (STORE_TRAILER with the record's SHA-256), the record holds g's graph6
     and k (a file copied under another pair's name still matches its own
     trailer), and RestraintClass.from_id accepts each winner id, which
-    builds the winner.  The report keeps the record's witness maps."""
+    builds the winner.  A record under a matching trailer that lacks a key,
+    holds a value of the wrong type or nests too deep for the decoder is
+    refused the same way.  The report keeps the record's witness maps."""
     end = text.rfind("\n", 0, -1) + 1
     if text[end:] != STORE_TRAILER.format(_sha256(text[:end].encode("ascii")).hexdigest()):
         raise ValueError("the record does not match its trailer")
-    record = json.JSONDecoder().raw_decode(text)[0]  # stops before the trailer
-    graph_id = to_graph6(g)
-    if (record["graph6"], record["k"]) != (graph_id, k):
-        raise ValueError("the record holds another (graph6, k)")
-    return ExtremalReport(
-        graph_id=graph_id,
-        k=k,
-        class_count=record["class_count"],
-        min_classes=tuple(RestraintClass.from_id(cid, g.n) for cid in record["min_classes"]),
-        max_classes=tuple(RestraintClass.from_id(cid, g.n) for cid in record["max_classes"]),
-        min_poly=IntPolynomial(int(c) for c in record["min_poly"]),
-        max_poly=IntPolynomial(int(c) for c in record["max_poly"]),
-        max_witness=record["max_witness"],
-        min_witness=record["min_witness"],
-    )
+    try:
+        record = json.JSONDecoder().raw_decode(text)[0]  # stops before the trailer
+        graph_id = to_graph6(g)
+        if (record["graph6"], record["k"]) != (graph_id, k):
+            raise ValueError("the record holds another (graph6, k)")
+        return ExtremalReport(
+            graph_id=graph_id,
+            k=k,
+            class_count=record["class_count"],
+            min_classes=tuple(RestraintClass.from_id(cid, g.n) for cid in record["min_classes"]),
+            max_classes=tuple(RestraintClass.from_id(cid, g.n) for cid in record["max_classes"]),
+            min_poly=IntPolynomial(int(c) for c in record["min_poly"]),
+            max_poly=IntPolynomial(int(c) for c in record["max_poly"]),
+            max_witness=record["max_witness"],
+            min_witness=record["min_witness"],
+        )
+    except (KeyError, TypeError, RecursionError) as exc:  # a record of the wrong shape
+        raise ValueError(f"the record has the wrong shape: {exc!r}") from None
 
 
 JSON_CHUNK = 256
@@ -480,9 +468,11 @@ def _proper_check(g: Graph, k: int, found: TheoremSearch) -> dict:
 def _a7_check(g: Graph, k: int, found: TheoremSearch) -> dict:
     """Every maximizing class is proper and attains the minimum of the
     per-common-neighbour overlap term (A7'', engine.common_neighbor_overlap)
-    over all proper classes (found.proper).  The verdict also says whether
-    that minimum pins down a unique class, and gives the once-per-pair
-    overlap variant (engine.shared_pair_overlap) for each attaining class.
+    over all proper classes: found.proper, or when the search walked none,
+    the ones that enumerate_k_restraints lists here, kept nowhere once the
+    verdict is made.  The verdict also says whether that minimum pins down
+    a unique class, and gives the once-per-pair overlap variant
+    (engine.shared_pair_overlap) for each attaining class.
 
     On a proper class engine.dominance_key is (0, -6 * A7''), so the classes
     attaining the minimum are the max side's best-key tie set, max_tied, and
@@ -490,6 +480,7 @@ def _a7_check(g: Graph, k: int, found: TheoremSearch) -> dict:
     mask of a canon -1 per pair of its vertices with a common neighbour,
     each mask once per call.  Only those classes and the max winners get ids."""
     adj = g.adjacency_masks()
+    proper = found.proper if found.proper is not None else enumerate_k_restraints(g, k, adj)
     # partners[i]: the vertices j != i with a neighbour in common with i
     partners = [0] * g.n
     for u, v in g.edges:
@@ -509,12 +500,12 @@ def _a7_check(g: Graph, k: int, found: TheoremSearch) -> dict:
     max_ids = sorted(_ids(found.max_classes))
     return {
         "ok": set(max_ids) <= pair_terms.keys(),  # so every maximizer is proper too
-        "proper_class_count": len(found.proper),
+        "proper_class_count": len(proper),
         "min_term": -dominance_key(g, k)(found.max_tied[0])[1] // 6,
         "attaining": attaining,
         "unique": len(attaining) == 1,
         "pair_terms": {cid: pair_terms[cid] for cid in attaining},
-        "pair_term_min": min(sum(map(share, canon)) for canon in found.proper),
+        "pair_term_min": min(sum(map(share, canon)) for canon in proper),
         "max_classes": max_ids,
     }
 
@@ -534,66 +525,51 @@ THEOREMS = {
 
 class _SearchMemo(dict):
     """(graph6, k) -> the theorem search that the checks read again, and
-    held, the canons that those searches hold in total (TheoremSearch.held),
-    kept as searches come and go."""
+    held, the canons that those searches hold in total, kept as searches
+    come and go."""
 
     held = 0
 
-    def keep(self, key, found: TheoremSearch) -> None:
-        """Hold found under key, unless it alone holds more than
-        SEARCH_MEMO_CLASSES canons; when it would take the total past that,
-        empty the memo first."""
-        size = found.held
-        if size > SEARCH_MEMO_CLASSES:
-            return
-        if self.held + size > SEARCH_MEMO_CLASSES:
-            self.clear()
-            self.held = 0
-        self[key] = found
-        self.held += size
+    def search(self, g: Graph, graph_id: str, k: int) -> TheoremSearch:
+        """theorem_search(g, k), held under (graph_id, k), graph_id being g's
+        graph6: the key is exact, as the search is a pure function of the
+        labelled graph and k.  A new search holds its proper classes, or its
+        tied ones when it walked none; it is not kept when it alone holds
+        more than SEARCH_MEMO_CLASSES canons, and when it would take the
+        total past that, the memo is emptied first.  A refused search raises
+        CapError and keeps nothing.  Every caller is handed the same object,
+        which is immutable."""
+        key = (graph_id, k)
+        found = self.get(key)
+        if found is None:
+            found = theorem_search(g, k)
+            size = len(found.max_tied if found.proper is None else found.proper)
+            if size <= SEARCH_MEMO_CLASSES:
+                if self.held + size > SEARCH_MEMO_CLASSES:
+                    self.clear()
+                    self.held = 0
+                self[key] = found
+                self.held += size
+        return found
 
 
 _SEARCHES = _SearchMemo()
 
 
-def _theorem_input(g: Graph, graph_id: str, k: int, list_proper: bool) -> TheoremSearch:
-    """What the theorem checks read of (g, k): theorem_search, through
-    _SEARCHES under (graph_id, k), graph_id being g's graph6.  The key is
-    exact, as the search is a pure function of the labelled graph and k.
-    With list_proper, for the a7 check, the search lists every proper
-    class: a new one in its one walk, and a held one that had not listed
-    them lists them here and is counted again.  A refused search raises
-    CapError and keeps nothing.  Every caller is handed the same object,
-    so none may mutate it."""
-    key = (graph_id, k)
-    found = _SEARCHES.get(key)
-    if found is None:
-        found = theorem_search(g, k, list_proper)
-        _SEARCHES.keep(key, found)
-    elif list_proper:
-        held = found.held
-        if len(found.proper) != held:
-            del _SEARCHES[key]
-            _SEARCHES.held -= held
-            _SEARCHES.keep(key, found)
-    return found
-
-
 def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
     """Check each of theorems on every graph of a catalog, graph by graph, so
     all of a graph's checks read its one search, made only when a check
-    other than min reads it, and listing every proper class only when a7 is
-    among theorems.  The min check reads none, so the budget that a search
-    would check, normal_form_count's, is checked for it once per graph size:
-    verify refuses what extremal refuses.  Returns a VerifyReport per
-    theorem, in the order given.  Every record is framed here with the
-    graph's graph6 and k: a checked graph gets its check's verdict fields,
-    and a graph outside a theorem's hypotheses a "skipped" reason and no
-    "ok".  k < 1 raises ValueError before any graph is looked at."""
+    other than min reads it.  The min check reads none, so the budget that
+    a search would check, normal_form_count's, is checked for it once per
+    graph size: verify refuses what extremal refuses.  Returns a
+    VerifyReport per theorem, in the order given.  Every record is framed
+    here with the graph's graph6 and k: a checked graph gets its check's
+    verdict fields, and a graph outside a theorem's hypotheses a "skipped"
+    reason and no "ok".  k < 1 raises ValueError before any graph is looked
+    at."""
     if k < 1:
         raise ValueError("k must be at least 1")
     records: dict[str, list] = {theorem: [] for theorem in theorems}
-    list_proper = "a7" in records
     counted = set()  # the graph sizes whose forms the min check counted
     for g in catalog:
         graph_id = to_graph6(g)
@@ -609,7 +585,7 @@ def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
                     normal_form_count(g.n, k)
                     counted.add(g.n)
             elif found is None:
-                found = _theorem_input(g, graph_id, k, list_proper)
+                found = _SEARCHES.search(g, graph_id, k)
             recs.append({"graph6": graph_id, "k": k, **check(g, k, found)})
     return {theorem: VerifyReport(theorem, recs) for theorem, recs in records.items()}
 

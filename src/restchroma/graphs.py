@@ -63,7 +63,7 @@ class SubgraphCensus:
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "_adj", "_sides", "_chain", "_autos", "_census")
+    __slots__ = ("n", "edges", "_adj", "_sides", "_chain", "_census")
 
     def __init__(self, n: int, edges: Iterable = ()):
         if n < 0:
@@ -82,7 +82,6 @@ class Graph:
         self._adj: tuple[int, ...] | None = None
         self._sides = _UNKNOWN
         self._chain: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-        self._autos: list[tuple[int, ...]] | None = None
         self._census: SubgraphCensus | None = None
 
     # -- basics -----------------------------------------------------------
@@ -204,14 +203,13 @@ class Graph:
         return self._chain
 
     def automorphisms(self) -> list[tuple[int, ...]]:
-        """Full automorphism group as explicit vertex permutations, sorted
-        (cached): the products of the whole stabilizer_chain, so a group
-        over AUTOMORPHISM_BUDGET raises CapError before any element is
-        formed.  The catalog's orbit pruning reads this list; the class
-        orbits read the chain itself (restraints._orbit_blocks)."""
-        if self._autos is None:
-            self._autos = sorted(level_products(self.stabilizer_chain(), self.n))
-        return list(self._autos)
+        """Full automorphism group as explicit vertex permutations, sorted:
+        the products of the whole stabilizer_chain (cached), so a group over
+        AUTOMORPHISM_BUDGET raises CapError before any element is formed.
+        The list is not cached: the catalog's orbit pruning reads it once
+        per parent graph, and the class orbits read the chain itself
+        (restraints._orbit_blocks)."""
+        return sorted(level_products(self.stabilizer_chain(), self.n))
 
 
 def level_products(levels, n: int) -> list[tuple[int, ...]]:

@@ -416,10 +416,12 @@ def theorem_search_mismatches(graphs, k: int) -> list:
     """(graph6, what) for each graph whose theorem search differs from
     find_extremal's full search: in its max winners, in order, or their
     polynomials; on a connected graph, in the min record's winner ids, or
-    the constant class's polynomial against the min polynomial; in its
-    proper classes against the listed classes that is_proper accepts, edge
-    by edge; or in max_tied against the listed canons that tie the best
-    dominance key, in canon order."""
+    the constant class's polynomial against the min polynomial; in the
+    proper classes that the a7 check reads (the search's, or when it holds
+    none, the filtered walk's) against the listed classes that is_proper
+    accepts, edge by edge; in holding none other than exactly on a connected
+    bipartite graph with n >= 2; or in max_tied against the listed canons
+    that tie the best dominance key, in canon order."""
     bad = []
     _, min_check = extremal.THEOREMS["min"]
     for g in graphs:
@@ -434,8 +436,11 @@ def theorem_search_mismatches(graphs, k: int) -> list:
             if restrained_poly(g, constant_restraint(g, k)) != report.min_poly:
                 bad.append((report.graph_id, "min polynomial"))
         classes = restraint_classes(g, k)
-        if sorted(found.proper) != sorted(c.canon for c in classes if is_proper(g, c.representative)):
+        proper = found.proper if found.proper is not None else enumerate_k_restraints(g, k, g.adjacency_masks())
+        if sorted(proper) != sorted(c.canon for c in classes if is_proper(g, c.representative)):
             bad.append((report.graph_id, "proper classes"))
+        if (found.proper is None) != (g.n >= 2 and g.is_connected() and g.bipartition() is not None):
+            bad.append((report.graph_id, "proper classes held"))
         keys = [dominance_key(g, k)(c.canon) for c in classes]
         best = max(keys)
         if found.max_tied != tuple(c.canon for c, c_key in zip(classes, keys) if c_key == best):

@@ -479,37 +479,48 @@ class TestVerify:
         assert_store_edit_recomputed(capsys, tmp_path, "C5", renamed)
 
     @staticmethod
-    def searched(monkeypatch) -> list:
-        """Record (graph6, list_proper) of every theorem search made."""
-        calls = []
-        real = extremal_module.theorem_search
+    def searched(monkeypatch) -> tuple[list, list]:
+        """The graph6 of every theorem search made, and of every walk of the
+        proper classes (enumerate_k_restraints, by a search or by the a7
+        check)."""
+        searches, walks = [], []
+        search, walk = extremal_module.theorem_search, extremal_module.enumerate_k_restraints
 
-        def counting(g, k, list_proper=False):
-            calls.append((to_graph6(g), list_proper))
-            return real(g, k, list_proper)
+        def searching(g, k):
+            searches.append(to_graph6(g))
+            return search(g, k)
 
-        monkeypatch.setattr(extremal_module, "theorem_search", counting)
-        return calls
+        def walking(g, k, avoid=None):
+            walks.append(to_graph6(g))
+            return walk(g, k, avoid)
+
+        monkeypatch.setattr(extremal_module, "theorem_search", searching)
+        monkeypatch.setattr(extremal_module, "enumerate_k_restraints", walking)
+        return searches, walks
 
     def test_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
         # min reads no search; proper makes each graph's, and a7 and
-        # bipartite read it again
-        searched = self.searched(monkeypatch)
+        # bipartite read it again.  Each graph's proper classes are walked
+        # once: by its search, or on a connected bipartite graph, whose
+        # search walks none, by the a7 check
+        searched, walked = self.searched(monkeypatch)
         for theorem in ("min", "proper", "a7", "bipartite"):
             code, _, _ = run(capsys, "verify", "--theorem", theorem, "--n-max", "4", "--k", "2", "--json")
             assert code == 0
             if theorem == "min":
-                assert searched == []
-        assert sorted(searched) == sorted((to_graph6(g), False) for g in connected_catalog(4))
+                assert searched == walked == []
+        catalog = sorted(to_graph6(g) for g in connected_catalog(4))
+        assert sorted(searched) == sorted(walked) == catalog
 
     def test_all_theorems_share_one_search_per_graph(self, capsys, monkeypatch):
-        # with a7 among the checks, each graph's one search lists every
-        # proper class in its one walk
-        searched = self.searched(monkeypatch)
+        # with a7 among the checks, each graph's proper classes are still
+        # walked once: by its one search, or on a connected bipartite graph
+        # with n >= 2 by the a7 check
+        searched, walked = self.searched(monkeypatch)
         code, out, _ = run(capsys, "verify", "--theorem", "all", "--n-max", "5", "--k", "1", "--json")
         assert code == 0
         catalog = connected_catalog(5)
-        assert sorted(searched) == sorted((to_graph6(g), True) for g in catalog)
+        assert sorted(searched) == sorted(walked) == sorted(to_graph6(g) for g in catalog)
         obj = json.loads(out)
         assert (obj["theorem"], obj["k"], obj["violations"]) == ("all", 1, 0)
         assert list(obj["theorems"]) == sorted(THEOREMS)

@@ -212,6 +212,23 @@ def _on_record(edit):
     return damage
 
 
+def _resealed(edit):
+    """A damage to a store file's text that applies edit to its record line
+    and writes the trailer line of the edited record, so the trailer
+    matches."""
+    def damage(text: str) -> str:
+        record = edit(text.split("\n", 1)[0]) + "\n"
+        return f"{record}restchroma-store 1 sha256:{hashlib.sha256(record.encode('ascii')).hexdigest()}\n"
+    return damage
+
+
+def _with_min_classes(text: str, value) -> str:
+    """The record text with its min_classes replaced by value."""
+    record = json.loads(text)
+    record["min_classes"] = value
+    return json.dumps(record, sort_keys=True)
+
+
 def _with_max_winner(text: str, cid: str) -> str:
     """The record text with its one max winner id replaced by cid."""
     record = json.loads(text)
@@ -276,12 +293,20 @@ class TestResumableStore:
         lambda text: text.split("\n")[0] + "\n",
         # C4's file at k = 2, copied under the k = 1 name: its trailer matches
         lambda text: _store_file(find_extremal(cycle_graph(4), 2)),
+        # records of the wrong shape under a trailer that matches them: a
+        # missing key, a winner id that is not a string, an array, and an
+        # array nested too deep for the decoder
+        _resealed(lambda text: '{"graph6": "Cl", "k": 1}'),
+        _resealed(lambda text: _with_min_classes(text, [5])),
+        _resealed(lambda text: "[1, 2]"),
+        _resealed(lambda text: "[" * 100_000 + "]" * 100_000),
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
             "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness",
             "non-canonical-proper-key", "renamed-improper-key", "winners-twice-one-witness-dropped",
             "degree-not-an-int", "degree-a-bool", "degree-a-float", "coefficient-not-canonical",
             "coefficient-a-number", "witness-too-long", "scalars-true-and-float", "trailer-altered",
-            "no-trailer", "another-pairs-file"])
+            "no-trailer", "another-pairs-file", "resealed-missing-key", "resealed-winner-not-a-string",
+            "resealed-array", "resealed-nested-too-deep"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, monkeypatch, damage):
         # compared as text, since 2.0 == 2 and True == 1 in Python; the file
         # is rewritten as the record and its trailer, and read from then on
@@ -434,8 +459,7 @@ class TestBipartiteTheorem:
         # a search whose max winner is the constant class: the verdict holds
         # the polynomial of that winner, which the full report gives as its
         # min polynomial, and the alternating restraint's
-        found = extremal.theorem_search(c4, 1)
-        wrong = extremal.TheoremSearch(c4, 1, (canonicalize(c4, constant_restraint(c4, 1)),), found.max_tied)
+        wrong = extremal.theorem_search(c4, 1)._replace(max_classes=(canonicalize(c4, constant_restraint(c4, 1)),))
         _, check = extremal.THEOREMS["bipartite"]
         rec = check(c4, 1, wrong)
         assert rec["ok"] is False
@@ -569,13 +593,21 @@ class TestTheoremSearch:
         assert found.max_classes == full.max_classes
 
     def test_bipartite_search_walks_nothing(self, monkeypatch):
-        # on a connected bipartite graph the alternating class alone reaches
-        # the key's bound, so the search lists no class, builds no
-        # stabilizer chain, lists no automorphism and gives the listing
-        # search's winners and tie set (K1, with n < 2, walks every proper
-        # class)
+        # on a connected bipartite graph with n >= 2 the alternating class
+        # alone reaches the key's bound, so the search lists no class,
+        # builds no stabilizer chain, lists no automorphism and holds no
+        # proper classes, and it gives the winners of the full search and
+        # the tie set of the filtered walk's keys (K1, with n < 2, is left
+        # out of the catalog: its search walks every proper class)
         graphs = [from_name(name) for name in ("C6", "K2,3", "S4")] + connected_bipartite_catalog(5)[1:]
-        listed = {(to_graph6(g), k): extremal.theorem_search(g, k, list_proper=True) for g in graphs for k in (1, 2)}
+        listed = {}
+        for g in graphs:
+            for k in (1, 2):
+                proper = enumerate_k_restraints(g, k, g.adjacency_masks())
+                keys = list(map(dominance_key(g, k), proper))
+                tied = tuple(c for c, c_key in zip(proper, keys) if c_key == max(keys))
+                listed[(to_graph6(g), k)] = (find_extremal(g, k).max_classes, tied, None)
+        assert extremal.theorem_search(from_name("K1"), 1).proper == ((1,),)
 
         def refuse(g, *args):
             raise AssertionError(f"listed the classes or automorphisms of {to_graph6(g)}")
@@ -585,8 +617,9 @@ class TestTheoremSearch:
         monkeypatch.setattr(extremal, "enumerate_k_restraints", refuse)
         for g in graphs:
             for k in (1, 2):
-                found, want = extremal.theorem_search(g, k), listed[(to_graph6(g), k)]
-                assert (found.max_classes, found.max_tied, found.held) == (want.max_classes, want.max_tied, 1)
+                found = extremal.theorem_search(g, k)
+                assert found == listed[(to_graph6(g), k)]
+                assert len(found.max_tied) == 1
 
     def test_refused_as_the_full_search_is(self):
         with pytest.raises(CapError) as full:
@@ -597,10 +630,10 @@ class TestTheoremSearch:
 
     def test_both_searches_list_through_one_function(self, monkeypatch, c4, c3):
         # wrapped where the bench tracer wraps it: the full search lists
-        # every class in one unfiltered call.  The theorem search lists the
-        # proper classes in one filtered call: on a connected bipartite
-        # graph only when proper is read or list_proper asks for them, and
-        # on any other graph in every search
+        # every class in one unfiltered call.  The proper classes are listed
+        # in one filtered call: on a connected bipartite graph by each a7
+        # check, which keeps nothing, as the search lists none, and on any
+        # other graph by the search, which the a7 check reads
         calls = []
         real = extremal.enumerate_k_restraints
 
@@ -614,15 +647,17 @@ class TestTheoremSearch:
         calls.clear()
         found = extremal.theorem_search(c4, 1)
         assert calls == []
-        assert (found.held, found.max_tied) == (1, (extremal._expected_class(alternating_restraint, c4, 1).canon,))
-        assert len(found.proper) == found.held == 3
-        assert calls == [(10, 5, 10, 5)]
+        assert found.max_tied == (extremal._expected_class(alternating_restraint, c4, 1).canon,)
+        assert found.proper is None
+        _, a7 = extremal.THEOREMS["a7"]
+        for _ in range(2):
+            assert a7(c4, 1, found)["proper_class_count"] == 3
+        assert calls == [(10, 5, 10, 5)] * 2
+        assert found.proper is None
         calls.clear()
-        listed = extremal.theorem_search(c4, 1, list_proper=True)
-        assert calls == [(10, 5, 10, 5)]
-        assert (listed.max_classes, listed.max_tied, listed.proper) == (found.max_classes, found.max_tied, found.proper)
-        calls.clear()
-        extremal.theorem_search(c3, 1)
+        found = extremal.theorem_search(c3, 1)
+        assert calls == [(6, 5, 3)]
+        assert a7(c3, 1, found)["proper_class_count"] == len(found.proper) == 1
         assert calls == [(6, 5, 3)]
 
 
@@ -657,9 +692,9 @@ class TestSearchMemo:
         calls = []
         real = extremal.theorem_search
 
-        def counting(g, k, list_proper=False):
+        def counting(g, k):
             calls.append((to_graph6(g), k))
-            return real(g, k, list_proper)
+            return real(g, k)
 
         monkeypatch.setattr(extremal, "theorem_search", counting)
         return calls
@@ -674,43 +709,47 @@ class TestSearchMemo:
         assert all(verify_a7_condition(g, 1)["ok"] for g in catalog)
         assert sorted(calls) == sorted((to_graph6(g), 1) for g in catalog)
 
-    def test_report_above_the_bound_is_not_kept(self, monkeypatch, c4, c7):
-        bound = len(extremal.theorem_search(c4, 1).proper)
+    def test_report_above_the_bound_is_not_kept(self, monkeypatch, c7):
+        c5 = cycle_graph(5)
+        bound = len(extremal.theorem_search(c5, 1).proper)
         monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", bound)
         calls = self.counted(monkeypatch)
-        verify_a7_condition(c4, 1)
+        verify_a7_condition(c5, 1)
         first = verify_a7_condition(c7, 1)
         assert verify_a7_condition(c7, 1) == first
         assert len(calls) == 3
         # nor does it empty the memo of the searches that fit
-        assert list(extremal._SEARCHES) == [(to_graph6(c4), 1)]
-        verify_a7_condition(c4, 1)
+        assert list(extremal._SEARCHES) == [(to_graph6(c5), 1)]
+        verify_a7_condition(c5, 1)
         assert len(calls) == 3
 
     def test_eviction_keeps_the_held_classes_within_the_bound(self, monkeypatch):
-        # C4 and C6 are bipartite: their searches hold the one tied class
-        # until a7 lists their proper classes (3 and 12); C5 and C7 list
-        # theirs in every search (3 and 20)
+        # C4 and C6 are bipartite: their searches walk no class and hold the
+        # one tied class, and the a7 check lists their proper classes (3 and
+        # 12) without holding them; C5, C7 and D^o hold the proper classes
+        # their searches walk (3, 20 and 4)
         c4, c5, c6, c7 = (cycle_graph(n) for n in (4, 5, 6, 7))
-        listed = {c4: 3, c5: 3, c6: 12, c7: 20}
-        assert all(len(extremal.theorem_search(g, 1).proper) == size for g, size in listed.items())
+        d = parse_graph6("D^o")
+        for g, size in {c4: 1, c6: 1}.items():
+            found = extremal.theorem_search(g, 1)
+            assert found.proper is None and len(found.max_tied) == size
+        assert all(len(extremal.theorem_search(g, 1).proper) == size for g, size in {c5: 3, c7: 20, d: 4}.items())
         monkeypatch.setattr(extremal, "SEARCH_MEMO_CLASSES", 6)
         calls = self.counted(monkeypatch)
         proper, a7 = verify_properness, lambda graphs, k: verify_a7_condition(graphs[0], k)
         # each call, then the graphs held after it with the canons each
-        # holds, and the searches made so far: a miss, or a listing, that
-        # would pass the bound empties the memo first, and a search that
-        # alone passes it is not kept, also when a7's listing takes a held
-        # one past it
+        # holds, and the searches made so far: a miss that would pass the
+        # bound empties the memo first, a search that alone passes it is
+        # not kept, and an a7 check on a held search adds nothing to it
         steps = [(proper, c5, [(c5, 3)], 1), (proper, c4, [(c5, 3), (c4, 1)], 2),
-                 (a7, c4, [(c5, 3), (c4, 3)], 2), (proper, c6, [(c6, 1)], 3),
-                 (a7, c5, [(c6, 1), (c5, 3)], 4), (a7, c6, [(c5, 3)], 4),
-                 (proper, c6, [(c5, 3), (c6, 1)], 5), (a7, c7, [(c5, 3), (c6, 1)], 6),
-                 (a7, c4, [(c4, 3)], 7)]
+                 (a7, c4, [(c5, 3), (c4, 1)], 2), (a7, c6, [(c5, 3), (c4, 1), (c6, 1)], 3),
+                 (a7, c7, [(c5, 3), (c4, 1), (c6, 1)], 4), (a7, c5, [(c5, 3), (c4, 1), (c6, 1)], 4),
+                 (proper, d, [(d, 4)], 5), (a7, c4, [(d, 4), (c4, 1)], 6),
+                 (a7, c6, [(d, 4), (c4, 1), (c6, 1)], 7), (proper, c5, [(c5, 3)], 8)]
         for verify, g, held, searched in steps:
             verify([g], 1)
-            assert [(key, found.held) for key, found in extremal._SEARCHES.items()] == [
-                ((to_graph6(h), 1), size) for h, size in held]
+            assert [(key, len(found.max_tied if found.proper is None else found.proper))
+                    for key, found in extremal._SEARCHES.items()] == [((to_graph6(h), 1), size) for h, size in held]
             assert extremal._SEARCHES.held == sum(size for _, size in held) <= 6
             assert len(calls) == searched
 

@@ -560,8 +560,8 @@ def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
     """Check each of theorems on every graph of a catalog, graph by graph, so
     all of a graph's checks read its one search, made only when a check
     other than min reads it.  The min check reads none, so the budget that
-    a search would check, normal_form_count's, is checked for it once per
-    graph size: verify refuses what extremal refuses.  Returns a
+    a search would check, normal_form_count's (memoised), is checked for it
+    on each graph: verify refuses what extremal refuses.  Returns a
     VerifyReport per theorem, in the order given.  Every record is framed
     here with the graph's graph6 and k: a checked graph gets its check's
     verdict fields, and a graph outside a theorem's hypotheses a "skipped"
@@ -570,7 +570,6 @@ def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
     if k < 1:
         raise ValueError("k must be at least 1")
     records: dict[str, list] = {theorem: [] for theorem in theorems}
-    counted = set()  # the graph sizes whose forms the min check counted
     for g in catalog:
         graph_id = to_graph6(g)
         found = None
@@ -581,9 +580,7 @@ def verify_theorems(theorems, catalog, k: int) -> dict[str, VerifyReport]:
                 recs.append({"graph6": graph_id, "k": k, "skipped": reason})
                 continue
             if check is _min_check:
-                if g.n not in counted:
-                    normal_form_count(g.n, k)
-                    counted.add(g.n)
+                normal_form_count(g.n, k)
             elif found is None:
                 found = _SEARCHES.search(g, graph_id, k)
             recs.append({"graph6": graph_id, "k": k, **check(g, k, found)})

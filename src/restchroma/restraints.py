@@ -454,7 +454,15 @@ def normal_form_count(n: int, k: int) -> int:
     Raises CapError at the first term whose running total at a vertex passes
     FORMS_BUDGET: every prefix completes to at least one form (each later
     vertex can take k fresh colours), so that total bounds the forms from
-    below.  The message names the vertex but no count, so it stays short."""
+    below.  The message names the vertex but no count, so it stays short.
+    A count is memoised with the budget it was checked against; a refusal
+    is not, so each call over the budget stops as early again."""
+    return _form_count(n, k, FORMS_BUDGET)
+
+
+@lru_cache(maxsize=None)
+def _form_count(n: int, k: int, budget: int) -> int:
+    """normal_form_count(n, k) under FORMS_BUDGET = budget."""
     ways = {0: 1}
     for done in range(1, n + 1):
         nxt = {}
@@ -464,8 +472,8 @@ def normal_form_count(n: int, k: int) -> int:
                 term = w * comb(c, k - t)
                 nxt[c + t] = nxt.get(c + t, 0) + term
                 forms += term
-                if forms > FORMS_BUDGET:
-                    raise CapError(f"normal-form budget exceeded (more than {FORMS_BUDGET} forms"
+                if forms > budget:
+                    raise CapError(f"normal-form budget exceeded (more than {budget} forms"
                                    f" for n={n}, k={k}; stopped counting at vertex {done} of {n})")
         ways = nxt
     return sum(ways.values())

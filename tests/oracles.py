@@ -74,15 +74,33 @@ def first_use_forms(n: int, k: int):
     yield from rec(0)
 
 
+def reference_mask_form(n: int, adj) -> Graph:
+    """The labelling of (n, adj) with the smallest edge mask, by listing
+    every tied partial labelling: the reference for graphs._min_mask_form,
+    which holds interchangeable runs as cells, skips twins and starts from
+    the largest independent sets.  Labels go out from n-1 downward, and each
+    level keeps every partial whose new row (adjacency to the labelled
+    vertices, highest label first) is smallest; a graph ends with one
+    partial per automorphism."""
+    # (vertices by label up to n-1, the row of each unlabelled vertex)
+    partials = [((v,), {w: adj[w] >> v & 1 for w in range(n) if w != v}) for v in range(n)]
+    for _ in range(n - 1):
+        best = min(min(rows.values()) for _, rows in partials)
+        partials = [((w,) + p, {u: r << 1 | adj[u] >> w & 1 for u, r in rows.items() if u != w})
+                    for p, rows in partials for w, row in rows.items() if row == best]
+    order = partials[0][0]
+    return Graph(n, [(i, j) for j in range(n) for i in range(j) if adj[order[i]] >> order[j] & 1])
+
+
 def unpruned_connected_catalog(n_max: int) -> list[Graph]:
     """Connected graphs with 1..n_max vertices by the unpruned vertex
     extension, the reference for the catalog's orbit pruning: each graph on
     n - 1 vertices gets a new vertex n-1 adjacent to every nonempty subset
-    of its vertices in turn, each child is named by _min_mask_form, and each
-    size is sorted by (m, graph6)."""
+    of its vertices in turn, each child is named by reference_mask_form,
+    and each size is sorted by (m, graph6)."""
     levels = [[Graph(1)]]
     for n in range(2, n_max + 1):
-        reps = {_min_mask_form(n, [a | (s >> v & 1) << (n - 1) for v, a in enumerate(g.adjacency_masks())] + [s])
+        reps = {reference_mask_form(n, [a | (s >> v & 1) << (n - 1) for v, a in enumerate(g.adjacency_masks())] + [s])
                 for g in levels[-1] for s in range(1, 1 << (n - 1))}
         levels.append(sorted(reps, key=lambda g: (g.m, to_graph6(g))))
     return [g for level in levels for g in level]
@@ -200,6 +218,16 @@ def unpruned_catalog_mismatches(graphs, k=None) -> list:
     reference = unpruned_connected_catalog(max(g.n for g in graphs))
     return [(i, a and to_graph6(a), b and to_graph6(b))
             for i, (a, b) in enumerate(zip_longest(graphs, reference, fillvalue="")) if a != b]
+
+
+def labelling_mismatches(graphs, k=None) -> list[tuple[str, str]]:
+    """(graph6 of the graph, graph6 of the relabelling) for each of three
+    seeded relabellings of each of graphs, catalog graphs in the labelling
+    that names them, that _min_mask_form does not name as
+    reference_mask_form does, or not as that graph."""
+    tripled = [g for g in graphs for _ in range(3)]
+    return [(to_graph6(g), to_graph6(h)) for g, h in zip(tripled, relabelled(tripled))
+            if not g == _min_mask_form(h.n, h.adjacency_masks()) == reference_mask_form(h.n, h.adjacency_masks())]
 
 
 def automorphism_mismatches(graphs, k=None) -> list[str]:
@@ -581,6 +609,10 @@ class Run(NamedTuple):
 RUNS = [
     Run(unpruned_catalog_mismatches, "connected_catalog(6)", None, [], TIER1),
     Run(unpruned_catalog_mismatches, "connected_catalog(7)", None, [], CI),
+    Run(labelling_mismatches, "connected_catalog(6)", None, [], TIER1),
+    Run(labelling_mismatches, "connected_bipartite_catalog(7)", None, [], TIER1),
+    Run(labelling_mismatches, "connected_catalog(8)", None, [], CI),
+    Run(labelling_mismatches, "connected_bipartite_catalog(9)", None, [], CI),
     Run(automorphism_mismatches, "connected_catalog(6) + FPpC?", None, [], TIER1),
     Run(automorphism_mismatches, "connected_catalog(7)", None, [], CI),
     # tier-1 has the symmetric workload's graphs; CI has groups of 5,040 to

@@ -387,6 +387,19 @@ class TestCatalog:
         assert len(connected_catalog(6)) == 143
         assert sum(named.values()) < 759, named
 
+    def test_offers_of_a_group_over_the_budget(self):
+        # K1,9's 362,880 automorphisms are over the budget, so listing them
+        # is refused; the catalog reads only the chain's generators, and
+        # offers the centre and one leaf set of each size
+        star = star_graph(9)
+        with pytest.raises(CapError):
+            star.automorphisms()
+        least = graphs_module._orbit_least(star)
+        offered = [s for s in graphs_module._one_side_masks(star) if least[s] == s]
+        assert offered == [1] + [(1 << size + 1) - 2 for size in range(1, 10)]
+        with pytest.raises(CapError):
+            star.stabilizer_chain()
+
     def test_all_connected_and_nonisomorphic(self):
         graphs = all_connected_graphs(5)
         for g in graphs:

@@ -35,11 +35,12 @@ from .graphs import (
 )
 from .restraints import (
     Restraint,
-    RestraintClass,
     check_fit,
     empty_restraint,
     enumerate_k_restraints,
+    normal_form_count,
     parse_restraint,
+    render_id,
     render_restraint,
 )
 
@@ -142,7 +143,7 @@ def cmd_classes(args) -> int:
     g = load_graph(args.graph)
     key = dominance_key(g, args.k)  # a class is proper exactly when its I2, -key(canon)[0], is 0
     entries = [
-        {"restraint": RestraintClass(canon, g.n).class_id(), "proper": not key(canon)[0]}
+        {"restraint": render_id(canon, g.n), "proper": not key(canon)[0]}
         for canon in enumerate_k_restraints(g, args.k)
     ]
     obj = {"graph6": to_graph6(g), "k": args.k, "count": len(entries), "classes": entries}
@@ -174,10 +175,17 @@ def cmd_extremal(args) -> int:
 
 def cmd_verify(args) -> int:
     """One theorem, or with --theorem all every theorem in THEOREMS, checked
-    graph by graph so that each graph is searched once."""
+    graph by graph so that each graph is searched once.  The forms budget
+    that each graph's check applies, and k >= 1, are checked for every
+    catalog size first, smallest first, so a refused run fails as its
+    first graph of that size would, with no catalog built: every catalog
+    holds a graph of each size, in size order, and every one of them is
+    checked."""
     if args.graph:
         graphs = [load_graph(args.graph)]
     else:
+        for n in range(1, args.n_max + 1):
+            normal_form_count(n, args.k)
         catalog = connected_bipartite_catalog if args.theorem == "bipartite" else connected_catalog
         graphs = catalog(args.n_max)
     names = list(THEOREMS) if args.theorem == "all" else [args.theorem]

@@ -38,9 +38,7 @@ polynomials.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -423,6 +421,11 @@ def coeff_n3(g: Graph, r: Restraint) -> CoefficientBreakdown:
     a6 = -(m - 1) * _edge_intersections(g, r)
     a7p = sum(bin(adj[u] & adj[v]).count("1") * len(r[u] & r[v]) for u, v in g.edges)
     a7pp = common_neighbor_overlap(g, r)
+    # fractions, with the decimal and numbers modules it loads, is imported
+    # here, its one use: at module level it added 2-5 ms and 0.4-0.5 MB to
+    # the start of every command
+    from fractions import Fraction
+
     a8p = Fraction(0)
     a8pp = Fraction(0)
     for u, v in g.edges:
@@ -466,7 +469,8 @@ def dominance_key(g: Graph, k: int):
     same for every k-restraint; a_{n-2} varies only through
     I2 = sum over edges uv of |r(u) & r(v)|, and a_{n-3} only through
     V3 = -(kn - 2k + m - 1) * I2 + A7' + A7'' + A8.  Each of these terms is a
-    sum over the colours, so each mask's share is computed once and cached.
+    sum over the colours, so each mask's share is computed once and held
+    in a _Memo.
     A larger key permits more colourings for all large enough x; two keys
     differ by (c_{n-2} difference, 6 * c_{n-3} difference) of the
     polynomials, and equal keys leave the order to the lower coefficients.
@@ -478,7 +482,6 @@ def dominance_key(g: Graph, k: int):
     ]
     i2_weight = 6 * (k * g.n - 2 * k + g.m - 1)
 
-    @functools.cache
     def share(mask: int) -> tuple[int, int]:
         """(edges inside mask, 6 * (A7' + A7'' + A8) restricted to its colour)."""
         inside = six_v3 = 0
@@ -493,15 +496,34 @@ def dominance_key(g: Graph, k: int):
             six_v3 -= 3 * d * (d - 1)  # 6 * A7'' = -6 * C(d, 2)
         return inside, six_v3
 
+    shares = _Memo(share).__getitem__
+
     def key(masks) -> tuple[int, int]:
         i2 = six_v3 = 0
         for mask in masks:
-            a, b = share(mask)
+            a, b = shares(mask)
             i2 += a
             six_v3 += b
         return -i2, i2_weight * i2 - six_v3
 
     return key
+
+
+class _Memo(dict):
+    """f's values, each computed on its first lookup.  Its __getitem__ is a
+    C-level call, where a functools.cache wrapper builds an argument tuple
+    per call: keying the classes of the bench's named extremal graphs took
+    13-26% less time through it.  Summing two such maps, one per key entry,
+    with sum(map(...)) in place of dominance_key's loop took more time than
+    either, at 1 to 10 masks a class."""
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
 
 
 def common_neighbor_overlap(g: Graph, r: Restraint) -> int:

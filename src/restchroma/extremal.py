@@ -33,6 +33,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .engine import MemoCache, dominance_key, restrained_poly
@@ -49,6 +50,7 @@ from .restraints import (
     incidence_masks,
     is_proper,
     normal_form_count,
+    render_id,
     render_restraint,
 )
 
@@ -149,7 +151,10 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     them, so ties mean exactly equal polynomials.  Only those classes
     compare polynomials: every other class's key differs from both the best
     and the worst, so both its witnesses are read from the keys, once per
-    distinct key, and every class with that key shares the pair.  A
+    distinct key before any class is read, and every class with that key
+    shares the pair.  Both maps are then filled in one pass over the
+    classes, each keyed by the id rendered from its canon (render_id), and
+    no list is held per class but the canons and their keys.  A
     RestraintClass is built only for a tied class or a winner.
     """
     canons = enumerate_k_restraints(g, k)
@@ -159,23 +164,23 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     poly = _class_polys(g, cache if cache is not None else MemoCache())
     max_canons, max_poly = _tie_break([c for c, c_key in zip(canons, keys) if c_key == best], max, poly)
     min_canons, min_poly = _tie_break([c for c, c_key in zip(canons, keys) if c_key == worst], min, poly)
+    n = g.n
+    # key -> (max witness, min witness) of the classes that tie neither side
+    gaps = {class_key: (_gap(best, class_key, None, None, n), _gap(class_key, worst, None, None, n))
+            for class_key in set(keys) if class_key != best and class_key != worst}
     max_witness = {}
     min_witness = {}
-    gaps = {}  # key -> (max witness, min witness) of a class that ties neither
     for canon, class_key in zip(canons, keys):
-        cid = RestraintClass(canon, g.n).class_id()
-        if class_key != best and class_key != worst:
-            pair = gaps.get(class_key)
-            if pair is None:
-                pair = gaps[class_key] = (
-                    _gap(best, class_key, None, None, g.n), _gap(class_key, worst, None, None, g.n))
+        cid = render_id(canon, n)
+        pair = gaps.get(class_key)
+        if pair is not None:
             max_witness[cid], min_witness[cid] = pair
             continue
         class_poly = poly(canon)
         if class_poly != max_poly:
-            max_witness[cid] = _gap(best, class_key, max_poly, class_poly, g.n)
+            max_witness[cid] = _gap(best, class_key, max_poly, class_poly, n)
         if class_poly != min_poly:
-            min_witness[cid] = _gap(class_key, worst, class_poly, min_poly, g.n)
+            min_witness[cid] = _gap(class_key, worst, class_poly, min_poly, n)
     return ExtremalReport(
         graph_id=to_graph6(g),
         k=k,
@@ -321,31 +326,62 @@ def report_from_record(g: Graph, k: int, text: str) -> ExtremalReport:
 
 
 JSON_CHUNK = 256
+# json.dumps(value, sort_keys=True), with one encoder made once
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def write_json(obj: dict, out) -> None:
     """Write json.dumps(obj, sort_keys=True) and a newline in pieces, so a
-    large record is never held as one string: each top-level dict or list
-    goes JSON_CHUNK items at a time through the C encoder (json.dump would
-    use the pure-Python one, about 3x slower).  cli._emit and the store of
-    load_or_compute_extremal both call it, so a stored record holds the
-    bytes that extremal --json prints."""
+    large record is never held as one string: each top-level list goes
+    JSON_CHUNK items at a time through the C encoder (json.dump would use
+    the pure-Python one, about 3x slower), and each top-level dict's keys
+    are sorted once and written JSON_CHUNK entries at a time, each entry its
+    ASCII-escaped key and its value's JSON, joined with no dict built.  The
+    encodings of a dict's value objects are kept by id, so the lists that
+    the witness maps share among all their keys are encoded once each; the
+    memo is emptied whenever it would hold more than JSON_CHUNK, so a map
+    of distinct values holds no more than a chunk's.  cli._emit and the
+    store of load_or_compute_extremal both call it, so a stored record
+    holds the bytes that extremal --json prints."""
     out.write("{")
     for i, key in enumerate(sorted(obj)):
         value = obj[key]
-        out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if isinstance(value, (dict, list)):
-            is_map = isinstance(value, dict)
-            seq = sorted(value) if is_map else value
-            out.write("{" if is_map else "[")
-            for j in range(0, len(seq), JSON_CHUNK):
-                chunk = seq[j:j + JSON_CHUNK]
-                piece = json.dumps({k: value[k] for k in chunk} if is_map else chunk, sort_keys=True)[1:-1]
+        out.write(f"{', ' if i else ''}{encode_basestring_ascii(key)}: ")
+        if isinstance(value, dict):
+            out.write("{")
+            _write_entries(value, out)
+            out.write("}")
+        elif isinstance(value, list):
+            out.write("[")
+            for j in range(0, len(value), JSON_CHUNK):
+                piece = _encode(value[j:j + JSON_CHUNK])[1:-1]
                 out.write(f", {piece}" if j else piece)
-            out.write("}" if is_map else "]")
+            out.write("]")
         else:
-            out.write(json.dumps(value, sort_keys=True))
+            out.write(_encode(value))
     out.write("}\n")
+
+
+def _write_entries(value: dict, out) -> None:
+    """write_json's entries of one dict, JSON_CHUNK at a time.  A function
+    of its own, so that the sorted keys of one map are freed before the
+    next map's are sorted: the two witness maps of FPpC? at k = 2 hold
+    5 MB of sorted keys each."""
+    keys = sorted(value)
+    encoded = {}  # id of a value object -> ": " and its JSON, for at most JSON_CHUNK objects
+    for j in range(0, len(keys), JSON_CHUNK):
+        chunk = keys[j:j + JSON_CHUNK]
+        refs = list(map(id, map(value.__getitem__, chunk)))
+        new = set(refs).difference(encoded)
+        if new:
+            if len(encoded) + len(new) > JSON_CHUNK:
+                encoded.clear()
+                new = set(refs)
+            holder = dict(zip(refs, chunk))  # id -> a key of this chunk whose value it is
+            for ref in new:
+                encoded[ref] = ": " + _encode(value[holder[ref]])
+        piece = ", ".join(map(str.__add__, map(encode_basestring_ascii, chunk), map(encoded.__getitem__, refs)))
+        out.write(f", {piece}" if j else piece)
 
 
 def load_or_compute_extremal(g: Graph, k: int, results_dir: str) -> ExtremalReport:
@@ -495,7 +531,7 @@ def _a7_check(g: Graph, k: int, found: TheoremSearch) -> dict:
                 pairs += (bits & mask).bit_count()
         return -(pairs // 2)
 
-    pair_terms = {RestraintClass(canon, g.n).class_id(): sum(map(share, canon)) for canon in found.max_tied}
+    pair_terms = {render_id(canon, g.n): sum(map(share, canon)) for canon in found.max_tied}
     attaining = sorted(pair_terms)
     max_ids = sorted(_ids(found.max_classes))
     return {

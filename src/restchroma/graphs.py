@@ -224,7 +224,9 @@ def level_products(levels, n: int) -> list[tuple[int, ...]]:
     levels, the consecutive levels i..j of a stabilizer chain on n vertices
     (Graph.stabilizer_chain), each as the images of 0..n-1; (t o h)(v) is
     t[h[v]].  The products are distinct, so len is the product of the level
-    sizes; the whole chain gives every automorphism once."""
+    sizes; the whole chain gives every automorphism once.  The product of
+    the levels' first elements comes first: the identity, as every level
+    lists it first."""
     group = [tuple(range(n))]
     for level in reversed(levels):  # level i composed with the products of the levels after it
         group = [tuple(map(t.__getitem__, h)) for t in level for h in group]

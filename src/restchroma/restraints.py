@@ -10,19 +10,20 @@ equivalence.
 Classes are colour incidence masks (one vertex bitmask per colour) from
 generation on, listed as canons by enumerate_k_restraints only; a
 RestraintClass or Restraint is built from one only on demand, and a class
-id is rendered (RestraintClass.class_id), decoded (id_masks) and checked
-(RestraintClass.from_id) only here.  Both canonicalisation and enumeration
-go through _orbit_blocks, the set of sorted mask tuples of a restraint's
-automorphic images: the canon is their minimum, and the enumeration marks a
-new class's whole orbit as seen, so each class is found once.  On a graph
-with a trivial group the enumeration skips them: each colour class is then
-one class, and its sorted masks its canon.  The group is never listed for
-them: the stabilizer chain's levels are multiplied, from the last, into
-blocks of at most ORBIT_BLOCK elements, and an orbit is expanded one block
-at a time, its sorted images deduplicated between blocks.  Images are
-computed a whole block at a time: each vertex has a column of its image
-bits, one per element, and a mask's row is its lowest bit's column ORed
-onto the row of the rest.
+id is rendered from its canon (render_id, which RestraintClass.class_id
+calls), decoded (id_masks) and checked (RestraintClass.from_id) only here.
+Both canonicalisation and enumeration go through _orbit_blocks, the set of
+sorted mask tuples of a restraint's automorphic images: the canon is their
+minimum, and the enumeration marks a new class's whole orbit as seen, so
+each class is found once.  On a graph with a trivial group the enumeration
+skips them: each colour class is then one class, and its sorted masks its
+canon.  The group is never listed for them: the stabilizer chain's levels
+are multiplied, from the last, into blocks of at most ORBIT_BLOCK
+elements, and an orbit is expanded one block at a time, its sorted images
+deduplicated between blocks.  Images are computed a whole block at a time:
+each vertex has a column of its image bits, one per element but the
+identity, and a mask's row is its lowest bit's column ORed onto the row
+of the rest.
 
 The enumeration walks one sorted form per colour class
 (_normal_form_masks), one colour slot of a vertex at a time over immutable
@@ -57,7 +58,7 @@ FORMS_BUDGET = 3_000_000
 # was 16% faster on K7 at k = 2 but 12-24% slower on the symmetric graphs
 # and K3,7
 ORBIT_BLOCK = 64
-# most masks of a class whose id RestraintClass.class_id renders by concatenation
+# most masks of a class whose id render_id renders by concatenation
 _SHORT_ID = 64
 
 
@@ -205,34 +206,8 @@ class RestraintClass:
         return Restraint(sets)
 
     def class_id(self) -> str:
-        """render_restraint(self.representative), built as the masks are
-        scanned: each vertex gets the cached label of every mask that holds
-        it (_labels), in mask order and so ascending, comma-separated, and
-        the vertices' strings are joined once; a class on 0 vertices reads
-        "[]".  A vertex holds at most one label per mask.  So with at most
-        _SHORT_ID masks, as every class of a k-restraint with k * n <=
-        _SHORT_ID has, each vertex's string grows by concatenation, which
-        copies fewer than _SHORT_ID labels a time.  With more, each vertex
-        collects its labels in a list, joined once, so the time stays linear
-        in the labels written: concatenation alone took 4.5 s for 100,000
-        labels on one vertex, and a list per vertex is 16-73% slower on
-        small classes."""
-        if not self.n:
-            return "[]"
-        labelled = zip(_labels(len(self.canon)), self.canon)
-        if len(self.canon) <= _SHORT_ID:
-            sets = [""] * self.n
-            for label, mask in labelled:
-                for v in _mask_vertices(mask):
-                    s = sets[v]
-                    sets[v] = f"{s},{label}" if s else label
-        else:
-            lists = [[] for _ in range(self.n)]
-            for label, mask in labelled:
-                for v in _mask_vertices(mask):
-                    lists[v].append(label)
-            sets = map(",".join, lists)
-        return "[{" + "},{".join(sets) + "}]"
+        """render_restraint(self.representative), rendered by render_id."""
+        return render_id(self.canon, self.n)
 
     @classmethod
     def from_id(cls, cid: str, n: int) -> RestraintClass:
@@ -240,7 +215,7 @@ class RestraintClass:
         masks (id_masks) with no orbit computed.  Raises ValueError unless
         that class's id is cid, so an id in other colour labels, with another
         number of vertex sets, or that is not an id at all is refused; the
-        largest mask is checked against n first, since class_id indexes the
+        largest mask is checked against n first, since render_id indexes the
         vertices of every mask."""
         canon = tuple(sorted(id_masks(cid)))
         decoded = cls(canon, n)
@@ -249,9 +224,41 @@ class RestraintClass:
         return decoded
 
 
+def render_id(canon: tuple[int, ...], n: int) -> str:
+    """The id of the class on n vertices whose canon is canon:
+    render_restraint(RestraintClass(canon, n).representative), built as
+    the masks are scanned, with no RestraintClass built.  Each vertex gets
+    the cached label of every mask that holds it (_labels), in mask order
+    and so ascending, comma-separated, and the vertices' strings are joined
+    once; a class on 0 vertices reads "[]".  A vertex holds at most one
+    label per mask.  So with at most _SHORT_ID masks, as every class of a
+    k-restraint with k * n <= _SHORT_ID has, each vertex's string grows by
+    concatenation, which copies fewer than _SHORT_ID labels a time.  With
+    more, each vertex collects its labels in a list, joined once, so the
+    time stays linear in the labels written: concatenation alone took 4.5 s
+    for 100,000 labels on one vertex, and a list per vertex is 16-73%
+    slower on small classes."""
+    if not n:
+        return "[]"
+    labelled = zip(_labels(len(canon)), canon)
+    if len(canon) <= _SHORT_ID:
+        sets = [""] * n
+        for label, mask in labelled:
+            for v in _mask_vertices(mask):
+                s = sets[v]
+                sets[v] = f"{s},{label}" if s else label
+    else:
+        lists = [[] for _ in range(n)]
+        for label, mask in labelled:
+            for v in _mask_vertices(mask):
+                lists[v].append(label)
+        sets = map(",".join, lists)
+    return "[{" + "},{".join(sets) + "}]"
+
+
 def id_masks(cid: str) -> list[int]:
-    """The colour masks of a class id (the inverse of RestraintClass.class_id;
-    "[]" has none), in no set order.  The id is not checked: that is
+    """The colour masks of a class id (the inverse of render_id; "[]" has
+    none), in no set order.  The id is not checked: that is
     RestraintClass.from_id."""
     return incidence_masks(s.split(",") if s else () for s in cid[2:-2].split("},{"))
 
@@ -279,9 +286,10 @@ def _labels(count: int) -> tuple[str, ...]:
 def _orbit_blocks(g: Graph):
     """Return orbit(masks), the set of sorted mask tuples of a restraint's
     images under g's automorphisms (sorting is what renames the colours),
-    from its masks in any order.  The enumeration calls orbit once per class
-    found, on the first sorted form of it that the walk visits: one form per
-    colour class, and at most normal_form_count of them.
+    from its masks as a sorted tuple, which the orbit holds.  The
+    enumeration calls orbit once per class found, on the first sorted form
+    of it that the walk visits: one form per colour class, and at most
+    normal_form_count of them.
 
     The group is read from g.stabilizer_chain() and never listed whole.  Its
     levels with more than the identity are multiplied into blocks from the
@@ -293,16 +301,17 @@ def _orbit_blocks(g: Graph):
     block, their images under the block before it, and so on.  The set of
     sorted images is taken after each block, so a form that many elements
     give is expanded once by the next block, and within a block equal
-    unsorted images are merged before sorting.  A
-    group of order at most ORBIT_BLOCK is one block, each image of the seed
-    under one listed element; a trivial group has none, and the orbit is
-    the sorted seed.
+    unsorted images are merged before sorting.  A group of order at most
+    ORBIT_BLOCK is one block, each image of the seed under one listed
+    element; a trivial group has none, and the orbit is the seed alone.
 
-    Each block keeps one row per mask, its image under each of the block's
-    elements: the row of the mask's lowest bit, that vertex's column, ORed
-    entrywise onto the row of its other bits.  Rows are memoised for the
-    life of the returned function, at most ORBIT_BLOCK ints per mask and
-    block, so each mask is expanded once per block.
+    Each block keeps one row per mask, its images under each of the block's
+    elements but the identity: the identity's image of a form is the form,
+    so a block's sorted images are the forms it was given and the sorted
+    rows' images.  A mask's row is the row of its lowest bit, that vertex's
+    column, ORed entrywise onto the row of its other bits.  Rows are built
+    on first use (_Rows) and memoised for the life of the returned
+    function, so each mask is expanded once per block.
     """
     levels = [level for level in g.stabilizer_chain() if len(level) > 1]
     blocks = []
@@ -314,36 +323,40 @@ def _orbit_blocks(g: Graph):
         blocks.append(level_products(levels[first:], g.n))
         del levels[first:]
     bits = [1 << v for v in range(g.n)]
-    # a single-bit mask's row is its vertex's column
-    tables = [{bits[v]: [bits[p[v]] for p in block] for v in range(g.n)} for block in blocks]
+    # a single-bit mask's row is its vertex's column; block[0] is the
+    # identity, as every level lists it first
+    tables = [_Rows({bits[v]: [bits[p[v]] for p in block[1:]] for v in range(g.n)}) for block in blocks]
 
     def orbit(masks):
-        if not (tables and masks):
-            return {tuple(sorted(masks))}
-        forms = (masks,)
+        forms = {masks}
         for rows in tables:
             images = set()
             for form in forms:
-                images.update(zip(*[_row(rows, mask) for mask in form]))
-            forms = set(map(tuple, map(sorted, images)))
+                images.update(zip(*map(rows.__getitem__, form)))
+            forms.update(map(tuple, map(sorted, images)))
         return forms
 
     return orbit
 
 
-def _row(rows: dict[int, list[int]], mask: int) -> list[int]:
-    """mask's row, cached in rows; not a closure, so rows is in no cycle."""
-    r = rows.get(mask)
-    if r is None:
+class _Rows(dict):
+    """One block's rows, mask -> its images under the block's elements but
+    the identity, holding the single-bit masks' rows from the start; a
+    missing row is built from two rows, so a form's rows are fetched by a
+    C-level map over rows.__getitem__."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> list[int]:
         low = mask & -mask
-        r = rows[mask] = list(map(or_, _row(rows, mask ^ low), rows[low]))
-    return r
+        row = self[mask] = list(map(or_, self[mask ^ low], self[low]))
+        return row
 
 
 def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
     """Canonical class of a restraint under automorphism x colour bijection."""
     check_fit(g, r)
-    return RestraintClass(min(_orbit_blocks(g)(incidence_masks(r))), g.n)
+    return RestraintClass(min(_orbit_blocks(g)(tuple(sorted(incidence_masks(r))))), g.n)
 
 
 def incidence_masks(sets: Iterable[Iterable]) -> list[int]:
@@ -456,7 +469,11 @@ def normal_form_count(n: int, k: int) -> int:
     vertex can take k fresh colours), so that total bounds the forms from
     below.  The message names the vertex but no count, so it stays short.
     A count is memoised with the budget it was checked against; a refusal
-    is not, so each call over the budget stops as early again."""
+    is not, so each call over the budget stops as early again.  k < 1
+    raises ValueError, so every caller that checks the budget refuses it
+    too."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     return _form_count(n, k, FORMS_BUDGET)
 
 
@@ -501,9 +518,7 @@ def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]
     The chain raises CapError for a group over AUTOMORPHISM_BUDGET, as
     listing the group would, though the orbits never list it.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    normal_form_count(g.n, k)
+    normal_form_count(g.n, k)  # raises ValueError for k < 1
     canons: list[tuple[int, ...]] = []
     if all(len(level) == 1 for level in g.stabilizer_chain()):
         visit = canons.append

@@ -10,12 +10,15 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restchroma import (
     IntPolynomial, RestraintClass, connected_catalog, enumerate_k_restraints, find_extremal, from_name, is_proper,
     load_graph, to_graph6,
 )
 from restchroma import extremal as extremal_module
+from restchroma import restraints as restraints_module
 from restchroma.cli import EXIT_PIPE, _emit, main
 from restchroma.extremal import JSON_CHUNK, THEOREMS, verify_theorems, write_json
 from restchroma.graphs import quote_input
@@ -247,11 +250,18 @@ class TestExtremal:
     @pytest.mark.parametrize("graph, k, renders", [("K1", "3", 3), ("C4", "1", 9)])
     def test_each_id_rendered_once_per_use(self, capsys, monkeypatch, graph, k, renders):
         # the witness loop renders every class's id and to_record every
-        # winner's once; the text lines reuse the record's ids, so --json
+        # winner's once, each through render_id (RestraintClass.class_id
+        # calls it); the text lines reuse the record's ids, so --json
         # renders no id for output it discards
         calls = []
-        real = RestraintClass.class_id
-        monkeypatch.setattr(RestraintClass, "class_id", lambda self: calls.append(self.canon) or real(self))
+        real = restraints_module.render_id
+
+        def spy(canon, n):
+            calls.append(canon)
+            return real(canon, n)
+
+        monkeypatch.setattr(restraints_module, "render_id", spy)
+        monkeypatch.setattr(extremal_module, "render_id", spy)
         code, _, _ = run(capsys, "extremal", "--graph", graph, "--k", k, "--json")
         assert code == 0
         assert len(calls) == renders
@@ -381,20 +391,43 @@ class TestExtremal:
 
     def test_json_pieces_match_one_dump(self):
         # the chunked writer against one json.dumps: empty and scalar
-        # values, unsorted nested keys, and containers a few items past a
-        # multiple of JSON_CHUNK
+        # values, unsorted nested keys, containers a few items past a
+        # multiple of JSON_CHUNK, maps of 0, 1, JSON_CHUNK and JSON_CHUNK + 1
+        # entries with nested dict values, keys that need escaping, and
+        # list objects shared by many keys, as the witness maps hold them:
+        # three shared by every key, and more distinct shared lists than a
+        # chunk, so the writer's memo of encoded values fills and restarts
         many = JSON_CHUNK * 2 + 3
+        shared = [[1, "2"], [3, "-4"], [5, "6"]]
+        lists = [[i, str(i)] for i in range(JSON_CHUNK + 7)]
+        escaped = ["q\"uote", "back\\slash", "ctrl\x01\x1f", "tab\t", "caf\u00e9", "\u2603", "\U0001f600", ""]
         objects = [
             {},
             {"b": [], "a": {}, "c": None, "d": "x\u00e9\"", "e": 1.5},
             {"z": [{"y": 1, "x": [2, {"w": 3, "v": 4}]}], "y": {"b": {"d": 1, "c": 2}, "a": [True]}},
             {"map": {f"k{i:05d}": [i, str(-i)] for i in reversed(range(many))}, "list": list(range(many))},
             {"map": {f"k{i}": i for i in range(JSON_CHUNK)}, "list": list(range(JSON_CHUNK))},
+            {"witness": {f"[{{{i}}}]": shared[i % 3] for i in range(many)}},
+            {"witness": {f"c{i * 7919 % many}": lists[i % len(lists)] for i in range(many)}},
+            {"escaped": {key: {"\u00e9" + key: [key]} for key in escaped}, **{key: key for key in escaped}},
         ]
+        for size in (0, 1, JSON_CHUNK, JSON_CHUNK + 1):
+            objects.append({"map": {f"k{i}": {"b": i, "a": {"d": [i], "c": None}} for i in reversed(range(size))}})
         for obj in objects:
             out = io.StringIO()
             write_json(obj, out)
             assert out.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(), st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=40)))
+    def test_json_matches_one_dump_on_generated_objects(self, obj):
+        # any JSON object with str keys, NaN and infinities included, as
+        # json.dumps writes them
+        out = io.StringIO()
+        write_json(obj, out)
+        assert out.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
 
 
 class TestVerify:
@@ -427,6 +460,31 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--theorem", "min", "--graph", "C4", "--k", "300")
         assert (code, out) == (3, "")
         assert "normal-form budget exceeded" in err and "n=4, k=300" in err
+
+    @pytest.mark.parametrize("theorem, n_max, k, code, refused", [
+        ("bipartite", "10", "2", 3, "normal-form budget exceeded (more than 3000000 forms"
+                                    " for n=8, k=2; stopped counting at vertex 8 of 8)"),
+        ("all", "9", "2", 3, "normal-form budget exceeded (more than 3000000 forms"
+                             " for n=8, k=2; stopped counting at vertex 8 of 8)"),
+        ("a7", "7", "3", 3, "normal-form budget exceeded (more than 3000000 forms"
+                            " for n=6, k=3; stopped counting at vertex 6 of 6)"),
+        ("min", "9", "0", 2, "k must be at least 1"),
+    ])
+    def test_refused_before_the_catalog_is_built(self, capsys, monkeypatch, theorem, n_max, k, code, refused):
+        # the first catalog size over the forms budget refuses the run, with
+        # the message its first graph's check gave when the catalog was
+        # built first (1.4-1.9 s for the bipartite run, 75 s for all), and
+        # k = 0 is refused as verify_theorems refused it after the build;
+        # no catalog is built
+        from restchroma import cli as cli_module
+
+        def built(n_max):
+            raise AssertionError("a refused verify run built its catalog")
+
+        monkeypatch.setattr(cli_module, "connected_catalog", built)
+        monkeypatch.setattr(cli_module, "connected_bipartite_catalog", built)
+        got = run(capsys, "verify", "--theorem", theorem, "--n-max", n_max, "--k", k)
+        assert got == (code, "", f"error: {refused}\n")
 
     def test_graph_flag_checks_one_graph(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "min", "--graph", "C4", "--json")

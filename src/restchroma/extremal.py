@@ -326,23 +326,21 @@ def report_from_record(g: Graph, k: int, text: str) -> ExtremalReport:
 
 
 JSON_CHUNK = 256
-# json.dumps(value, sort_keys=True), with one encoder made once
-_encode = json.JSONEncoder(sort_keys=True).encode
+# json.dumps(value, sort_keys=True), with one encoder made once.  Every object
+# written is a tree, built by this package or decoded from JSON, so the
+# circular-reference check could never fire; left on, it costs as much as the
+# chunk dicts save.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def write_json(obj: dict, out) -> None:
     """Write json.dumps(obj, sort_keys=True) and a newline in pieces, so a
-    large record is never held as one string: each top-level list goes
-    JSON_CHUNK items at a time through the C encoder (json.dump would use
-    the pure-Python one, about 3x slower), and each top-level dict's keys
-    are sorted once and written JSON_CHUNK entries at a time, each entry its
-    ASCII-escaped key and its value's JSON, joined with no dict built.  The
-    encodings of a dict's value objects are kept by id, so the lists that
-    the witness maps share among all their keys are encoded once each; the
-    memo is emptied whenever it would hold more than JSON_CHUNK, so a map
-    of distinct values holds no more than a chunk's.  cli._emit and the
-    store of load_or_compute_extremal both call it, so a stored record
-    holds the bytes that extremal --json prints."""
+    large record is never held as one string: each top-level dict or list
+    goes JSON_CHUNK items at a time through the C encoder (json.dump would
+    use the pure-Python one, about 3x slower), a dict's as a chunk dict of
+    its sorted keys.  cli._emit and the store of load_or_compute_extremal
+    both call it, so a stored record holds the bytes that extremal --json
+    prints."""
     out.write("{")
     for i, key in enumerate(sorted(obj)):
         value = obj[key]
@@ -368,19 +366,9 @@ def _write_entries(value: dict, out) -> None:
     next map's are sorted: the two witness maps of FPpC? at k = 2 hold
     5 MB of sorted keys each."""
     keys = sorted(value)
-    encoded = {}  # id of a value object -> ": " and its JSON, for at most JSON_CHUNK objects
     for j in range(0, len(keys), JSON_CHUNK):
         chunk = keys[j:j + JSON_CHUNK]
-        refs = list(map(id, map(value.__getitem__, chunk)))
-        new = set(refs).difference(encoded)
-        if new:
-            if len(encoded) + len(new) > JSON_CHUNK:
-                encoded.clear()
-                new = set(refs)
-            holder = dict(zip(refs, chunk))  # id -> a key of this chunk whose value it is
-            for ref in new:
-                encoded[ref] = ": " + _encode(value[holder[ref]])
-        piece = ", ".join(map(str.__add__, map(encode_basestring_ascii, chunk), map(encoded.__getitem__, refs)))
+        piece = _encode(dict(zip(chunk, map(value.__getitem__, chunk))))[1:-1]
         out.write(f", {piece}" if j else piece)
 
 

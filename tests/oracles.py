@@ -2,9 +2,9 @@
 the one table of their runs.
 
 Every oracle is oracle(graphs, k), given None for a k it does not read, and
-returns one value: a list of mismatches, [] when none; (count, [])
-from tie_break_mismatches and walk_faults; (visits, repeats) from
-walk_repeats; the memo totals from catalog_memo_stats.
+returns one value: a list of mismatches, [] when none; (count, []) from
+tie_break_mismatches, walk_faults and proper_count_mismatches; (visits,
+repeats) from walk_repeats; the memo totals from catalog_memo_stats.
 Each row of RUNS is (oracle, inputs, k, expected, tier), its inputs named
 as graphs_named reads them.  test_oracles.py runs the tier-1 rows; CI runs
 the CI rows of one oracle per step, named after it:
@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple
 from restchroma import (
     Graph, MemoCache, Restraint, RestraintClass, all_connected_graphs, alternating_restraint, canonicalize, coeff_n1,
     coeff_n2, coeff_n3, common_neighbor_overlap, connected_bipartite_catalog, connected_catalog, constant_restraint,
-    dominance_key, empty_graph, enumerate_k_restraints, extremal, find_extremal, is_proper, load_or_compute_extremal,
-    parse_restraint, render_restraint, restrained_poly, shared_pair_overlap, to_graph6,
+    dominance_key, empty_graph, empty_restraint, enumerate_k_restraints, extremal, find_extremal, is_proper,
+    load_or_compute_extremal, parse_restraint, render_restraint, restrained_poly, shared_pair_overlap, to_graph6,
 )
 from restchroma.graphs import _min_mask_form, load_graph
 from restchroma.restraints import _normal_form_masks, id_masks, incidence_masks, normal_form_count
@@ -507,6 +507,43 @@ def key_bound_faults(graphs, k: int) -> list:
     return bad
 
 
+def bell_numbers(count: int) -> list[int]:
+    """Bell(0), ..., Bell(count - 1), read off the Bell triangle."""
+    bells, row = [], [1]
+    for _ in range(count):
+        bells.append(row[0])
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return bells
+
+
+def proper_count_mismatches(graphs, k: int) -> tuple[int, list[tuple[str, int, int]]]:
+    """(graphs checked, (graph6, walk count, Bell count) per mismatch): on
+    each graph whose stabilizer chain has only one-element levels (a
+    trivial group, so a proper class at k = 1 is a partition of V into
+    independent sets), the number of proper classes enumerate_k_restraints
+    lists must be sum over j of a_j * Bell(j), over the coefficients a_j of
+    the chromatic polynomial (restrained_poly with empty sets): x^j is
+    sum over i of S(j, i) * (x)_i, and the coefficient of (x)_i counts the
+    partitions into i independent sets.  Shares no code with the walk or
+    the orbits.  Defined at k = 1 only (ROADMAP item 19)."""
+    if k != 1:
+        raise ValueError("the Bell-number count holds at k = 1 only")
+    checked, bad = 0, []
+    for g in graphs:
+        if any(len(level) > 1 for level in g.stabilizer_chain()):
+            continue
+        checked += 1
+        bells = bell_numbers(g.n + 1)
+        expected = sum(a * bell for a, bell in zip(restrained_poly(g, empty_restraint(g)).coeffs, bells))
+        walked = len(enumerate_k_restraints(g, k, g.adjacency_masks()))
+        if walked != expected:
+            bad.append((to_graph6(g), walked, expected))
+    return checked, bad
+
+
 def a7_oracle_record(g, report):
     """The a7 verdict built the direct way: every class id of the report
     parsed back to a Restraint, properness tested edge by edge, and both
@@ -682,6 +719,10 @@ RUNS = [
     Run(key_bound_faults, "connected_catalog(7)", 2, [], CI),
     Run(key_bound_faults, "connected_bipartite_catalog(9)", 1, [], CI),
     Run(key_bound_faults, "connected_catalog(5)", 3, [], CI),
+    # the trivial-group graphs (FPpC? among them), whose proper classes at
+    # k = 1 are counted by Bell numbers (ROADMAP item 19)
+    Run(proper_count_mismatches, "connected_catalog(7)", 1, (153, []), TIER1),
+    Run(proper_count_mismatches, "connected_catalog(8)", 1, (3_705, []), CI),
     # a store row checks the fresh report, as a plain row does, and then the one read back
     Run(partial(a7_mismatches, store=True), "connected_catalog(6)", 1, [], TIER1),
     Run(partial(a7_mismatches, store=True), "connected_catalog(5)", 2, [], TIER1),

@@ -347,7 +347,7 @@ class TestExtremal:
         assert err == f"error: results store {quote_input(refused)}: {reason}\n"
         assert tree() == before and (tmp_path / "F").read_text() == "not a store\n"
 
-    def test_stored_record_is_the_json_output(self, capsys, tmp_path):
+    def test_stored_record_is_the_json_output(self, capsys, tmp_path, monkeypatch):
         # C8's witness maps are longer than JSON_CHUNK, so the record is
         # written in several pieces; the file is those bytes, then the
         # trailer line of their SHA-256
@@ -359,6 +359,11 @@ class TestExtremal:
         record = fresh.encode("ascii")
         trailer = f"restchroma-store 1 sha256:{hashlib.sha256(record).hexdigest()}\n".encode("ascii")
         assert computed == fresh and path.read_bytes() == record + trailer
+        # served from that file, with no search: every witness a list of its
+        # own, as the store decodes it, and the same bytes
+        monkeypatch.setattr(extremal_module, "find_extremal", no_search)
+        _, served, _ = run(capsys, *args, "--results-dir", str(tmp_path))
+        assert served == fresh and path.read_bytes() == record + trailer
 
     def test_json_is_streamed(self, monkeypatch):
         # C10 at k=1 makes a 0.7 MB record; written to an output that keeps
@@ -396,7 +401,7 @@ class TestExtremal:
         # entries with nested dict values, keys that need escaping, and
         # list objects shared by many keys, as the witness maps hold them:
         # three shared by every key, and more distinct shared lists than a
-        # chunk, so the writer's memo of encoded values fills and restarts
+        # chunk, so a chunk's values are a mix of lists seen in earlier chunks
         many = JSON_CHUNK * 2 + 3
         shared = [[1, "2"], [3, "-4"], [5, "6"]]
         lists = [[i, str(i)] for i in range(JSON_CHUNK + 7)]
@@ -417,6 +422,25 @@ class TestExtremal:
             out = io.StringIO()
             write_json(obj, out)
             assert out.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
+
+    def test_one_encoder_call_per_chunk(self, monkeypatch):
+        # a record as a store read decodes it, every witness a list of its
+        # own: each map and list is encoded one chunk per call, and each
+        # scalar in one call, whatever the number of distinct values
+        many = JSON_CHUNK * 2 + 3
+        witness = {f"[{{{i}}}]": [i, str(-i)] for i in range(many)}
+        obj = json.loads(json.dumps({"max_witness": witness, "min_witness": witness, "min_poly": ["1", "-2"], "k": 1}))
+        calls, real = [], extremal_module._encode
+
+        def encode(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(extremal_module, "_encode", encode)
+        out = io.StringIO()
+        write_json(obj, out)
+        assert out.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
+        assert len(calls) == 3 + 3 + 1 + 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.text(), st.recursive(

@@ -17,6 +17,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from .engine import (
     coeff_n1, coeff_n2, coeff_n3, count_colourings, dominance_key, restrained_poly, shared_pair_overlap,
@@ -59,7 +61,7 @@ def _load_restraint(source: str | None, g: Graph) -> Restraint:
     return r
 
 
-def _emit(args, obj: dict, human_lines: list[str]) -> None:
+def _emit(args, obj: dict, human_lines: Iterable[str]) -> None:
     if args.json:
         write_json(obj, sys.stdout)
     else:
@@ -147,11 +149,10 @@ def cmd_classes(args) -> int:
         for canon in enumerate_k_restraints(g, args.k)
     ]
     obj = {"graph6": to_graph6(g), "k": args.k, "count": len(entries), "classes": entries}
-    lines = [f"{len(entries)} classes on {to_graph6(g)} (k={args.k})"]
-    for i, entry in enumerate(entries, 1):
-        tag = " proper" if entry["proper"] else ""
-        lines.append(f"{i}. {entry['restraint']}{tag}")
-    _emit(args, obj, lines)
+    # each line is formatted as it prints, so --json formats none
+    header = f"{len(entries)} classes on {to_graph6(g)} (k={args.k})"
+    lines = (f"{i}. {e['restraint']}{' proper' if e['proper'] else ''}" for i, e in enumerate(entries, 1))
+    _emit(args, obj, chain([header], lines))
     return EXIT_OK
 
 

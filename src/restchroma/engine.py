@@ -20,9 +20,9 @@ the memo table sees.
 
 The rule reads only the adjacency, so each subproblem is split in two.  Its
 plan (_plan), which rule applies and the child adjacencies that rule needs,
-is decided once per adjacency per MemoCache; the forbidden-set tuples met
-on that adjacency, and the point X, share it.  Only the arithmetic on the
-sets (the product, _eliminate, the component product, or deletion minus
+is decided once per adjacency per point X of a MemoCache; the forbidden-set
+tuples met on that adjacency share it.  Only the arithmetic on the sets
+(the product, _eliminate, the component product, or deletion minus
 contraction) is done once per (adjacency, sets, X), the memo's entry.
 
 The resulting polynomial agrees with the permitted proper-colouring count
@@ -50,25 +50,26 @@ ORACLE_WORK_BUDGET = 10_000_000
 
 
 class MemoCache:
-    """Memo table for the recursion, in two parts.
+    """Memo table for the recursion.
 
-    _plans maps each adjacency (a tuple of neighbour bitmasks) to its plan
-    (_plan), built once per cache whatever the forbidden sets or the point.
-    _tables maps each evaluation point X to a dict from adjacency to the
-    pair (plan, values), values mapping a sets tuple to P(X) of that exact
-    labeled subproblem, so queries at two points never mix.
+    _tables maps each evaluation point X to a dict from adjacency (a tuple
+    of neighbour bitmasks) to the pair (plan, values): its plan (_plan),
+    built on the adjacency's first meeting at X whatever the forbidden sets,
+    and values mapping a sets tuple to P(X) of that exact labeled
+    subproblem, so queries at two points never mix.  Every k-restraint on a
+    graph has the same X, so the searches, one cache per (graph, k), build
+    each plan once.
 
     _rec reads and writes the tables and counts hits; each miss stores one
     value, never dropped, so misses and peak_entries are the number of
     values stored.  Passing one cache to several computations lets them
-    reuse each other's plans and values.  It is not synchronised: use it
-    from one thread at a time.
+    reuse each other's plans and values at a point they share.  It is not
+    synchronised: use it from one thread at a time.
     """
 
-    __slots__ = ("_plans", "_tables", "hits")
+    __slots__ = ("_tables", "hits")
 
     def __init__(self):
-        self._plans: dict = {}
         self._tables: dict = {}
         self.hits = 0
 
@@ -109,9 +110,9 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
     # P is unchanged by a bijective colour renaming, so colours become bits
     # 0..C-1 in ascending order whatever their size; the map holds each
     # colour's rank, not its bit, which would make it O(C^2) bits in all
-    rank = {c: i for i, c in enumerate(sorted(set().union(*r.sets)))}
-    sets = tuple(sum(1 << rank[c] for c in s) for s in r.sets)
-    s = g.m + sum(len(c).bit_length() for c in r.sets) + 2
+    rank = {c: i for i, c in enumerate(sorted(set().union(*r)))}
+    sets = tuple(sum(1 << rank[c] for c in s) for s in r)
+    s = g.m + sum(len(c).bit_length() for c in r) + 2
     x = 1 << s
     table = cache._tables.setdefault(x, {})
     return IntPolynomial._trusted(_digits(_rec(g.adjacency_masks(), sets, x, cache, table), s))
@@ -163,8 +164,8 @@ _EDGELESS, _ELIMINATE, _SPLIT, _BRANCH = range(4)
 
 def _plan(adj: tuple):
     """What _rec's rule does to the adjacency adj, whatever the forbidden
-    sets: decided once per adjacency per MemoCache, with every child
-    adjacency it needs.  The first rule that applies decides:
+    sets: decided once per adjacency per point of a MemoCache, with every
+    child adjacency it needs.  The first rule that applies decides:
 
     - (_EDGELESS,): adj has no edges, so P is the product of (x - |s_v|);
     - (_ELIMINATE, v, rest, ws, merged): the first pendant vertex v, or
@@ -204,13 +205,10 @@ def _plan(adj: tuple):
     return _SPLIT, tuple((_induced(adj, verts), verts) for verts in component_vertices(adj))
 
 
-def _entry(adj: tuple, memo: MemoCache, table: dict) -> tuple:
-    """The (plan, values) pair of adj in table, made on the first meeting of
-    adj at table's point; its plan (_plan) is built once per memo."""
-    plan = memo._plans.get(adj)
-    if plan is None:
-        plan = memo._plans[adj] = _plan(adj)
-    entry = table[adj] = (plan, {})
+def _entry(adj: tuple, table: dict) -> tuple:
+    """The (plan, values) pair of adj in table, made with its plan (_plan)
+    on the first meeting of adj at table's point."""
+    entry = table[adj] = (_plan(adj), {})
     return entry
 
 
@@ -220,11 +218,10 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
 
     adj holds each vertex's neighbour bitmask and sets its forbidden colours
     as a bitmask.  The plan of adj, what the rule does to the graph
-    (_plan), is built once per memo and fetched into table the first time
-    adj is met at x (_entry).  A miss does only the arithmetic on its sets
-    tuple, reading the plan: the edgeless product, the elimination
-    (_eliminate), the product over components, or the pivot edge's deletion
-    minus its contraction.
+    (_plan), is built into table the first time adj is met at x (_entry).
+    A miss does only the arithmetic on its sets tuple, reading the plan:
+    the edgeless product, the elimination (_eliminate), the product over
+    components, or the pivot edge's deletion minus its contraction.
 
     A deletion keeps the sets, and its child is most often a branch plan
     too: on a dense graph that chain is about m - 2n plans long, past
@@ -233,7 +230,7 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
     in the order the recursion would take: the same subproblems are looked
     up, met and stored.
     """
-    plan, values = table.get(adj) or _entry(adj, memo, table)
+    plan, values = table.get(adj) or _entry(adj, table)
     value = values.get(sets)
     if value is not None:
         memo.hits += 1
@@ -250,7 +247,7 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
         while True:
             _, deleted, merged, u, v = plan
             chain.append((values, merged, sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]))
-            plan, values = table.get(deleted) or _entry(deleted, memo, table)
+            plan, values = table.get(deleted) or _entry(deleted, table)
             value = values.get(sets)
             if value is not None:
                 memo.hits += 1
@@ -355,7 +352,7 @@ def coeff_n1(g: Graph, r: Restraint) -> int:
     check_fit(g, r)
     if g.n < 1:
         raise ValueError("coefficient undefined for graphs with no vertices")
-    return g.m + sum(len(s) for s in r.sets)
+    return g.m + sum(len(s) for s in r)
 
 
 def _edge_intersections(g: Graph, r: Restraint) -> int:

@@ -1,4 +1,4 @@
-"""Restraints: per-vertex forbidden colour sets.
+"""Restraints: per-vertex forbidden colour sets, a tuple of frozensets.
 
 Covers the named constructions (constant, alternating), a restraint's
 fit to its graph (check_fit, which every function that takes a graph and
@@ -43,11 +43,10 @@ lists only the proper classes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import or_
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import CapError, Graph, ParseError, level_products, quote_input
 
@@ -62,45 +61,30 @@ ORBIT_BLOCK = 64
 _SHORT_ID = 64
 
 
-class Restraint:
-    """Immutable vector of forbidden colour sets, one per vertex."""
+class Restraint(tuple):
+    """The tuple of forbidden colour sets, one frozenset per vertex."""
 
-    __slots__ = ("sets",)
+    __slots__ = ()
 
-    def __init__(self, sets: Iterable[Iterable[int]]):
+    def __new__(cls, sets: Iterable[Iterable[int]]):
         norm = []
         for s in sets:
             s = tuple(s)
             if not all(type(c) is int and c > 0 for c in s):
                 raise ValueError("colours must be positive integers")
             norm.append(frozenset(s))
-        self.sets: tuple[frozenset[int], ...] = tuple(norm)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __getitem__(self, v: int) -> frozenset[int]:
-        return self.sets[v]
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Restraint) and self.sets == other.sets
-
-    def __hash__(self) -> int:
-        return hash(self.sets)
+        return super().__new__(cls, norm)
 
     def __repr__(self) -> str:
         return f"Restraint({render_restraint(self)!r})"
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.sets)
+        return tuple(len(s) for s in self)
 
     def m_value(self) -> int:
         """Largest forbidden colour anywhere; 0 when every set is empty."""
         top = 0
-        for s in self.sets:
+        for s in self:
             if s:
                 top = max(top, max(s))
         return top
@@ -182,8 +166,7 @@ def parse_restraint(text: str) -> Restraint:
 # -- equivalence classes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestraintClass:
+class RestraintClass(NamedTuple):
     """Canonical representative of a restraint-equivalence class on n vertices.
 
     canon is the minimum, over the automorphism group, of the sorted tuple

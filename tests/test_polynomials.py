@@ -27,6 +27,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="coefficient index must be nonnegative"):
             poly(1, 2).coefficient(-1)
 
+    def test_equal_polynomials_hash_equal(self):
+        p, q = poly(2, -3, 1, 0), poly(-1, 1) * poly(-2, 1)
+        assert p == q and hash(p) == hash(q)
+        assert {p: "first", q: "second"} == {p: "second"}
+
 
 def linear_factors(roots):
     """Product of (x - a) over roots, built with IntPolynomial's product."""

@@ -32,9 +32,47 @@ class TestRestraintValue:
         assert R("[{1,7},{2}]").m_value() == 7
 
     def test_rejects_nonpositive_colours(self):
-        for sets in [[[0]], [[1.5]], [[True]], [["3"]]]:
-            with pytest.raises(ValueError):
+        for sets in [[[0]], [[-2]], [[1.5]], [[True]], [[False]], [["3"]], [[1], [2, 0]]]:
+            with pytest.raises(ValueError, match="colours must be positive integers"):
                 Restraint(sets)
+
+    def test_equal_restraints_share_one_key(self):
+        r, s = Restraint([[1, 2], [3]]), Restraint([(2, 1), {3}])
+        assert r == s and hash(r) == hash(s)
+        assert {r: "first", s: "second"} == {r: "second"}
+        assert r != Restraint([[1], [3]])
+
+    def test_built_from_a_generator(self):
+        assert Restraint(range(1, c + 1) for c in (1, 0, 2)) == Restraint([[1], [], [1, 2]])
+
+    def test_indexing_and_length(self):
+        r = R("[{1},{},{1,3}]")
+        assert len(r) == 3
+        assert r[0] == {1} and r[1] == frozenset() and r[-1] == {1, 3}
+        assert all(type(s) is frozenset for s in r)
+
+    def test_is_the_tuple_of_its_sets(self):
+        # equality and hash are those of the plain tuple of frozensets
+        r = R("[{1},{2,3}]")
+        assert r == (frozenset({1}), frozenset({2, 3})) and hash(r) == hash(tuple(r))
+
+    def test_repr(self):
+        assert repr(R("[{1},{2}]")) == "Restraint('[{1},{2}]')"
+        assert repr(Restraint([])) == "Restraint('[]')"
+
+
+class TestRestraintClassValue:
+    def test_from_id_round_trips(self):
+        for cls in restraint_classes(cycle_graph(5), 2):
+            decoded = RestraintClass.from_id(cls.class_id(), 5)
+            assert decoded == cls and hash(decoded) == hash(cls)
+
+    def test_is_the_pair_canon_n(self):
+        cls = RestraintClass((0b01, 0b10), 2)
+        assert (cls.canon, cls.n) == ((0b01, 0b10), 2)
+        assert cls == ((0b01, 0b10), 2) and hash(cls) == hash(((0b01, 0b10), 2))
+        assert cls != RestraintClass((0b01, 0b10), 3)
+        assert cls.representative == Restraint([[1], [2]])
 
 
 class TestLiteralSyntax:

@@ -3,15 +3,20 @@
 The central recursion follows edge deletion-contraction: deleting an edge
 keeps every forbidden set, while contracting it merges the endpoints and
 forbids the union of their sets at the merged vertex.  _rec does both
-itself, on the (adj, sets) pair of neighbour bitmasks and forbidden colour
-bitmasks, and computes P at one point X = 2^s as a plain int (Kronecker
-substitution); restrained_poly reads the coefficients once, as the
-balanced base-2^s digits of that value.  Before it branches it settles
-what needs no pivot: an edgeless graph gives the product of
-(x - |forbidden set|) over the vertices; a pendant vertex, or else a vertex
-of degree 2, is eliminated in one step, as the colours left to it once its
-neighbours are coloured have a closed form (_eliminate); and components
-multiply, an isolated vertex beside an edge being a component of its own.
+itself, on the pair (adj, packed): adj holds each vertex's neighbour
+bitmask, and the one int packed holds every forbidden colour bitmask,
+vertex i's in bits [i W, (i + 1) W) for the W colours of the restraint,
+renamed to bits, so that removing, joining or merging sets is a few shifts
+and masks and a subproblem is keyed by one int.  It computes P at one point
+X = 2^s as a plain int (Kronecker substitution); restrained_poly reads the
+coefficients once, as the balanced base-2^s digits of that value.
+
+Before it branches _rec settles what needs no pivot: an edgeless graph
+gives the product of (x - |forbidden set|) over the vertices; a pendant
+vertex, or else a vertex of degree 2, is eliminated in one step, as the
+colours left to it once its neighbours are coloured have a closed form
+(_eliminate); and components multiply, an isolated vertex beside an edge
+being a component of its own.
 So a pivot edge is chosen only in connected subproblems of minimum degree
 at least 3, never on a graph whose blocks are all edges and cycles, and
 always by one rule, _pivot: vertex 0 and its lowest neighbour.  The
@@ -19,11 +24,12 @@ identity holds for any edge, so the rule decides only which subproblems
 the memo table sees.
 
 The rule reads only the adjacency, so each subproblem is split in two.  Its
-plan (_plan), which rule applies and the child adjacencies that rule needs,
-is decided once per adjacency per point X of a MemoCache; the forbidden-set
-tuples met on that adjacency share it.  Only the arithmetic on the sets
-(the product, _eliminate, the component product, or deletion minus
-contraction) is done once per (adjacency, sets, X), the memo's entry.
+plan (_plan), which rule applies, the child adjacencies that rule needs and
+the shifts, scaled by W, that move the packed sets, is decided once per
+adjacency per table (X, W) of a MemoCache; the packed sets met on that
+adjacency share it.  Only the arithmetic on the sets (the product,
+_eliminate, the component product, or deletion minus contraction) is done
+once per (adjacency, packed sets, X, W), the memo's entry.
 
 The resulting polynomial agrees with the permitted proper-colouring count
 for every x at or above the largest forbidden colour; below that threshold
@@ -52,19 +58,22 @@ ORACLE_WORK_BUDGET = 10_000_000
 class MemoCache:
     """Memo table for the recursion.
 
-    _tables maps each evaluation point X to a dict from adjacency (a tuple
-    of neighbour bitmasks) to the pair (plan, values): its plan (_plan),
-    built on the adjacency's first meeting at X whatever the forbidden sets,
-    and values mapping a sets tuple to P(X) of that exact labeled
-    subproblem, so queries at two points never mix.  Every k-restraint on a
-    graph has the same X, so the searches, one cache per (graph, k), build
-    each plan once.
+    _tables maps each pair (X, W) of an evaluation point and a colour width
+    (restrained_poly) to a _Table: a dict from adjacency (a tuple of
+    neighbour bitmasks) to the pair (plan, values), its plan (_plan) built
+    on the adjacency's first meeting in that table whatever the forbidden
+    sets, and values mapping a packed int of forbidden sets to P(X) of that
+    exact labeled subproblem.  A packing means one thing only at one W, and
+    a value one thing only at one X, so tables never mix.  Every k-restraint
+    on a graph has the same X, and those with the same number of colours
+    the same W, so the searches, one cache per (graph, k), share plans and
+    values between the restraints of one colour count.
 
     _rec reads and writes the tables and counts hits; each miss stores one
     value, never dropped, so misses and peak_entries are the number of
     values stored.  Passing one cache to several computations lets them
-    reuse each other's plans and values at a point they share.  It is not
-    synchronised: use it from one thread at a time.
+    reuse each other's plans and values at a point and width they share.
+    It is not synchronised: use it from one thread at a time.
     """
 
     __slots__ = ("_tables", "hits")
@@ -83,6 +92,21 @@ class MemoCache:
         return {"hits": self.hits, "misses": self.misses, "peak_entries": self.peak_entries}
 
 
+class _Table(dict):
+    """A MemoCache's table for one (X, W): adjacency -> (plan, values), the
+    plan built by _plan at width W on the adjacency's first lookup."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, adj):
+        entry = self[adj] = (_plan(adj, self.width), {})
+        return entry
+
+
 def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> IntPolynomial:
     """Restrained chromatic polynomial via deletion-contraction.
 
@@ -91,14 +115,19 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
     depend on the edges _pivot picks to branch on.  With the empty
     restraint it is the chromatic polynomial.
 
+    P is unchanged by a bijective colour renaming, so the C distinct colours
+    of r become bits 0..C-1 in ascending order whatever their size, and the
+    forbidden sets are packed into one int: vertex i's set in bits
+    [i W, (i + 1) W), W = max(C, 1).
+
     The recursion computes P(X) at X = 2^s, s = m + sum_v bit_length(|r(v)|)
     + 2, and the coefficients are its balanced base-2^s digits, unique while
     every |c_i| < 2^(s-1).  By the subgraph expansion P = sum over A in E of
     (-1)^|A| prod over the components K of (V, A) of (x - |union of r(v),
     v in K|), and as prod (x - a_K) has absolute coefficients summing to
     prod (1 + a_K) <= prod_v (1 + |r(v)|) <= 2^(sum_v bit_length(|r(v)|)),
-    every |c_i| <= 2^(s-2).  The cache keys each value on X as well as its
-    subproblem; X is the same for every k-restraint on g.
+    every |c_i| <= 2^(s-2).  The cache keys each value on X and W as well as
+    its subproblem; X is the same for every k-restraint on g.
 
     cache: None for a private memo table, or a shared MemoCache instance.
     """
@@ -107,15 +136,21 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
         cache = MemoCache()
     elif not isinstance(cache, MemoCache):
         raise TypeError("cache must be None or a MemoCache")
-    # P is unchanged by a bijective colour renaming, so colours become bits
-    # 0..C-1 in ascending order whatever their size; the map holds each
-    # colour's rank, not its bit, which would make it O(C^2) bits in all
+    # the map holds each colour's rank, not its bit, which would make it
+    # O(C^2) bits in all; the bits are set in a byte array, as summing
+    # them one int at a time is quadratic in n W
     rank = {c: i for i, c in enumerate(sorted(set().union(*r)))}
-    sets = tuple(sum(1 << rank[c] for c in s) for s in r)
+    w = len(rank) or 1
+    bits = bytearray(-(-g.n * w // 8))
+    for base, colours in zip(range(0, g.n * w, w), r):
+        for c in colours:
+            j = rank[c] + base
+            bits[j >> 3] |= 1 << (j & 7)
+    packed = int.from_bytes(bits, "little")
     s = g.m + sum(len(c).bit_length() for c in r) + 2
     x = 1 << s
-    table = cache._tables.setdefault(x, {})
-    return IntPolynomial._trusted(_digits(_rec(g.adjacency_masks(), sets, x, cache, table), s))
+    table = cache._tables.setdefault((x, w), _Table(w))
+    return IntPolynomial._trusted(_digits(_rec(g.adjacency_masks(), packed, x, cache, table), s))
 
 
 def _digits(value: int, s: int) -> tuple[int, ...]:
@@ -158,30 +193,45 @@ def _pivot(adj: tuple) -> tuple[int, int]:
     return 0, (adj[0] & -adj[0]).bit_length() - 1
 
 
+def _slot(v: int, w: int) -> tuple[int, int, int]:
+    """(shift, above, below) of vertex v's slot at width w: its set is
+    packed >> shift & (2^w - 1), and packed & below | packed >> above <<
+    shift is packed with v's slot removed and the slots above it moved
+    down."""
+    shift = v * w
+    return shift, shift + w, (1 << shift) - 1
+
+
 # the kinds of plan, each plan's first item
 _EDGELESS, _ELIMINATE, _SPLIT, _BRANCH = range(4)
 
 
-def _plan(adj: tuple):
+def _plan(adj: tuple, w: int):
     """What _rec's rule does to the adjacency adj, whatever the forbidden
-    sets: decided once per adjacency per point of a MemoCache, with every
-    child adjacency it needs.  The first rule that applies decides:
+    sets: decided once per adjacency per table of a MemoCache, with every
+    child adjacency it needs.  The rule reads only adj; w, the table's
+    colour width, scales the shifts that read and move the packed sets
+    (_slot).  The first rule that applies decides:
 
-    - (_EDGELESS,): adj has no edges, so P is the product of (x - |s_v|);
-    - (_ELIMINATE, v, rest, ws, merged): the first pendant vertex v, or
-      else the first vertex of degree 2, is eliminated (_eliminate); rest
-      is adj less v, ws the ascending indices of v's neighbours in rest,
-      and merged is rest with the two neighbours merged when they are not
-      adjacent, else None;
-    - (_SPLIT, ((component adjacency, its vertices), ...)): components
+    - (_EDGELESS, shifts, full): adj has no edges, so P is the product of
+      (x - |s_v|), s_v = packed >> shift & full;
+    - (_ELIMINATE, slot, full, rest, ws, merged): the first pendant vertex
+      v, or else the first vertex of degree 2, is eliminated (_eliminate);
+      slot is v's _slot, rest is adj less v, ws the shifts of v's
+      neighbours in rest, in ascending order, and merged, when the two
+      neighbours are not adjacent, is (rest with them merged, the lower
+      one's shift, the higher one's _slot in rest), else None;
+    - (_SPLIT, full, ((component adjacency, moves), ...)): components
       multiply, an isolated vertex being a component of its own (they are
-      listed only when one sweep from vertex 0 misses a vertex);
-    - (_BRANCH, deleted, merged, u, v): at minimum degree 3 or more the
-      edge (u, v) = _pivot(adj) is deleted, and contracted by merging v
-      into u.
+      listed only when one sweep from vertex 0 misses a vertex); moves holds
+      the (source, target) shifts of each vertex's slot;
+    - (_BRANCH, deleted, merged, u shift, v's _slot, full): at minimum
+      degree 3 or more the edge (u, v) = _pivot(adj) is deleted, and
+      contracted by merging v into u.
     """
+    full = (1 << w) - 1
     if not any(adj):
-        return (_EDGELESS,)
+        return _EDGELESS, tuple(range(0, len(adj) * w, w)), full
     elim = None
     for v, a in enumerate(adj):
         if a and not a & a - 1:
@@ -193,35 +243,33 @@ def _plan(adj: tuple):
         v, nbrs = elim, adj[elim]
         rest = _drop(adj, v)
         a, b = (nbrs & -nbrs).bit_length() - 1, nbrs.bit_length() - 1
-        ws = (a - (a > v),) if a == b else (a - (a > v), b - (b > v))
-        merged = _merge(rest, *ws) if a != b and not adj[a] >> b & 1 else None
-        return _ELIMINATE, v, rest, ws, merged
+        a, b = a - (a > v), b - (b > v)  # their indices in rest
+        if a == b:
+            return _ELIMINATE, _slot(v, w), full, rest, (a * w,), None
+        merged = None if rest[a] >> b & 1 else (_merge(rest, a, b), a * w, _slot(b, w))
+        return _ELIMINATE, _slot(v, w), full, rest, (a * w, b * w), merged
     if reach_mask(adj, 1) == (1 << len(adj)) - 1:
         u, v = _pivot(adj)
         deleted = list(adj)
         deleted[u] ^= 1 << v
         deleted[v] ^= 1 << u
-        return _BRANCH, tuple(deleted), _merge(adj, u, v), u, v
-    return _SPLIT, tuple((_induced(adj, verts), verts) for verts in component_vertices(adj))
+        return _BRANCH, tuple(deleted), _merge(adj, u, v), u * w, _slot(v, w), full
+    parts = [(_induced(adj, verts), tuple((v * w, i * w) for i, v in enumerate(verts)))
+             for verts in component_vertices(adj)]
+    return _SPLIT, full, tuple(parts)
 
 
-def _entry(adj: tuple, table: dict) -> tuple:
-    """The (plan, values) pair of adj in table, made with its plan (_plan)
-    on the first meeting of adj at table's point."""
-    entry = table[adj] = (_plan(adj), {})
-    return entry
+def _rec(adj: tuple, packed: int, x: int, memo: MemoCache, table: _Table) -> int:
+    """P(x) on the labeled subproblem (adj, packed), memoised in table,
+    memo's table for the point x and the width W of packed.
 
-
-def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
-    """P(x) on the labeled subproblem (adj, sets), memoised in table, memo's
-    table for the point x.
-
-    adj holds each vertex's neighbour bitmask and sets its forbidden colours
-    as a bitmask.  The plan of adj, what the rule does to the graph
-    (_plan), is built into table the first time adj is met at x (_entry).
-    A miss does only the arithmetic on its sets tuple, reading the plan:
-    the edgeless product, the elimination (_eliminate), the product over
-    components, or the pivot edge's deletion minus its contraction.
+    adj holds each vertex's neighbour bitmask, and packed holds vertex i's
+    forbidden colours, as a bitmask, in its bits [i W, (i + 1) W).  The plan
+    of adj, what the rule does to the graph (_plan), is built into table
+    the first time adj is met there.  A miss does only the arithmetic on
+    its packed sets, reading the plan's shifts: the edgeless product, the
+    elimination (_eliminate), the product over components, or the pivot
+    edge's deletion minus its contraction.
 
     A deletion keeps the sets, and its child is most often a branch plan
     too: on a dense graph that chain is about m - 2n plans long, past
@@ -230,46 +278,53 @@ def _rec(adj: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
     in the order the recursion would take: the same subproblems are looked
     up, met and stored.
     """
-    plan, values = table.get(adj) or _entry(adj, table)
-    value = values.get(sets)
+    plan, values = table[adj]
+    value = values.get(packed)
     if value is not None:
         memo.hits += 1
         return value
     kind = plan[0]
     if kind == _ELIMINATE:
-        value = _eliminate(plan, sets, x, memo, table)
+        value = _eliminate(plan, packed, x, memo, table)
     elif kind == _EDGELESS:
+        _, shifts, full = plan
         value = 1
-        for s in sets:
-            value *= x - s.bit_count()
+        for shift in shifts:
+            value *= x - (packed >> shift & full).bit_count()
     elif kind == _BRANCH:
         chain = []  # (values, merged, joined) of each branch plan down the deletions
         while True:
-            _, deleted, merged, u, v = plan
-            chain.append((values, merged, sets[:u] + (sets[u] | sets[v],) + sets[u + 1:v] + sets[v + 1:]))
-            plan, values = table.get(deleted) or _entry(deleted, table)
-            value = values.get(sets)
+            _, deleted, merged, to, (shift, above, below), full = plan
+            joined = packed & below | packed >> above << shift | (packed >> shift & full) << to
+            chain.append((values, merged, joined))
+            plan, values = table[deleted]
+            value = values.get(packed)
             if value is not None:
                 memo.hits += 1
                 break
             if plan[0] != _BRANCH:
-                value = _rec(deleted, sets, x, memo, table)
+                value = _rec(deleted, packed, x, memo, table)
                 break
         for values, merged, joined in reversed(chain):
             value -= _rec(merged, joined, x, memo, table)
-            values[sets] = value
+            values[packed] = value
         return value
     else:
+        _, full, parts = plan
         value = 1
-        for part, verts in plan[1]:
-            value *= _rec(part, tuple([sets[a] for a in verts]), x, memo, table)
-    values[sets] = value
+        for part, moves in parts:
+            sub = 0
+            for source, target in moves:
+                sub |= (packed >> source & full) << target
+            value *= _rec(part, sub, x, memo, table)
+    values[packed] = value
     return value
 
 
-def _eliminate(plan: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -> int:
+def _eliminate(plan: tuple, packed: int, x: int, memo: MemoCache, table: _Table) -> int:
     """P with the vertex v of an elimination plan, of degree 1 or 2, removed
-    in one step: the arithmetic on one sets tuple.
+    in one step: the arithmetic on one packed int of sets, as _rec holds
+    them.
 
     Once v's neighbours w are coloured, v has x - |s_v| - sum_w [c_w not in
     s_v] + [c_a = c_b not in s_v] colours left, the last term for the two
@@ -279,20 +334,20 @@ def _eliminate(plan: tuple, sets: tuple, x: int, memo: MemoCache, table: dict) -
     is 0, and left out, when a and b are adjacent.  A term for w with s_v
     inside s_w is P(G - v) itself, so it only lowers that coefficient.
     """
-    _, v, rest, ws, merged = plan
-    rest_sets, sv = sets[:v] + sets[v + 1:], sets[v]
+    _, (shift, above, below), full, rest, ws, merged = plan
+    sv = packed >> shift & full
+    rest_packed = packed & below | packed >> above << shift
     coeff, value = x - sv.bit_count(), 0
-    for w in ws:
-        sw = rest_sets[w]
-        if sw & sv == sv:
+    for to in ws:
+        if rest_packed >> to & sv == sv:
             coeff -= 1
         else:
-            value -= _rec(rest, rest_sets[:w] + (sw | sv,) + rest_sets[w + 1:], x, memo, table)
-    value += coeff * _rec(rest, rest_sets, x, memo, table)
+            value -= _rec(rest, rest_packed | sv << to, x, memo, table)
+    value += coeff * _rec(rest, rest_packed, x, memo, table)
     if merged is not None:
-        a, b = ws
-        joined = rest_sets[:a] + (rest_sets[a] | rest_sets[b] | sv,) + rest_sets[a + 1:b] + rest_sets[b + 1:]
-        value += _rec(merged, joined, x, memo, table)
+        merged, to, (shift, above, below) = merged
+        joined = rest_packed | (rest_packed >> shift & full | sv) << to
+        value += _rec(merged, joined & below | joined >> above << shift, x, memo, table)
     return value
 
 

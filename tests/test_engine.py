@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -347,16 +348,20 @@ class TestPeeling:
         # is reached, and each polynomial matches the counter at n + 1 points
         eliminate, seen = engine._eliminate, set()
 
-        def spy(plan, sets, x, memo, table):
-            # ws are the neighbours' indices in rest, the graph less v
-            _, v, rest, ws, merged = plan
+        def spy(plan, packed, x, memo, table):
+            # ws are the shifts of the neighbours' slots in rest, the graph
+            # less v; vertex i's set is slot i of packed, at the table's width
+            _, (shift, _, _), full, rest, ws, merged = plan
             if len(ws) == 2:
-                a, b = ws
+                width = full.bit_length()
+                assert width == table.width
+                v, (a, b) = shift // width, (to // width for to in ws)
                 adjacent = bool(rest[a] >> b & 1)
                 assert (merged is None) == adjacent, plan
-                inside = sum(sets[v] & sets[w + (w >= v)] == sets[v] for w in ws)
+                sv = packed >> shift & full
+                inside = sum(packed >> (w + (w >= v)) * width & sv == sv for w in (a, b))
                 seen.add((adjacent, inside))
-            return eliminate(plan, sets, x, memo, table)
+            return eliminate(plan, packed, x, memo, table)
 
         monkeypatch.setattr(engine, "_eliminate", spy)
         rng = random.Random(79)
@@ -406,8 +411,13 @@ class TestPeeling:
         memo = MemoCache()
         huge = restrained_poly(c7, R("[{1},{2},{1},{2},{1000000000},{1},{1000000000}]"), cache=memo)
         assert huge == restrained_poly(c7, R("[{1},{2},{1},{2},{3},{1},{3}]"))
-        stored = [sets for table in memo._tables.values() for _, values in table.values() for sets in values]
-        assert max(s.bit_length() for sets in stored for s in sets) == 3
+        # three colours, so three bits a vertex: every stored packing holds
+        # len(adj) slots of 3 bits, and the top colour takes a slot's top bit
+        assert {width for _, width in memo._tables} == {3}
+        stored = [(len(adj), packed) for table in memo._tables.values() for adj, (_, values) in table.items()
+                  for packed in values]
+        assert all(packed >> 3 * n == 0 for n, packed in stored)
+        assert max((packed >> 3 * i & 7).bit_length() for n, packed in stored for i in range(n)) == 3
 
     def test_sparse_queries_pinned(self):
         # digest taken from the edge-list recursion that had no peeling rules
@@ -423,6 +433,79 @@ class TestPeeling:
             p = restrained_poly(g, r)
             for _ in range(3):
                 assert restrained_poly(*relabel(g, r, rng.sample(range(g.n), g.n))) == p, (g, r)
+
+class TestPacking:
+    """_rec holds the forbidden sets as one int, vertex i's set in bits
+    [i W, (i + 1) W) for W distinct colours (at least 1)."""
+
+    # a triangle and a path (the counter reaches 130 colours on 3 vertices),
+    # two eliminations that merge (C5, C6), branches (K4, the wheel W5, K5)
+    # and a split into K4s on 0, 1, 5, 6 and 2, 3, 4, 7 and the isolated
+    # vertex 8, whose slots move to other positions
+    GRAPHS = [
+        cycle_graph(3), path_graph(3), cycle_graph(5), cycle_graph(6), complete_graph(4),
+        Graph(6, [*cycle_graph(5).edges, *((v, 5) for v in range(5))]), complete_graph(5),
+        Graph(9, [*combinations((0, 1, 5, 6), 2), *combinations((2, 3, 4, 7), 2)]),
+    ]
+
+    @pytest.mark.parametrize("colours", [1, 29, 30, 31, 60, 61, 64, 65, 130])
+    def test_widths_at_digit_boundaries(self, colours):
+        # CPython stores ints in 30-bit digits, so at these widths a slot
+        # ends at, just before or just past a digit boundary, or spans
+        # several; each colour is on vertex c mod n and on others at random,
+        # so every slot's top bits are used.  Checked against the counter at
+        # n + 1 points where its budget allows, else the subgraph expansion
+        rng = random.Random(colours)
+        for g in self.GRAPHS:
+            sets = [set() for _ in range(g.n)]
+            for c in range(1, colours + 1):
+                for v in range(g.n):
+                    if v == c % g.n or rng.random() < 0.3:
+                        sets[v].add(c)
+            r = Restraint(sets)
+            memo = MemoCache()
+            p = restrained_poly(g, r, cache=memo)
+            assert {width for _, width in memo._tables} == {colours}
+            xs = range(colours, colours + g.n + 1)
+            if xs[-1] ** g.n <= ORACLE_WORK_BUDGET:
+                assert [p.evaluate(x) for x in xs] == [count_colourings(g, r, x) for x in xs], (g, colours)
+            else:
+                assert p.coeffs == subgraph_expansion(g, r), (g, colours)
+
+    def test_no_colours(self):
+        # n = 0, an edgeless graph and all-empty sets: W is 1 and every
+        # stored packing is 0 where no set holds a colour
+        memo = MemoCache()
+        assert restrained_poly(Graph(0), R("[]"), cache=memo) == IntPolynomial([1])
+        # x (x - 2) (x - 1) x
+        assert restrained_poly(empty_graph(4), R("[{},{3,8},{5},{}]")) == IntPolynomial([0, 0, 2, -3, 1])
+        for g in [empty_graph(3), path_graph(4), cycle_graph(5), complete_graph(4), Graph(5, [(0, 1), (2, 3)])]:
+            r = empty_restraint(g)
+            p = restrained_poly(g, r, cache=memo)
+            assert p.coeffs == subgraph_expansion(g, r), g
+            xs = range(g.n + 1)
+            assert [p.evaluate(x) for x in xs] == [count_colourings(g, r, x) for x in xs], g
+        assert {width for _, width in memo._tables} == {1}
+        assert {packed for table in memo._tables.values() for _, values in table.values() for packed in values} == {0}
+
+    def test_shared_cache_keeps_widths_apart(self):
+        # k = 1 restraints on C6 with 1, 2, 3 and 6 colours share X, as
+        # every k-restraint on a graph does, and not W: a shared cache
+        # gives the private polynomials, and each restraint's values land
+        # in its own (X, W) table, as many as a private cache stores
+        c6 = cycle_graph(6)
+        restraints = [R("[{1},{1},{1},{1},{1},{1}]"), R("[{1},{2},{1},{2},{1},{2}]"),
+                      R("[{1},{2},{3},{1},{2},{3}]"), R("[{1},{2},{3},{4},{5},{6}]")]
+        shared, private = MemoCache(), []
+        for r in restraints:
+            memo = MemoCache()
+            private.append((restrained_poly(c6, r, cache=memo), memo.misses))
+        assert [restrained_poly(c6, r, cache=shared) for r in restraints] == [p for p, _ in private]
+        (x,) = {x for x, _ in shared._tables}
+        assert list(shared._tables) == [(x, 1), (x, 2), (x, 3), (x, 6)]
+        stored = [sum(len(values) for _, values in table.values()) for table in shared._tables.values()]
+        assert stored == [misses for _, misses in private]
+
 
 class TestMemoCache:
     def test_stats_and_reuse(self, c7):
@@ -465,7 +548,7 @@ class TestMemoCache:
     # stats of the recursion that eliminates a pendant or degree-2 vertex
     # before any component split or pivot
     @pytest.mark.parametrize("name, k, stats", [
-        ("C8", 1, {"hits": 45, "misses": 52, "peak_entries": 52}),
+        ("C8", 1, {"hits": 44, "misses": 53, "peak_entries": 53}),
         ("P5", 2, {"hits": 6, "misses": 14, "peak_entries": 14}),
         ("K2,3", 2, {"hits": 18, "misses": 21, "peak_entries": 21}),
     ])
@@ -485,17 +568,17 @@ class TestMemoCache:
 
     def test_plans_built_once_per_adjacency(self, monkeypatch):
         # one cache across the sparse queries, at several points X, and every
-        # class of C8 at k = 1: each adjacency is planned once per point it is
-        # met at, whatever its sets, and every polynomial is the one a private
-        # cache gives
+        # class of C8 at k = 1, at several widths W: each adjacency is planned
+        # once per table (X, W) it is met in, whatever its sets, and every
+        # polynomial is the one a private cache gives
         c8 = cycle_graph(8)
         queries = sparse_queries() + [(c8, cls.representative) for cls in restraint_classes(c8, 1)]
         private = [restrained_poly(g, r) for g, r in queries]
         plan, planned = engine._plan, []
 
-        def spy(adj):
+        def spy(adj, width):
             planned.append(adj)
-            return plan(adj)
+            return plan(adj, width)
 
         monkeypatch.setattr(engine, "_plan", spy)
         shared = MemoCache()

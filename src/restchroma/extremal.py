@@ -154,12 +154,13 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     distinct key before any class is read, and every class with that key
     shares the pair.  Both maps are then filled in one pass over the
     classes, each keyed by the id rendered from its canon (render_id), and
-    no list is held per class but the canons and their keys.  A
-    RestraintClass is built only for a tied class or a winner.
+    no list is held per class but the canons and their keys, one tuple per
+    distinct key.  A RestraintClass is built only for a tied class or a
+    winner.
     """
     canons = enumerate_k_restraints(g, k)
-    key = dominance_key(g, k)
-    keys = list(map(key, canons))
+    held = {}
+    keys = [held.setdefault(x, x) for x in map(dominance_key(g, k), canons)]
     best, worst = max(keys), min(keys)
     poly = _class_polys(g, cache if cache is not None else MemoCache())
     max_canons, max_poly = _tie_break([c for c, c_key in zip(canons, keys) if c_key == best], max, poly)
@@ -167,7 +168,7 @@ def find_extremal(g: Graph, k: int, cache: MemoCache | None = None) -> ExtremalR
     n = g.n
     # key -> (max witness, min witness) of the classes that tie neither side
     gaps = {class_key: (_gap(best, class_key, None, None, n), _gap(class_key, worst, None, None, n))
-            for class_key in set(keys) if class_key != best and class_key != worst}
+            for class_key in held if class_key != best and class_key != worst}
     max_witness = {}
     min_witness = {}
     for canon, class_key in zip(canons, keys):
@@ -252,7 +253,8 @@ def theorem_search(g: Graph, k: int) -> TheoremSearch:
         proper = None
     else:
         proper = tuple(enumerate_k_restraints(g, k, g.adjacency_masks()))
-        keys = list(map(dominance_key(g, k), proper))
+        held = {}
+        keys = [held.setdefault(x, x) for x in map(dominance_key(g, k), proper)]
         best = max(keys)
         max_tied = tuple(c for c, c_key in zip(proper, keys) if c_key == best)
     winners = _tie_break(max_tied, max, _class_polys(g, MemoCache()))[0] if len(max_tied) > 1 else max_tied

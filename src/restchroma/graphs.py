@@ -184,19 +184,10 @@ class Graph:
         0..i in the stabilizer of 0..i-1.  So every automorphism is
         t_0 o t_1 o ... o t_(n-1), one element t_i of each level, in exactly
         one way (level_products), and |Aut| is the product of the level
-        sizes.  A group over AUTOMORPHISM_BUDGET raises CapError, with its
-        exact order, on every call.
+        sizes.  Level i holds at most n - i elements, whatever the group's
+        order, so the chain has no budget: only automorphisms() lists the
+        group.
         """
-        levels = self._levels()
-        order = math.prod(map(len, levels))
-        if order > AUTOMORPHISM_BUDGET:
-            raise CapError(f"automorphism budget exceeded ({order} automorphisms > {AUTOMORPHISM_BUDGET}, n={self.n})")
-        return levels
-
-    def _levels(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """stabilizer_chain's levels without its budget (cached): at most
-        n - i elements at level i, whatever the group's order, so the
-        catalog reads the generators of a group too large to list."""
         if self._chain is None:
             n, adj = self.n, self.adjacency_masks()
             identity = tuple(range(n))
@@ -212,11 +203,16 @@ class Graph:
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Full automorphism group as explicit vertex permutations, sorted:
-        the products of the whole stabilizer_chain (cached), so a group over
-        AUTOMORPHISM_BUDGET raises CapError before any element is formed.
-        The list is not cached: neither the catalog (_orbit_least) nor the
-        class orbits (restraints._orbit_blocks) read it."""
-        return sorted(level_products(self.stabilizer_chain(), self.n))
+        the products of the whole stabilizer_chain (cached).  A group over
+        AUTOMORPHISM_BUDGET raises CapError, with its exact order, before
+        any element is formed.  The list is not cached, and no package code
+        reads it: the catalog (_orbit_least) and the class orbits
+        (restraints._orbit_blocks) read the chain."""
+        levels = self.stabilizer_chain()
+        order = math.prod(map(len, levels))
+        if order > AUTOMORPHISM_BUDGET:
+            raise CapError(f"automorphism budget exceeded ({order} automorphisms > {AUTOMORPHISM_BUDGET}, n={self.n})")
+        return sorted(level_products(levels, self.n))
 
 
 def level_products(levels, n: int) -> list[tuple[int, ...]]:
@@ -634,9 +630,9 @@ def _orbit_least(g: Graph) -> list[int]:
     its entry and its image's under one transversal element of g's
     stabilizer chain, until a pass changes nothing: the elements generate
     the group, so the minimum then holds across each orbit.  The group is
-    never listed, so it has no budget."""
+    never listed."""
     least = list(range(1 << g.n))
-    images = [_subset_masks(t) for level in g._levels() for t in level[1:]]
+    images = [_subset_masks(t) for level in g.stabilizer_chain() for t in level[1:]]
     moved = bool(images)
     while moved:
         moved = False

@@ -498,8 +498,8 @@ def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]
     normal forms, counted by normal_form_count as an upper bound on the
     unfiltered walk, raise CapError before the stabilizer chain is built;
     the count stops at the first vertex whose prefixes pass the budget.
-    The chain raises CapError for a group over AUTOMORPHISM_BUDGET, as
-    listing the group would, though the orbits never list it.
+    That is the one budget: the orbits never list the group, and each is a
+    set of the colour classes the walk visits, at most that count.
     """
     normal_form_count(g.n, k)  # raises ValueError for k < 1
     canons: list[tuple[int, ...]] = []

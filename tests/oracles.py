@@ -483,11 +483,11 @@ def key_bound_faults(graphs, k: int) -> list:
     to the proper ones visits (_normal_form_masks avoiding the neighbours,
     which filtered_walk_faults checks against is_proper).  The walk builds
     no automorphism group, and the key is the same on every form of a
-    restraint class, so a group over AUTOMORPHISM_BUDGET (K1,9's) is no
-    bar.  The faults: a proper form's second key above B; on a connected
-    bipartite graph with n >= 2, a best key other than (0, B), or forms
-    other than the alternating restraint's sorted masks reaching B; on a
-    connected graph with an odd cycle, a form that reaches B."""
+    restraint class, so a large group (K1,9's 362,880 automorphisms) costs
+    nothing.  The faults: a proper form's second key above B; on a
+    connected bipartite graph with n >= 2, a best key other than (0, B),
+    or forms other than the alternating restraint's sorted masks reaching
+    B; on a connected graph with an odd cycle, a form that reaches B."""
     bad = []
     for g in graphs:
         graph_id, key, adj = to_graph6(g), dominance_key(g, k), g.adjacency_masks()
@@ -724,7 +724,7 @@ RUNS = [
     # 996 graphs of connected_catalog(7) are bipartite, K1 among them); the CI
     # rows cover the graphs that `verify --theorem bipartite` checks in CI up
     # to n = 9 (connected_bipartite_catalog(10) at k = 1 gives [] in 95-100 s
-    # on a 2-core box); K1,9's group is over AUTOMORPHISM_BUDGET
+    # on a 2-core box); K1,9 has a large group (362,880 automorphisms)
     Run(key_bound_faults, "connected_catalog(6)", 1, [], TIER1),
     Run(key_bound_faults, "connected_catalog(5)", 2, [], TIER1),
     Run(key_bound_faults, "K1,9", 1, [], TIER1),

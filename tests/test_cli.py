@@ -224,9 +224,10 @@ class TestClasses:
         assert code == 3 and "normal-form budget" in err
         code, _, err = run(capsys, "classes", "--graph", "C13", "--k", "1")
         assert code == 3 and "normal-form budget" in err
-        # K11's Bell(11) forms pass, its 39,916,800 automorphisms do not
-        code, _, err = run(capsys, "extremal", "--graph", "K11", "--k", "1")
-        assert code == 3 and "automorphism budget" in err
+        # the group's order is no budget: K10's 3,628,800 automorphisms are
+        # never listed, and its classes at k = 1 are the p(10) partitions
+        code, out, _ = run(capsys, "classes", "--graph", "K10", "--k", "1", "--json")
+        assert code == 0 and len(json.loads(out)["classes"]) == 42
 
 
 class TestExtremal:
@@ -476,6 +477,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--theorem", "a7", "--graph", "C4", "--k", "1")
         assert code == 0
         assert "0 violations" in out
+
+    def test_groups_over_the_automorphism_budget_admitted(self, capsys):
+        # K9's 362,880 automorphisms and K1,9's are never listed; K1,9's
+        # centre is alone in its orbit and its leaves are partitioned freely,
+        # so its proper classes at k = 1 are the p(9) = 30 leaf partitions
+        code, out, _ = run(capsys, "verify", "--theorem", "all", "--graph", "K9", "--k", "1")
+        assert code == 0 and "0 violations" in out
+        code, out, _ = run(capsys, "verify", "--theorem", "a7", "--graph", "K1,9", "--k", "1", "--json")
+        (record,) = json.loads(out)["records"]
+        assert (code, record["ok"], record["proper_class_count"]) == (0, True, 30)
 
     def test_min_refused_at_large_k(self, capsys):
         # the min record reads no search, but the forms budget must still

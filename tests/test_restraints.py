@@ -18,6 +18,17 @@ from oracles import first_use_forms, restraint_classes, restraint_of
 
 R = parse_restraint
 
+
+def partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n), the integer partition counts, by adding parts of
+    each size 1..n in turn."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    return counts
+
+
 # the library entry points that take a graph and a restraint
 FIT_CHECKED = [
     "canonicalize", "coeff_n1", "coeff_n2", "coeff_n3", "common_neighbor_overlap", "count_colourings",
@@ -271,6 +282,23 @@ class TestEnumeration:
 
     def test_single_vertex(self):
         assert len(enumerate_k_restraints(Graph(1), 1)) == 1
+
+    @pytest.mark.parametrize("n, count", [(9, 30), (10, 42)])
+    def test_symmetric_group_classes_are_partitions(self, n, count):
+        # with Aut = S_n, a class at k = 1 is a partition of the n vertices
+        # by colour, so there are p(n) of them, though the group's n! is
+        # over the automorphism budget
+        assert partition_counts(n)[n] == count
+        assert len(enumerate_k_restraints(complete_graph(n), 1)) == count
+        assert len(enumerate_k_restraints(empty_graph(n), 1)) == count
+
+    def test_star_classes_are_leaf_partitions(self):
+        # the centre of K1,9 is alone in its orbit; its colour is shared by
+        # some j leaves or by none, and the other leaves are partitioned
+        # freely, so there are sum over j <= 9 of p(j) classes
+        counts = partition_counts(9)
+        assert sum(counts) == 97
+        assert len(enumerate_k_restraints(star_graph(9), 1)) == 97
 
     def test_classes_are_valid_k_restraints(self, c4):
         for k in (1, 2):

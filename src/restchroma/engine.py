@@ -32,9 +32,9 @@ node's first miss, and the packed sets met on that adjacency share it.
 Only the arithmetic on the sets (the product, the elimination, the
 component product, or deletion minus contraction) is done once per
 (adjacency, packed sets, X, W), the memo's entry.  A caller reads a child's
-value from the child's node, counts the hit itself, and calls _rec only on
-a miss, so a hit costs a dict lookup, neither a frame nor a hash of the
-child's adjacency.
+value as node.values.get(sub) or _rec(...), every value being at least 1
+(restrained_poly), so a hit costs a dict lookup, neither a frame nor a hash
+of the child's adjacency, and counts nothing (MemoCache derives hits).
 
 The resulting polynomial agrees with the permitted proper-colouring count
 for every x at or above the largest forbidden colour; below that threshold
@@ -74,26 +74,32 @@ class MemoCache:
     the same W, so the searches, one cache per (graph, k), share plans and
     values between the restraints of one colour count.
 
-    Whoever looks a value up counts the hit: restrained_poly for the whole
-    problem and _rec for each child it reads.  Only a miss enters _rec, and
-    each miss stores one value, never dropped, so misses and peak_entries
-    are the number of values stored.  Passing one cache to several
-    computations lets them reuse each other's plans and values at a point
-    and width they share.  It is not synchronised: use it from one thread
-    at a time.
+    Only a miss enters _rec, and each miss stores one value, never dropped,
+    so misses and peak_entries are the number of values stored.  Each
+    lookup, one per restrained_poly call and _lookups(plan) per miss less
+    the degree-2 terms skipped, finds a value or leads to one stored value:
+    so hits = calls - skipped + the sum of len(values) (_lookups(plan) - 1)
+    over the nodes.  Passing one cache to several computations lets them
+    reuse each other's plans and values at a point and width they share.
+    It is not synchronised: use it from one thread at a time.
     """
 
-    __slots__ = ("_tables", "hits")
+    __slots__ = ("_tables", "calls", "skipped")
 
     def __init__(self):
         self._tables: dict = {}
-        self.hits = 0
+        self.calls = self.skipped = 0
 
     @property
     def misses(self) -> int:
         return sum(len(node.values) for table in self._tables.values() for node in table.values())
 
     peak_entries = misses
+
+    @property
+    def hits(self) -> int:
+        nodes = (node for table in self._tables.values() for node in table.values() if node.values)
+        return self.calls - self.skipped + sum(len(node.values) * (_lookups(node.plan) - 1) for node in nodes)
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "peak_entries": self.peak_entries}
@@ -147,8 +153,12 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
     (-1)^|A| prod over the components K of (V, A) of (x - |union of r(v),
     v in K|), and as prod (x - a_K) has absolute coefficients summing to
     prod (1 + a_K) <= prod_v (1 + |r(v)|) <= 2^(sum_v bit_length(|r(v)|)),
-    every |c_i| <= 2^(s-2).  The cache keys each value on X and W as well as
-    its subproblem; X is the same for every k-restraint on g.
+    the |c_i| sum to at most 2^(s-2).  So do every subproblem's: it has at
+    most m edges, and its sets are unions of disjoint groups of r's, where
+    1 + |A | B| <= (1 + |A|) (1 + |B|); so on n' vertices its value is at
+    least X^n' - 2^(s-2) X^(n'-1) >= 1, and _rec reads values with "or".
+    The cache keys each value on X and W as well as its subproblem; X is
+    the same for every k-restraint on g.
 
     cache: None for a private memo table, or a shared MemoCache instance.
     """
@@ -174,12 +184,8 @@ def restrained_poly(g: Graph, r: Restraint, cache: MemoCache | None = None) -> I
     if table is None:
         table = cache._tables[x, w] = _Table(w)
     node = table[g.adjacency_masks()]
-    value = node.values.get(packed)
-    if value is None:
-        value = _rec(node, packed, x, cache, table)
-    else:
-        cache.hits += 1
-    return IntPolynomial._trusted(_digits(value, s))
+    cache.calls += 1
+    return IntPolynomial._trusted(_digits(node.values.get(packed) or _rec(node, packed, x, cache, table), s))
 
 
 def _digits(value: int, s: int) -> tuple[int, ...]:
@@ -291,6 +297,14 @@ def _plan(adj: tuple, table: _Table):
     return _SPLIT, full, tuple(parts)
 
 
+def _lookups(plan) -> int:
+    """The child lookups of a miss on plan, an elimination's skipped terms counted."""
+    kind = plan[0]
+    if kind == _ELIMINATE:
+        return len(plan[4]) + 1 + (plan[5] is not None)
+    return 2 if kind == _BRANCH else len(plan[2]) if kind == _SPLIT else 0
+
+
 def _rec(node: _Node, packed: int, x: int, memo: MemoCache, table: _Table) -> int:
     """P(x) on the labeled subproblem (node.adj, packed), packed not yet in
     node.values: the miss path, which computes the value, stores it and
@@ -303,9 +317,9 @@ def _rec(node: _Node, packed: int, x: int, memo: MemoCache, table: _Table) -> in
     first miss and holds the children's nodes.  A miss does only the
     arithmetic on its packed sets, reading the plan's shifts: the edgeless
     product, the elimination, the product over components, or the pivot
-    edge's deletion minus its contraction.  Each child's value is looked up
-    in that child's values here, a hit counted here, and _rec is entered
-    only on a miss.
+    edge's deletion minus its contraction.  A child's value is read as
+    values.get(sub) or _rec(child, sub, ...), every value being at least 1
+    (restrained_poly), so _rec is entered only on a miss; hits go uncounted.
 
     An elimination removes the vertex v of degree 1 or 2 in one step.  Once
     v's neighbours w are coloured, v has x - |s_v| - sum_w [c_w not in s_v]
@@ -336,30 +350,16 @@ def _rec(node: _Node, packed: int, x: int, memo: MemoCache, table: _Table) -> in
         for to in ws:
             if rest_packed >> to & sv == sv:
                 coeff -= 1
+                memo.skipped += 1
             else:
                 sub = rest_packed | sv << to
-                got = values.get(sub)
-                if got is None:
-                    got = _rec(rest, sub, x, memo, table)
-                else:
-                    memo.hits += 1
-                value -= got
-        got = values.get(rest_packed)
-        if got is None:
-            got = _rec(rest, rest_packed, x, memo, table)
-        else:
-            memo.hits += 1
-        value += coeff * got
+                value -= values.get(sub) or _rec(rest, sub, x, memo, table)
+        value += coeff * (values.get(rest_packed) or _rec(rest, rest_packed, x, memo, table))
         if merged is not None:
             merged, to, (shift, above, below) = merged
             joined = rest_packed | (rest_packed >> shift & full | sv) << to
             joined = joined & below | joined >> above << shift
-            got = merged.values.get(joined)
-            if got is None:
-                got = _rec(merged, joined, x, memo, table)
-            else:
-                memo.hits += 1
-            value += got
+            value += merged.values.get(joined) or _rec(merged, joined, x, memo, table)
     elif kind == _EDGELESS:
         _, shifts, full = plan
         value = 1
@@ -374,7 +374,6 @@ def _rec(node: _Node, packed: int, x: int, memo: MemoCache, table: _Table) -> in
             node = deleted
             value = node.values.get(packed)
             if value is not None:
-                memo.hits += 1
                 break
             plan = node.plan
             if plan is None:
@@ -383,12 +382,7 @@ def _rec(node: _Node, packed: int, x: int, memo: MemoCache, table: _Table) -> in
                 value = _rec(node, packed, x, memo, table)
                 break
         for node, merged, joined in reversed(chain):
-            got = merged.values.get(joined)
-            if got is None:
-                got = _rec(merged, joined, x, memo, table)
-            else:
-                memo.hits += 1
-            value -= got
+            value -= merged.values.get(joined) or _rec(merged, joined, x, memo, table)
             node.values[packed] = value
         return value
     else:
@@ -398,12 +392,7 @@ def _rec(node: _Node, packed: int, x: int, memo: MemoCache, table: _Table) -> in
             sub = 0
             for source, target in moves:
                 sub |= (packed >> source & full) << target
-            got = part.values.get(sub)
-            if got is None:
-                got = _rec(part, sub, x, memo, table)
-            else:
-                memo.hits += 1
-            value *= got
+            value *= part.values.get(sub) or _rec(part, sub, x, memo, table)
     node.values[packed] = value
     return value
 

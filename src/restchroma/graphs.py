@@ -626,20 +626,15 @@ def _extended(cache: dict[int, list[Graph]], n: int, offers) -> list[Graph]:
 
 def _orbit_least(g: Graph) -> list[int]:
     """Entry s is the smallest vertex mask in the orbit of the mask s under
-    g's automorphism group.  Each pass takes, at every mask, the smaller of
-    its entry and its image's under one transversal element of g's
-    stabilizer chain, until a pass changes nothing: the elements generate
-    the group, so the minimum then holds across each orbit.  The group is
-    never listed."""
+    g's automorphism group, the group never listed.  Every automorphism is
+    t_0 o ... o t_(n-1), one t_i of each level of g's stabilizer chain, so
+    taking least = min(least, least o t) for each t of level 0, then of
+    level 1, and so on, leaves after level j the minimum over automorphisms
+    that include every t_0 o ... o t_j: one pass, in chain order."""
     least = list(range(1 << g.n))
-    images = [_subset_masks(t) for level in g.stabilizer_chain() for t in level[1:]]
-    moved = bool(images)
-    while moved:
-        moved = False
-        for image in images:
-            lower = list(map(min, least, map(least.__getitem__, image)))
-            moved |= lower != least
-            least = lower
+    for level in g.stabilizer_chain():
+        for t in level[1:]:
+            least = list(map(min, least, map(least.__getitem__, _subset_masks(t))))
     return least
 
 

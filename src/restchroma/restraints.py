@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from operator import or_
 from typing import Iterable, NamedTuple
 
@@ -337,8 +337,15 @@ class _Rows(dict):
 
 
 def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
-    """Canonical class of a restraint under automorphism x colour bijection."""
+    """Canonical class of a restraint under automorphism x colour bijection.
+
+    Its orbit holds at most |Aut| forms, so a group whose order (the product
+    of the stabilizer chain's level sizes) passes FORMS_BUDGET raises
+    CapError before any orbit is expanded."""
     check_fit(g, r)
+    order = prod(map(len, g.stabilizer_chain()))
+    if order > FORMS_BUDGET:
+        raise CapError(f"normal-form budget exceeded (group of order {order} > {FORMS_BUDGET}, n={g.n})")
     return RestraintClass(min(_orbit_blocks(g)(tuple(sorted(incidence_masks(r))))), g.n)
 
 

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from restchroma import (
     CapError, Graph, IntPolynomial, MemoCache, Restraint, all_connected_graphs, canonicalize, coeff_n1, coeff_n2,
-    coeff_n3, complete_bipartite_graph, complete_graph, constant_restraint, count_colourings, cycle_graph,
-    empty_graph, empty_restraint, from_name, parse_restraint, path_graph, restrained_poly, shared_pair_overlap,
+    coeff_n3, complete_bipartite_graph, complete_graph, connected_catalog, constant_restraint, count_colourings,
+    cycle_graph, empty_graph, empty_restraint, from_name, parse_restraint, path_graph, restrained_poly,
+    shared_pair_overlap,
 )
 from restchroma import engine
 from restchroma.engine import ORACLE_WORK_BUDGET, _digits
@@ -610,6 +611,58 @@ class TestMemoCache:
         for g, r in queries:
             restrained_poly(g, r, cache=shared)
         assert shared.hits > 0 and len(calls) == shared.misses
+
+    def test_hits_are_the_lookups_that_find_a_value(self, monkeypatch):
+        # MemoCache derives its hits; here each node's values count every
+        # get that finds a value, the root lookup of restrained_poly and the
+        # deletion chain's included.  Over wide and overlapping sets, graphs
+        # of several components and K_n, whose deletions chain branch
+        # plans, on a private cache per query and one shared by all, each
+        # query asked twice
+        found = []
+
+        class Counted(dict):
+            def get(self, key):
+                value = dict.get(self, key)
+                if value is not None:
+                    found.append(key)
+                return value
+
+        class Node(engine._Node):
+            __slots__ = ()
+
+            def __init__(self, adj):
+                super().__init__(adj)
+                self.values = Counted()
+
+        monkeypatch.setattr(engine, "_Node", Node)
+        rng = random.Random(97)
+        graphs = [random_graph(rng, max_n=9, edge_prob=0.3) for _ in range(30)]
+        graphs += [complete_graph(n) for n in range(4, 9)]
+        graphs += [disjoint_union(complete_graph(5), cycle_graph(4)), disjoint_union(path_graph(3), empty_graph(2))]
+        queries = [(g, random_restraint(rng, g.n, max_colour=size + 1, max_size=size))
+                   for g in graphs for size in (2, 5)]
+        shared, skipped = MemoCache(), 0
+        for g, r in queries:
+            memo, found[:] = MemoCache(), []
+            restrained_poly(g, r, cache=memo)
+            assert memo.hits == len(found), (g, r)
+            skipped += memo.skipped
+        found[:] = []
+        for g, r in queries * 2:
+            restrained_poly(g, r, cache=shared)
+        assert shared.hits == len(found) and skipped > 0
+
+    def test_every_stored_value_is_at_least_one(self):
+        # each child value is read as values.get(sub) or _rec(...), which a
+        # stored 0 would send back into the recursion
+        queries = sparse_queries() + [(g, cls.representative) for k in (1, 2) for g in connected_catalog(5)
+                                      for cls in restraint_classes(g, k)]
+        memo = MemoCache()
+        for g, r in queries:
+            restrained_poly(g, r, cache=memo)
+        assert min(value for table in memo._tables.values() for node in table.values()
+                   for value in node.values.values()) >= 1
 
 
 class TestDigits:

@@ -387,6 +387,15 @@ class TestCatalog:
         assert len(connected_catalog(6)) == 143
         assert sum(named.values()) < 759, named
 
+    def test_orbit_least_is_the_orbit_minimum(self):
+        # _orbit_least folds the chain's levels in once, in chain order:
+        # each entry against the least image of its mask under the listed
+        # group
+        for g in connected_catalog(6) + [complete_graph(7), complete_bipartite_graph(3, 4), star_graph(6)]:
+            images = [[sum(1 << t[v] for v in range(g.n) if s >> v & 1) for s in range(1 << g.n)]
+                      for t in g.automorphisms()]
+            assert graphs_module._orbit_least(g) == [min(column) for column in zip(*images)], to_graph6(g)
+
     def test_offers_of_a_group_over_the_budget(self):
         # K1,9's 362,880 automorphisms are over the budget, so listing them
         # is refused; the catalog reads only the chain's generators, and

@@ -13,7 +13,7 @@ from restchroma import (
     complete_bipartite_graph, complete_graph, connected_catalog, constant_restraint, cycle_graph, empty_graph,
     empty_restraint, enumerate_k_restraints, is_proper, parse_restraint, path_graph, render_restraint, star_graph,
 )
-from restchroma.restraints import _normal_form_masks, id_masks, normal_form_count
+from restchroma.restraints import _normal_form_masks, id_masks, incidence_masks, normal_form_count
 from oracles import first_use_forms, restraint_classes, restraint_of
 
 R = parse_restraint
@@ -234,6 +234,26 @@ class TestEquivalence:
         assert canonicalize(p3, R("[{1},{2},{2}]")).canon != canonicalize(p3, R("[{1},{2},{1}]")).canon
         # reversal of the path maps end to end
         assert canonicalize(p3, R("[{1},{2},{3}]")).canon == canonicalize(p3, R("[{3},{2},{1}]")).canon
+
+    def test_canonicalize_refuses_a_group_over_the_forms_budget(self):
+        # an orbit holds at most |Aut| forms, so K14, of order 14!, is
+        # refused from its chain's level sizes before any orbit is expanded
+        # (seven colours on two vertices each, unbounded: over a second and
+        # 145 MB); K9, of order 9! = 362,880, stays admitted
+        start = time.perf_counter()
+        with pytest.raises(CapError, match=r"group of order 87178291200 > 3000000, n=14"):
+            canonicalize(complete_graph(14), Restraint([c // 2 + 1] for c in range(14)))
+        assert time.perf_counter() - start < 0.1
+        assert canonicalize(complete_graph(9), constant_restraint(complete_graph(9), 1)).canon == (511,)
+        # cycles (order 2n) and K3,4 are canonicalised: the canon is the
+        # least sorted mask tuple of the restraint's images under the
+        # listed group
+        for g in (cycle_graph(11), complete_bipartite_graph(3, 4)):
+            r = Restraint([v % 3 + 1, v * v % 4 + 1] for v in range(g.n))
+            masks = incidence_masks(r)
+            images = (tuple(sorted(sum(1 << t[v] for v in range(g.n) if mask >> v & 1) for mask in masks))
+                      for t in g.automorphisms())
+            assert canonicalize(g, r).canon == min(images), g
 
 
 class TestFit:

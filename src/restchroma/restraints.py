@@ -12,12 +12,15 @@ generation on, listed as canons by enumerate_k_restraints only; a
 RestraintClass or Restraint is built from one only on demand, and a class
 id is rendered from its canon (render_id, which RestraintClass.class_id
 calls), decoded (id_masks) and checked (RestraintClass.from_id) only here.
-Both canonicalisation and enumeration go through _orbit_blocks, the set of
-sorted mask tuples of a restraint's automorphic images: the canon is their
-minimum, and the enumeration marks a new class's whole orbit as seen, so
-each class is found once.  On a graph with a trivial group the enumeration
-skips them: each colour class is then one class, and its sorted masks its
-canon.  The group is never listed for them: the stabilizer chain's levels
+Canonicalisation goes through _orbit_blocks, the set of sorted mask
+tuples of a restraint's automorphic images, whose minimum is the canon,
+and so does enumeration on a group of order above 2: it marks a new
+class's whole orbit as seen, so each class is found once.  On a graph with
+a trivial group the enumeration skips them: each colour class is then one
+class, and its sorted masks its canon.  On a group {id, t} of order 2 it
+keeps a colour class iff its sorted masks are at most those of its image
+under t, one image per visit, with no orbit and no seen set.  The group is
+never listed for the orbits: the stabilizer chain's levels
 are multiplied, from the last, into blocks of at most ORBIT_BLOCK
 elements, and an orbit is expanded one block at a time, its sorted images
 deduplicated between blocks.  Images are computed a whole block at a time:
@@ -269,10 +272,10 @@ def _labels(count: int) -> tuple[str, ...]:
 def _orbit_blocks(g: Graph):
     """Return orbit(masks), the set of sorted mask tuples of a restraint's
     images under g's automorphisms (sorting is what renames the colours),
-    from its masks as a sorted tuple, which the orbit holds.  The
-    enumeration calls orbit once per class found, on the first sorted form
-    of it that the walk visits: one form per colour class, and at most
-    normal_form_count of them.
+    from its masks as a sorted tuple, which the orbit holds.  On a group of
+    order above 2 the enumeration calls orbit once per class found, on the
+    first sorted form of it that the walk visits: one form per colour
+    class, and at most normal_form_count of them.
 
     The group is read from g.stabilizer_chain() and never listed whole.  Its
     levels with more than the identity are multiplied into blocks from the
@@ -334,6 +337,19 @@ class _Rows(dict):
         low = mask & -mask
         row = self[mask] = list(map(or_, self[mask ^ low], self[low]))
         return row
+
+
+class _Image(dict):
+    """mask -> its image under one automorphism, holding the single-bit
+    masks' images from the start; a missing image is built from two, as
+    _Rows builds rows."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> int:
+        low = mask & -mask
+        image = self[mask] = self[mask ^ low] | self[low]
+        return image
 
 
 def canonicalize(g: Graph, r: Restraint) -> RestraintClass:
@@ -498,20 +514,44 @@ def enumerate_k_restraints(g: Graph, k: int, avoid=None) -> list[tuple[int, ...]
     along a prefix), so no form is sorted here.  When g's automorphism
     group is trivial (every level of its stabilizer chain is the identity
     alone), each colour class is one restraint class and the visited tuple
-    is its canon, so no orbit is computed.  Otherwise the
-    first candidate of a class marks the class's whole orbit as seen, so
-    every later candidate of it (whose visited tuple lies in that orbit) is
-    skipped; the canon is the orbit minimum.  More than FORMS_BUDGET
-    normal forms, counted by normal_form_count as an upper bound on the
-    unfiltered walk, raise CapError before the stabilizer chain is built;
-    the count stops at the first vertex whose prefixes pass the budget.
-    That is the one budget: the orbits never list the group, and each is a
-    set of the colour classes the walk visits, at most that count.
+    is its canon, so no orbit is computed.
+
+    When the chain has one level of two elements and every other level is
+    the identity alone, the group is {id, t}, and each visit is decided by
+    itself: masks M is kept iff M <= sorted(tM), with tM's masks looked up
+    one int each (_Image).  This is exact.  The class of M is the set of
+    colour classes {M, sorted(tM)}, and t preserves the filtered property,
+    so the walk visits each of them exactly once.  Since t is an
+    involution, sorted(tM) has image M, so both visits compare the same
+    two tuples and exactly one of them passes: the smaller, which is the
+    orbit minimum and so the canon.  When M = sorted(tM), the class's one
+    visit passes through the equality.  No orbit is built and no seen set
+    kept.
+
+    On a group of order above 2 the first candidate of a class marks the
+    class's whole orbit as seen, so every later candidate of it (whose
+    visited tuple lies in that orbit) is skipped; the canon is the orbit
+    minimum.
+
+    More than FORMS_BUDGET normal forms, counted by normal_form_count as an
+    upper bound on the unfiltered walk, raise CapError before the
+    stabilizer chain is built; the count stops at the first vertex whose
+    prefixes pass the budget.  That is the one budget: the orbits never
+    list the group, and each is a set of the colour classes the walk
+    visits, at most that count.
     """
     normal_form_count(g.n, k)  # raises ValueError for k < 1
     canons: list[tuple[int, ...]] = []
-    if all(len(level) == 1 for level in g.stabilizer_chain()):
+    levels = [level for level in g.stabilizer_chain() if len(level) > 1]
+    if not levels:
         visit = canons.append
+    elif len(levels) == 1 == len(levels[0]) - 1:
+        t = levels[0][1]
+        image = _Image({1 << v: 1 << t[v] for v in range(g.n)})
+
+        def visit(masks: tuple[int, ...]) -> None:
+            if masks <= tuple(sorted(map(image.__getitem__, masks))):
+                canons.append(masks)
     else:
         orbit = _orbit_blocks(g)
         seen: set[tuple[int, ...]] = set()

@@ -592,7 +592,8 @@ class TestMemoCache:
         assert len(shared._tables) > 1 and Counter(planned) == met
 
     def test_only_misses_enter_the_recursion(self, monkeypatch):
-        # every caller looks a child's value up itself and counts the hit,
+        # every caller looks a child's value up itself, and a hit is derived
+        # from the stored values (MemoCache.hits), not counted by the lookup,
         # so each call into _rec is a miss: over one cache shared by the
         # sparse queries and C8's classes at k = 1, no call finds its value
         # stored, and there are as many calls as values stored (no branch

@@ -14,7 +14,7 @@ from restchroma import (
     empty_restraint, enumerate_k_restraints, is_proper, parse_restraint, path_graph, render_restraint, star_graph,
 )
 from restchroma.restraints import _normal_form_masks, id_masks, incidence_masks, normal_form_count
-from oracles import first_use_forms, restraint_classes, restraint_of
+from oracles import first_use_forms, orbit_rows, restraint_classes, restraint_of
 
 R = parse_restraint
 
@@ -407,8 +407,32 @@ class TestEnumeration:
             assert len(canons) == len(set(canons)) == count
             assert canons == sorted(canons)
         # the stand-in replaces the builder that the enumeration calls
-        with pytest.raises(AssertionError, match="order 2"):
-            enumerate_k_restraints(path_graph(3), 1)
+        with pytest.raises(AssertionError, match="order 6"):
+            enumerate_k_restraints(complete_graph(3), 1)
+
+    def test_group_of_order_two_computes_no_orbit(self, monkeypatch):
+        # a group {id, t} keeps a colour class iff its masks are at most
+        # those of its image under t, with no orbit: the canons must equal
+        # those of the reference orbits over the listed group, filtered or not
+        from restchroma import restraints
+
+        def no_orbit(g):
+            raise AssertionError(f"orbit built for a group of order {len(g.automorphisms())}")
+
+        monkeypatch.setattr(restraints, "_orbit_blocks", no_orbit)
+        order_two = [g for g in connected_catalog(6) if len(g.automorphisms()) == 2]
+        assert len(order_two) == 50  # on 2 to 6 vertices
+        runs = [(path_graph(8), 1), (path_graph(5), 2)] + [(g, k) for g in order_two for k in (1, 2)]
+        counts = []
+        for g, k in runs:
+            orbit = orbit_rows(g.n, g.automorphisms())
+            for avoid in (None, g.adjacency_masks()):
+                visited = []
+                _normal_form_masks(g.n, k, visited.append, avoid)
+                reference = sorted({min(orbit(masks)) for masks in visited})
+                assert enumerate_k_restraints(g, k, avoid) == reference
+                counts.append(len(reference))
+        assert counts[0] == 2_152 and counts[2] == 938  # unfiltered: P8 at k = 1, P5 at k = 2
 
     def test_orbits_of_a_large_group_stay_small(self):
         # K3,7 has 30,240 automorphisms and 257 classes at k = 1.  A row per

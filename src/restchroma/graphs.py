@@ -203,11 +203,11 @@ class Graph:
 
     def automorphisms(self) -> list[tuple[int, ...]]:
         """Full automorphism group as explicit vertex permutations, sorted:
-        the products of the whole stabilizer_chain (cached).  A group over
-        AUTOMORPHISM_BUDGET raises CapError, with its exact order, before
-        any element is formed.  The list is not cached, and no package code
-        reads it: the catalog (_orbit_least) and the class orbits
-        (restraints._orbit_blocks) read the chain."""
+        the products of the whole stabilizer_chain, which is cached.  A
+        group over AUTOMORPHISM_BUDGET raises CapError, with its exact
+        order, before any element is formed.  The list itself is not
+        cached, and no package code reads it: the catalog (_orbit_least)
+        and the class orbits (restraints._orbit_blocks) read the chain."""
         levels = self.stabilizer_chain()
         order = math.prod(map(len, levels))
         if order > AUTOMORPHISM_BUDGET:

@@ -709,11 +709,11 @@ RUNS = [
     Run(dominance_key_mismatches, "connected_bipartite_catalog(6)", 2, [], CI),
     # one table per (X, W): restraints with different colour counts share no
     # values; at k = 2 a cache holds several widths
-    Run(catalog_memo_stats, "connected_catalog(5)", 1, {"hits": 5_342, "misses": 5_795, "peak_entries": 5_795},
+    Run(catalog_memo_stats, "connected_catalog(5)", 1, {"hits": 7_222, "misses": 5_795, "peak_entries": 5_795},
         TIER1),
-    Run(catalog_memo_stats, "connected_catalog(5)", 2, {"hits": 120_903, "misses": 84_798, "peak_entries": 84_798},
+    Run(catalog_memo_stats, "connected_catalog(5)", 2, {"hits": 133_798, "misses": 84_798, "peak_entries": 84_798},
         TIER1),
-    Run(catalog_memo_stats, "connected_catalog(6)", 1, {"hits": 189_883, "misses": 151_727, "peak_entries": 151_727},
+    Run(catalog_memo_stats, "connected_catalog(6)", 1, {"hits": 237_166, "misses": 151_727, "peak_entries": 151_727},
         CI),
     Run(theorem_search_mismatches, "connected_catalog(6)", 1, [], TIER1),
     Run(theorem_search_mismatches, "connected_catalog(5)", 2, [], TIER1),

@@ -222,11 +222,16 @@ def _resealed(edit):
     return damage
 
 
-def _with_min_classes(text: str, value) -> str:
-    """The record text with its min_classes replaced by value."""
+def _with_value(text: str, key: str, value) -> str:
+    """The record text with its key set to value."""
     record = json.loads(text)
-    record["min_classes"] = value
+    record[key] = value
     return json.dumps(record, sort_keys=True)
+
+
+def _true_and_float(text: str) -> str:
+    """The record text with k = 1 as true and class_count 7 as 7.0."""
+    return text.replace('"k": 1', '"k": true').replace('"class_count": 7,', '"class_count": 7.0,')
 
 
 def _with_max_winner(text: str, cid: str) -> str:
@@ -286,7 +291,7 @@ class TestResumableStore:
         _on_record(lambda text: _with_max_witness_value(text, [2, 4])),
         _on_record(lambda text: _with_max_witness_value(text, [2, "4", 0])),
         # true == 1 and 7.0 == 7, so these pass a comparison of values
-        _on_record(lambda text: text.replace('"k": 1', '"k": true').replace('"class_count": 7,', '"class_count": 7.0,')),
+        _on_record(_true_and_float),
         # the record as written, under a trailer with one hex digit changed
         lambda text: text[:-2] + "10"[text[-2] == "1"] + "\n",
         # the record as written with no trailer, as files were before it
@@ -294,19 +299,26 @@ class TestResumableStore:
         # C4's file at k = 2, copied under the k = 1 name: its trailer matches
         lambda text: _store_file(find_extremal(cycle_graph(4), 2)),
         # records of the wrong shape under a trailer that matches them: a
-        # missing key, a winner id that is not a string, an array, and an
-        # array nested too deep for the decoder
+        # missing key, a winner id that is not a string, an array, an array
+        # nested too deep for the decoder, k and class_count that compare
+        # equal to the written ones, class_count as a string, a witness map
+        # as a list and an extra key
         _resealed(lambda text: '{"graph6": "Cl", "k": 1}'),
-        _resealed(lambda text: _with_min_classes(text, [5])),
+        _resealed(lambda text: _with_value(text, "min_classes", [5])),
         _resealed(lambda text: "[1, 2]"),
         _resealed(lambda text: "[" * 100_000 + "]" * 100_000),
+        _resealed(_true_and_float),
+        _resealed(lambda text: _with_value(text, "class_count", "7")),
+        _resealed(lambda text: _with_value(text, "max_witness", [])),
+        _resealed(lambda text: _with_value(text, "note", 1)),
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
             "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness",
             "non-canonical-proper-key", "renamed-improper-key", "winners-twice-one-witness-dropped",
             "degree-not-an-int", "degree-a-bool", "degree-a-float", "coefficient-not-canonical",
             "coefficient-a-number", "witness-too-long", "scalars-true-and-float", "trailer-altered",
             "no-trailer", "another-pairs-file", "resealed-missing-key", "resealed-winner-not-a-string",
-            "resealed-array", "resealed-nested-too-deep"])
+            "resealed-array", "resealed-nested-too-deep", "resealed-scalars-true-and-float",
+            "resealed-count-a-string", "resealed-witness-map-a-list", "resealed-extra-key"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, monkeypatch, damage):
         # compared as text, since 2.0 == 2 and True == 1 in Python; the file
         # is rewritten as the record and its trailer, and read from then on

@@ -30,6 +30,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="vertex count must be nonnegative"):
             Graph(-1)
 
+    def test_repr_evaluates_to_an_equal_graph(self):
+        g = Graph(3, [(1, 0)])
+        assert repr(g) == "Graph(3, [(0, 1)])"
+        assert eval(repr(g)) == g
+
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0)])
         assert g.m == 1

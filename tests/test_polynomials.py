@@ -171,5 +171,10 @@ class TestRendering:
         assert str(poly(-13,)) == "-13"
         assert str(poly(0, -1)) == "-x"
 
+    def test_repr_evaluates_to_an_equal_polynomial(self):
+        p = poly(1, -2, 1)
+        assert repr(p) == "IntPolynomial([1, -2, 1])"
+        assert eval(repr(p)) == p
+
     def test_vector_str(self):
         assert poly(-6, 11, -6, 1).vector_str() == "[-6, 11, -6, 1]"

@@ -303,9 +303,10 @@ def report_from_record(g: Graph, k: int, text: str) -> ExtremalReport:
     trailer), and RestraintClass.from_id accepts each winner id, which
     builds the winner.  Under a matching trailer, a record with other keys
     than to_record's nine, a k, class_count or witness map of another type,
-    or nested too deep for the decoder is refused the same way; witness
-    values go unchecked, as per-key checks cost 19-24% of the P7 store read
-    at k=2.  The report keeps the record's witness maps."""
+    winners or a polynomial not held in a list, a coefficient other than an
+    int's str, or nested too deep for the decoder is refused the same way;
+    witness values go unchecked, as per-key checks cost 19-24% of the P7
+    store read at k=2.  The report keeps the record's witness maps."""
     end = text.rfind("\n", 0, -1) + 1
     if text[end:] != STORE_TRAILER.format(_sha256(text[:end].encode("ascii")).hexdigest()):
         raise ValueError("the record does not match its trailer")
@@ -314,7 +315,9 @@ def report_from_record(g: Graph, k: int, text: str) -> ExtremalReport:
         graph_id = to_graph6(g)
         if (len(record) != 9 or (record["graph6"], record["k"]) != (graph_id, k)  # and all nine keys are read
                 or type(record["k"]) is not int or type(record["class_count"]) is not int
-                or type(record["max_witness"]) is not dict or type(record["min_witness"]) is not dict):
+                or type(record["max_witness"]) is not dict or type(record["min_witness"]) is not dict
+                or any(type(record[key]) is not list for key in ("min_classes", "max_classes", "min_poly", "max_poly"))
+                or any(c != str(int(c)) for c in record["min_poly"] + record["max_poly"])):  # only a str equals a str
             raise ValueError("the record holds another (graph6, k), or other keys or types than to_record's")
         return ExtremalReport(
             graph_id=graph_id,

@@ -20,13 +20,13 @@ a trivial group the enumeration skips them: each colour class is then one
 class, and its sorted masks its canon.  On a group {id, t} of order 2 it
 keeps a colour class iff its sorted masks are at most those of its image
 under t, one image per visit, with no orbit and no seen set.  The group is
-never listed for the orbits: the stabilizer chain's levels
-are multiplied, from the last, into blocks of at most ORBIT_BLOCK
-elements, and an orbit is expanded one block at a time, its sorted images
-deduplicated between blocks.  Images are computed a whole block at a time:
-each vertex has a column of its image bits, one per element but the
-identity, and a mask's row is its lowest bit's column ORed onto the row
-of the rest.
+never listed for the orbits: the stabilizer chain's levels are multiplied,
+from the first, into blocks of at most ORBIT_BLOCK elements, and an orbit
+is expanded one block at a time, the block of the last levels first, its
+sorted images deduplicated between blocks.  Images are computed a whole
+block at a time: each vertex has a column of its image bits, one per
+element but the identity, and a mask's row is its lowest bit's column ORed
+onto the row of the rest.
 
 The enumeration walks one sorted form per colour class
 (_normal_form_masks), one colour slot of a vertex at a time over immutable
@@ -55,11 +55,14 @@ from .graphs import CapError, Graph, ParseError, level_products, quote_input
 
 FORMS_BUDGET = 3_000_000
 # most elements a block of the stabilizer chain lists for the class orbits
-# (_orbit_blocks).  Of 16-256, only 64 was within 4% of the fastest on K8,
-# K3,7 and the bench's symmetric graphs at k = 1 and on K2,5 at k = 2; 128
-# was 16% faster on K7 at k = 2 but 12-24% slower on the symmetric graphs
-# and K3,7
-ORBIT_BLOCK = 64
+# (_orbit_blocks).  Of 16, 24, 32, 48, 64 and 128, 24 and 32 enumerated the
+# bench's symmetric graphs fastest, over 12 relabellings in process (medians
+# of three sweeps: 6.6 and 6.5 ms a pass, against 7.1 at 16, 6.8 at 48, 6.7
+# at 64 and 7.8 at 128, and 7.2 for blocks grouped from the last level at
+# 64).  48 and 64 were 12% faster than 32 on K7 at k = 2 (0.75 against
+# 0.85 s); at 32, K3,7 at k = 1 and K2,5 and K3,4 at k = 2 were within 8%
+# of their fastest
+ORBIT_BLOCK = 32
 # most masks of a class whose id render_id renders by concatenation
 _SHORT_ID = 64
 
@@ -279,17 +282,22 @@ def _orbit_blocks(g: Graph):
 
     The group is read from g.stabilizer_chain() and never listed whole.  Its
     levels with more than the identity are multiplied into blocks from the
-    last one back, T_(n-1), T_(n-2), ...: a block is the level_products of
-    as many consecutive levels as keep it within ORBIT_BLOCK elements (a
-    level larger than that is a block alone).  Every automorphism is then
-    one element of each block composed in chain order, and the block of the
+    first one forward, T_0, T_1, ...: a block is the level_products of as
+    many consecutive levels as keep it within ORBIT_BLOCK elements (a level
+    larger than that is a block alone).  Every automorphism is then one
+    element of each block composed in chain order, and the block of the
     last levels acts first.  So orbit takes the seed's images under the last
-    block, their images under the block before it, and so on.  The set of
-    sorted images is taken after each block, so a form that many elements
-    give is expanded once by the next block, and within a block equal
-    unsorted images are merged before sorting.  A group of order at most
-    ORBIT_BLOCK is one block, each image of the seed under one listed
-    element; a trivial group has none, and the orbit is the seed alone.
+    block, their images under the block before it, and so on.  The levels
+    left over when the blocks fill up are thus the last ones, and their
+    block acts on the seed alone, where a small block acting last would
+    sort every form the others gave again for few new images: K3,4's
+    levels of 3, 2, 4, 3 and 2 elements give blocks of 6 and then 24
+    elements.  The set of sorted images is taken after each block, so a
+    form that many elements give is expanded once by the next block, and
+    within a block equal unsorted images are merged before sorting.  A
+    group of order at most ORBIT_BLOCK is one block, each image of the seed
+    under one listed element; a trivial group has none, and the orbit is
+    the seed alone.
 
     Each block keeps one row per mask, its images under each of the block's
     elements but the identity: the identity's image of a form is the form,
@@ -302,12 +310,12 @@ def _orbit_blocks(g: Graph):
     levels = [level for level in g.stabilizer_chain() if len(level) > 1]
     blocks = []
     while levels:
-        first, size = len(levels) - 1, len(levels[-1])
-        while first and size * len(levels[first - 1]) <= ORBIT_BLOCK:
-            first -= 1
-            size *= len(levels[first])
-        blocks.append(level_products(levels[first:], g.n))
-        del levels[first:]
+        end, size = 1, len(levels[0])
+        while end < len(levels) and size * len(levels[end]) <= ORBIT_BLOCK:
+            size *= len(levels[end])
+            end += 1
+        blocks.insert(0, level_products(levels[:end], g.n))
+        del levels[:end]
     bits = [1 << v for v in range(g.n)]
     # a single-bit mask's row is its vertex's column; block[0] is the
     # identity, as every level lists it first

@@ -656,19 +656,25 @@ RUNS = [
     Run(labelling_mismatches, "connected_bipartite_catalog(9)", None, [], CI),
     Run(automorphism_mismatches, "connected_catalog(6) + FPpC?", None, [], TIER1),
     Run(automorphism_mismatches, "connected_catalog(7)", None, [], CI),
-    # tier-1 has the symmetric workload's graphs and paths, whose group of
-    # order 2 is decided one image per visit; CI has groups of 5,040 to
-    # 40,320 elements (K7, K3,7, K8), several blocks at k = 2 (K2,5's 240)
-    # and one (C7's 14)
+    # the chain's level sizes, and so its blocks, depend on the labelling.
+    # tier-1 has the symmetric workload's graphs; K2,5 and K3,4 with their
+    # parts reversed (blocks of 12 + 20 and 6 + 24 elements, in the order
+    # applied); and paths, whose group of order 2 is decided one image per
+    # visit.  CI has groups of 5,040 to 40,320 elements (K7, K3,7, K8, and
+    # K3,7 reversed: 6 + 24 + 30 + 7), several blocks at k = 2 (K2,5's
+    # 24 + 10, and 12 + 20 reversed) and one (C7's 14)
     Run(orbit_mismatches, "connected_catalog(6)", 1, [], TIER1),
     Run(orbit_mismatches, "connected_catalog(5)", 2, [], TIER1),
     Run(orbit_mismatches, "K6 + S6 + K2,5 + K3,4", 1, [], TIER1),
+    Run(orbit_mismatches, "F?B~o + F?~v_", 1, [], TIER1),
     Run(orbit_mismatches, "K5 + S4", 2, [], TIER1),
     Run(orbit_mismatches, "P8 + P9", 1, [], TIER1),
     Run(orbit_mismatches, "P5 + P6", 2, [], TIER1),
     Run(orbit_mismatches, "connected_catalog(7)", 1, [], CI),
     Run(orbit_mismatches, "K3,7 + K8", 1, [], CI),
+    Run(orbit_mismatches, "I???F~}~_", 1, [], CI),
     Run(orbit_mismatches, "K7 + K2,5 + C7", 2, [], CI),
+    Run(orbit_mismatches, "F?B~o", 2, [], CI),
     Run(orbit_mismatches, "P7", 2, [], CI),
     # the visits at k = 1 are Bell numbers
     Run(walk_faults, "edgeless_graphs(7)", 1, (1_156, []), TIER1),

@@ -302,7 +302,9 @@ class TestResumableStore:
         # missing key, a winner id that is not a string, an array, an array
         # nested too deep for the decoder, k and class_count that compare
         # equal to the written ones, class_count as a string, a witness map
-        # as a list and an extra key
+        # as a list, an extra key, a polynomial as a string (read one digit a
+        # coefficient), a coefficient that int() reads with its space, and
+        # winners as a dict of the winner id
         _resealed(lambda text: '{"graph6": "Cl", "k": 1}'),
         _resealed(lambda text: _with_value(text, "min_classes", [5])),
         _resealed(lambda text: "[1, 2]"),
@@ -311,6 +313,9 @@ class TestResumableStore:
         _resealed(lambda text: _with_value(text, "class_count", "7")),
         _resealed(lambda text: _with_value(text, "max_witness", [])),
         _resealed(lambda text: _with_value(text, "note", 1)),
+        _resealed(lambda text: _with_value(text, "min_poly", "14")),
+        _resealed(lambda text: _with_value(text, "min_poly", [" 14", "-31", "24", "-8", "1"])),
+        _resealed(lambda text: _with_value(text, "min_classes", {"[{1},{1},{1},{1}]": 0})),
     ], ids=["truncated", "empty", "not-an-object", "other-k", "missing-class",
             "swapped-labels", "extra-vertex-set", "not-an-id", "witness-as-winner", "renamed-witness",
             "non-canonical-proper-key", "renamed-improper-key", "winners-twice-one-witness-dropped",
@@ -318,7 +323,8 @@ class TestResumableStore:
             "coefficient-a-number", "witness-too-long", "scalars-true-and-float", "trailer-altered",
             "no-trailer", "another-pairs-file", "resealed-missing-key", "resealed-winner-not-a-string",
             "resealed-array", "resealed-nested-too-deep", "resealed-scalars-true-and-float",
-            "resealed-count-a-string", "resealed-witness-map-a-list", "resealed-extra-key"])
+            "resealed-count-a-string", "resealed-witness-map-a-list", "resealed-extra-key",
+            "resealed-poly-a-string", "resealed-coefficient-spaced", "resealed-winners-a-dict"])
     def test_unreadable_record_is_recomputed(self, tmp_path, c4, monkeypatch, damage):
         # compared as text, since 2.0 == 2 and True == 1 in Python; the file
         # is rewritten as the record and its trailer, and read from then on
